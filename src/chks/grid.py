@@ -22,6 +22,26 @@ Operators
 The mirrored 5-point Laplacian is diagonalized by the orthonormal DCT-II,
 with 1-D eigenvalues -(2/h^2)(1 - cos(pi*k/n)); this makes the implicit
 solves exact direct solves.
+
+Cost per call
+-------------
+The sweeps call these kernels thousands of times on the same grid, so the
+per-call work is kept to the arithmetic:
+
+- A 2-D transform on a grid whose sides are both at most DENSE_DCT_MAX (64)
+  is two dense products with the cached orthonormal DCT-II matrices
+  (C_x f C_y^T, inverse C_x^T F C_y). Up to that size the BLAS products beat
+  the FFT-based scipy.fft.dctn by 2-5x per call, which is mostly fixed call
+  overhead on small arrays; from 128 up the O(n^3) products lose, so larger
+  grids call scipy.fft. The choice follows from the grid shape alone.
+- Cached per grid (lru_cache, read-only arrays): the Laplacian eigenvalues,
+  the DCT matrices, the per-mode inverse of the phi/mu block for each
+  (tau, s_stab), and 1/(alpha - beta*lam) of each scalar-alpha Helmholtz
+  solve. The singular-mode check of the block runs when its inverse is built.
+- Finiteness is checked where data enters: at each public operator's entry
+  and by the sweeps at the end of every step. Inside the variable-coefficient
+  CG loop the Laplacian runs unchecked; a non-finite value there surfaces as
+  a p.Ap that is not a positive finite number, which raises SolverError.
 """
 
 from __future__ import annotations
@@ -36,6 +56,10 @@ import scipy.fft as sfft
 DIRECT_RESIDUAL_TOL = 1e-12
 CG_RELATIVE_TOL = 1e-12
 CG_MAX_ITER_FACTOR = 10
+
+# Largest grid side at which a 2-D DCT is done by dense matrix products; see
+# the module docstring for the measured crossover against scipy.fft.
+DENSE_DCT_MAX = 64
 
 
 class SolverError(RuntimeError):
@@ -100,13 +124,25 @@ def zero_flux(grid: Grid) -> FaceFlux:
     return FaceFlux(np.zeros((grid.nx + 1, grid.ny)), np.zeros((grid.nx, grid.ny + 1)))
 
 
-def laplacian(grid: Grid, f: np.ndarray) -> np.ndarray:
-    """5-point Laplacian with mirror ghost cells (zero normal derivative)."""
-    _check_finite(f)
-    p = np.pad(f, 1, mode="edge")
-    return (p[2:, 1:-1] - 2.0 * f + p[:-2, 1:-1]) / grid.hx**2 + (
-        p[1:-1, 2:] - 2.0 * f + p[1:-1, :-2]
-    ) / grid.hy**2
+def laplacian(grid: Grid, f: np.ndarray, *, check: bool = True) -> np.ndarray:
+    """5-point Laplacian with mirror ghost cells (zero normal derivative).
+
+    Built from differences across interior faces: each one leaves the cell
+    on its low side and enters the cell on its high side, and the boundary
+    faces carry nothing, which is the mirror condition. check=False skips
+    the finiteness scan of f; only the CG loop, which checks p.Ap instead,
+    passes it.
+    """
+    if check:
+        _check_finite(f)
+    dx = (f[1:, :] - f[:-1, :]) / grid.hx**2
+    dy = (f[:, 1:] - f[:, :-1]) / grid.hy**2
+    lap = np.zeros(f.shape)
+    lap[:-1, :] += dx
+    lap[1:, :] -= dx
+    lap[:, :-1] += dy
+    lap[:, 1:] -= dy
+    return lap
 
 
 def gradient_faces(grid: Grid, f: np.ndarray) -> FaceFlux:
@@ -239,6 +275,12 @@ def grad_norm_sq(grid: Grid, f: np.ndarray) -> float:
     return grid.cell_area * float(np.sum(g.fx**2) + np.sum(g.fy**2))
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    """Mark a cached array read-only, so no caller can change it for every other."""
+    a.flags.writeable = False
+    return a
+
+
 @lru_cache(maxsize=32)
 def _lap_eigenvalues(nx: int, ny: int, hx: float, hy: float) -> np.ndarray:
     """Eigenvalues of the mirrored 5-point Laplacian in DCT-II space, shape (nx, ny)."""
@@ -246,19 +288,40 @@ def _lap_eigenvalues(nx: int, ny: int, hx: float, hy: float) -> np.ndarray:
     ky = np.arange(ny)
     lam_x = -(2.0 / hx**2) * (1.0 - np.cos(np.pi * kx / nx))
     lam_y = -(2.0 / hy**2) * (1.0 - np.cos(np.pi * ky / ny))
-    return lam_x[:, None] + lam_y[None, :]
+    return _read_only(lam_x[:, None] + lam_y[None, :])
 
 
 def lap_eigenvalues(grid: Grid) -> np.ndarray:
+    """Cached, read-only eigenvalues of the mirrored 5-point Laplacian."""
     return _lap_eigenvalues(grid.nx, grid.ny, grid.hx, grid.hy)
 
 
+@lru_cache(maxsize=8)
+def _dct_matrix(n: int) -> np.ndarray:
+    """Orthonormal DCT-II matrix C of size n: dct(x, norm='ortho') == C @ x."""
+    return _read_only(sfft.dct(np.eye(n), type=2, norm="ortho", axis=0))
+
+
 def _dct2(f: np.ndarray) -> np.ndarray:
+    nx, ny = f.shape
+    if max(nx, ny) <= DENSE_DCT_MAX:
+        return _dct_matrix(nx) @ f @ _dct_matrix(ny).T
     return sfft.dctn(f, type=2, norm="ortho")
 
 
 def _idct2(fh: np.ndarray) -> np.ndarray:
+    nx, ny = fh.shape
+    if max(nx, ny) <= DENSE_DCT_MAX:
+        return _dct_matrix(nx).T @ fh @ _dct_matrix(ny)
     return sfft.idctn(fh, type=2, norm="ortho")
+
+
+@lru_cache(maxsize=32)
+def _helmholtz_inverse(
+    nx: int, ny: int, hx: float, hy: float, alpha: float, beta: float
+) -> np.ndarray:
+    """Per-mode 1/(alpha - beta*lam) of the scalar-alpha Helmholtz operator."""
+    return _read_only(1.0 / (alpha - beta * _lap_eigenvalues(nx, ny, hx, hy)))
 
 
 def helmholtz_solve(
@@ -272,35 +335,40 @@ def helmholtz_solve(
     Scalar alpha > 0: exact direct solve by DCT diagonalization.
     Field alpha (spatially varying, min > 0): conjugate gradient
     preconditioned by the mean-coefficient direct solve.
+    Alpha must be finite and positive, beta finite and nonnegative.
     """
     _check_finite(b, "rhs")
-    if beta < 0:
-        raise SolverError("helmholtz_solve requires beta >= 0")
+    if not (np.isfinite(beta) and beta >= 0):
+        raise SolverError("helmholtz_solve requires a finite beta >= 0")
     if np.isscalar(alpha) or np.ndim(alpha) == 0:
         alpha = float(alpha)
-        if alpha <= 0:
-            raise SolverError("helmholtz_solve requires alpha > 0")
-        lam = lap_eigenvalues(grid)
-        return _idct2(_dct2(b) / (alpha - beta * lam))
+        if not (np.isfinite(alpha) and alpha > 0):
+            raise SolverError("helmholtz_solve requires a finite alpha > 0")
+        inv = _helmholtz_inverse(grid.nx, grid.ny, grid.hx, grid.hy, alpha, float(beta))
+        return _idct2(_dct2(b) * inv)
     alpha = np.asarray(alpha, dtype=float)
     if alpha.shape != grid.shape:
         raise SolverError("variable alpha must match the grid shape")
-    if float(alpha.min()) <= 0:
-        raise SolverError("helmholtz_solve requires alpha > 0 everywhere")
+    if not (np.all(np.isfinite(alpha)) and float(alpha.min()) > 0):
+        raise SolverError("helmholtz_solve requires a finite alpha > 0 everywhere")
     return _helmholtz_cg(grid, b, alpha, beta)
 
 
 def _helmholtz_cg(grid: Grid, b: np.ndarray, alpha: np.ndarray, beta: float) -> np.ndarray:
-    """Preconditioned CG for (alpha(x)*I - beta*Lap) x = b."""
-    alpha_bar = float(alpha.mean())
-    lam = lap_eigenvalues(grid)
-    denom = alpha_bar - beta * lam
+    """Preconditioned CG for (alpha(x)*I - beta*Lap) x = b.
+
+    The operator is symmetric positive definite, so p.Ap > 0 for every
+    nonzero direction; a p.Ap that is not a positive finite number means the
+    iterate broke down (or went non-finite) and raises SolverError. That is
+    the loop's only finiteness check.
+    """
+    inv = 1.0 / (float(alpha.mean()) - beta * lap_eigenvalues(grid))
 
     def apply_op(v):
-        return alpha * v - beta * laplacian(grid, v)
+        return alpha * v - beta * laplacian(grid, v, check=False)
 
     def precond(r):
-        return _idct2(_dct2(r) / denom)
+        return _idct2(_dct2(r) * inv)
 
     b_norm = np.linalg.norm(b.ravel())
     if b_norm == 0.0:
@@ -314,9 +382,11 @@ def _helmholtz_cg(grid: Grid, b: np.ndarray, alpha: np.ndarray, beta: float) -> 
     for _ in range(max_iter):
         ap = apply_op(p)
         pap = float(np.sum(p * ap))
+        if not 0.0 < pap < np.inf:
+            raise SolverError(f"helmholtz CG broke down: p.Ap = {pap!r}")
         gamma = rz / pap
-        x = x + gamma * p
-        r = r - gamma * ap
+        x += gamma * p
+        r -= gamma * ap
         if np.linalg.norm(r.ravel()) <= CG_RELATIVE_TOL * b_norm:
             return x
         z = precond(r)
@@ -324,6 +394,24 @@ def _helmholtz_cg(grid: Grid, b: np.ndarray, alpha: np.ndarray, beta: float) -> 
         p = z + (rz_new / rz) * p
         rz = rz_new
     raise SolverError("helmholtz CG did not converge within the iteration budget")
+
+
+@lru_cache(maxsize=16)
+def _ch_block_inverse(
+    nx: int, ny: int, hx: float, hy: float, tau: float, s_stab: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Per-mode inverse (i11, i12, i21, i22) of the phi/mu block matrix.
+
+    The matrix is [[1/tau, -lam], [s_stab - lam, -1]]. Raises SolverError,
+    and caches nothing, when a mode's determinant is numerically zero.
+    """
+    lam = _lap_eigenvalues(nx, ny, hx, hy)
+    det = -1.0 / tau - lam * (lam - s_stab)
+    if np.any(np.abs(det) < 1e-14):
+        raise SolverError("ch_block_solve hit a singular mode")
+    inv_det = 1.0 / det
+    entries = (-inv_det, lam * inv_det, (lam - s_stab) * inv_det, inv_det / tau)
+    return tuple(_read_only(m) for m in entries)
 
 
 def ch_block_solve(
@@ -340,26 +428,20 @@ def ch_block_solve(
     system per mode. The determinant is bounded away from zero by -1/tau,
     so the solve is exact up to round-off. With transpose=True the
     transposed per-mode matrix is solved instead (same spectrum, same
-    determinant); the backward adjoint sweep runs the block this way.
+    determinant); the backward adjoint sweep runs the block this way. Its
+    inverse is the transpose of the cached inverse, so both share one entry.
     """
     _check_finite(rhs_phi, "rhs_phi")
     _check_finite(rhs_mu, "rhs_mu")
-    if tau <= 0:
-        raise SolverError("ch_block_solve requires tau > 0")
-    if s_stab < 0:
-        raise SolverError("ch_block_solve requires s_stab >= 0")
-    lam = lap_eigenvalues(grid)
-    a11 = 1.0 / tau
-    a12 = -lam
-    a21 = s_stab - lam
-    a22 = -1.0
+    if not (np.isfinite(tau) and tau > 0):
+        raise SolverError("ch_block_solve requires a finite tau > 0")
+    if not (np.isfinite(s_stab) and s_stab >= 0):
+        raise SolverError("ch_block_solve requires a finite s_stab >= 0")
+    i11, i12, i21, i22 = _ch_block_inverse(
+        grid.nx, grid.ny, grid.hx, grid.hy, float(tau), float(s_stab)
+    )
     if transpose:
-        a12, a21 = a21, a12
-    det = a11 * a22 - a12 * a21
-    if np.any(np.abs(det) < 1e-14):
-        raise SolverError("ch_block_solve hit a singular mode")
+        i12, i21 = i21, i12
     rp = _dct2(rhs_phi)
     rm = _dct2(rhs_mu)
-    phi_hat = (rp * a22 - a12 * rm) / det
-    mu_hat = (a11 * rm - a21 * rp) / det
-    return _idct2(phi_hat), _idct2(mu_hat)
+    return _idct2(i11 * rp + i12 * rm), _idct2(i21 * rp + i22 * rm)

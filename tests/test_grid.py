@@ -2,7 +2,9 @@
 
 import numpy as np
 import pytest
+import scipy.fft as sfft
 
+from chks import grid as grid_mod
 from chks.grid import (
     FaceFlux,
     Grid,
@@ -185,10 +187,13 @@ def test_helmholtz_residual_and_alpha_guard():
     x = helmholtz_solve(grid, b, alpha, beta)
     res = alpha * x - beta * laplacian(grid, x) - b
     assert norm_l2(grid, res) <= 1e-12 * norm_l2(grid, b)
-    with pytest.raises(SolverError):
-        helmholtz_solve(grid, b, 0.0, 1.0)
-    with pytest.raises(SolverError):
-        helmholtz_solve(grid, b, -1.0, 1.0)
+    bad_field = np.ones(grid.shape)
+    bad_field[3, 4] = np.inf
+    nan_field = np.ones(grid.shape)
+    nan_field[0, 0] = np.nan
+    for bad_alpha in (0.0, -1.0, np.nan, np.inf, bad_field, nan_field, -bad_field):
+        with pytest.raises(SolverError):
+            helmholtz_solve(grid, b, bad_alpha, 1.0)
 
 
 def test_helmholtz_variable_coefficient_cg():
@@ -199,6 +204,10 @@ def test_helmholtz_variable_coefficient_cg():
     x = helmholtz_solve(grid, b, alpha, beta)
     res = alpha * x - beta * laplacian(grid, x) - b
     assert norm_l2(grid, res) <= 1e-11 * norm_l2(grid, b)
+    # The loop scans no field for NaN; a non-finite iterate surfaces as p.Ap.
+    alpha[2, 3] = np.nan
+    with pytest.raises(SolverError, match="p.Ap"):
+        grid_mod._helmholtz_cg(grid, b, alpha, beta)
 
 
 def test_ch_block_zero_mode_by_hand():
@@ -269,3 +278,59 @@ def test_eigenvalues_match_operator():
     lam = lap_eigenvalues(grid)
     assert lam[0, 0] == 0.0
     assert np.all(lam <= 0.0)
+
+
+def test_cached_spectral_arrays_are_read_only():
+    grid = Grid(8, 6, 1.0, 2.0)
+    lam = lap_eigenvalues(grid)
+    before = lam.copy()
+    with pytest.raises(ValueError):
+        lam *= 2
+    np.testing.assert_array_equal(lap_eigenvalues(grid), before)
+    cached = (
+        grid_mod._dct_matrix(8),
+        grid_mod._helmholtz_inverse(8, 6, grid.hx, grid.hy, 2.0, 1.0),
+        *grid_mod._ch_block_inverse(8, 6, grid.hx, grid.hy, 0.1, 0.5),
+    )
+    for arr in cached:
+        with pytest.raises(ValueError):
+            arr[0, 0] = 1.0
+
+
+@pytest.mark.parametrize("shape", [(16, 16), (64, 64), (65, 64), (16, 80), (96, 7), (128, 128)])
+def test_dct_pair_matches_scipy_on_both_sides_of_dense_threshold(shape):
+    f = RNG.standard_normal(shape)
+    fh = grid_mod._dct2(f)
+    ref = sfft.dctn(f, type=2, norm="ortho")
+    assert np.abs(fh - ref).max() <= 1e-13 * np.abs(ref).max()
+    back = grid_mod._idct2(fh)
+    ref_back = sfft.idctn(fh, type=2, norm="ortho")
+    assert np.abs(back - ref_back).max() <= 1e-13 * np.abs(ref_back).max()
+    assert np.abs(back - f).max() <= 1e-13 * np.abs(f).max()
+
+
+def test_ch_block_interleaved_parameters_use_their_own_factors():
+    grid = Grid(16, 12, 1.0, 0.6)
+    rhs_phi = random_field(grid)
+    rhs_mu = random_field(grid)
+    scale = norm_l2(grid, rhs_phi) + norm_l2(grid, rhs_mu)
+    for _ in range(2):
+        for tau in (0.01, 0.2):
+            for s in (0.0, 1.5):
+                for transpose in (False, True):
+                    phi, mu = ch_block_solve(grid, rhs_phi, rhs_mu, tau, s, transpose)
+                    lap_phi, lap_mu = laplacian(grid, phi), laplacian(grid, mu)
+                    if transpose:
+                        # Transposed pair: { phi/tau + (s - Lap) mu = rhs_phi ; -Lap phi - mu = rhs_mu }.
+                        r1 = phi / tau - lap_mu + s * mu - rhs_phi
+                        r2 = -lap_phi - mu - rhs_mu
+                    else:
+                        r1 = phi / tau - lap_mu - rhs_phi
+                        r2 = -lap_phi + s * phi - mu - rhs_mu
+                    assert norm_l2(grid, r1) <= 1e-12 * scale
+                    assert norm_l2(grid, r2) <= 1e-12 * scale
+    # A numerically singular zero mode (det = -1/tau) raises on every call,
+    # not only on the call that first meets it.
+    for _ in range(2):
+        with pytest.raises(SolverError):
+            ch_block_solve(grid, rhs_phi, rhs_mu, 1e15, 0.5)
