@@ -29,15 +29,15 @@ from .state import (
     InvariantReport,
     ModelSpec,
     State,
-    StateTrajectory,
+    Trajectory,
     check_mean_ode,
     energy,
     solve_forward,
     step,
     trajectory_distance,
 )
-from .linearized import LinearizedTrajectory, solve_linearized
-from .adjoint import AdjointTrajectory, ControlSpec, duality_residual, solve_adjoint
+from .linearized import solve_linearized
+from .adjoint import ControlSpec, duality_residual, solve_adjoint
 from .control_opt import (
     OptimizeOptions,
     OptimizeResult,

@@ -36,8 +36,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import grid as g
-from .grid import Grid, SolverError
-from .state import ModelSpec, StateTrajectory
+from .grid import SolverError
+from .potentials import AdmissibilityError
+from .state import ModelSpec, Trajectory
 
 
 @dataclass
@@ -56,8 +57,6 @@ class ControlSpec:
     u_max: float | np.ndarray = 1.0
 
     def validate(self) -> None:
-        from .potentials import AdmissibilityError
-
         if self.b1 < 0 or self.b2 < 0:
             raise AdmissibilityError("(6.3): b1 and b2 must be nonnegative")
         if not self.b3 > 0:
@@ -69,26 +68,7 @@ class ControlSpec:
             raise AdmissibilityError("(6.4): u_max must be nonnegative")
 
 
-@dataclass
-class AdjointTrajectory:
-    grid: Grid
-    times: np.ndarray
-    p1: np.ndarray  # (Nt+1, nx, ny)
-    p2: np.ndarray
-    p3: np.ndarray
-    p4: np.ndarray
-    p5: np.ndarray
-
-    @property
-    def nt(self) -> int:
-        return len(self.times) - 1
-
-    @property
-    def tau(self) -> float:
-        return float(self.times[1] - self.times[0])
-
-
-def adjoint_coefficients(base: StateTrajectory, spec: ModelSpec, k: int) -> dict:
+def adjoint_coefficients(base: Trajectory, spec: ModelSpec, k: int) -> dict:
     """Frozen coefficient fields of the adjoint system at backward step k.
 
     f11 = m - h'(phi*), f12 = F''(phi*), f14 = -chi_phi - c_phi, f33 = -1,
@@ -108,33 +88,18 @@ def adjoint_coefficients(base: StateTrajectory, spec: ModelSpec, k: int) -> dict
     }
 
 
-def solve_adjoint(
-    base: StateTrajectory,
-    cost: ControlSpec,
-    spec: ModelSpec,
-    tau: float | None = None,
-) -> AdjointTrajectory:
+def solve_adjoint(base: Trajectory, cost: ControlSpec, spec: ModelSpec) -> Trajectory:
     """Backward sweep from step Nt to 0; see the module docstring."""
     gr = base.grid
     nt = base.nt
-    if tau is None:
-        tau = base.tau
+    tau = base.tau
     cost.validate()
     if cost.phi_q.shape != (nt, gr.nx, gr.ny):
         raise ValueError("phi_q must have shape (nt, nx, ny)")
     if cost.phi_omega.shape != gr.shape:
         raise ValueError("phi_omega must match the grid shape")
 
-    shape = (nt + 1, gr.nx, gr.ny)
-    adj = AdjointTrajectory(
-        grid=gr,
-        times=base.times.copy(),
-        p1=np.zeros(shape),
-        p2=np.zeros(shape),
-        p3=np.zeros(shape),
-        p4=np.zeros(shape),
-        p5=np.zeros(shape),
-    )
+    adj = Trajectory.zeros(gr, base.times, ("p1", "p2", "p3", "p4", "p5"))
     p1_final = cost.b2 * (base.phi[nt] - cost.phi_omega)
     p3 = np.zeros(gr.shape)
     p4 = np.zeros(gr.shape)
@@ -212,23 +177,11 @@ def solve_adjoint(
     return adj
 
 
-def dump_trajectory(adj: AdjointTrajectory, out_dir) -> None:
-    """Write the adjoint trajectory with the adj_ snapshot prefix."""
-    from .fields_io import write_trajectory
-
-    write_trajectory(
-        out_dir,
-        adj.grid,
-        {f"p{i}": getattr(adj, f"p{i}") for i in range(1, 6)},
-        prefix="adj_",
-    )
-
-
 def duality_residual(
-    base: StateTrajectory,
-    adj: AdjointTrajectory,
+    base: Trajectory,
+    adj: Trajectory,
     h: np.ndarray,
-    lin,
+    lin: Trajectory,
     cost: ControlSpec,
 ) -> float:
     """Relative gap of the adjoint/linearized duality identity.

@@ -41,27 +41,12 @@ def _series_rows(cfg: RunConfig, traj, report) -> list[dict]:
     return rows
 
 
-def _dump_state_trajectory(out: Path, traj, prefix: str = "") -> None:
-    write_trajectory(
-        out,
-        traj.grid,
-        {
-            "phi": traj.phi,
-            "mu": traj.mu,
-            "a": traj.a,
-            "n": traj.n,
-            "sigma": traj.sigma,
-        },
-        prefix=prefix,
-    )
-
-
 def cmd_simulate(cfg: RunConfig, out: Path, strict: bool) -> int:
     traj, report = solve_forward(
         cfg.grid, cfg.model, cfg.init, cfg.u0, cfg.T, cfg.nt,
         s_stab=cfg.s_stab, flux_scheme=cfg.flux_scheme,
     )
-    _dump_state_trajectory(out, traj)
+    write_trajectory(out, traj.grid, traj.fields)
     write_series(out, _series_rows(cfg, traj, report))
     failures = []
     if report.sigma_min < -1e-8 or report.sigma_max > 1.0 + 1e-8:
@@ -98,11 +83,9 @@ def cmd_optimize(cfg: RunConfig, out: Path) -> int:
     for k in range(cfg.nt):
         write_field(out / f"control_{k:06}.fld", cfg.grid, result.u_star.values[k])
     if result.trajectory is not None:
-        _dump_state_trajectory(out, result.trajectory)
+        write_trajectory(out, cfg.grid, result.trajectory.fields)
     if result.adjoint is not None:
-        from .adjoint import dump_trajectory as dump_adjoint
-
-        dump_adjoint(result.adjoint, out)
+        write_trajectory(out, cfg.grid, result.adjoint.fields, prefix="adj_")
     print(
         f"optimize: {result.iterations} iterations, cost {result.cost_history[-1]:.6e}, "
         f"stationarity {result.stationarity_history[-1]:.3e}, converged={result.converged}"

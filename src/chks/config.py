@@ -48,7 +48,7 @@ from .adjoint import ControlSpec
 from .fields_io import read_field
 from .grid import Grid
 from .potentials import AdmissibilityError, PotentialSpec, ProliferationSpec
-from .state import Control, InitialData, ModelSpec
+from .state import Control, InitialData, ModelSpec, solve_forward
 from .control_opt import OptimizeOptions
 
 
@@ -139,37 +139,42 @@ class _Section:
 def generate_field(
     gr: Grid, phrase: str, rng: np.random.Generator, base_dir: Path | None = None
 ) -> np.ndarray:
-    """Realize a field generator phrase on the grid."""
-    tokens = phrase.split()
-    kind = tokens[0].lower()
+    """Realize a field generator phrase on the grid.
+
+    A malformed phrase, or a snapshot file that cannot be read or does not
+    match the grid, raises ConfigError naming the phrase.
+    """
     x, y = gr.cell_centers()
-    if kind == "constant":
-        return np.full(gr.shape, float(tokens[1]))
-    if kind == "cosine":
-        off, amp, kx, ky = (float(t) for t in tokens[1:5])
-        return off + amp * np.cos(kx * np.pi * x / gr.lx) * np.cos(ky * np.pi * y / gr.ly)
-    if kind == "random_smooth":
-        lo, hi = float(tokens[1]), float(tokens[2])
-        modes = int(tokens[3])
-        f = np.zeros(gr.shape)
-        for kx in range(modes + 1):
-            for ky in range(modes + 1):
-                c = rng.normal()
-                f += c * np.cos(kx * np.pi * x / gr.lx) * np.cos(ky * np.pi * y / gr.ly)
-        fmin, fmax = float(f.min()), float(f.max())
-        if fmax - fmin < 1e-30:
-            return np.full(gr.shape, 0.5 * (lo + hi))
-        return lo + (hi - lo) * (f - fmin) / (fmax - fmin)
-    if kind == "file":
-        path = Path(tokens[1])
-        if base_dir is not None and not path.is_absolute():
-            path = base_dir / path
-        fgrid, data = read_field(path)
-        if fgrid.shape != gr.shape:
-            raise ConfigError(
-                f"field file {path} has shape {fgrid.shape}, expected {gr.shape}"
-            )
-        return data
+    try:
+        tokens = phrase.split()
+        kind = tokens[0].lower()
+        if kind == "constant":
+            return np.full(gr.shape, float(tokens[1]))
+        if kind == "cosine":
+            off, amp, kx, ky = (float(t) for t in tokens[1:5])
+            return off + amp * np.cos(kx * np.pi * x / gr.lx) * np.cos(ky * np.pi * y / gr.ly)
+        if kind == "random_smooth":
+            lo, hi = float(tokens[1]), float(tokens[2])
+            modes = int(tokens[3])
+            f = np.zeros(gr.shape)
+            for kx in range(modes + 1):
+                for ky in range(modes + 1):
+                    c = rng.normal()
+                    f += c * np.cos(kx * np.pi * x / gr.lx) * np.cos(ky * np.pi * y / gr.ly)
+            fmin, fmax = float(f.min()), float(f.max())
+            if fmax - fmin < 1e-30:
+                return np.full(gr.shape, 0.5 * (lo + hi))
+            return lo + (hi - lo) * (f - fmin) / (fmax - fmin)
+        if kind == "file":
+            path = Path(tokens[1])
+            if base_dir is not None and not path.is_absolute():
+                path = base_dir / path
+            fgrid, data = read_field(path)
+            if fgrid.shape != gr.shape:
+                raise ValueError(f"{path} has shape {fgrid.shape}, expected {gr.shape}")
+            return data
+    except (IndexError, OSError, ValueError) as exc:
+        raise ConfigError(f"field generator {phrase!r}: {exc}") from exc
     raise ConfigError(f"unknown field generator {kind!r}")
 
 
@@ -264,8 +269,6 @@ def load_config(path: str | Path, seed_override: int | None = None) -> RunConfig
     if targets == "simulation":
         u_true_slice = generate_field(gr, sc.raw("u_true", "constant 0.0")[0], rng, base_dir)
         u_true = np.repeat(np.clip(u_true_slice, 0.0, u_max)[None, :, :], nt, axis=0)
-        from .state import solve_forward
-
         traj_true, _ = solve_forward(
             gr, model, init, Control(u_true, u_max), T, nt,
             s_stab=s_stab, flux_scheme=flux_scheme,

@@ -22,9 +22,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import grid as g
-from .adjoint import AdjointTrajectory, ControlSpec, solve_adjoint
+from .adjoint import ControlSpec, solve_adjoint
 from .grid import Grid
-from .state import Control, InitialData, ModelSpec, StateTrajectory, solve_forward
+from .state import Control, InitialData, ModelSpec, Trajectory, solve_forward
 
 
 @dataclass
@@ -48,12 +48,12 @@ class OptimizeResult:
     step_sizes: list[float] = field(default_factory=list)
     backtrack_counts: list[int] = field(default_factory=list)
     message: str = ""
-    trajectory: StateTrajectory | None = None
-    adjoint: AdjointTrajectory | None = None
+    trajectory: Trajectory | None = None
+    adjoint: Trajectory | None = None
 
 
 def cost(
-    gr: Grid, traj: StateTrajectory, u: Control, cs: ControlSpec
+    gr: Grid, traj: Trajectory, u: Control, cs: ControlSpec
 ) -> float:
     """Tracking cost: rectangle rule in time (step-end levels), cell sums in space."""
     nt = traj.nt
@@ -85,7 +85,7 @@ def control_norm(gr: Grid, tau: float, values: np.ndarray) -> float:
     return float(np.sqrt(tau * gr.cell_area * np.sum(values**2)))
 
 
-def reduced_gradient(adj: AdjointTrajectory, u: Control, b3: float) -> np.ndarray:
+def reduced_gradient(adj: Trajectory, u: Control, b3: float) -> np.ndarray:
     """Gradient slices p3 + b3*u, with p3 taken at the end level of each interval.
 
     The duality identity pairs the control slice on [t_k, t_{k+1}) with
@@ -99,7 +99,7 @@ def reduced_gradient(adj: AdjointTrajectory, u: Control, b3: float) -> np.ndarra
 
 
 def stationarity_residual(
-    gr: Grid, tau: float, u: Control, adj: AdjointTrajectory, cs: ControlSpec
+    gr: Grid, tau: float, u: Control, adj: Trajectory, cs: ControlSpec
 ) -> float:
     """L2(Q) norm of u - P(-p3/b3); zero iff the discrete optimality condition holds."""
     target = project_admissible(-adj.p3[1:] / cs.b3, cs.u_max)
@@ -130,7 +130,7 @@ def optimize(
 
     result = OptimizeResult(u_star=u)
 
-    def forward(uc: Control) -> StateTrajectory:
+    def forward(uc: Control) -> Trajectory:
         traj, _ = solve_forward(
             gr, spec, init, uc, T, nt, s_stab=opts.s_stab, flux_scheme=opts.flux_scheme
         )

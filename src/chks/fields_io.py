@@ -49,10 +49,15 @@ def read_field(path: str | Path) -> tuple[Grid, np.ndarray]:
     """Read a field snapshot back into (grid, data) with data shaped (nx, ny)."""
     with open(path, "rb") as fh:
         header = fh.read(_HEADER.size)
+        if len(header) != _HEADER.size:
+            raise ValueError(f"not a field snapshot: {len(header)}-byte file")
         magic, nx, ny, lx, ly = _HEADER.unpack(header)
         if magic != MAGIC:
             raise ValueError(f"not a field snapshot: bad magic {magic!r}")
-        raw = fh.read(8 * nx * ny)
+        raw = fh.read()
+    if len(raw) != 8 * nx * ny:
+        raise ValueError(f"field snapshot payload has {len(raw)} bytes, "
+                         f"expected {8 * nx * ny} for {nx}x{ny}")
     data = np.frombuffer(raw, dtype="<f8").reshape(ny, nx).T.copy()
     return Grid(nx, ny, lx, ly), data
 

@@ -21,60 +21,31 @@ direction size.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import grid as g
 from .grid import Grid, SolverError
-from .state import Control, ModelSpec, StateTrajectory
+from .state import (
+    Control,
+    InitialData,
+    ModelSpec,
+    Trajectory,
+    solve_forward,
+    trajectory_distance,
+)
 
 
-@dataclass
-class LinearizedTrajectory:
-    grid: Grid
-    times: np.ndarray
-    psi: np.ndarray  # (Nt+1, nx, ny), linearized phi
-    eta: np.ndarray  # linearized mu
-    alpha_lin: np.ndarray  # linearized a
-    nu: np.ndarray  # linearized n
-    omega: np.ndarray  # linearized sigma
-
-    @property
-    def nt(self) -> int:
-        return len(self.times) - 1
-
-    @property
-    def tau(self) -> float:
-        return float(self.times[1] - self.times[0])
-
-
-def solve_linearized(
-    base: StateTrajectory,
-    spec: ModelSpec,
-    h: np.ndarray,
-    tau: float | None = None,
-) -> LinearizedTrajectory:
+def solve_linearized(base: Trajectory, spec: ModelSpec, h: np.ndarray) -> Trajectory:
     """Solve the linearized system along direction h (shape (Nt, nx, ny))."""
     gr = base.grid
     nt = base.nt
     if h.shape != (nt, gr.nx, gr.ny):
         raise ValueError("direction shape must match the control layout (nt, nx, ny)")
-    if tau is None:
-        tau = base.tau
+    tau = base.tau
     s_stab = base.s_stab
     scheme = base.flux_scheme
 
-    shape = (nt + 1, gr.nx, gr.ny)
-    out = LinearizedTrajectory(
-        grid=gr,
-        times=base.times.copy(),
-        psi=np.zeros(shape),
-        eta=np.zeros(shape),
-        alpha_lin=np.zeros(shape),
-        nu=np.zeros(shape),
-        omega=np.zeros(shape),
-    )
+    out = Trajectory.zeros(gr, base.times, ("psi", "eta", "alpha_lin", "nu", "omega"))
     psi = np.zeros(gr.shape)
     alpha = np.zeros(gr.shape)
     nu = np.zeros(gr.shape)
@@ -136,45 +107,11 @@ def solve_linearized(
     return out
 
 
-def dump_trajectory(lin: LinearizedTrajectory, out_dir) -> None:
-    """Write the linearized trajectory with the lin_ snapshot prefix."""
-    from .fields_io import write_trajectory
-
-    write_trajectory(
-        out_dir,
-        lin.grid,
-        {
-            "psi": lin.psi,
-            "eta": lin.eta,
-            "alpha": lin.alpha_lin,
-            "nu": lin.nu,
-            "omega": lin.omega,
-        },
-        prefix="lin_",
-    )
-
-
-def linearized_norm(lin: LinearizedTrajectory) -> float:
-    """Combined norm matching trajectory_distance, for Taylor remainders."""
-    gr = lin.grid
-    tau = lin.tau
-    total = 0.0
-    for name in ("psi", "eta", "alpha_lin", "nu", "omega"):
-        d = getattr(lin, name)
-        sup_l2 = max(g.norm_l2(gr, d[k]) for k in range(d.shape[0]))
-        h1_acc = sum(
-            tau * (g.norm_l2(gr, d[k]) ** 2 + g.grad_norm_sq(gr, d[k]))
-            for k in range(d.shape[0])
-        )
-        total += sup_l2 + np.sqrt(h1_acc)
-    return float(total)
-
-
 def taylor_remainders(
     gr: Grid,
     spec: ModelSpec,
-    base_traj: StateTrajectory,
-    init,
+    base_traj: Trajectory,
+    init: InitialData,
     u: Control,
     h: np.ndarray,
     epsilons: list[float],
@@ -186,8 +123,6 @@ def taylor_remainders(
     Perturbed controls must stay admissible; callers pick u interior to the
     box and eps*h small enough.
     """
-    from .state import StateTrajectory, solve_forward, trajectory_distance
-
     lin = solve_linearized(base_traj, spec, h)
     remainders = []
     for eps in epsilons:
@@ -196,14 +131,9 @@ def taylor_remainders(
             gr, spec, init, u_eps, T, nt,
             s_stab=base_traj.s_stab, flux_scheme=base_traj.flux_scheme,
         )
-        predicted = StateTrajectory(
-            grid=gr,
-            times=base_traj.times.copy(),
-            phi=base_traj.phi + eps * lin.psi,
-            mu=base_traj.mu + eps * lin.eta,
-            a=base_traj.a + eps * lin.alpha_lin,
-            n=base_traj.n + eps * lin.nu,
-            sigma=base_traj.sigma + eps * lin.omega,
-        )
+        predicted = Trajectory(gr, base_traj.times, {
+            name: f + eps * df
+            for (name, f), df in zip(base_traj.fields.items(), lin.fields.values())
+        })
         remainders.append(trajectory_distance(traj_eps, predicted))
     return remainders

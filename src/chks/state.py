@@ -124,19 +124,33 @@ class State:
 
 
 @dataclass
-class StateTrajectory:
-    """Full stored trajectory on the uniform step grid t_k = k * tau."""
+class Trajectory:
+    """A stored sweep on the uniform step grid t_k = k * tau.
+
+    fields maps each unknown's name to its (Nt+1, nx, ny) array, in the
+    order phi, mu, a, n, sigma for the forward sweep, psi, eta, alpha_lin,
+    nu, omega for the tangent sweep and p1, ..., p5 for the adjoint sweep.
+    Fields also read as attributes bound to the same arrays (traj.phi,
+    lin.psi, adj.p3), so write into them in place. s_stab and
+    flux_scheme record the forward scheme, which the replays reuse.
+    """
 
     grid: Grid
     times: np.ndarray  # (Nt+1,)
-    phi: np.ndarray  # (Nt+1, nx, ny)
-    mu: np.ndarray
-    a: np.ndarray
-    n: np.ndarray
-    sigma: np.ndarray
-    control: Control | None = None
+    fields: dict[str, np.ndarray]
     s_stab: float = 0.0
     flux_scheme: str = "centered"
+
+    @classmethod
+    def zeros(cls, grid: Grid, times: np.ndarray, names, **kwargs) -> Trajectory:
+        """A trajectory whose named fields are all zero on every step."""
+        shape = (len(times), grid.nx, grid.ny)
+        return cls(grid, times, {name: np.zeros(shape) for name in names}, **kwargs)
+
+    def __post_init__(self):
+        # Bound as plain attributes: the sweeps read fields several times per
+        # step, and a __getattr__ hook would run Python code on every read.
+        vars(self).update(self.fields)
 
     @property
     def nt(self) -> int:
@@ -145,9 +159,6 @@ class StateTrajectory:
     @property
     def tau(self) -> float:
         return float(self.times[1] - self.times[0])
-
-    def state(self, k: int) -> State:
-        return State(self.phi[k], self.mu[k], self.a[k], self.n[k], self.sigma[k])
 
 
 @dataclass
@@ -222,7 +233,7 @@ def solve_forward(
     s_stab: float | None = None,
     flux_scheme: str = "centered",
     check_admissibility: bool = True,
-) -> tuple[StateTrajectory, InvariantReport]:
+) -> tuple[Trajectory, InvariantReport]:
     """Integrate the system on [0, T] with nt uniform steps.
 
     mu at step 0 is the diagnostic value -Lap(phi0) + F'(phi0); afterwards
@@ -241,18 +252,9 @@ def solve_forward(
         s_stab = default_s_stab(spec.pot)
 
     tau = T / nt
-    shape = (nt + 1, gr.nx, gr.ny)
-    traj = StateTrajectory(
-        grid=gr,
-        times=np.linspace(0.0, T, nt + 1),
-        phi=np.empty(shape),
-        mu=np.empty(shape),
-        a=np.empty(shape),
-        n=np.empty(shape),
-        sigma=np.empty(shape),
-        control=u,
-        s_stab=s_stab,
-        flux_scheme=flux_scheme,
+    traj = Trajectory.zeros(
+        gr, np.linspace(0.0, T, nt + 1), ("phi", "mu", "a", "n", "sigma"),
+        s_stab=s_stab, flux_scheme=flux_scheme,
     )
     spec.pot.clamp_counter.reset()
     cur = State(
@@ -317,7 +319,7 @@ def energy_phi_part(gr: Grid, phi: np.ndarray, spec: ModelSpec) -> float:
     )
 
 
-def check_mean_ode(traj: StateTrajectory, spec: ModelSpec) -> float:
+def check_mean_ode(traj: Trajectory, spec: ModelSpec) -> float:
     """Max residual of the mean-value ODE  d/dt mean(phi) + m*mean(phi) = mean(h(phi)).
 
     Measured in backward-Euler form at the new level:
@@ -339,18 +341,20 @@ def check_mean_ode(traj: StateTrajectory, spec: ModelSpec) -> float:
     return res
 
 
-def trajectory_distance(t1: StateTrajectory, t2: StateTrajectory) -> float:
-    """Combined state norm of the difference of two trajectories.
+def trajectory_distance(t1: Trajectory, t2: Trajectory) -> float:
+    """Combined norm of the difference of two trajectories.
 
-    Sum over the five components of sup-in-time L2 norms plus
-    L2-in-time H1-seminorm contributions; mesh-independent quadratures so
-    values are comparable across grids.
+    Fields pair by position, not by name, so the norm of a tangent
+    trajectory is its distance from Trajectory.zeros. Sum over the five
+    components of sup-in-time L2 norms plus L2-in-time H1-seminorm
+    contributions; mesh-independent quadratures so values are comparable
+    across grids.
     """
     gr = t1.grid
     tau = t1.tau
     total = 0.0
-    for name in ("phi", "mu", "a", "n", "sigma"):
-        d = getattr(t1, name) - getattr(t2, name)
+    for f1, f2 in zip(t1.fields.values(), t2.fields.values(), strict=True):
+        d = f1 - f2
         sup_l2 = max(g.norm_l2(gr, d[k]) for k in range(d.shape[0]))
         h1_acc = sum(
             tau * (g.norm_l2(gr, d[k]) ** 2 + g.grad_norm_sq(gr, d[k]))

@@ -14,9 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import grid as g
 from .adjoint import ControlSpec, duality_residual, solve_adjoint
-from .config import RunConfig
+from .config import RunConfig, generate_field
 from .control_opt import control_norm, cost, reduced_gradient
 from .grid import Grid
 from .linearized import solve_linearized, taylor_remainders
@@ -25,6 +24,7 @@ from .state import (
     Control,
     InitialData,
     ModelSpec,
+    energy_phi_part,
     solve_forward,
     trajectory_distance,
 )
@@ -224,12 +224,7 @@ def _matrix_case(cfg: RunConfig, pot_kind: str, run_seed: int):
         # Keep h close to m*r0 so the mean-endpoint condition holds.
         prolif = ProliferationSpec("constant", h0=0.5)
         phi_rng = (0.35, 0.65)
-    model = ModelSpec(
-        m=1.0, chi_phi=0.2, chi_a=0.3, c_phi=0.1, c_n=-1.0, c_sigma=0.1, c_0=0.0,
-        pot=pot, prolif=prolif,
-    )
-    from .config import generate_field
-
+    model = ModelSpec(pot=pot, prolif=prolif)
     init = InitialData(
         phi0=generate_field(gr, f"random_smooth {phi_rng[0]} {phi_rng[1]} 2", rng),
         a0=generate_field(gr, "random_smooth 0.2 1.0 2", rng),
@@ -282,12 +277,8 @@ def suite_invariants(cfg: RunConfig) -> list[CheckResult]:
 
     # Mean ODE: stationary closed form (h = m*r0, logarithmic potential).
     model_s = ModelSpec(
-        m=1.0, chi_phi=0.2, chi_a=0.3, c_phi=0.1, c_n=-1.0, c_sigma=0.1, c_0=0.0,
-        pot=PotentialSpec("logarithmic", c2=2.0),
-        prolif=ProliferationSpec("constant", h0=0.5),
+        pot=PotentialSpec("logarithmic", c2=2.0), prolif=ProliferationSpec("constant", h0=0.5)
     )
-    from .config import generate_field
-
     rng = np.random.default_rng(cfg.seed + 30)
     phi0 = generate_field(gr, "random_smooth 0.4 0.6 2", rng)
     phi0 = phi0 - phi0.mean() + 0.5  # pin the mean at r0
@@ -308,10 +299,7 @@ def suite_invariants(cfg: RunConfig) -> list[CheckResult]:
                                mean_dev, 1e-12, mean_dev <= 1e-12))
 
     # Mean ODE: implicit-Euler decay closed form (h = 0, regular potential).
-    model_d = ModelSpec(
-        m=1.0, chi_phi=0.2, chi_a=0.3, c_phi=0.1, c_n=-1.0, c_sigma=0.1, c_0=0.0,
-        pot=PotentialSpec("regular", c1=1.0), prolif=ProliferationSpec("zero"),
-    )
+    model_d = ModelSpec(pot=PotentialSpec("regular", c1=1.0), prolif=ProliferationSpec("zero"))
     init_d = InitialData(
         phi0=generate_field(gr, "random_smooth 0.1 0.5 2", rng),
         a0=generate_field(gr, "random_smooth 0.3 0.9 2", rng),
@@ -356,14 +344,7 @@ def energy_stability_worst_increase(
     unknowns; the stabilized semi-implicit step should then dissipate
     (1/2)|grad phi|^2 + F(phi) at every step.
     """
-    from .config import generate_field
-    from .state import energy_phi_part
-
-    pot = PotentialSpec("regular", c1=1.0)
-    model = ModelSpec(
-        m=0.0, chi_phi=0.0, chi_a=0.3, c_phi=0.0, c_n=-1.0, c_sigma=0.0, c_0=0.0,
-        pot=pot, prolif=ProliferationSpec("zero"),
-    )
+    model = ModelSpec(m=0.0, chi_phi=0.0, c_phi=0.0, c_sigma=0.0)  # regular c1 = 1, h = 0
     rng = np.random.default_rng(seed)
     init = InitialData(
         phi0=generate_field(gr, "random_smooth 0.05 0.95 3", rng),
@@ -387,8 +368,6 @@ def suite_lipschitz(
     for nx in (16, 32):
         gr = Grid(nx, nx, cfg.grid.lx, cfg.grid.ly)
         rng = np.random.default_rng(cfg.seed + 60)
-        from .config import generate_field
-
         model, _, _ = _matrix_case(cfg, "regular", cfg.seed + 61)
         init = InitialData(
             phi0=generate_field(gr, "random_smooth 0.2 0.8 2", rng),

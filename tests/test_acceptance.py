@@ -21,11 +21,9 @@ from chks.grid import Grid
 from chks.potentials import PotentialSpec, ProliferationSpec
 from chks.state import Control, InitialData, ModelSpec, solve_forward
 from chks.verify import (
-    _matrix_case,
-    _matrix_specs,
-    energy_stability_worst_increase,
     suite_duality,
     suite_gradcheck,
+    suite_invariants,
     suite_lipschitz,
     suite_taylor,
 )
@@ -36,6 +34,20 @@ CONFIG_DIR = __import__("pathlib").Path(__file__).resolve().parent.parent / "con
 @pytest.fixture(scope="module")
 def cfg():
     return load_config(CONFIG_DIR / "verify.cfg")
+
+
+@pytest.fixture(scope="module")
+def invariants(cfg):
+    """Rows of the invariants suite by check name; criteria 6, 7, 9 and 11 read them."""
+    return {r.check: r for r in suite_invariants(cfg)}
+
+
+def bounded_values(invariants, criterion, bounds):
+    """Values of the named rows, after checking each row's threshold is the criterion's bound."""
+    for check, bound in bounds.items():
+        threshold = invariants[check].threshold
+        assert threshold == bound, f"{criterion}: {check} threshold {threshold!r} is not {bound!r}"
+    return [invariants[check].value for check in bounds]
 
 
 def report(criterion, passed, detail):
@@ -120,72 +132,28 @@ def test_criterion_05_trivial_optimum():
     )
 
 
-def test_criterion_06_sigma_maximum_principle(cfg):
-    lo, hi = 0.0, 1.0
-    runs = 0
-    for pot_kind, scheme, run_seed in _matrix_specs(cfg, cfg.seed + 10):
-        model, init, u = _matrix_case(cfg, pot_kind, run_seed)
-        _, rep = solve_forward(cfg.grid, model, init, u, cfg.T, cfg.nt,
-                               flux_scheme=scheme)
-        lo = min(lo, rep.sigma_min)
-        hi = max(hi, rep.sigma_max)
-        runs += 1
+def test_criterion_06_sigma_maximum_principle(invariants):
+    lo, hi = bounded_values(invariants, "criterion 6",
+                            {"sigma_min": -1e-8, "sigma_max": 1.0 + 1e-8})
     report(
         "criterion 6 (sigma maximum principle)",
         lo >= -1e-8 and hi <= 1.0 + 1e-8,
-        f"sigma in [{lo:.3e}, {hi:.6f}] over {runs} matrix runs "
+        f"sigma in [{lo:.3e}, {hi:.6f}] over the 12 matrix runs "
         "(both potentials, both flux schemes, 3 seeds)",
     )
 
 
-def test_criterion_07_mean_value_ode(cfg):
-    gr = cfg.grid
-    from chks.config import generate_field
-
-    # Stationary closed form: h = m*r0 with the logarithmic potential.
-    rng = np.random.default_rng(cfg.seed + 30)
-    model_s = ModelSpec(
-        m=1.0, chi_phi=0.2, chi_a=0.3, c_phi=0.1, c_n=-1.0, c_sigma=0.1, c_0=0.0,
-        pot=PotentialSpec("logarithmic", c2=2.0),
-        prolif=ProliferationSpec("constant", h0=0.5),
-    )
-    phi0 = generate_field(gr, "random_smooth 0.4 0.6 2", rng)
-    init_s = InitialData(
-        phi0=phi0 - phi0.mean() + 0.5,
-        a0=generate_field(gr, "random_smooth 0.3 0.9 2", rng),
-        n0=generate_field(gr, "random_smooth -0.1 0.1 2", rng),
-        sigma0=generate_field(gr, "random_smooth 0.1 0.9 2", rng),
-    )
-    u = Control(0.3 * np.ones((cfg.nt, gr.nx, gr.ny)), 1.0)
-    _, rep_s = solve_forward(gr, model_s, init_s, u, cfg.T, cfg.nt)
-
-    # Decay closed form: h = 0 with the regular potential.
-    model_d = ModelSpec(
-        m=1.0, chi_phi=0.2, chi_a=0.3, c_phi=0.1, c_n=-1.0, c_sigma=0.1, c_0=0.0,
-        pot=PotentialSpec("regular", c1=1.0), prolif=ProliferationSpec("zero"),
-    )
-    init_d = InitialData(
-        phi0=generate_field(gr, "random_smooth 0.1 0.5 2", rng),
-        a0=generate_field(gr, "random_smooth 0.3 0.9 2", rng),
-        n0=generate_field(gr, "random_smooth -0.1 0.1 2", rng),
-        sigma0=generate_field(gr, "random_smooth 0.1 0.9 2", rng),
-    )
-    _, rep_d = solve_forward(gr, model_d, init_d, u, cfg.T, cfg.nt)
-
-    # Generic run: residual halves (within 20%) when tau halves.
-    model_g, init_g, u_g = _matrix_case(cfg, "regular", cfg.seed + 40)
-    _, rep_1 = solve_forward(gr, model_g, init_g, u_g, cfg.T, cfg.nt)
-    u_g2 = Control(np.repeat(u_g.values, 2, axis=0), u_g.u_max)
-    _, rep_2 = solve_forward(gr, model_g, init_g, u_g2, cfg.T, 2 * cfg.nt)
-    ratio = rep_1.mean_ode_residual / rep_2.mean_ode_residual
+def test_criterion_07_mean_value_ode(invariants):
+    stationary, decay, ratio = bounded_values(invariants, "criterion 7", {
+        "mean_ode_stationary_residual": 1e-12,
+        "mean_ode_decay_residual": 1e-12,
+        "mean_ode_tau_halving_ratio": 1.6,
+    })
     report(
         "criterion 7 (mean-value ODE)",
-        rep_s.mean_ode_residual <= 1e-12
-        and rep_d.mean_ode_residual <= 1e-12
-        and 1.6 <= ratio <= 2.4,
-        f"stationary residual {rep_s.mean_ode_residual:.2e} <= 1e-12, decay "
-        f"residual {rep_d.mean_ode_residual:.2e} <= 1e-12, halving ratio "
-        f"{ratio:.3f} in [1.6, 2.4]",
+        stationary <= 1e-12 and decay <= 1e-12 and 1.6 <= ratio <= 2.4,
+        f"stationary residual {stationary:.2e} <= 1e-12, decay residual {decay:.2e} "
+        f"<= 1e-12, halving ratio {ratio:.3f} in [1.6, 2.4]",
     )
 
 
@@ -229,11 +197,10 @@ def test_criterion_08_homogeneous_ode_equivalence():
     )
 
 
-def test_criterion_09_decoupled_energy_stability(cfg):
-    worst = max(
-        energy_stability_worst_increase(cfg.grid, cfg.T, cfg.nt, seed)
-        for seed in (cfg.seed + 50, cfg.seed + 51, cfg.seed + 52)
-    )
+def test_criterion_09_decoupled_energy_stability(invariants):
+    worst = max(bounded_values(invariants, "criterion 9", {
+        f"decoupled_energy_increase_seed{i}": 1e-11 for i in range(3)
+    }))
     report(
         "criterion 9 (decoupled phase-field energy stability)",
         worst <= 1e-11,
@@ -256,28 +223,13 @@ def test_criterion_10_empirical_continuous_dependence(cfg):
     )
 
 
-def test_criterion_11_positivity_of_a(cfg):
-    worst = np.inf
-    runs = 0
-    for pot_kind, scheme, run_seed in _matrix_specs(cfg, cfg.seed + 10):
-        if scheme != "upwind":
-            continue
-        model, init, u = _matrix_case(cfg, pot_kind, run_seed)
-        _, rep = solve_forward(cfg.grid, model, init, u, cfg.T, cfg.nt,
-                               flux_scheme="upwind")
-        worst = min(worst, rep.a_min)
-        runs += 1
-
-    model, init, _ = _matrix_case(cfg, "regular", cfg.seed + 20)
-    init.a0 = np.zeros(cfg.grid.shape)
-    u0 = Control(np.zeros((cfg.nt, cfg.grid.nx, cfg.grid.ny)), 1.0)
-    traj, _ = solve_forward(cfg.grid, model, init, u0, cfg.T, cfg.nt,
-                            flux_scheme="upwind", check_admissibility=False)
-    a_abs = float(np.abs(traj.a).max())
+def test_criterion_11_positivity_of_a(invariants):
+    worst, a_abs = bounded_values(invariants, "criterion 11",
+                                  {"a_min_upwind": -1e-10, "a_zero_equilibrium": 0.0})
     report(
         "criterion 11 (positivity of a)",
         worst >= -1e-10 and a_abs == 0.0,
-        f"min a = {worst:.3e} >= -1e-10 over {runs} upwind runs; "
+        f"min a = {worst:.3e} >= -1e-10 over the 6 upwind matrix runs; "
         f"a stays exactly zero from zero data (max |a| = {a_abs})",
     )
 

@@ -202,6 +202,20 @@ def test_cli_simulate_rejects_bad_config(tmp_path):
     assert main(["simulate", str(bad), "--out", str(tmp_path / "o")]) == 2
 
 
+@pytest.mark.parametrize("phrase", [
+    "constant abc", "constant", "cosine 0.5", "file truncated.fld", "file bad_magic.fld",
+])
+def test_cli_simulate_rejects_malformed_field_generator(tmp_path, capsys, phrase):
+    grid = Grid(8, 8)
+    write_field(tmp_path / "good.fld", grid, np.full(grid.shape, 0.4))
+    good = (tmp_path / "good.fld").read_bytes()
+    (tmp_path / "truncated.fld").write_bytes(good[:-8])
+    (tmp_path / "bad_magic.fld").write_bytes(b"CHKSFLD0" + good[8:])
+    bad = write_cfg(tmp_path, MINIMAL.replace("phi0 = constant 0.4", f"phi0 = {phrase}"))
+    assert main(["simulate", str(bad), "--out", str(tmp_path / "o")]) == 2
+    assert repr(phrase) in capsys.readouterr().err
+
+
 def test_cli_optimize_trivial(tmp_path):
     out = tmp_path / "opt"
     assert main(["optimize", str(CONFIG_DIR / "trivial_optimum.cfg"),
@@ -209,7 +223,8 @@ def test_cli_optimize_trivial(tmp_path):
     text = (out / "optimize.csv").read_text().splitlines()
     assert text[0] == "iteration,cost,stationarity,step_size,backtracks"
     assert len(list(out.glob("control_*.fld"))) == 32
-    assert len(list(out.glob("adj_p3_*.fld"))) == 33
+    for name in ("phi", "mu", "a", "n", "sigma", "adj_p1", "adj_p2", "adj_p3", "adj_p4", "adj_p5"):
+        assert len(list(out.glob(f"{name}_*.fld"))) == 33, name
     # final control is zero
     _, u_last = read_field(out / "control_000031.fld")
     assert np.abs(u_last).max() <= 1e-8

@@ -14,7 +14,7 @@ from chks.control_opt import (
     stationarity_residual,
 )
 from chks.grid import Grid
-from chks.state import Control, StateTrajectory, solve_forward
+from chks.state import Control, Trajectory, solve_forward
 
 from test_adjoint import coupled_model
 from test_state import make_random_init
@@ -51,15 +51,7 @@ def test_cost_pure_control_quadrature():
     spec = coupled_model()
     nt = 16
     u = Control(np.ones((nt, grid.nx, grid.ny)), 2.0)
-    traj = StateTrajectory(
-        grid=grid,
-        times=np.linspace(0, 1.0, nt + 1),
-        phi=np.zeros((nt + 1, grid.nx, grid.ny)),
-        mu=np.zeros((nt + 1, grid.nx, grid.ny)),
-        a=np.zeros((nt + 1, grid.nx, grid.ny)),
-        n=np.zeros((nt + 1, grid.nx, grid.ny)),
-        sigma=np.zeros((nt + 1, grid.nx, grid.ny)),
-    )
+    traj = Trajectory.zeros(grid, np.linspace(0, 1.0, nt + 1), ("phi", "mu", "a", "n", "sigma"))
     b3 = 0.7
     cs = ControlSpec(b1=0.0, b2=0.0, b3=b3,
                      phi_q=np.zeros((nt, grid.nx, grid.ny)),

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from chks.grid import Grid
-from chks.linearized import linearized_norm, solve_linearized, taylor_remainders
-from chks.state import Control, solve_forward
+from chks.linearized import solve_linearized, taylor_remainders
+from chks.state import Control, Trajectory, solve_forward, trajectory_distance
 
 from test_state import base_model, make_random_init
 
@@ -117,4 +117,4 @@ def test_shape_mismatch_rejected(setup):
 def test_linearized_norm_positive(setup):
     grid, spec, init, u, traj, T, nt = setup
     lin = solve_linearized(traj, spec, smooth_direction(grid, nt, 107))
-    assert linearized_norm(lin) > 0
+    assert trajectory_distance(lin, Trajectory.zeros(grid, lin.times, lin.fields)) > 0
