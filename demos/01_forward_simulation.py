@@ -17,6 +17,7 @@ from chks import (
     ModelSpec,
     PotentialSpec,
     ProliferationSpec,
+    energy_series,
     solve_forward,
 )
 
@@ -57,12 +58,13 @@ print(f"  sigma range       [{report.sigma_min:+.3e}, {report.sigma_max:.6f}]  (
 print(f"  min a             {report.a_min:+.6f}")
 print(f"  phi range         [{report.phi_min:.4f}, {report.phi_max:.4f}]")
 print(f"  mean-ODE residual {report.mean_ode_residual:.3e}  (O(tau) by construction)")
-print(f"  clamp events      {report.clamp_events}")
+print(f"  clamp events      {report.clamp_events.sum()}")
 
 print("\n energy along the run (should relax smoothly):")
+energies = energy_series(traj, model)
 for k in range(0, nt + 1, 8):
     mean_phi = traj.phi[k].mean()
-    print(f"  t = {traj.times[k]:.3f}   E = {report.energy_series[k]:+.6f}   mean(phi) = {mean_phi:.5f}")
+    print(f"  t = {traj.times[k]:.3f}   E = {energies[k]:+.6f}   mean(phi) = {mean_phi:.5f}")
 
 # Trajectories can be persisted in the snapshot format for later analysis.
 from chks.fields_io import write_trajectory

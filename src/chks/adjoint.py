@@ -68,26 +68,6 @@ class ControlSpec:
             raise AdmissibilityError("(6.4): u_max must be nonnegative")
 
 
-def adjoint_coefficients(base: Trajectory, spec: ModelSpec, k: int) -> dict:
-    """Frozen coefficient fields of the adjoint system at backward step k.
-
-    f11 = m - h'(phi*), f12 = F''(phi*), f14 = -chi_phi - c_phi, f33 = -1,
-    f35 = sigma* - chi_a, f54 = -c_sigma, f55 = 1; all other couplings zero.
-    phi* is frozen at level k (the level the forward step k -> k+1 used),
-    sigma* at level k+1 (the forward implicit level).
-    """
-    phi_k = base.phi[k]
-    return {
-        "f11": spec.m - spec.prolif.h_prime(phi_k),
-        "f12": spec.pot.f_second(phi_k),
-        "f14": -spec.chi_phi - spec.c_phi,
-        "f33": -1.0,
-        "f35": base.sigma[k + 1] - spec.chi_a,
-        "f54": -spec.c_sigma,
-        "f55": 1.0,
-    }
-
-
 def solve_adjoint(base: Trajectory, cost: ControlSpec, spec: ModelSpec) -> Trajectory:
     """Backward sweep from step Nt to 0; see the module docstring."""
     gr = base.grid
@@ -123,7 +103,6 @@ def solve_adjoint(base: Trajectory, cost: ControlSpec, spec: ModelSpec) -> Traje
     for k in range(nt - 1, -1, -1):
         a_k = base.a[k]
         sigma_new = base.sigma[k + 1]
-        co = adjoint_coefficients(base, spec, k)
 
         # p3: transport source from centered face gradients, reaction explicit.
         grad_sigma = g.gradient_faces(gr, sigma_new)
@@ -133,7 +112,7 @@ def solve_adjoint(base: Trajectory, cost: ControlSpec, spec: ModelSpec) -> Traje
             p3 / tau
             + (1.0 - 2.0 * a_k) * p3
             + spec.chi_a * advect
-            - co["f35"] * p5
+            - (sigma_new - spec.chi_a) * p5
         )
         p3_new = g.helmholtz_solve(gr, rhs_p3, 1.0 / tau, 1.0)
 
@@ -147,7 +126,7 @@ def solve_adjoint(base: Trajectory, cost: ControlSpec, spec: ModelSpec) -> Traje
         div_term = g.divergence(
             gr, g.FaceFlux(aface.fx * gp3.fx, aface.fy * gp3.fy)
         )
-        rhs_p5 = p5 / tau - co["f54"] * p4 - spec.chi_a * div_term
+        rhs_p5 = p5 / tau + spec.c_sigma * p4 - spec.chi_a * div_term
         p5_new = g.helmholtz_solve(gr, rhs_p5, 1.0 / tau + 1.0 + a_k, 1.0)
 
         # p4: nutrient adjoint with the phase coupling explicit.
@@ -157,13 +136,15 @@ def solve_adjoint(base: Trajectory, cost: ControlSpec, spec: ModelSpec) -> Traje
         # (p1, p2) block, transposed so that p2 = -Lap p1 holds exactly
         # and the stabilization terms mirror the forward s_stab*(phi+ - phi).
         # The running-cost samples pair with levels 1..Nt (right-endpoint
-        # rule); the formal level 0 carries none.
-        f10 = cost.b1 * (base.phi[k] - cost.phi_q[k - 1]) if (cost.b1 and k >= 1) else 0.0
+        # rule); the formal level 0 carries none. phi* is frozen at level k,
+        # the level the forward step k -> k+1 used.
+        phi_k = base.phi[k]
+        f10 = cost.b1 * (phi_k - cost.phi_q[k - 1]) if (cost.b1 and k >= 1) else 0.0
         rhs_p1 = (
             p1 / tau
-            + spec.prolif.h_prime(base.phi[k]) * p1
-            + (s_stab - co["f12"]) * p2
-            - co["f14"] * p4_new
+            + spec.prolif.h_prime(phi_k) * p1
+            + (s_stab - spec.pot.f_second(phi_k)) * p2
+            + (spec.chi_phi + spec.c_phi) * p4_new
             + f10
         )
         p1_new, p2_new = g.ch_block_solve(

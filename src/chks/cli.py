@@ -18,24 +18,23 @@ from .config import ConfigError, RunConfig, load_config
 from .control_opt import optimize
 from .fields_io import write_csv, write_field, write_series, write_trajectory
 from .grid import SolverError
-from .state import solve_forward
+from .state import energy_series, solve_forward
 from .verify import REPORT_COLUMNS, run_suites
 
 
-def _series_rows(cfg: RunConfig, traj, report) -> list[dict]:
+def _series_rows(traj, report, energies) -> list[dict]:
     rows = []
-    clamp = report.clamp_events
     for k in range(traj.nt + 1):
         rows.append(
             {
                 "step": k,
                 "time": f"{traj.times[k]:.12g}",
-                "energy": f"{report.energy_series[k]:.16e}",
+                "energy": f"{energies[k]:.16e}",
                 "mean_phi": f"{traj.phi[k].mean():.16e}",
                 "sigma_min": f"{traj.sigma[k].min():.16e}",
                 "sigma_max": f"{traj.sigma[k].max():.16e}",
                 "a_min": f"{traj.a[k].min():.16e}",
-                "clamp_events": clamp,
+                "clamp_events": report.clamp_events[k],
             }
         )
     return rows
@@ -46,18 +45,20 @@ def cmd_simulate(cfg: RunConfig, out: Path, strict: bool) -> int:
         cfg.grid, cfg.model, cfg.init, cfg.u0, cfg.T, cfg.nt,
         s_stab=cfg.s_stab, flux_scheme=cfg.flux_scheme,
     )
+    energies = energy_series(traj, cfg.model)
     write_trajectory(out, traj.grid, traj.fields)
-    write_series(out, _series_rows(cfg, traj, report))
+    write_series(out, _series_rows(traj, report, energies))
     failures = []
     if report.sigma_min < -1e-8 or report.sigma_max > 1.0 + 1e-8:
         failures.append(f"sigma range [{report.sigma_min:.3e}, {report.sigma_max:.3e}]")
-    if strict and report.clamp_events > 0:
-        failures.append(f"{report.clamp_events} potential clamp events")
+    clamp_total = int(report.clamp_events.sum())
+    if strict and clamp_total > 0:
+        failures.append(f"{clamp_total} potential clamp events")
     if strict and cfg.flux_scheme == "upwind" and report.a_min < -1e-10:
         failures.append(f"a_min {report.a_min:.3e}")
     for msg in failures:
         print(f"monitor tripped: {msg}", file=sys.stderr)
-    print(f"simulate: {cfg.nt} steps, energy {report.energy_series[-1]:.6e}, "
+    print(f"simulate: {cfg.nt} steps, energy {energies[-1]:.6e}, "
           f"sigma in [{report.sigma_min:.3e}, {report.sigma_max:.3e}], wrote {out}")
     return 1 if failures else 0
 

@@ -7,7 +7,7 @@ Grammar (one statement per line):
     [section]                 section header
     key = value               value is one token or a generator phrase
 
-Sections and keys:
+Sections and keys (a section or key not listed here is rejected):
 
     [grid]     nx, ny, lx, ly
     [model]    m, chi_phi, chi_a, c_phi, c_n, c_sigma, c_0,
@@ -39,7 +39,8 @@ bit-identical runs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -56,6 +57,21 @@ class ConfigError(ValueError):
     pass
 
 
+# The grammar table of the module docstring: allowed keys per section, None
+# for the top level, and the argument count of each field generator.
+_KEYS: dict[str | None, tuple[str, ...]] = {
+    None: ("seed",),
+    "grid": ("nx", "ny", "lx", "ly"),
+    "model": ("m", "chi_phi", "chi_a", "c_phi", "c_n", "c_sigma", "c_0",
+              "potential", "c1", "c2", "eps_clamp", "prolif", "h0", "k"),
+    "initial": ("phi0", "a0", "n0", "sigma0"),
+    "control": ("b1", "b2", "b3", "u_max", "u0", "targets", "u_true", "phi_q", "phi_omega"),
+    "time": ("t", "nt", "s_stab", "flux_scheme"),
+    "optimize": ("tol_stat", "max_iters", "armijo_c", "backtrack"),
+}
+_ARITY = {"constant": 1, "cosine": 4, "random_smooth": 3, "file": 1}
+
+
 @dataclass
 class RunConfig:
     grid: Grid
@@ -70,7 +86,6 @@ class RunConfig:
     opts: OptimizeOptions
     seed: int
     u_true: np.ndarray | None = None
-    raw: dict = field(default_factory=dict)
 
     @property
     def tau(self) -> float:
@@ -78,10 +93,13 @@ class RunConfig:
 
 
 def _parse_lines(text: str) -> tuple[dict[str, dict[str, tuple[str, int]]], dict[str, tuple[str, int]]]:
-    """Parse into {section: {key: (value, line_no)}} plus top-level keys."""
+    """Parse into {section: {key: (value, line_no)}} plus top-level keys.
+
+    Sections and keys are checked against _KEYS.
+    """
     sections: dict[str, dict[str, tuple[str, int]]] = {}
     top: dict[str, tuple[str, int]] = {}
-    current: dict[str, tuple[str, int]] | None = None
+    name = None
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -90,22 +108,32 @@ def _parse_lines(text: str) -> tuple[dict[str, dict[str, tuple[str, int]]], dict
             name = line[1:-1].strip().lower()
             if not name:
                 raise ConfigError(f"line {line_no}: empty section name")
-            current = sections.setdefault(name, {})
+            if name not in _KEYS:
+                raise ConfigError(f"line {line_no}: unknown section [{name}]")
+            sections.setdefault(name, {})
             continue
         if "=" not in line:
             raise ConfigError(f"line {line_no}: expected 'key = value', got {raw.strip()!r}")
         key, value = (part.strip() for part in line.split("=", 1))
         if not key or not value:
             raise ConfigError(f"line {line_no}: expected 'key = value', got {raw.strip()!r}")
-        target = top if current is None else current
-        target[key.lower()] = (value, line_no)
+        key = key.lower()
+        if key not in _KEYS[name]:
+            where = "at top level" if name is None else f"in section [{name}]"
+            raise ConfigError(f"line {line_no}: unknown key '{key}' {where}")
+        (top if name is None else sections[name])[key] = (value, line_no)
     return sections, top
 
 
 class _Section:
-    def __init__(self, name: str, data: dict[str, tuple[str, int]]):
+    """Typed reads of one section's keys; name None is the top level."""
+
+    def __init__(self, name: str | None, data: dict[str, tuple[str, int]]):
         self.name = name
         self.data = data
+
+    def _label(self, key: str) -> str:
+        return key if self.name is None else f"[{self.name}] {key}"
 
     def has(self, key: str) -> bool:
         return key in self.data
@@ -120,16 +148,19 @@ class _Section:
     def number(self, key: str, default: str | None = None) -> float:
         value, line_no = self.raw(key, default)
         try:
-            return float(value)
+            x = float(value)
+            if not math.isnan(x):
+                return x
         except ValueError:
-            raise ConfigError(f"line {line_no}: [{self.name}] {key} must be a number, got {value!r}")
+            pass
+        raise ConfigError(f"line {line_no}: {self._label(key)} must be a number, got {value!r}")
 
     def integer(self, key: str, default: str | None = None) -> int:
         value, line_no = self.raw(key, default)
         try:
             return int(value)
         except ValueError:
-            raise ConfigError(f"line {line_no}: [{self.name}] {key} must be an integer, got {value!r}")
+            raise ConfigError(f"line {line_no}: {self._label(key)} must be an integer, got {value!r}")
 
     def word(self, key: str, default: str | None = None) -> str:
         value, _ = self.raw(key, default)
@@ -145,17 +176,21 @@ def generate_field(
     match the grid, raises ConfigError naming the phrase.
     """
     x, y = gr.cell_centers()
+    kind, *args = phrase.split() or [""]
+    kind = kind.lower()
+    if kind not in _ARITY:
+        raise ConfigError(f"field generator {phrase!r}: unknown kind {kind!r}")
+    if len(args) != _ARITY[kind]:
+        raise ConfigError(f"field generator {phrase!r}: {kind} takes "
+                          f"{_ARITY[kind]} argument(s), got {len(args)}")
     try:
-        tokens = phrase.split()
-        kind = tokens[0].lower()
         if kind == "constant":
-            return np.full(gr.shape, float(tokens[1]))
+            return np.full(gr.shape, float(args[0]))
         if kind == "cosine":
-            off, amp, kx, ky = (float(t) for t in tokens[1:5])
+            off, amp, kx, ky = (float(t) for t in args)
             return off + amp * np.cos(kx * np.pi * x / gr.lx) * np.cos(ky * np.pi * y / gr.ly)
         if kind == "random_smooth":
-            lo, hi = float(tokens[1]), float(tokens[2])
-            modes = int(tokens[3])
+            lo, hi, modes = float(args[0]), float(args[1]), int(args[2])
             f = np.zeros(gr.shape)
             for kx in range(modes + 1):
                 for ky in range(modes + 1):
@@ -166,16 +201,15 @@ def generate_field(
                 return np.full(gr.shape, 0.5 * (lo + hi))
             return lo + (hi - lo) * (f - fmin) / (fmax - fmin)
         if kind == "file":
-            path = Path(tokens[1])
+            path = Path(args[0])
             if base_dir is not None and not path.is_absolute():
                 path = base_dir / path
             fgrid, data = read_field(path)
             if fgrid.shape != gr.shape:
                 raise ValueError(f"{path} has shape {fgrid.shape}, expected {gr.shape}")
             return data
-    except (IndexError, OSError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         raise ConfigError(f"field generator {phrase!r}: {exc}") from exc
-    raise ConfigError(f"unknown field generator {kind!r}")
 
 
 def load_config(path: str | Path, seed_override: int | None = None) -> RunConfig:
@@ -184,9 +218,9 @@ def load_config(path: str | Path, seed_override: int | None = None) -> RunConfig
     sections, top = _parse_lines(path.read_text())
     base_dir = path.parent
 
-    seed = seed_override
-    if seed is None:
-        seed = int(top.get("seed", ("1", 0))[0])
+    seed = _Section(None, top).integer("seed", "1")
+    if seed_override is not None:
+        seed = seed_override
     rng = np.random.default_rng(seed)
 
     sg = _Section("grid", sections.get("grid", {}))
@@ -233,8 +267,7 @@ def load_config(path: str | Path, seed_override: int | None = None) -> RunConfig
     nt = st.integer("nt", "32")
     if T <= 0 or nt < 1:
         raise ConfigError("[time]: T must be positive and Nt at least 1")
-    s_raw = st.word("s_stab", "default")
-    s_stab = None if s_raw == "default" else float(s_raw)
+    s_stab = None if st.word("s_stab", "default") == "default" else st.number("s_stab")
     flux_scheme = st.word("flux_scheme", "centered")
     if flux_scheme not in ("centered", "upwind"):
         raise ConfigError("[time]: flux_scheme must be 'centered' or 'upwind'")
@@ -256,7 +289,7 @@ def load_config(path: str | Path, seed_override: int | None = None) -> RunConfig
     if umax_raw.split()[0].lower() == "file":
         u_max: float | np.ndarray = generate_field(gr, umax_raw, rng, base_dir)
     else:
-        u_max = float(umax_raw)
+        u_max = sc.number("u_max", "1.0")
     b1 = sc.number("b1", "0.0")
     b2 = sc.number("b2", "0.0")
     b3 = sc.number("b3", "1.0")
@@ -312,5 +345,4 @@ def load_config(path: str | Path, seed_override: int | None = None) -> RunConfig
         opts=opts,
         seed=seed,
         u_true=u_true,
-        raw={"sections": sections, "top": top},
     )

@@ -13,7 +13,8 @@ logarithmic (domain (0,1)):
 
 Logarithmic evaluation clamps r to [eps_clamp, 1-eps_clamp] and continues
 with a C^2 quadratic extension outside, so the solver never sees a domain
-error; a counter tallies clamp events to keep violations observable.
+error. PotentialSpec.clamp_counts counts the cells of each stored level
+that lie outside that window, which keeps violations observable.
 
 The proliferation function family is limited to three bounded choices
 (zero, constant, logistic) so that the derived constant
@@ -32,8 +33,7 @@ which must both lie inside the potential domain.
 from __future__ import annotations
 
 import math
-import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -44,27 +44,6 @@ class AdmissibilityError(ValueError):
     The message starts with the identifier of the violated condition from
     the admissibility table in the README, e.g. ``(2.11): ...``.
     """
-
-
-class ClampCounter:
-    """Thread-safe tally of logarithmic-potential clamp events."""
-
-    def __init__(self):
-        self._lock = threading.Lock()
-        self._count = 0
-
-    def add(self, n: int) -> None:
-        if n:
-            with self._lock:
-                self._count += int(n)
-
-    @property
-    def count(self) -> int:
-        return self._count
-
-    def reset(self) -> None:
-        with self._lock:
-            self._count = 0
 
 
 @dataclass
@@ -79,7 +58,6 @@ class PotentialSpec:
     c1: float = 1.0
     c2: float = 2.0
     eps_clamp: float = 1e-8
-    clamp_counter: ClampCounter = field(default_factory=ClampCounter, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind not in ("regular", "logarithmic"):
@@ -103,10 +81,17 @@ class PotentialSpec:
 
     def _clamped(self, r):
         r = np.asarray(r, dtype=float)
-        lo, hi = self.eps_clamp, 1.0 - self.eps_clamp
-        out = (r < lo) | (r > hi)
-        self.clamp_counter.add(int(np.count_nonzero(out)))
-        return np.clip(r, lo, hi), r
+        return np.clip(r, self.eps_clamp, 1.0 - self.eps_clamp), r
+
+    def clamp_counts(self, phi) -> np.ndarray:
+        """Cells of each level of phi, shape (levels, nx, ny), that lie outside
+        [eps_clamp, 1 - eps_clamp]; all zero for the regular potential, which
+        never clamps."""
+        phi = np.asarray(phi, dtype=float)
+        if self.kind == "regular":
+            return np.zeros(len(phi), dtype=int)
+        out = (phi < self.eps_clamp) | (phi > 1.0 - self.eps_clamp)
+        return np.count_nonzero(out, axis=(1, 2))
 
     def f1_value(self, r):
         r = np.asarray(r, dtype=float)

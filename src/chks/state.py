@@ -26,7 +26,8 @@ phi -> n -> sigma -> a:
 4. a: implicit diffusion, explicit chemotaxis flux against the *new*
    sigma, explicit logistic term and control source.
 
-The full trajectory is stored (needed for linearized/adjoint replay).
+The forward sweep only steps and stores the full trajectory, which the
+linearized/adjoint replays need; monitors are computed from the stored levels.
 """
 
 from __future__ import annotations
@@ -169,8 +170,7 @@ class InvariantReport:
     phi_min: float
     phi_max: float
     mean_ode_residual: float
-    energy_series: np.ndarray
-    clamp_events: int
+    clamp_events: np.ndarray  # (Nt+1,) per level: PotentialSpec.clamp_counts(traj.phi)
 
 
 def step(
@@ -256,7 +256,6 @@ def solve_forward(
         gr, np.linspace(0.0, T, nt + 1), ("phi", "mu", "a", "n", "sigma"),
         s_stab=s_stab, flux_scheme=flux_scheme,
     )
-    spec.pot.clamp_counter.reset()
     cur = State(
         init.phi0.copy(),
         -g.laplacian(gr, init.phi0) + spec.pot.f_prime(init.phi0),
@@ -264,11 +263,9 @@ def solve_forward(
         init.n0.copy(),
         init.sigma0.copy(),
     )
-    energies = np.empty(nt + 1)
     for k in range(nt + 1):
         traj.phi[k], traj.mu[k] = cur.phi, cur.mu
         traj.a[k], traj.n[k], traj.sigma[k] = cur.a, cur.n, cur.sigma
-        energies[k] = energy(gr, cur, spec)
         if k == nt:
             break
         try:
@@ -283,8 +280,7 @@ def solve_forward(
         phi_min=float(traj.phi.min()),
         phi_max=float(traj.phi.max()),
         mean_ode_residual=check_mean_ode(traj, spec),
-        energy_series=energies,
-        clamp_events=spec.pot.clamp_counter.count,
+        clamp_events=spec.pot.clamp_counts(traj.phi),
     )
     return traj, report
 
@@ -310,6 +306,12 @@ def energy(gr: Grid, state: State, spec: ModelSpec) -> float:
     )
     pot = area * float(np.sum(spec.pot.f_value(state.phi)))
     return ent + coup + grads + pot
+
+
+def energy_series(traj: Trajectory, spec: ModelSpec) -> np.ndarray:
+    """Free energy of each stored level of a forward trajectory."""
+    levels = zip(*traj.fields.values())  # phi, mu, a, n, sigma: State's field order
+    return np.array([energy(traj.grid, State(*level), spec) for level in levels])
 
 
 def energy_phi_part(gr: Grid, phi: np.ndarray, spec: ModelSpec) -> float:

@@ -256,7 +256,7 @@ def suite_invariants(cfg: RunConfig) -> list[CheckResult]:
         if scheme == "upwind":
             a_min_upwind = min(a_min_upwind, report.a_min)
         if pot_kind == "logarithmic":
-            clamp_total += report.clamp_events
+            clamp_total += int(report.clamp_events.sum())
     results.append(CheckResult("invariants", "sigma_min", sig_lo, -1e-8, sig_lo >= -1e-8))
     results.append(CheckResult("invariants", "sigma_max", sig_hi, 1.0 + 1e-8, sig_hi <= 1.0 + 1e-8))
     results.append(CheckResult("invariants", "a_min_upwind", a_min_upwind, -1e-10,

@@ -1,11 +1,10 @@
-"""Adjoint solver: final conditions, homogeneity, coefficient table, duality."""
+"""Adjoint solver: final conditions, homogeneity, duality."""
 
 import numpy as np
 import pytest
 
 from chks.adjoint import (
     ControlSpec,
-    adjoint_coefficients,
     duality_residual,
     solve_adjoint,
 )
@@ -83,19 +82,6 @@ def test_homogeneity_in_tracking_weights(problem):
         a1 = getattr(adj1, f"p{i}")
         scale = max(np.abs(a2).max(), 1e-30)
         assert np.abs(a2 - 2.0 * a1).max() <= 1e-12 * scale
-
-
-def test_coefficient_table(problem):
-    grid, spec, init, u, traj, cs, T, nt = problem
-    k = 7
-    co = adjoint_coefficients(traj, spec, k)
-    np.testing.assert_allclose(co["f11"], spec.m - spec.prolif.h_prime(traj.phi[k]))
-    np.testing.assert_allclose(co["f12"], spec.pot.f_second(traj.phi[k]))
-    assert co["f14"] == -spec.chi_phi - spec.c_phi
-    assert co["f33"] == -1.0
-    np.testing.assert_allclose(co["f35"], traj.sigma[k + 1] - spec.chi_a)
-    assert co["f54"] == -spec.c_sigma
-    assert co["f55"] == 1.0
 
 
 def test_duality_residual_small_and_tau_decreasing(problem):

@@ -1,5 +1,6 @@
 """Config grammar, load-time admissibility checks, CLI runs, file formats."""
 
+import csv
 import struct
 from pathlib import Path
 
@@ -10,6 +11,7 @@ from chks.cli import main
 from chks.config import ConfigError, generate_field, load_config
 from chks.fields_io import read_field, write_field
 from chks.grid import Grid
+from chks.state import solve_forward
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -123,8 +125,6 @@ def test_cli_simulate_homogeneous_mean_phi_closed_form(tmp_path):
     text = text.replace("[model]", "[model]\nm = 2.0")
     out = tmp_path / "homog"
     assert main(["simulate", str(write_cfg(tmp_path, text)), "--out", str(out)]) == 0
-    import csv
-
     with open(out / "series.csv") as fh:
         rows = list(csv.DictReader(fh))
     tau = 0.25 / 8
@@ -204,6 +204,7 @@ def test_cli_simulate_rejects_bad_config(tmp_path):
 
 @pytest.mark.parametrize("phrase", [
     "constant abc", "constant", "cosine 0.5", "file truncated.fld", "file bad_magic.fld",
+    "constant 0.4 0.9", "cosine 0.5 0.2 1 1 7", "random_smooth 0 1 2 9",
 ])
 def test_cli_simulate_rejects_malformed_field_generator(tmp_path, capsys, phrase):
     grid = Grid(8, 8)
@@ -214,6 +215,44 @@ def test_cli_simulate_rejects_malformed_field_generator(tmp_path, capsys, phrase
     bad = write_cfg(tmp_path, MINIMAL.replace("phi0 = constant 0.4", f"phi0 = {phrase}"))
     assert main(["simulate", str(bad), "--out", str(tmp_path / "o")]) == 2
     assert repr(phrase) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("old, new, bad", [
+    ("seed = 7", "seed = abc", "seed = abc"),
+    ("[time]", "[time]\ns_stab = abc", "s_stab = abc"),
+    ("[control]", "[control]\nu_max = abc", "u_max = abc"),
+    ("T = 0.25", "T = nan", "T = nan"),
+    ("b1 = 0.0", "b1 = nan", "b1 = nan"),
+    ("[control]", "[contrl]\nb_1 = 5", "[contrl]"),
+    ("[control]", "[control]\nb_1 = 5", "b_1 = 5"),
+], ids=["seed", "s_stab", "u_max", "T_nan", "b1_nan", "unknown_section", "unknown_key"])
+def test_cli_simulate_rejects_bad_statement(tmp_path, capsys, old, new, bad):
+    # A malformed number, NaN, or a section or key outside the grammar is a
+    # config error (exit 2) that names the statement's line and key.
+    text = MINIMAL.replace(old, new, 1)
+    line_no = text.splitlines().index(bad) + 1
+    assert main(["simulate", str(write_cfg(tmp_path, text)), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert f"line {line_no}:" in err
+    assert bad.split("=")[0].strip().lower() in err
+
+
+def test_cli_simulate_clamp_events_per_level(tmp_path):
+    # phi0 leaves [eps_clamp, 1 - eps_clamp] at the four corner cells. The
+    # report and series.csv count, per stored level, that level's cells outside.
+    text = (MINIMAL.replace("potential = regular", "potential = logarithmic\neps_clamp = 0.05")
+            .replace("prolif = logistic", "prolif = constant")
+            .replace("phi0 = constant 0.4", "phi0 = cosine 0.5 0.49 1 1"))
+    path, out = write_cfg(tmp_path, text), tmp_path / "clamp"
+    assert main(["simulate", str(path), "--out", str(out)]) == 0
+    with open(out / "series.csv") as fh:
+        rows = list(csv.DictReader(fh))
+    cfg = load_config(path)
+    traj, report = solve_forward(cfg.grid, cfg.model, cfg.init, cfg.u0, cfg.T, cfg.nt)
+    expected = [int(np.count_nonzero((phi < 0.05) | (phi > 0.95))) for phi in traj.phi]
+    assert expected[0] > 0
+    assert [int(row["clamp_events"]) for row in rows] == expected
+    assert report.clamp_events.tolist() == expected
 
 
 def test_cli_optimize_trivial(tmp_path):

@@ -85,13 +85,13 @@ def test_logarithmic_blow_up_directions():
     assert tighter.f_prime(1 - 2e-12) > pot.f_prime(1 - 2e-6) > pot.f_prime(0.6) > 0.0
 
 
-def test_logarithmic_clamp_counter_and_extension_continuity():
+def test_logarithmic_clamp_count_and_extension_continuity():
     pot = PotentialSpec("logarithmic", c2=2.0, eps_clamp=1e-4)
-    pot.clamp_counter.reset()
-    pot.f_prime(np.array([0.5, 0.6]))
-    assert pot.clamp_counter.count == 0
-    pot.f_prime(np.array([-0.1, 0.5, 1.2]))
-    assert pot.clamp_counter.count == 2
+    # Two levels of a 2x2 grid; the window [eps, 1 - eps] is closed.
+    levels = np.array([[[0.5, 0.6], [1e-4, 1 - 1e-4]],
+                       [[-0.1, 0.5], [5e-5, 1.2]]])
+    np.testing.assert_array_equal(pot.clamp_counts(levels), [0, 3])
+    np.testing.assert_array_equal(PotentialSpec("regular").clamp_counts(levels), [0, 0])
     # The quadratic extension is C2 at the clamp boundary.
     eps = pot.eps_clamp
     for fn in (pot.f1_value, pot.f1_prime, pot.f1_second):
