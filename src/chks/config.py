@@ -30,9 +30,12 @@ Field generators:
                                                affinely mapped into [lo, hi]
     file <path>                                field snapshot file
 
-Every admissibility condition of the model is checked at load time; a
-violation raises ConfigError whose message cites the condition identifier
-(see the README table) and the config line that set the offending value.
+A key may appear once per section. Numbers must be finite, the grid needs
+nx, ny >= 2 and lx, ly > 0, and T > 0, Nt >= 1; a violation names the line
+and the key. Every admissibility condition of the model is checked at load
+time; a violation raises ConfigError whose message cites the condition
+identifier (see the README table) and the config line that set the
+offending value.
 All randomness derives from the single seed, so identical configs produce
 bit-identical runs.
 """
@@ -95,7 +98,8 @@ class RunConfig:
 def _parse_lines(text: str) -> tuple[dict[str, dict[str, tuple[str, int]]], dict[str, tuple[str, int]]]:
     """Parse into {section: {key: (value, line_no)}} plus top-level keys.
 
-    Sections and keys are checked against _KEYS.
+    Sections and keys are checked against _KEYS, and a key set twice in one
+    section is rejected.
     """
     sections: dict[str, dict[str, tuple[str, int]]] = {}
     top: dict[str, tuple[str, int]] = {}
@@ -118,10 +122,14 @@ def _parse_lines(text: str) -> tuple[dict[str, dict[str, tuple[str, int]]], dict
         if not key or not value:
             raise ConfigError(f"line {line_no}: expected 'key = value', got {raw.strip()!r}")
         key = key.lower()
+        where = "at top level" if name is None else f"in section [{name}]"
         if key not in _KEYS[name]:
-            where = "at top level" if name is None else f"in section [{name}]"
             raise ConfigError(f"line {line_no}: unknown key '{key}' {where}")
-        (top if name is None else sections[name])[key] = (value, line_no)
+        data = top if name is None else sections[name]
+        if key in data:
+            raise ConfigError(f"line {line_no}: key '{key}' {where} "
+                              f"repeats line {data[key][1]}")
+        data[key] = (value, line_no)
     return sections, top
 
 
@@ -149,11 +157,16 @@ class _Section:
         value, line_no = self.raw(key, default)
         try:
             x = float(value)
-            if not math.isnan(x):
+            if math.isfinite(x):
                 return x
         except ValueError:
             pass
-        raise ConfigError(f"line {line_no}: {self._label(key)} must be a number, got {value!r}")
+        raise self.reject(key, "must be a finite number")
+
+    def reject(self, key: str, requirement: str) -> ConfigError:
+        """The error for a value of key that breaks requirement, naming its line."""
+        value, line_no = self.data.get(key, (None, 0))
+        return ConfigError(f"line {line_no}: {self._label(key)} {requirement}, got {value!r}")
 
     def integer(self, key: str, default: str | None = None) -> int:
         value, line_no = self.raw(key, default)
@@ -224,14 +237,15 @@ def load_config(path: str | Path, seed_override: int | None = None) -> RunConfig
     rng = np.random.default_rng(seed)
 
     sg = _Section("grid", sections.get("grid", {}))
-    gr = Grid(
-        nx=sg.integer("nx", "16"),
-        ny=sg.integer("ny", "16"),
-        lx=sg.number("lx", "1.0"),
-        ly=sg.number("ly", "1.0"),
-    )
-    if gr.nx < 2 or gr.ny < 2:
-        raise ConfigError("[grid]: nx and ny must be at least 2 for a PDE run")
+    sizes = {key: sg.integer(key, "16") for key in ("nx", "ny")}
+    sizes.update({key: sg.number(key, "1.0") for key in ("lx", "ly")})
+    for key in ("nx", "ny"):
+        if sizes[key] < 2:
+            raise sg.reject(key, "must be at least 2 for a PDE run")
+    for key in ("lx", "ly"):
+        if sizes[key] <= 0:
+            raise sg.reject(key, "must be positive")
+    gr = Grid(**sizes)
 
     sm = _Section("model", sections.get("model", {}))
     pot_kind = sm.word("potential", "regular")
@@ -265,8 +279,10 @@ def load_config(path: str | Path, seed_override: int | None = None) -> RunConfig
     st = _Section("time", sections.get("time", {}))
     T = st.number("t", "0.5")
     nt = st.integer("nt", "32")
-    if T <= 0 or nt < 1:
-        raise ConfigError("[time]: T must be positive and Nt at least 1")
+    if T <= 0:
+        raise st.reject("t", "must be positive")
+    if nt < 1:
+        raise st.reject("nt", "must be at least 1")
     s_stab = None if st.word("s_stab", "default") == "default" else st.number("s_stab")
     flux_scheme = st.word("flux_scheme", "centered")
     if flux_scheme not in ("centered", "upwind"):

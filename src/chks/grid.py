@@ -38,10 +38,18 @@ per-call work is kept to the arithmetic:
   the DCT matrices, the per-mode inverse of the phi/mu block for each
   (tau, s_stab), and 1/(alpha - beta*lam) of each scalar-alpha Helmholtz
   solve. The singular-mode check of the block runs when its inverse is built.
+- The variable-coefficient CG calls no stencil. Its preconditioner
+  M = alpha_bar*I - beta*Lap is inverted exactly by DCT, so M z = r for
+  every preconditioned residual z, and M p is carried by recurrence: q = b
+  at the start, and q <- r + beta_k*q alongside p <- z + beta_k*p. Then
+  A p = q + (alpha - alpha_bar)*p is one multiply-add, and an iteration costs
+  one DCT pair plus vector updates (Eisenstat's trick, SIAM J. Sci. Stat.
+  Comput. 2, 1981).
 - Finiteness is checked where data enters: at each public operator's entry
-  and by the sweeps at the end of every step. Inside the variable-coefficient
-  CG loop the Laplacian runs unchecked; a non-finite value there surfaces as
-  a p.Ap that is not a positive finite number, which raises SolverError.
+  and by the sweeps at the end of every step, and each field once per call
+  (chemotaxis_flux scans sigma, then takes its gradient unchecked). Inside
+  the CG loop nothing is scanned; a non-finite value there surfaces as a
+  p.Ap that is not a positive finite number, which raises SolverError.
 """
 
 from __future__ import annotations
@@ -116,7 +124,7 @@ class FaceFlux:
 
 
 def _check_finite(f: np.ndarray, name: str = "field") -> None:
-    if not np.all(np.isfinite(f)):
+    if not np.isfinite(f).all():
         raise SolverError(f"{name} contains non-finite values")
 
 
@@ -124,17 +132,14 @@ def zero_flux(grid: Grid) -> FaceFlux:
     return FaceFlux(np.zeros((grid.nx + 1, grid.ny)), np.zeros((grid.nx, grid.ny + 1)))
 
 
-def laplacian(grid: Grid, f: np.ndarray, *, check: bool = True) -> np.ndarray:
+def laplacian(grid: Grid, f: np.ndarray) -> np.ndarray:
     """5-point Laplacian with mirror ghost cells (zero normal derivative).
 
     Built from differences across interior faces: each one leaves the cell
     on its low side and enters the cell on its high side, and the boundary
-    faces carry nothing, which is the mirror condition. check=False skips
-    the finiteness scan of f; only the CG loop, which checks p.Ap instead,
-    passes it.
+    faces carry nothing, which is the mirror condition.
     """
-    if check:
-        _check_finite(f)
+    _check_finite(f)
     dx = (f[1:, :] - f[:-1, :]) / grid.hx**2
     dy = (f[:, 1:] - f[:, :-1]) / grid.hy**2
     lap = np.zeros(f.shape)
@@ -148,6 +153,11 @@ def laplacian(grid: Grid, f: np.ndarray, *, check: bool = True) -> np.ndarray:
 def gradient_faces(grid: Grid, f: np.ndarray) -> FaceFlux:
     """Centered gradient on interior faces; boundary faces are zero."""
     _check_finite(f)
+    return _gradient_faces(grid, f)
+
+
+def _gradient_faces(grid: Grid, f: np.ndarray) -> FaceFlux:
+    """gradient_faces without the finiteness scan, for callers that made it."""
     fx = np.zeros((grid.nx + 1, grid.ny))
     fy = np.zeros((grid.nx, grid.ny + 1))
     fx[1:-1, :] = (f[1:, :] - f[:-1, :]) / grid.hx
@@ -158,12 +168,8 @@ def gradient_faces(grid: Grid, f: np.ndarray) -> FaceFlux:
 def divergence(grid: Grid, flux: FaceFlux) -> np.ndarray:
     """Conservative divergence of a face flux. Rejects nonzero boundary flux."""
     fx, fy = flux.fx, flux.fy
-    if (
-        np.any(fx[0, :] != 0.0)
-        or np.any(fx[-1, :] != 0.0)
-        or np.any(fy[:, 0] != 0.0)
-        or np.any(fy[:, -1] != 0.0)
-    ):
+    # .any() counts NaN as nonzero and -0.0 as zero.
+    if fx[0, :].any() or fx[-1, :].any() or fy[:, 0].any() or fy[:, -1].any():
         raise SolverError("divergence requires zero flux on boundary faces")
     return (fx[1:, :] - fx[:-1, :]) / grid.hx + (fy[:, 1:] - fy[:, :-1]) / grid.hy
 
@@ -201,7 +207,7 @@ def chemotaxis_flux(
     """
     _check_finite(a, "a")
     _check_finite(sigma, "sigma")
-    g = gradient_faces(grid, sigma)
+    g = _gradient_faces(grid, sigma)
     if scheme == "centered":
         af = face_average(grid, a)
         return FaceFlux(af.fx * g.fx, af.fy * g.fy)
@@ -355,43 +361,49 @@ def helmholtz_solve(
 
 
 def _helmholtz_cg(grid: Grid, b: np.ndarray, alpha: np.ndarray, beta: float) -> np.ndarray:
-    """Preconditioned CG for (alpha(x)*I - beta*Lap) x = b.
+    """Preconditioned CG for (alpha(x)*I - beta*Lap) x = b that calls no stencil.
+
+    q = M p is kept by recurrence, M = alpha_bar*I - beta*Lap the exactly
+    inverted preconditioner, so A p = q + (alpha - alpha_bar)*p; see "Cost
+    per call" in the module docstring.
 
     The operator is symmetric positive definite, so p.Ap > 0 for every
     nonzero direction; a p.Ap that is not a positive finite number means the
     iterate broke down (or went non-finite) and raises SolverError. That is
     the loop's only finiteness check.
     """
-    inv = 1.0 / (float(alpha.mean()) - beta * lap_eigenvalues(grid))
-
-    def apply_op(v):
-        return alpha * v - beta * laplacian(grid, v, check=False)
-
-    def precond(r):
-        return _idct2(_dct2(r) * inv)
-
-    b_norm = np.linalg.norm(b.ravel())
+    alpha_bar = float(alpha.mean())
+    inv = 1.0 / (alpha_bar - beta * lap_eigenvalues(grid))
+    delta = alpha - alpha_bar
+    b_norm = np.sqrt(np.vdot(b, b))
     if b_norm == 0.0:
         return np.zeros_like(b)
+    tol = CG_RELATIVE_TOL * b_norm
     x = np.zeros_like(b)
     r = b.copy()
-    z = precond(r)
-    p = z.copy()
-    rz = float(np.sum(r * z))
+    q = b.copy()
+    p = _idct2(_dct2(r) * inv)
+    ap = np.empty_like(b)
+    rz = float(np.vdot(r, p))
     max_iter = CG_MAX_ITER_FACTOR * grid.nx * grid.ny
     for _ in range(max_iter):
-        ap = apply_op(p)
-        pap = float(np.sum(p * ap))
+        np.multiply(delta, p, out=ap)
+        ap += q
+        pap = float(np.vdot(p, ap))
         if not 0.0 < pap < np.inf:
             raise SolverError(f"helmholtz CG broke down: p.Ap = {pap!r}")
         gamma = rz / pap
         x += gamma * p
         r -= gamma * ap
-        if np.linalg.norm(r.ravel()) <= CG_RELATIVE_TOL * b_norm:
+        if np.sqrt(np.vdot(r, r)) <= tol:
             return x
-        z = precond(r)
-        rz_new = float(np.sum(r * z))
-        p = z + (rz_new / rz) * p
+        z = _idct2(_dct2(r) * inv)
+        rz_new = float(np.vdot(r, z))
+        beta_k = rz_new / rz
+        p *= beta_k
+        p += z
+        q *= beta_k
+        q += r
         rz = rz_new
     raise SolverError("helmholtz CG did not converge within the iteration budget")
 

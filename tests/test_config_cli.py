@@ -11,6 +11,7 @@ from chks.cli import main
 from chks.config import ConfigError, generate_field, load_config
 from chks.fields_io import read_field, write_field
 from chks.grid import Grid
+from chks.potentials import AdmissibilityError, ProliferationSpec
 from chks.state import solve_forward
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -107,9 +108,14 @@ def test_parse_error_carries_line_number(tmp_path):
 
 
 def test_nonfinite_proliferation_rejected(tmp_path):
+    # The config reader rejects an infinite number at its line; condition
+    # (2.4) still guards ProliferationSpec built directly.
     bad = MINIMAL.replace("h0 = 0.5", "h0 = inf")
-    with pytest.raises(ConfigError, match=r"\(2\.4\)"):
+    line_no = bad.splitlines().index("h0 = inf") + 1
+    with pytest.raises(ConfigError, match=rf"line {line_no}: \[model\] h0 must be a finite number"):
         load_config(write_cfg(tmp_path, bad))
+    with pytest.raises(AdmissibilityError, match=r"\(2\.4\)"):
+        ProliferationSpec(kind="logistic", h0=np.inf)
 
 
 def test_negative_umax_rejected(tmp_path):
@@ -225,9 +231,17 @@ def test_cli_simulate_rejects_malformed_field_generator(tmp_path, capsys, phrase
     ("b1 = 0.0", "b1 = nan", "b1 = nan"),
     ("[control]", "[contrl]\nb_1 = 5", "[contrl]"),
     ("[control]", "[control]\nb_1 = 5", "b_1 = 5"),
-], ids=["seed", "s_stab", "u_max", "T_nan", "b1_nan", "unknown_section", "unknown_key"])
+    ("nx = 8", "nx = -3", "nx = -3"),
+    ("nx = 8", "nx = 0", "nx = 0"),
+    ("ny = 8", "ny = 8\nlx = -1", "lx = -1"),
+    ("ny = 8", "ny = 8\nlx = inf", "lx = inf"),
+    ("T = 0.25", "T = inf", "T = inf"),
+    ("b3 = 1.0", "b3 = 1.0\nb3 = 5.0", "b3 = 5.0"),
+], ids=["seed", "s_stab", "u_max", "T_nan", "b1_nan", "unknown_section", "unknown_key",
+        "nx_negative", "nx_zero", "lx_negative", "lx_inf", "T_inf", "repeated_key"])
 def test_cli_simulate_rejects_bad_statement(tmp_path, capsys, old, new, bad):
-    # A malformed number, NaN, or a section or key outside the grammar is a
+    # A malformed number, NaN or infinity, a grid size out of range, a
+    # repeated key, or a section or key outside the grammar is a
     # config error (exit 2) that names the statement's line and key.
     text = MINIMAL.replace(old, new, 1)
     line_no = text.splitlines().index(bad) + 1
@@ -235,6 +249,13 @@ def test_cli_simulate_rejects_bad_statement(tmp_path, capsys, old, new, bad):
     err = capsys.readouterr().err
     assert f"line {line_no}:" in err
     assert bad.split("=")[0].strip().lower() in err
+
+
+def test_repeated_key_names_both_lines(tmp_path):
+    text = MINIMAL.replace("b3 = 1.0", "b3 = 1.0\nb3 = 5.0", 1)
+    first = text.splitlines().index("b3 = 1.0") + 1
+    with pytest.raises(ConfigError, match=rf"line {first + 1}: .*b3.* repeats line {first}"):
+        load_config(write_cfg(tmp_path, text))
 
 
 def test_cli_simulate_clamp_events_per_level(tmp_path):

@@ -210,6 +210,59 @@ def test_helmholtz_variable_coefficient_cg():
         grid_mod._helmholtz_cg(grid, b, alpha, beta)
 
 
+def test_helmholtz_variable_coefficient_cg_calls_no_stencil(monkeypatch):
+    # q = M p is kept by recurrence, so the loop needs no Laplacian.
+    def no_stencil(*args, **kwargs):
+        raise AssertionError("laplacian called")
+
+    grid = Grid(12, 10)
+    rng = np.random.default_rng(3)
+    b = rng.standard_normal(grid.shape)
+    alpha = 1.0 + rng.random(grid.shape)
+    monkeypatch.setattr(grid_mod, "laplacian", no_stencil)
+    x = helmholtz_solve(grid, b, alpha, 0.5)
+    res = alpha * x - 0.5 * laplacian(grid, x) - b
+    assert norm_l2(grid, res) <= 1e-11 * norm_l2(grid, b)
+
+
+@pytest.mark.parametrize("n, lo, hi, beta", [
+    (256, 65.0, 65.35, 1.0),  # the workloads' 1/tau + 1 + a
+    (64, 1.0, 1e4, 1e-2),  # strongly varying alpha: over 100 iterations
+])
+def test_helmholtz_cg_true_residual(n, lo, hi, beta):
+    # The recurrence for M p drifts from the stencil only by round-off, so
+    # the residual computed with the stencil meets the CG tolerance.
+    grid = Grid(n, n)
+    rng = np.random.default_rng(n)
+    b = rng.standard_normal(grid.shape)
+    alpha = lo + (hi - lo) * rng.random(grid.shape)
+    x = helmholtz_solve(grid, b, alpha, beta)
+    res = alpha * x - beta * laplacian(grid, x) - b
+    assert np.linalg.norm(res) <= 1e-11 * np.linalg.norm(b)
+
+
+def test_chemotaxis_flux_rejects_nonfinite_sigma():
+    grid = Grid(6, 5)
+    sigma = np.zeros(grid.shape)
+    sigma[2, 2] = np.nan
+    with pytest.raises(SolverError, match="sigma"):
+        chemotaxis_flux(grid, np.ones(grid.shape), sigma)
+
+
+def test_divergence_boundary_guard_signed_zero_and_nan():
+    grid = Grid(6, 5)
+    fx = np.zeros((grid.nx + 1, grid.ny))
+    fy = np.zeros((grid.nx, grid.ny + 1))
+    fx[0, 1] = -0.0
+    fy[3, -1] = -0.0
+    assert np.all(divergence(grid, FaceFlux(fx, fy)) == 0.0)
+    for face in (fx[0], fx[-1], fy[:, 0], fy[:, -1]):
+        face[1] = np.nan
+        with pytest.raises(SolverError):
+            divergence(grid, FaceFlux(fx, fy))
+        face[1] = 0.0
+
+
 def test_ch_block_zero_mode_by_hand():
     grid = Grid(8, 8)
     tau, s = 0.05, 0.5
