@@ -97,9 +97,7 @@ def solve_adjoint(base: Trajectory, cost: ControlSpec, spec: ModelSpec) -> Traje
     rhs_final = p1_final / tau
     if cost.b1:
         rhs_final = rhs_final + cost.b1 * (base.phi[nt] - cost.phi_q[nt - 1])
-    p1, p2 = g.ch_block_solve(
-        gr, rhs_final, np.zeros(gr.shape), tau_eff, s_stab, transpose=True
-    )
+    p1, p2 = g.ch_block_solve(gr, rhs_final, None, tau_eff, s_stab, transpose=True)
     for k in range(nt - 1, -1, -1):
         a_k = base.a[k]
         sigma_new = base.sigma[k + 1]
@@ -127,7 +125,9 @@ def solve_adjoint(base: Trajectory, cost: ControlSpec, spec: ModelSpec) -> Traje
             gr, g.FaceFlux(aface.fx * gp3.fx, aface.fy * gp3.fy)
         )
         rhs_p5 = p5 / tau + spec.c_sigma * p4 - spec.chi_a * div_term
-        p5_new = g.helmholtz_solve(gr, rhs_p5, 1.0 / tau + 1.0 + a_k, 1.0)
+        # Its CG starts from the linear extrapolation of the stored levels.
+        p5_guess = p5 if k == nt - 1 else 2.0 * p5 - adj.p5[k + 2]
+        p5_new = g.helmholtz_solve(gr, rhs_p5, 1.0 / tau + 1.0 + a_k, 1.0, p5_guess)
 
         # p4: nutrient adjoint with the phase coupling explicit.
         rhs_p4 = (1.0 / tau + spec.c_n) * p4 - spec.chi_phi * g.laplacian(gr, p1)
@@ -147,9 +147,7 @@ def solve_adjoint(base: Trajectory, cost: ControlSpec, spec: ModelSpec) -> Traje
             + (spec.chi_phi + spec.c_phi) * p4_new
             + f10
         )
-        p1_new, p2_new = g.ch_block_solve(
-            gr, rhs_p1, np.zeros(gr.shape), tau_eff, s_stab, transpose=True
-        )
+        p1_new, p2_new = g.ch_block_solve(gr, rhs_p1, None, tau_eff, s_stab, transpose=True)
 
         p1, p2, p3, p4, p5 = p1_new, p2_new, p3_new, p4_new, p5_new
         if not (np.all(np.isfinite(p1)) and np.all(np.isfinite(p3)) and np.all(np.isfinite(p5))):

@@ -31,10 +31,11 @@ Field generators:
     file <path>                                field snapshot file
 
 A key may appear once per section. Numbers must be finite, the grid needs
-nx, ny >= 2 and lx, ly > 0, and T > 0, Nt >= 1; a violation names the line
-and the key. Every admissibility condition of the model is checked at load
-time; a violation raises ConfigError whose message cites the condition
-identifier (see the README table) and the config line that set the
+nx, ny >= 2 and lx, ly > 0, time T > 0, Nt >= 1 and s_stab >= 0, and
+[optimize] max_iters >= 0 with armijo_c and backtrack in (0, 1); a violation
+names the line and the key. Every admissibility condition of the model is
+checked at load time; a violation raises ConfigError whose message cites the
+condition identifier (see the README table) and the config line that set the
 offending value.
 All randomness derives from the single seed, so identical configs produce
 bit-identical runs.
@@ -284,6 +285,8 @@ def load_config(path: str | Path, seed_override: int | None = None) -> RunConfig
     if nt < 1:
         raise st.reject("nt", "must be at least 1")
     s_stab = None if st.word("s_stab", "default") == "default" else st.number("s_stab")
+    if s_stab is not None and s_stab < 0:
+        raise st.reject("s_stab", "must be nonnegative")
     flux_scheme = st.word("flux_scheme", "centered")
     if flux_scheme not in ("centered", "upwind"):
         raise ConfigError("[time]: flux_scheme must be 'centered' or 'upwind'")
@@ -347,6 +350,12 @@ def load_config(path: str | Path, seed_override: int | None = None) -> RunConfig
         s_stab=s_stab,
         flux_scheme=flux_scheme,
     )
+    if opts.max_iters < 0:
+        raise so.reject("max_iters", "must be at least 0")
+    # A factor outside (0, 1) makes the Armijo search grow or zero its step.
+    for key in ("armijo_c", "backtrack"):
+        if not 0.0 < getattr(opts, key) < 1.0:
+            raise so.reject(key, "must lie in (0, 1)")
 
     return RunConfig(
         grid=gr,

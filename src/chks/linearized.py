@@ -72,12 +72,14 @@ def solve_linearized(base: Trajectory, spec: ModelSpec, h: np.ndarray) -> Trajec
             1.0,
         )
 
-        # omega: same implicit operator as the forward sigma update.
+        # omega: same implicit operator as the forward sigma update, its CG
+        # started from the linear extrapolation of the stored levels.
         omega_new = g.helmholtz_solve(
             gr,
             omega / tau + spec.chi_a * alpha - sigma_new * alpha,
             1.0 / tau + 1.0 + a_k,
             1.0,
+            omega if k == 0 else 2.0 * omega - out.omega[k - 1],
         )
 
         # alpha: linearized chemotaxis flux against the base, new omega.

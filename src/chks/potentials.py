@@ -96,7 +96,9 @@ class PotentialSpec:
     def f1_value(self, r):
         r = np.asarray(r, dtype=float)
         if self.kind == "regular":
-            return 0.25 * self.c1 * (r**4 - 2.0 * r**3 + 1.5 * r**2)
+            # r^4 - 2 r^3 + (3/2) r^2 by Horner products: numpy's r**3 and
+            # r**4 go through pow, several times slower than multiplies.
+            return 0.25 * self.c1 * (r * r * ((r - 2.0) * r + 1.5))
         rc, r_raw = self._clamped(r)
         base = rc * np.log(rc) + (1.0 - rc) * np.log(1.0 - rc)
         d = r_raw - rc
@@ -116,7 +118,7 @@ class PotentialSpec:
     def f1_prime(self, r):
         r = np.asarray(r, dtype=float)
         if self.kind == "regular":
-            return 0.25 * self.c1 * (4.0 * r**3 - 6.0 * r**2 + 3.0 * r)
+            return 0.25 * self.c1 * (r * ((4.0 * r - 6.0) * r + 3.0))
         rc, r_raw = self._clamped(r)
         return np.log(rc / (1.0 - rc)) + (r_raw - rc) / (rc * (1.0 - rc))
 

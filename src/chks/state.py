@@ -181,8 +181,13 @@ def step(
     tau: float,
     s_stab: float,
     flux_scheme: str = "centered",
+    sigma_guess: np.ndarray | None = None,
 ) -> State:
-    """Advance one IMEX step; see the module docstring for the scheme."""
+    """Advance one IMEX step; see the module docstring for the scheme.
+
+    sigma_guess, when given, starts the sigma CG solve (see
+    grid.helmholtz_solve); it changes the work, not what is solved.
+    """
     if tau <= 0:
         raise SolverError("step requires tau > 0")
     phi, a, n, sigma = state.phi, state.a, state.n, state.sigma
@@ -210,6 +215,7 @@ def step(
         sigma / tau + 1.0 + spec.chi_a * a_frozen,
         1.0 / tau + 1.0 + a_frozen,
         1.0,
+        sigma_guess,
     )
 
     # 4. a: implicit diffusion, explicit chemotaxis against new sigma.
@@ -268,8 +274,10 @@ def solve_forward(
         traj.a[k], traj.n[k], traj.sigma[k] = cur.a, cur.n, cur.sigma
         if k == nt:
             break
+        # Linear extrapolation of the two stored sigma levels starts its solve.
+        guess = cur.sigma if k == 0 else 2.0 * cur.sigma - traj.sigma[k - 1]
         try:
-            cur = step(gr, cur, u.values[k], spec, tau, s_stab, flux_scheme)
+            cur = step(gr, cur, u.values[k], spec, tau, s_stab, flux_scheme, guess)
         except SolverError as exc:
             raise SolverError(f"forward step {k} failed: {exc}") from exc
 

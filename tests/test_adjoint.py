@@ -1,13 +1,17 @@
 """Adjoint solver: final conditions, homogeneity, duality."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from chks import grid as grid_mod
 from chks.adjoint import (
     ControlSpec,
     duality_residual,
     solve_adjoint,
 )
+from chks.config import load_config
 from chks.grid import Grid, laplacian
 from chks.linearized import solve_linearized
 from chks.potentials import AdmissibilityError, PotentialSpec, ProliferationSpec
@@ -141,3 +145,27 @@ def test_mismatched_shapes_rejected(problem):
                       phi_omega=cs.phi_omega, u_max=1.0)
     with pytest.raises(ValueError):
         solve_adjoint(traj, bad, spec)
+
+
+# 2-D transforms one forward, adjoint and tangent sweep made on
+# configs/verify.cfg before their CG solves took a guess and the adjoint
+# block stopped transforming its all-zero second right-hand side.
+TRANSFORMS_COLD = 1438
+
+
+def test_sweeps_transform_budget(monkeypatch):
+    cfg = load_config(Path(__file__).resolve().parent.parent / "configs" / "verify.cfg")
+    calls = []
+    for name in ("_dct2", "_idct2"):
+        original = getattr(grid_mod, name)
+
+        def counted(f, original=original):
+            calls.append(1)
+            return original(f)
+
+        monkeypatch.setattr(grid_mod, name, counted)
+    traj, _ = solve_forward(cfg.grid, cfg.model, cfg.init, cfg.u0, cfg.T, cfg.nt,
+                            s_stab=cfg.s_stab, flux_scheme=cfg.flux_scheme)
+    adj = solve_adjoint(traj, cfg.control_spec, cfg.model)
+    solve_linearized(traj, cfg.model, adj.p3[1:])
+    assert len(calls) <= 0.95 * TRANSFORMS_COLD

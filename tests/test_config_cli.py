@@ -237,12 +237,20 @@ def test_cli_simulate_rejects_malformed_field_generator(tmp_path, capsys, phrase
     ("ny = 8", "ny = 8\nlx = inf", "lx = inf"),
     ("T = 0.25", "T = inf", "T = inf"),
     ("b3 = 1.0", "b3 = 1.0\nb3 = 5.0", "b3 = 5.0"),
+    ("[time]", "[time]\ns_stab = -5", "s_stab = -5"),
+    ("Nt = 8", "Nt = 8\n[optimize]\nmax_iters = -1", "max_iters = -1"),
+    ("Nt = 8", "Nt = 8\n[optimize]\nbacktrack = 2", "backtrack = 2"),
+    ("Nt = 8", "Nt = 8\n[optimize]\nbacktrack = 0", "backtrack = 0"),
+    ("Nt = 8", "Nt = 8\n[optimize]\narmijo_c = -1", "armijo_c = -1"),
+    ("Nt = 8", "Nt = 8\n[optimize]\narmijo_c = 1", "armijo_c = 1"),
 ], ids=["seed", "s_stab", "u_max", "T_nan", "b1_nan", "unknown_section", "unknown_key",
-        "nx_negative", "nx_zero", "lx_negative", "lx_inf", "T_inf", "repeated_key"])
+        "nx_negative", "nx_zero", "lx_negative", "lx_inf", "T_inf", "repeated_key",
+        "s_stab_negative", "max_iters_negative", "backtrack_above_1", "backtrack_zero",
+        "armijo_c_negative", "armijo_c_one"])
 def test_cli_simulate_rejects_bad_statement(tmp_path, capsys, old, new, bad):
-    # A malformed number, NaN or infinity, a grid size out of range, a
-    # repeated key, or a section or key outside the grammar is a
-    # config error (exit 2) that names the statement's line and key.
+    # A malformed number, NaN or infinity, a grid size, s_stab or optimizer
+    # setting out of range, a repeated key, or a section or key outside the
+    # grammar is a config error (exit 2) that names the statement's line and key.
     text = MINIMAL.replace(old, new, 1)
     line_no = text.splitlines().index(bad) + 1
     assert main(["simulate", str(write_cfg(tmp_path, text)), "--out", str(tmp_path / "o")]) == 2

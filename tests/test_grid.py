@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 import scipy.fft as sfft
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chks import grid as grid_mod
 from chks.grid import (
@@ -224,6 +226,51 @@ def test_helmholtz_variable_coefficient_cg_calls_no_stencil(monkeypatch):
     res = alpha * x - 0.5 * laplacian(grid, x) - b
     assert norm_l2(grid, res) <= 1e-11 * norm_l2(grid, b)
 
+    # A guess costs exactly one stencil, for its initial residual.
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return laplacian(*args, **kwargs)
+
+    monkeypatch.setattr(grid_mod, "laplacian", counted)
+    y = helmholtz_solve(grid, b, alpha, 0.5, x + 1e-3 * rng.standard_normal(grid.shape))
+    assert len(calls) == 1
+    res = alpha * y - 0.5 * laplacian(grid, y) - b
+    assert norm_l2(grid, res) <= 1e-11 * norm_l2(grid, b)
+
+
+def test_helmholtz_exact_guess_applies_no_preconditioner(monkeypatch):
+    grid = Grid(20, 16)
+    rng = np.random.default_rng(5)
+    x_true = rng.standard_normal(grid.shape)
+    alpha = 2.0 + rng.random(grid.shape)
+    b = alpha * x_true - 0.3 * laplacian(grid, x_true)
+
+    def no_transform(*args, **kwargs):
+        raise AssertionError("preconditioner applied")
+
+    monkeypatch.setattr(grid_mod, "_dct2", no_transform)
+    x = helmholtz_solve(grid, b, alpha, 0.3, x_true)
+    np.testing.assert_array_equal(x, x_true)
+    assert x is not x_true
+
+
+def test_helmholtz_guess_validation():
+    grid = Grid(8, 6)
+    b = random_field(grid)
+    alpha = 1.0 + np.abs(random_field(grid))
+    nan_guess = np.zeros(grid.shape)
+    nan_guess[2, 2] = np.nan
+    inf_guess = np.zeros(grid.shape)
+    inf_guess[0, 5] = -np.inf
+    for bad, match in ((np.zeros((6, 8)), "shape"), (nan_guess, "guess"), (inf_guess, "guess")):
+        with pytest.raises(SolverError, match=match):
+            helmholtz_solve(grid, b, alpha, 1.0, bad)
+    # The direct solve has no use for a guess; ignoring it would hide a mistake.
+    with pytest.raises(SolverError, match="guess"):
+        helmholtz_solve(grid, b, 2.0, 1.0, np.zeros(grid.shape))
+
 
 @pytest.mark.parametrize("n, lo, hi, beta", [
     (256, 65.0, 65.35, 1.0),  # the workloads' 1/tau + 1 + a
@@ -231,14 +278,42 @@ def test_helmholtz_variable_coefficient_cg_calls_no_stencil(monkeypatch):
 ])
 def test_helmholtz_cg_true_residual(n, lo, hi, beta):
     # The recurrence for M p drifts from the stencil only by round-off, so
-    # the residual computed with the stencil meets the CG tolerance.
+    # the residual computed with the stencil meets the CG tolerance, from a
+    # cold start, a guess near the solution and a bad guess alike.
     grid = Grid(n, n)
     rng = np.random.default_rng(n)
     b = rng.standard_normal(grid.shape)
     alpha = lo + (hi - lo) * rng.random(grid.shape)
-    x = helmholtz_solve(grid, b, alpha, beta)
-    res = alpha * x - beta * laplacian(grid, x) - b
-    assert np.linalg.norm(res) <= 1e-11 * np.linalg.norm(b)
+    x_cold = helmholtz_solve(grid, b, alpha, beta)
+    near = x_cold + 1e-6 * np.abs(x_cold).max() * rng.standard_normal(grid.shape)
+    for x in (x_cold,
+              helmholtz_solve(grid, b, alpha, beta, near),
+              helmholtz_solve(grid, b, alpha, beta, -10.0 * x_cold)):
+        res = alpha * x - beta * laplacian(grid, x) - b
+        assert np.linalg.norm(res) <= 1e-11 * np.linalg.norm(b)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    nx=st.integers(2, 40), ny=st.integers(2, 40),
+    lo=st.floats(1.0, 1e4), spread=st.floats(0.0, 1.0), beta=st.floats(1e-2, 1.0),
+    seed=st.integers(0, 2**32 - 1), scale=st.floats(-10.0, 10.0), noise=st.floats(0.0, 10.0),
+)
+def test_helmholtz_cg_guess_meets_cold_residual_bound(nx, ny, lo, spread, beta, seed, scale,
+                                                      noise):
+    # Any finite guess within ten times the solution's size: beyond that the
+    # round-off of x itself (about eps*|x0|) bounds the true residual.
+    grid = Grid(nx, ny)
+    rng = np.random.default_rng(seed)
+    b = rng.standard_normal(grid.shape)
+    alpha = lo * (1.0 + spread * rng.random(grid.shape))
+    x_cold = helmholtz_solve(grid, b, alpha, beta)
+    size = np.abs(x_cold).max()
+    guess = np.clip(scale * x_cold + noise * size * rng.standard_normal(grid.shape),
+                    -10.0 * size, 10.0 * size)
+    for x in (x_cold, helmholtz_solve(grid, b, alpha, beta, guess)):
+        res = alpha * x - beta * laplacian(grid, x) - b
+        assert np.linalg.norm(res) <= 1e-11 * np.linalg.norm(b)
 
 
 def test_chemotaxis_flux_rejects_nonfinite_sigma():
@@ -351,7 +426,7 @@ def test_cached_spectral_arrays_are_read_only():
 
 
 @pytest.mark.parametrize("shape", [(16, 16), (64, 64), (65, 64), (16, 80), (96, 7), (128, 128)])
-def test_dct_pair_matches_scipy_on_both_sides_of_dense_threshold(shape):
+def test_dct_pair_matches_scipy_on_both_sides_of_dense_threshold(shape, monkeypatch):
     f = RNG.standard_normal(shape)
     fh = grid_mod._dct2(f)
     ref = sfft.dctn(f, type=2, norm="ortho")
@@ -360,6 +435,28 @@ def test_dct_pair_matches_scipy_on_both_sides_of_dense_threshold(shape):
     ref_back = sfft.idctn(fh, type=2, norm="ortho")
     assert np.abs(back - ref_back).max() <= 1e-13 * np.abs(ref_back).max()
     assert np.abs(back - f).max() <= 1e-13 * np.abs(f).max()
+
+    # The Laplacian follows the same size rule: dense products at or below
+    # the threshold, slices above. Both agree with the padded mirror stencil.
+    grid = Grid(*shape, 1.0, 0.7)
+    fp = np.pad(f, 1, mode="edge")
+    lap_ref = ((fp[2:, 1:-1] - 2.0 * f + fp[:-2, 1:-1]) / grid.hx**2
+               + (fp[1:-1, 2:] - 2.0 * f + fp[1:-1, :-2]) / grid.hy**2)
+    for dense_max in (0, max(shape)):  # sliced, then dense
+        monkeypatch.setattr(grid_mod, "DENSE_DCT_MAX", dense_max)
+        lap = laplacian(grid, f)
+        assert np.abs(lap - lap_ref).max() <= 1e-13 * np.abs(lap_ref).max()
+
+
+@pytest.mark.parametrize("n", [16, 64, 256])
+def test_ch_block_without_second_rhs_is_zero_rhs_byte_for_byte(n):
+    grid = Grid(n, n)
+    rhs_phi = RNG.standard_normal(grid.shape)
+    for transpose in (False, True):
+        got = ch_block_solve(grid, rhs_phi, None, 0.01, 1.5, transpose)
+        zero = ch_block_solve(grid, rhs_phi, np.zeros(grid.shape), 0.01, 1.5, transpose)
+        for a, b in zip(got, zero):
+            assert a.tobytes() == b.tobytes()
 
 
 def test_ch_block_interleaved_parameters_use_their_own_factors():
