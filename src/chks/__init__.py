@@ -2,13 +2,11 @@
 adjoint-based reduced gradients, and box-constrained optimal control."""
 
 from .grid import (
-    FaceFlux,
     Grid,
     SolverError,
     ch_block_solve,
-    chemotaxis_flux,
     divergence,
-    gradient_faces,
+    grad_dot,
     helmholtz_solve,
     inner,
     laplacian,

@@ -26,7 +26,9 @@ identity
 holds with an O(tau) residual, which duality_residual quantifies.
 
 The advective term grad(sigma*).grad(p3) is evaluated with centered face
-gradients and averaged back to cell centers; no upwinding in the adjoint.
+gradients and averaged back to cell centers (grid.grad_dot), and
+div(a* grad p3) with the centered face mean of a*; no upwinding in the
+adjoint.
 """
 
 from __future__ import annotations
@@ -57,15 +59,13 @@ class ControlSpec:
     u_max: float | np.ndarray = 1.0
 
     def validate(self) -> None:
-        if self.b1 < 0 or self.b2 < 0:
-            raise AdmissibilityError("(6.3): b1 and b2 must be nonnegative")
-        if not self.b3 > 0:
-            raise AdmissibilityError("(6.3): b3 must be positive")
-        if np.ndim(self.u_max) > 0:
-            if np.asarray(self.u_max).min() < 0:
-                raise AdmissibilityError("(6.4): u_max must be nonnegative")
-        elif self.u_max < 0:
-            raise AdmissibilityError("(6.4): u_max must be nonnegative")
+        # Written so that a NaN fails each test; u_max may be infinite.
+        if not (0 <= self.b1 < np.inf and 0 <= self.b2 < np.inf):
+            raise AdmissibilityError("(6.3): b1 and b2 must be finite and nonnegative")
+        if not 0 < self.b3 < np.inf:
+            raise AdmissibilityError("(6.3): b3 must be finite and positive")
+        if not np.min(self.u_max) >= 0:
+            raise AdmissibilityError("(6.4): u_max must be nonnegative, not NaN")
 
 
 def solve_adjoint(base: Trajectory, cost: ControlSpec, spec: ModelSpec) -> Trajectory:
@@ -86,7 +86,8 @@ def solve_adjoint(base: Trajectory, cost: ControlSpec, spec: ModelSpec) -> Traje
     p5 = np.zeros(gr.shape)
     adj.p1[nt], adj.p2[nt] = p1_final, -g.laplacian(gr, p1_final)
 
-    tau_eff = 1.0 / (1.0 / tau + spec.m)
+    inv_tau = 1.0 / tau
+    tau_eff = 1.0 / (inv_tau + spec.m)
     s_stab = base.s_stab
     # Weak imposition of the final condition: the final data (and the
     # running misfit sampled on the last interval) enters the sweep
@@ -101,37 +102,35 @@ def solve_adjoint(base: Trajectory, cost: ControlSpec, spec: ModelSpec) -> Traje
     for k in range(nt - 1, -1, -1):
         a_k = base.a[k]
         sigma_new = base.sigma[k + 1]
+        # Right-hand sides are updated in place on fresh arrays, such as the
+        # results of grad_dot, divergence, laplacian and h_prime.
 
-        # p3: transport source from centered face gradients, reaction explicit.
-        grad_sigma = g.gradient_faces(gr, sigma_new)
-        grad_p3 = g.gradient_faces(gr, p3)
-        advect = g.face_product_to_cells(gr, grad_sigma, grad_p3)
-        rhs_p3 = (
-            p3 / tau
-            + (1.0 - 2.0 * a_k) * p3
-            + spec.chi_a * advect
-            - (sigma_new - spec.chi_a) * p5
-        )
-        p3_new = g.helmholtz_solve(gr, rhs_p3, 1.0 / tau, 1.0)
+        # p3: transport source from centered face gradients, reaction
+        # explicit; p3/tau + (1 - 2 a*) p3 is formed as ((1/tau + 1) - 2 a*) p3.
+        rhs_p3 = g.grad_dot(gr, sigma_new, p3)
+        rhs_p3 *= spec.chi_a
+        rhs_p3 += ((inv_tau + 1.0) - 2.0 * a_k) * p3
+        rhs_p3 -= (sigma_new - spec.chi_a) * p5
+        p3_new = g.helmholtz_solve(gr, rhs_p3, inv_tau, 1.0)
 
         # p5: same implicit operator family as the forward sigma update.
         # a* is frozen at level k here; the forward step that produced the
         # level-k sigma froze level k-1, so this choice staggers the
         # coefficient by one step and is the O(tau) gap the duality
         # residual measures.
-        aface = g.face_average(gr, a_k)
-        gp3 = g.gradient_faces(gr, p3_new)
-        div_term = g.divergence(
-            gr, g.FaceFlux(aface.fx * gp3.fx, aface.fy * gp3.fy)
-        )
-        rhs_p5 = p5 / tau + spec.c_sigma * p4 - spec.chi_a * div_term
+        rhs_p5 = g.divergence(gr, a_k, p3_new)
+        rhs_p5 *= -spec.chi_a
+        rhs_p5 += p5 * inv_tau
+        rhs_p5 += spec.c_sigma * p4
         # Its CG starts from the linear extrapolation of the stored levels.
         p5_guess = p5 if k == nt - 1 else 2.0 * p5 - adj.p5[k + 2]
-        p5_new = g.helmholtz_solve(gr, rhs_p5, 1.0 / tau + 1.0 + a_k, 1.0, p5_guess)
+        p5_new = g.helmholtz_solve(gr, rhs_p5, (inv_tau + 1.0) + a_k, 1.0, p5_guess)
 
         # p4: nutrient adjoint with the phase coupling explicit.
-        rhs_p4 = (1.0 / tau + spec.c_n) * p4 - spec.chi_phi * g.laplacian(gr, p1)
-        p4_new = g.helmholtz_solve(gr, rhs_p4, 1.0 / tau, 1.0)
+        rhs_p4 = g.laplacian(gr, p1)
+        rhs_p4 *= -spec.chi_phi
+        rhs_p4 += (inv_tau + spec.c_n) * p4
+        p4_new = g.helmholtz_solve(gr, rhs_p4, inv_tau, 1.0)
 
         # (p1, p2) block, transposed so that p2 = -Lap p1 holds exactly
         # and the stabilization terms mirror the forward s_stab*(phi+ - phi).
@@ -139,18 +138,17 @@ def solve_adjoint(base: Trajectory, cost: ControlSpec, spec: ModelSpec) -> Traje
         # rule); the formal level 0 carries none. phi* is frozen at level k,
         # the level the forward step k -> k+1 used.
         phi_k = base.phi[k]
-        f10 = cost.b1 * (phi_k - cost.phi_q[k - 1]) if (cost.b1 and k >= 1) else 0.0
-        rhs_p1 = (
-            p1 / tau
-            + spec.prolif.h_prime(phi_k) * p1
-            + (s_stab - spec.pot.f_second(phi_k)) * p2
-            + (spec.chi_phi + spec.c_phi) * p4_new
-            + f10
-        )
+        rhs_p1 = spec.prolif.h_prime(phi_k)
+        rhs_p1 += inv_tau
+        rhs_p1 *= p1
+        rhs_p1 += (s_stab - spec.pot.f_second(phi_k)) * p2
+        rhs_p1 += (spec.chi_phi + spec.c_phi) * p4_new
+        if cost.b1 and k >= 1:
+            rhs_p1 += cost.b1 * (phi_k - cost.phi_q[k - 1])
         p1_new, p2_new = g.ch_block_solve(gr, rhs_p1, None, tau_eff, s_stab, transpose=True)
 
         p1, p2, p3, p4, p5 = p1_new, p2_new, p3_new, p4_new, p5_new
-        if not (np.all(np.isfinite(p1)) and np.all(np.isfinite(p3)) and np.all(np.isfinite(p5))):
+        if not (np.isfinite(p1).all() and np.isfinite(p3).all() and np.isfinite(p5).all()):
             raise SolverError(f"non-finite adjoint state at backward step {k}")
         adj.p1[k], adj.p2[k], adj.p3[k], adj.p4[k], adj.p5[k] = p1, p2, p3, p4, p5
     return adj

@@ -13,6 +13,7 @@ scalar monitors.
 from __future__ import annotations
 
 import csv
+import os
 import struct
 from pathlib import Path
 
@@ -40,9 +41,13 @@ def write_field(path: str | Path, grid: Grid, data: np.ndarray) -> None:
     if data.shape != grid.shape:
         raise ValueError("field shape does not match grid")
     payload = np.ascontiguousarray(data.T, dtype="<f8")
-    with open(path, "wb") as fh:
+    # An existing snapshot is overwritten in place, not truncated first:
+    # rewriting the same size leaves its blocks allocated, and truncate()
+    # cuts off the tail of a longer old file.
+    with os.fdopen(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as fh:
         fh.write(_HEADER.pack(MAGIC, grid.nx, grid.ny, grid.lx, grid.ly))
-        fh.write(payload.tobytes())
+        fh.write(payload)
+        fh.truncate()
 
 
 def read_field(path: str | Path) -> tuple[Grid, np.ndarray]:

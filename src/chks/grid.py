@@ -9,10 +9,10 @@ value, so the normal derivative across each boundary face is exactly zero).
 Operators
 ---------
 - laplacian(grid, f):          5-point stencil with mirror ghosts.
-- gradient_faces(grid, f):     centered differences on interior faces,
-                               zero on boundary faces.
-- divergence(grid, flux):      conservative difference of face fluxes.
-- chemotaxis_flux(...):        face flux a*grad(sigma), centered or upwind.
+- divergence(grid, c, f, ...): conservative div(c_face grad f), c_face the
+                               centered mean or the upwind donor cell.
+- grad_dot(grid, p, w):        cell average of the face products
+                               grad(p).grad(w).
 - helmholtz_solve(...):        (alpha*I - beta*Lap) x = b, direct by DCT
                                diagonalization; preconditioned CG, from an
                                optional guess, when alpha varies in space.
@@ -37,8 +37,10 @@ per-call work is kept to the arithmetic:
 - The Laplacian follows the same rule. At or below DENSE_DCT_MAX it is two
   products with cached 1-D mirrored second-difference matrices,
   D_x f + f D_y (8 us at 16^2 with its finiteness check, against 18 us
-  for the slices, on two x86-64 cores); above it, slices of face
-  differences written into one output array, with no zero fill.
+  for the slices, on two x86-64 cores); above it, the interior-face
+  differences that divergence and grad_dot use (below), contiguous along
+  both axes (250 us against 340 us with strided y slices at 256^2, each
+  with its finiteness check).
 - Cached per grid (lru_cache, read-only arrays): the Laplacian eigenvalues,
   the DCT and second-difference matrices, the per-mode inverse of the phi/mu
   block for each (tau, s_stab), and 1/(alpha - beta*lam) of each
@@ -58,13 +60,22 @@ per-call work is kept to the arithmetic:
   DCT pair per call on the sweeps' solves. The stopping test and the
   iteration budget are the same with or without it, and the test runs
   before the first preconditioner application.
+- divergence and grad_dot work on differences across interior faces
+  only and build no face-flux arrays: each face value is added to the cell
+  on one side and subtracted from (or, for grad_dot, added to) the cell on
+  the other, and a boundary face carries nothing, so the no-flux condition
+  needs no runtime guard. Differences along y are taken on the flattened
+  array, where they are contiguous; the differences that straddle two rows
+  are zeroed, which makes them the boundary faces.
 - ch_block_solve with rhs_mu=None treats the second right-hand side as
   zero and skips its transform; the adjoint's transposed block uses this.
 - Finiteness is checked where data enters: at each public operator's entry
-  and by the sweeps at the end of every step, and each field once per call
-  (chemotaxis_flux scans sigma, then takes its gradient unchecked). Inside
-  the CG loop nothing is scanned; a non-finite value there surfaces as a
-  p.Ap that is not a positive finite number, which raises SolverError.
+  and by the sweeps at the end of every step, and each field once per call.
+  The CG's warm start forms its first residual with the unchecked stencil,
+  since helmholtz_solve has scanned the guess, and a field alpha is checked
+  by its min and max, which carry any NaN or infinity. Inside the CG loop
+  nothing is scanned; a non-finite value there surfaces as a p.Ap that is
+  not a positive finite number, which raises SolverError.
 """
 
 from __future__ import annotations
@@ -127,24 +138,36 @@ class Grid:
         return np.meshgrid(x, y, indexing="ij")
 
 
-@dataclass
-class FaceFlux:
-    """Normal flux on cell faces: fx on x-faces (nx+1, ny), fy on y-faces (nx, ny+1).
-
-    Boundary faces must carry zero normal flux (discrete no-flux condition).
-    """
-
-    fx: np.ndarray
-    fy: np.ndarray
-
-
 def _check_finite(f: np.ndarray, name: str = "field") -> None:
     if not np.isfinite(f).all():
         raise SolverError(f"{name} contains non-finite values")
 
 
-def zero_flux(grid: Grid) -> FaceFlux:
-    return FaceFlux(np.zeros((grid.nx + 1, grid.ny)), np.zeros((grid.nx, grid.ny + 1)))
+def _face_pairs(f: np.ndarray):
+    """Low and high cells of the interior x faces (rows) and y faces.
+
+    The y pairs are neighbours of the flattened field, whose differences
+    are contiguous; the pairs that straddle two rows fall on the entries
+    k*ny of the y face buffer, which _to_cells zeroes.
+    """
+    flat = f.reshape(-1)
+    return (f[:-1], f[1:]), (flat[:-1], flat[1:])
+
+
+def _to_cells(bx: np.ndarray, by: np.ndarray, ny: int, combine) -> np.ndarray:
+    """Bring face values back to cells: combine(high face, low face), summed over x and y.
+
+    bx has shape (nx+1, ny), rows 0 and nx the boundary faces; by is flat
+    of length nx*ny + 1, entry m the face below the cell of flat index m,
+    so the entries k*ny are boundary faces. Both carry zero there.
+    """
+    bx[0] = bx[-1] = 0.0
+    by[::ny] = 0.0
+    out = combine(bx[1:], bx[:-1])
+    flat = out.reshape(-1)
+    flat += by[1:]
+    combine(flat, by[:-1], out=flat)
+    return out
 
 
 def laplacian(grid: Grid, f: np.ndarray) -> np.ndarray:
@@ -157,6 +180,11 @@ def laplacian(grid: Grid, f: np.ndarray) -> np.ndarray:
     products with cached 1-D matrices, D_x f + f D_y (D symmetric).
     """
     _check_finite(f)
+    return _laplacian(grid, f)
+
+
+def _laplacian(grid: Grid, f: np.ndarray) -> np.ndarray:
+    """laplacian without the finiteness scan, for callers that made it."""
     nx, ny = f.shape
     cx, cy = 1.0 / grid.hx**2, 1.0 / grid.hy**2
     if max(nx, ny) <= DENSE_DCT_MAX:
@@ -166,128 +194,76 @@ def laplacian(grid: Grid, f: np.ndarray) -> np.ndarray:
         lap_y *= cy
         lap += lap_y
         return lap
-    lap = np.empty(f.shape)
-    np.subtract(f[:, 1:], f[:, :-1], out=lap[:, :-1])
-    lap[:, -1] = 0.0
-    # numpy reads an overlapping operand as if it were copied first.
-    lap[:, 1:] -= lap[:, :-1]
-    d = f[1:, :] - f[:-1, :]
-    d *= cx / cy
-    lap[:-1, :] += d
-    lap[1:, :] -= d
-    lap *= cy
-    return lap
+    bx, by = np.empty((nx + 1, ny)), np.empty(nx * ny + 1)
+    for (f_lo, f_hi), face, c in zip(_face_pairs(f), (bx[1:-1], by[1:-1]), (cx, cy)):
+        np.subtract(f_hi, f_lo, out=face)
+        face *= c
+    return _to_cells(bx, by, ny, np.subtract)
 
 
-def gradient_faces(grid: Grid, f: np.ndarray) -> FaceFlux:
-    """Centered gradient on interior faces; boundary faces are zero."""
-    _check_finite(f)
-    return _gradient_faces(grid, f)
-
-
-def _gradient_faces(grid: Grid, f: np.ndarray) -> FaceFlux:
-    """gradient_faces without the finiteness scan, for callers that made it."""
-    fx = np.zeros((grid.nx + 1, grid.ny))
-    fy = np.zeros((grid.nx, grid.ny + 1))
-    fx[1:-1, :] = (f[1:, :] - f[:-1, :]) / grid.hx
-    fy[:, 1:-1] = (f[:, 1:] - f[:, :-1]) / grid.hy
-    return FaceFlux(fx, fy)
-
-
-def divergence(grid: Grid, flux: FaceFlux) -> np.ndarray:
-    """Conservative divergence of a face flux. Rejects nonzero boundary flux."""
-    fx, fy = flux.fx, flux.fy
-    # .any() counts NaN as nonzero and -0.0 as zero.
-    if fx[0, :].any() or fx[-1, :].any() or fy[:, 0].any() or fy[:, -1].any():
-        raise SolverError("divergence requires zero flux on boundary faces")
-    return (fx[1:, :] - fx[:-1, :]) / grid.hx + (fy[:, 1:] - fy[:, :-1]) / grid.hy
-
-
-def face_average(grid: Grid, f: np.ndarray) -> FaceFlux:
-    """Arithmetic mean of adjacent cells on interior faces; zero on boundary faces."""
-    ax = np.zeros((grid.nx + 1, grid.ny))
-    ay = np.zeros((grid.nx, grid.ny + 1))
-    ax[1:-1, :] = 0.5 * (f[1:, :] + f[:-1, :])
-    ay[:, 1:-1] = 0.5 * (f[:, 1:] + f[:, :-1])
-    return FaceFlux(ax, ay)
-
-
-def face_product_to_cells(grid: Grid, a: FaceFlux, b: FaceFlux) -> np.ndarray:
-    """Cell average of the facewise dot product a.b.
-
-    Each cell receives half of the product on its two x-faces plus half of
-    the product on its two y-faces. This is the adjoint of cell-to-face
-    arithmetic averaging composed with the face product, and is how
-    advective terms like grad(sigma).grad(p) are brought back to centers.
-    """
-    qx = a.fx * b.fx
-    qy = a.fy * b.fy
-    return 0.5 * (qx[1:, :] + qx[:-1, :]) + 0.5 * (qy[:, 1:] + qy[:, :-1])
-
-
-def chemotaxis_flux(
-    grid: Grid, a: np.ndarray, sigma: np.ndarray, scheme: str = "centered"
-) -> FaceFlux:
-    """Face flux a_face * grad(sigma)_face.
-
-    scheme='centered' takes the arithmetic mean of the two adjacent cells
-    for a_face; scheme='upwind' takes the donor cell on the side the flux
-    leaves, selected by the sign of the face gradient of sigma.
-    """
-    _check_finite(a, "a")
-    _check_finite(sigma, "sigma")
-    g = _gradient_faces(grid, sigma)
-    if scheme == "centered":
-        af = face_average(grid, a)
-        return FaceFlux(af.fx * g.fx, af.fy * g.fy)
-    if scheme == "upwind":
-        fx = np.zeros_like(g.fx)
-        fy = np.zeros_like(g.fy)
-        gx = g.fx[1:-1, :]
-        gy = g.fy[:, 1:-1]
-        donor_x = np.where(gx > 0.0, a[:-1, :], a[1:, :])
-        donor_y = np.where(gy > 0.0, a[:, :-1], a[:, 1:])
-        fx[1:-1, :] = donor_x * gx
-        fy[:, 1:-1] = donor_y * gy
-        return FaceFlux(fx, fy)
-    raise ValueError(f"unknown chemotaxis flux scheme: {scheme!r}")
-
-
-def chemotaxis_flux_linearized(
+def divergence(
     grid: Grid,
-    a: np.ndarray,
-    sigma: np.ndarray,
-    alpha: np.ndarray,
-    omega: np.ndarray,
+    c: np.ndarray,
+    f: np.ndarray,
     scheme: str = "centered",
-) -> FaceFlux:
-    """Directional derivative of chemotaxis_flux at (a, sigma) along (alpha, omega).
+    upwind_by: np.ndarray | None = None,
+) -> np.ndarray:
+    """Conservative divergence div(c_face grad f) with no flux through the boundary.
 
-    For the upwind scheme the donor selection is frozen at the base state,
-    which is the derivative away from the measure-zero set where the face
-    gradient of sigma vanishes.
+    The flux c_face*(f_high - f_low)/h lives on interior faces only, so the
+    no-flux condition holds by construction. scheme='centered' takes the
+    mean of the two adjacent cells for c_face; scheme='upwind' the donor
+    cell on the side the flux leaves, the low side where the face
+    difference of upwind_by (f when None) is positive. Passing the base
+    state's sigma as upwind_by keeps its donor cells, which is the
+    derivative of the upwind flux away from faces where its gradient
+    vanishes.
     """
-    g = gradient_faces(grid, sigma)
-    gw = gradient_faces(grid, omega)
-    if scheme == "centered":
-        af = face_average(grid, a)
-        alf = face_average(grid, alpha)
-        return FaceFlux(alf.fx * g.fx + af.fx * gw.fx, alf.fy * g.fy + af.fy * gw.fy)
-    if scheme == "upwind":
-        fx = np.zeros_like(g.fx)
-        fy = np.zeros_like(g.fy)
-        gx = g.fx[1:-1, :]
-        gy = g.fy[:, 1:-1]
-        up_x = gx > 0.0
-        up_y = gy > 0.0
-        donor_a_x = np.where(up_x, a[:-1, :], a[1:, :])
-        donor_a_y = np.where(up_y, a[:, :-1], a[:, 1:])
-        donor_al_x = np.where(up_x, alpha[:-1, :], alpha[1:, :])
-        donor_al_y = np.where(up_y, alpha[:, :-1], alpha[:, 1:])
-        fx[1:-1, :] = donor_al_x * gx + donor_a_x * gw.fx[1:-1, :]
-        fy[:, 1:-1] = donor_al_y * gy + donor_a_y * gw.fy[:, 1:-1]
-        return FaceFlux(fx, fy)
-    raise ValueError(f"unknown chemotaxis flux scheme: {scheme!r}")
+    if scheme not in ("centered", "upwind"):
+        raise ValueError(f"unknown chemotaxis flux scheme: {scheme!r}")
+    _check_finite(c, "c")
+    _check_finite(f, "f")
+    if scheme == "upwind" and upwind_by is not None:
+        _check_finite(upwind_by, "upwind_by")
+    else:
+        upwind_by = f
+    nx, ny = f.shape
+    bx, by = np.empty((nx + 1, ny)), np.empty(nx * ny + 1)
+    for (f_lo, f_hi), (c_lo, c_hi), (s_lo, s_hi), face, h in zip(
+        _face_pairs(f), _face_pairs(c), _face_pairs(upwind_by), (bx[1:-1], by[1:-1]),
+        (grid.hx, grid.hy),
+    ):
+        np.subtract(f_hi, f_lo, out=face)
+        if scheme == "centered":
+            coef = c_lo + c_hi
+            coef *= 0.5 / h**2
+        else:
+            coef = np.where(face > 0.0 if upwind_by is f else s_hi > s_lo, c_lo, c_hi)
+            coef *= 1.0 / h**2
+        face *= coef
+    return _to_cells(bx, by, ny, np.subtract)
+
+
+def grad_dot(grid: Grid, p: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Cell average of the face products grad(p).grad(w).
+
+    Each cell receives half of the product on each of its four faces, and
+    boundary faces carry none. With the centered divergence this is the
+    summation by parts <divergence(c, p), w> = -<c, grad_dot(p, w)>, which
+    brings the adjoint's grad(sigma).grad(p3) back to cell centers.
+    """
+    _check_finite(p, "p")
+    _check_finite(w, "w")
+    nx, ny = p.shape
+    bx, by = np.empty((nx + 1, ny)), np.empty(nx * ny + 1)
+    for (p_lo, p_hi), (w_lo, w_hi), face, h in zip(
+        _face_pairs(p), _face_pairs(w), (bx[1:-1], by[1:-1]), (grid.hx, grid.hy)
+    ):
+        np.subtract(p_hi, p_lo, out=face)
+        dw = w_hi - w_lo
+        dw *= 0.5 / h**2
+        face *= dw
+    return _to_cells(bx, by, ny, np.add)
 
 
 def mean(grid: Grid, f: np.ndarray) -> float:
@@ -410,7 +386,8 @@ def helmholtz_solve(
     alpha = np.asarray(alpha, dtype=float)
     if alpha.shape != grid.shape:
         raise SolverError("variable alpha must match the grid shape")
-    if not (np.all(np.isfinite(alpha)) and float(alpha.min()) > 0):
+    # min and max carry any NaN or infinity, so two reductions check both.
+    if not (float(alpha.min()) > 0 and float(alpha.max()) < np.inf):
         raise SolverError("helmholtz_solve requires a finite alpha > 0 everywhere")
     if x0 is not None:
         if np.shape(x0) != grid.shape:
@@ -451,7 +428,8 @@ def _helmholtz_cg(
         r = b.copy()
     else:
         x = np.array(x0, dtype=float)
-        r = laplacian(grid, x)
+        # helmholtz_solve has scanned the guess, so the stencil skips it.
+        r = _laplacian(grid, x)
         r *= beta
         r += b
         np.multiply(alpha, x, out=scratch)

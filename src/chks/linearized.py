@@ -51,55 +51,52 @@ def solve_linearized(base: Trajectory, spec: ModelSpec, h: np.ndarray) -> Trajec
     nu = np.zeros(gr.shape)
     omega = np.zeros(gr.shape)
 
-    tau_eff = 1.0 / (1.0 / tau + spec.m)
+    inv_tau = 1.0 / tau
+    tau_eff = 1.0 / (inv_tau + spec.m)
     for k in range(nt):
         phi_k = base.phi[k]
         a_k = base.a[k]
         sigma_new = base.sigma[k + 1]
+        # Right-hand sides are updated in place on fresh arrays, such as the
+        # results of h_prime and f_second.
 
         # psi/eta block: derivative of the stabilized phase-field step.
-        rhs_psi = (
-            psi / tau + spec.prolif.h_prime(phi_k) * psi - spec.chi_phi * g.laplacian(gr, nu)
-        )
-        rhs_eta = s_stab * psi - spec.pot.f_second(phi_k) * psi
+        rhs_psi = spec.prolif.h_prime(phi_k)
+        rhs_psi += inv_tau
+        rhs_psi *= psi
+        rhs_psi -= spec.chi_phi * g.laplacian(gr, nu)
+        rhs_eta = spec.pot.f_second(phi_k)
+        np.subtract(s_stab, rhs_eta, out=rhs_eta)
+        rhs_eta *= psi
         psi_new, eta_new = g.ch_block_solve(gr, rhs_psi, rhs_eta, tau_eff, s_stab)
 
         # nu: new psi enters, the rest explicit.
-        nu_new = g.helmholtz_solve(
-            gr,
-            nu / tau + (spec.chi_phi + spec.c_phi) * psi_new + spec.c_n * nu + spec.c_sigma * omega,
-            1.0 / tau,
-            1.0,
-        )
+        rhs_nu = nu * (inv_tau + spec.c_n)
+        rhs_nu += (spec.chi_phi + spec.c_phi) * psi_new
+        rhs_nu += spec.c_sigma * omega
+        nu_new = g.helmholtz_solve(gr, rhs_nu, inv_tau, 1.0)
 
         # omega: same implicit operator as the forward sigma update, its CG
         # started from the linear extrapolation of the stored levels.
+        rhs_omega = omega * inv_tau
+        rhs_omega += (spec.chi_a - sigma_new) * alpha
         omega_new = g.helmholtz_solve(
-            gr,
-            omega / tau + spec.chi_a * alpha - sigma_new * alpha,
-            1.0 / tau + 1.0 + a_k,
-            1.0,
+            gr, rhs_omega, (inv_tau + 1.0) + a_k, 1.0,
             omega if k == 0 else 2.0 * omega - out.omega[k - 1],
         )
 
-        # alpha: linearized chemotaxis flux against the base, new omega.
-        dflux = g.chemotaxis_flux_linearized(gr, a_k, sigma_new, alpha, omega_new, scheme)
-        alpha_new = g.helmholtz_solve(
-            gr,
-            alpha / tau
-            - spec.chi_a * g.divergence(gr, dflux)
-            + (1.0 - 2.0 * a_k) * alpha
-            + h[k],
-            1.0 / tau,
-            1.0,
-        )
+        # alpha: linearized chemotaxis flux against the base, new omega, with
+        # the upwind donor cells of the base sigma; alpha/tau + (1 - 2 a*)
+        # alpha is formed as ((1/tau + 1) - 2 a*) alpha.
+        rhs_alpha = g.divergence(gr, alpha, sigma_new, scheme)
+        rhs_alpha += g.divergence(gr, a_k, omega_new, scheme, upwind_by=sigma_new)
+        rhs_alpha *= -spec.chi_a
+        rhs_alpha += ((inv_tau + 1.0) - 2.0 * a_k) * alpha
+        rhs_alpha += h[k]
+        alpha_new = g.helmholtz_solve(gr, rhs_alpha, inv_tau, 1.0)
 
         psi, eta, nu, omega, alpha = psi_new, eta_new, nu_new, omega_new, alpha_new
-        if not (
-            np.all(np.isfinite(psi))
-            and np.all(np.isfinite(alpha))
-            and np.all(np.isfinite(omega))
-        ):
+        if not (np.isfinite(psi).all() and np.isfinite(alpha).all() and np.isfinite(omega).all()):
             raise SolverError(f"non-finite linearized state after step {k}")
         out.psi[k + 1] = psi
         out.eta[k + 1] = eta

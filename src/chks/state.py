@@ -105,12 +105,12 @@ class Control:
     u_max: float | np.ndarray = 1.0
 
     def validate(self) -> None:
-        if np.ndim(self.u_max) > 0 and np.asarray(self.u_max).min() < 0:
-            raise AdmissibilityError("(2.15): u_max must be nonnegative")
-        if np.isscalar(self.u_max) and self.u_max < 0:
-            raise AdmissibilityError("(2.15): u_max must be nonnegative")
-        if float(self.values.min()) < 0.0 or np.any(self.values > self.u_max):
-            raise AdmissibilityError("(2.14): control must satisfy 0 <= u <= u_max")
+        # Written so that a NaN fails each test; u_max may be infinite.
+        if not np.min(self.u_max) >= 0:
+            raise AdmissibilityError("(2.15): u_max must be nonnegative, not NaN")
+        if not (self.values.min() >= 0.0 and self.values.max() < np.inf
+                and np.all(self.values <= self.u_max)):
+            raise AdmissibilityError("(2.14): control must be finite with 0 <= u <= u_max")
 
 
 @dataclass
@@ -192,36 +192,38 @@ def step(
         raise SolverError("step requires tau > 0")
     phi, a, n, sigma = state.phi, state.a, state.n, state.sigma
 
+    inv_tau = 1.0 / tau
+    # Right-hand sides are updated in place on fresh arrays, such as the
+    # results of h_value, f_prime, divergence and laplacian.
+
     # 1. phi/mu block. m is implicit via the effective step.
-    tau_eff = 1.0 / (1.0 / tau + spec.m)
-    rhs_phi = phi / tau + spec.prolif.h_value(phi) - spec.chi_phi * g.laplacian(gr, n)
-    rhs_mu = s_stab * phi - spec.pot.f_prime(phi)
+    tau_eff = 1.0 / (inv_tau + spec.m)
+    rhs_phi = spec.prolif.h_value(phi)
+    rhs_phi += phi * inv_tau
+    rhs_phi -= spec.chi_phi * g.laplacian(gr, n)
+    rhs_mu = spec.pot.f_prime(phi)
+    np.subtract(s_stab * phi, rhs_mu, out=rhs_mu)
     phi_new, mu_new = g.ch_block_solve(gr, rhs_phi, rhs_mu, tau_eff, s_stab)
 
     # 2. n: implicit diffusion, explicit reactions, new phi.
-    rhs_n = (
-        n / tau
-        + (spec.chi_phi + spec.c_phi) * phi_new
-        + spec.c_n * n
-        + spec.c_sigma * sigma
-        + spec.c_0
-    )
-    n_new = g.helmholtz_solve(gr, rhs_n, 1.0 / tau, 1.0)
+    rhs_n = n * (inv_tau + spec.c_n)
+    rhs_n += (spec.chi_phi + spec.c_phi) * phi_new
+    rhs_n += spec.c_sigma * sigma + spec.c_0
+    n_new = g.helmholtz_solve(gr, rhs_n, inv_tau, 1.0)
 
     # 3. sigma: monotone implicit reaction with frozen a >= 0.
     a_frozen = np.maximum(a, 0.0)
-    sigma_new = g.helmholtz_solve(
-        gr,
-        sigma / tau + 1.0 + spec.chi_a * a_frozen,
-        1.0 / tau + 1.0 + a_frozen,
-        1.0,
-        sigma_guess,
-    )
+    rhs_sigma = sigma * inv_tau
+    rhs_sigma += spec.chi_a * a_frozen + 1.0
+    sigma_new = g.helmholtz_solve(gr, rhs_sigma, (inv_tau + 1.0) + a_frozen, 1.0, sigma_guess)
 
-    # 4. a: implicit diffusion, explicit chemotaxis against new sigma.
-    flux = g.chemotaxis_flux(gr, a, sigma_new, flux_scheme)
-    rhs_a = a / tau - spec.chi_a * g.divergence(gr, flux) + a - a * a + u_k
-    a_new = g.helmholtz_solve(gr, rhs_a, 1.0 / tau, 1.0)
+    # 4. a: implicit diffusion, explicit chemotaxis against new sigma;
+    # a/tau + a - a^2 is formed as a*((1/tau + 1) - a).
+    rhs_a = g.divergence(gr, a, sigma_new, flux_scheme)
+    rhs_a *= -spec.chi_a
+    rhs_a += a * ((inv_tau + 1.0) - a)
+    rhs_a += u_k
+    a_new = g.helmholtz_solve(gr, rhs_a, inv_tau, 1.0)
 
     for name, f in (("phi", phi_new), ("mu", mu_new), ("n", n_new), ("sigma", sigma_new), ("a", a_new)):
         if not np.all(np.isfinite(f)):

@@ -139,6 +139,21 @@ def test_weight_validation(problem):
                     phi_omega=cs.phi_omega, u_max=-0.5).validate()
 
 
+@pytest.mark.parametrize("weights, u_max, condition", [
+    ((np.nan, 0.0, 1.0), 1.0, "6.3"),
+    ((1.0, np.inf, 1.0), 1.0, "6.3"),
+    ((1.0, 0.0, np.nan), 1.0, "6.3"),
+    ((1.0, 0.0, np.inf), 1.0, "6.3"),
+    ((1.0, 0.0, 1.0), np.nan, "6.4"),
+])
+def test_weight_validation_rejects_nonfinite(problem, weights, u_max, condition):
+    cs = problem[5]
+    b1, b2, b3 = weights
+    with pytest.raises(AdmissibilityError, match=rf"\({condition}\)"):
+        ControlSpec(b1=b1, b2=b2, b3=b3, phi_q=cs.phi_q, phi_omega=cs.phi_omega,
+                    u_max=u_max).validate()
+
+
 def test_mismatched_shapes_rejected(problem):
     grid, spec, init, u, traj, cs, T, nt = problem
     bad = ControlSpec(b1=1.0, b2=1.0, b3=1.0, phi_q=cs.phi_q[:-1],

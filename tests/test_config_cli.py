@@ -186,6 +186,22 @@ def test_field_snapshot_layout(tmp_path):
     assert vals == (1.0, 2.0, 3.0, 4.0)  # (x0,y0), (x1,y0), (x0,y1), (x1,y1)
 
 
+def test_field_snapshot_overwrite_matches_fresh_write(tmp_path):
+    # Snapshots are rewritten in place: over a longer junk file and over an
+    # older snapshot of the same size the bytes equal those of a new file.
+    grid = Grid(5, 3, 2.0, 1.0)
+    data = np.random.default_rng(2).standard_normal(grid.shape)
+    fresh = tmp_path / "fresh.fld"
+    write_field(fresh, grid, data)
+    junk = tmp_path / "junk.fld"
+    junk.write_bytes(b"\xff" * 3 * fresh.stat().st_size)
+    older = tmp_path / "older.fld"
+    write_field(older, grid, -data)
+    for path in (junk, older):
+        write_field(path, grid, data)
+        assert path.read_bytes() == fresh.read_bytes()
+
+
 def test_cli_simulate_and_determinism(tmp_path):
     out1 = tmp_path / "run1"
     out2 = tmp_path / "run2"

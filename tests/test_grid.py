@@ -8,14 +8,11 @@ from hypothesis import strategies as st
 
 from chks import grid as grid_mod
 from chks.grid import (
-    FaceFlux,
     Grid,
     SolverError,
     ch_block_solve,
-    chemotaxis_flux,
     divergence,
-    face_product_to_cells,
-    gradient_faces,
+    grad_dot,
     helmholtz_solve,
     inner,
     lap_eigenvalues,
@@ -82,77 +79,86 @@ def test_laplacian_self_adjoint():
     assert abs(lhs - rhs) <= 1e-12 * max(abs(lhs), abs(rhs))
 
 
-def test_gradient_faces_constant_and_linear():
+def test_grad_dot_constant_and_linear():
     grid = Grid(5, 4, 5.0, 4.0)  # hx = hy = 1
     const = np.full(grid.shape, 1.23)
-    g = gradient_faces(grid, const)
-    assert np.all(g.fx == 0.0) and np.all(g.fy == 0.0)
+    w = random_field(grid)
+    assert np.all(grad_dot(grid, const, w) == 0.0)
+    assert np.all(grad_dot(grid, w, const) == 0.0)
 
+    # Unit x faces inside; a boundary cell keeps half of its one interior face.
     x, _ = grid.cell_centers()
-    g = gradient_faces(grid, x)
-    assert np.all(g.fx[1:-1, :] == 1.0)
-    assert np.all(g.fx[0, :] == 0.0) and np.all(g.fx[-1, :] == 0.0)
-    assert np.all(g.fy == 0.0)
+    g = grad_dot(grid, x, x)
+    assert np.all(g[1:-1, :] == 1.0)
+    assert np.all(g[0, :] == 0.5) and np.all(g[-1, :] == 0.5)
 
 
 def test_divergence_of_gradient_matches_laplacian():
     grid = Grid(9, 7, 1.1, 0.9)
+    ones = np.ones(grid.shape)
     for f in (random_field(grid), np.cos(np.pi * grid.cell_centers()[0] / grid.lx)):
-        composed = divergence(grid, gradient_faces(grid, f))
-        np.testing.assert_allclose(composed, laplacian(grid, f), rtol=1e-13, atol=1e-13)
+        for scheme in ("centered", "upwind"):
+            composed = divergence(grid, ones, f, scheme)
+            np.testing.assert_allclose(composed, laplacian(grid, f), rtol=1e-13, atol=1e-13)
 
 
-def test_divergence_conservation_and_boundary_guard():
+def test_divergence_conservation():
     grid = Grid(6, 5)
-    fx = np.zeros((grid.nx + 1, grid.ny))
-    fy = np.zeros((grid.nx, grid.ny + 1))
-    fx[1:-1, :] = RNG.standard_normal((grid.nx - 1, grid.ny))
-    fy[:, 1:-1] = RNG.standard_normal((grid.nx, grid.ny - 1))
-    div = divergence(grid, FaceFlux(fx, fy))
-    assert abs(mean(grid, div)) <= 1e-13 * np.abs(div).max()
-
-    assert np.all(divergence(grid, FaceFlux(np.zeros_like(fx), np.zeros_like(fy))) == 0.0)
-
-    fx_bad = fx.copy()
-    fx_bad[0, 2] = 1.0
-    with pytest.raises(SolverError):
-        divergence(grid, FaceFlux(fx_bad, fy))
+    c = np.abs(random_field(grid))
+    f = random_field(grid)
+    for scheme in ("centered", "upwind"):
+        div = divergence(grid, c, f, scheme)
+        assert abs(mean(grid, div)) <= 1e-13 * np.abs(div).max()
+        assert np.all(divergence(grid, np.zeros(grid.shape), f, scheme) == 0.0)
 
 
 def test_chemotaxis_flux_constant_a_reduces_to_scaled_laplacian():
     grid = Grid(8, 8)
     sigma = random_field(grid)
     c = 2.5
-    flux = chemotaxis_flux(grid, np.full(grid.shape, c), sigma, "centered")
     np.testing.assert_allclose(
-        divergence(grid, flux), c * laplacian(grid, sigma), rtol=1e-12, atol=1e-12
+        divergence(grid, np.full(grid.shape, c), sigma, "centered"),
+        c * laplacian(grid, sigma), rtol=1e-12, atol=1e-12,
     )
 
 
 def test_chemotaxis_flux_constant_sigma_is_zero():
     grid = Grid(8, 8)
     a = np.abs(random_field(grid))
+    const = np.full(grid.shape, 0.4)
     for scheme in ("centered", "upwind"):
-        flux = chemotaxis_flux(grid, a, np.full(grid.shape, 0.4), scheme)
-        assert np.all(flux.fx == 0.0) and np.all(flux.fy == 0.0)
+        assert np.all(divergence(grid, a, const, scheme) == 0.0)
+        assert np.all(divergence(grid, a, const, scheme, upwind_by=random_field(grid)) == 0.0)
+
+
+def _upwind_divergence_loop(grid, a, f, by):
+    """Scalar reimplementation: donor cells chosen by the face gradient of by."""
+    fx = np.zeros((grid.nx + 1, grid.ny))
+    fy = np.zeros((grid.nx, grid.ny + 1))
+    for i in range(1, grid.nx):
+        for j in range(grid.ny):
+            donor = a[i - 1, j] if by[i, j] - by[i - 1, j] > 0 else a[i, j]
+            fx[i, j] = donor * (f[i, j] - f[i - 1, j]) / grid.hx
+    for i in range(grid.nx):
+        for j in range(1, grid.ny):
+            donor = a[i, j - 1] if by[i, j] - by[i, j - 1] > 0 else a[i, j]
+            fy[i, j] = donor * (f[i, j] - f[i, j - 1]) / grid.hy
+    div = (fx[1:] - fx[:-1]) / grid.hx + (fy[:, 1:] - fy[:, :-1]) / grid.hy
+    scale = max(np.abs(fx).max() / grid.hx, np.abs(fy).max() / grid.hy)
+    return div, scale
 
 
 def test_chemotaxis_flux_upwind_donor_cells():
-    # Per-face check against a scalar reimplementation of donor selection.
-    grid = Grid(6, 5, 1.0, 1.0)
+    # Per-cell check against a scalar reimplementation of donor selection,
+    # by the sign of f's own face gradient and by that of upwind_by.
+    grid = Grid(6, 5, 1.0, 0.7)
     a = np.abs(random_field(grid))
     sigma = random_field(grid)
-    flux = chemotaxis_flux(grid, a, sigma, "upwind")
-    for i in range(1, grid.nx):
-        for j in range(grid.ny):
-            gx = (sigma[i, j] - sigma[i - 1, j]) / grid.hx
-            donor = a[i - 1, j] if gx > 0 else a[i, j]
-            assert flux.fx[i, j] == pytest.approx(donor * gx, rel=1e-14, abs=1e-14)
-    for i in range(grid.nx):
-        for j in range(1, grid.ny):
-            gy = (sigma[i, j] - sigma[i, j - 1]) / grid.hy
-            donor = a[i, j - 1] if gy > 0 else a[i, j]
-            assert flux.fy[i, j] == pytest.approx(donor * gy, rel=1e-14, abs=1e-14)
+    omega = random_field(grid)
+    for f, by in ((sigma, None), (omega, sigma)):
+        ref, scale = _upwind_divergence_loop(grid, a, f, sigma)
+        got = divergence(grid, a, f, "upwind", upwind_by=by)
+        assert np.abs(got - ref).max() <= 1e-14 * scale
 
 
 def test_mean_and_inner_basics():
@@ -213,31 +219,31 @@ def test_helmholtz_variable_coefficient_cg():
 
 
 def test_helmholtz_variable_coefficient_cg_calls_no_stencil(monkeypatch):
-    # q = M p is kept by recurrence, so the loop needs no Laplacian.
-    def no_stencil(*args, **kwargs):
-        raise AssertionError("laplacian called")
+    # q = M p is kept by recurrence, so the loop needs no Laplacian; a guess
+    # costs exactly one, unchecked, for its initial residual.
+    calls = {"laplacian": 0, "_laplacian": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
 
     grid = Grid(12, 10)
     rng = np.random.default_rng(3)
     b = rng.standard_normal(grid.shape)
     alpha = 1.0 + rng.random(grid.shape)
-    monkeypatch.setattr(grid_mod, "laplacian", no_stencil)
-    x = helmholtz_solve(grid, b, alpha, 0.5)
-    res = alpha * x - 0.5 * laplacian(grid, x) - b
-    assert norm_l2(grid, res) <= 1e-11 * norm_l2(grid, b)
-
-    # A guess costs exactly one stencil, for its initial residual.
-    calls = []
-
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return laplacian(*args, **kwargs)
-
-    monkeypatch.setattr(grid_mod, "laplacian", counted)
-    y = helmholtz_solve(grid, b, alpha, 0.5, x + 1e-3 * rng.standard_normal(grid.shape))
-    assert len(calls) == 1
-    res = alpha * y - 0.5 * laplacian(grid, y) - b
-    assert norm_l2(grid, res) <= 1e-11 * norm_l2(grid, b)
+    noise = 1e-3 * rng.standard_normal(grid.shape)
+    with monkeypatch.context() as m:
+        m.setattr(grid_mod, "laplacian", counted("laplacian", laplacian))
+        m.setattr(grid_mod, "_laplacian", counted("_laplacian", grid_mod._laplacian))
+        x = helmholtz_solve(grid, b, alpha, 0.5)
+        assert calls == {"laplacian": 0, "_laplacian": 0}
+        y = helmholtz_solve(grid, b, alpha, 0.5, x + noise)
+        assert calls == {"laplacian": 0, "_laplacian": 1}
+    for z in (x, y):
+        res = alpha * z - 0.5 * laplacian(grid, z) - b
+        assert norm_l2(grid, res) <= 1e-11 * norm_l2(grid, b)
 
 
 def test_helmholtz_exact_guess_applies_no_preconditioner(monkeypatch):
@@ -318,24 +324,22 @@ def test_helmholtz_cg_guess_meets_cold_residual_bound(nx, ny, lo, spread, beta, 
 
 def test_chemotaxis_flux_rejects_nonfinite_sigma():
     grid = Grid(6, 5)
-    sigma = np.zeros(grid.shape)
-    sigma[2, 2] = np.nan
-    with pytest.raises(SolverError, match="sigma"):
-        chemotaxis_flux(grid, np.ones(grid.shape), sigma)
-
-
-def test_divergence_boundary_guard_signed_zero_and_nan():
-    grid = Grid(6, 5)
-    fx = np.zeros((grid.nx + 1, grid.ny))
-    fy = np.zeros((grid.nx, grid.ny + 1))
-    fx[0, 1] = -0.0
-    fy[3, -1] = -0.0
-    assert np.all(divergence(grid, FaceFlux(fx, fy)) == 0.0)
-    for face in (fx[0], fx[-1], fy[:, 0], fy[:, -1]):
-        face[1] = np.nan
-        with pytest.raises(SolverError):
-            divergence(grid, FaceFlux(fx, fy))
-        face[1] = 0.0
+    ok = np.ones(grid.shape)
+    bad = np.zeros(grid.shape)
+    for value in (np.nan, np.inf, -np.inf):
+        bad[2, 2] = value
+        with pytest.raises(SolverError, match="^f contains"):
+            divergence(grid, ok, bad)
+        with pytest.raises(SolverError, match="^c contains"):
+            divergence(grid, bad, ok, "upwind")
+        with pytest.raises(SolverError, match="upwind_by"):
+            divergence(grid, ok, ok, "upwind", upwind_by=bad)
+        with pytest.raises(SolverError, match="^p contains"):
+            grad_dot(grid, bad, ok)
+        with pytest.raises(SolverError, match="^w contains"):
+            grad_dot(grid, ok, bad)
+    with pytest.raises(ValueError, match="scheme"):
+        divergence(grid, ok, ok, "downwind")
 
 
 def test_ch_block_zero_mode_by_hand():
@@ -384,21 +388,43 @@ def test_ch_block_residual_random():
     assert norm_l2(grid, r2) <= 1e-11 * scale
 
 
-def test_face_product_to_cells_is_averaging_adjoint():
-    # <div(M(alpha) * G), w> = -<alpha, avg_to_cells(G * grad w)> for
-    # interior-supported face fields G: the discrete integration by parts
-    # behind the adjoint advective source.
+def test_divergence_grad_dot_summation_by_parts():
+    # <div(c_face grad p), w> = -<c, grad_dot(p, w)>: the discrete integration
+    # by parts behind the adjoint advective source.
     grid = Grid(7, 6)
-    alpha = random_field(grid)
-    w = random_field(grid)
-    G = gradient_faces(grid, random_field(grid))
-    from chks.grid import face_average
-
-    af = face_average(grid, alpha)
-    flux = FaceFlux(af.fx * G.fx, af.fy * G.fy)
-    lhs = inner(grid, divergence(grid, flux), w)
-    rhs = -inner(grid, alpha, face_product_to_cells(grid, G, gradient_faces(grid, w)))
+    c, p, w = random_field(grid), random_field(grid), random_field(grid)
+    lhs = inner(grid, divergence(grid, c, p), w)
+    rhs = -inner(grid, c, grad_dot(grid, p, w))
     assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-13)
+
+
+fields_2d = dict(
+    nx=st.integers(1, 32), ny=st.integers(1, 32),
+    lx=st.floats(0.1, 10.0), ly=st.floats(0.1, 10.0), seed=st.integers(0, 2**32 - 1),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(**fields_2d)
+def test_divergence_grad_dot_summation_by_parts_property(nx, ny, lx, ly, seed):
+    grid = Grid(nx, ny, lx, ly)
+    rng = np.random.default_rng(seed)
+    c, p, w = (rng.standard_normal(grid.shape) for _ in range(3))
+    div = divergence(grid, c, p)
+    lhs = inner(grid, div, w)
+    rhs = -inner(grid, c, grad_dot(grid, p, w))
+    # Relative to the Cauchy-Schwarz bound of lhs, which no cancellation shrinks.
+    assert abs(lhs - rhs) <= 1e-12 * norm_l2(grid, div) * norm_l2(grid, w)
+
+
+@settings(max_examples=60, deadline=None)
+@given(scheme=st.sampled_from(["centered", "upwind"]), **fields_2d)
+def test_divergence_cell_sum_vanishes_property(scheme, nx, ny, lx, ly, seed):
+    grid = Grid(nx, ny, lx, ly)
+    rng = np.random.default_rng(seed)
+    c, f = np.abs(rng.standard_normal(grid.shape)), rng.standard_normal(grid.shape)
+    div = divergence(grid, c, f, scheme)
+    assert abs(div.sum()) <= 1e-13 * np.abs(div).max()
 
 
 def test_eigenvalues_match_operator():

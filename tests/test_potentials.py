@@ -167,3 +167,20 @@ def test_invalid_specs_rejected():
         PotentialSpec("cubic")
     with pytest.raises(ValueError):
         ProliferationSpec("linear")
+
+
+@pytest.mark.parametrize("pot, prolif", [
+    (PotentialSpec("regular", c1=1.0), ProliferationSpec("zero")),
+    (PotentialSpec("logarithmic", c2=2.0), ProliferationSpec("constant", h0=0.3)),
+    (PotentialSpec("regular", c1=2.0), ProliferationSpec("logistic", h0=0.5, k=2.0)),
+])
+def test_step_functions_return_fresh_arrays(pot, prolif):
+    # The sweeps build right-hand sides in place on these results.
+    r = np.linspace(0.1, 0.9, 12).reshape(3, 4)
+    before = r.copy()
+    for fn in (pot.f_prime, pot.f_second, prolif.h_value, prolif.h_prime):
+        out = fn(r)
+        assert out.shape == r.shape and out.flags.writeable
+        assert not np.shares_memory(out, r)
+        out += 1.0
+    np.testing.assert_array_equal(r, before)

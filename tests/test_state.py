@@ -319,6 +319,21 @@ def test_admissibility_rejections():
         solve_forward(grid, spec, good, bad_u, 0.1, 4)
 
 
+@pytest.mark.parametrize("values, u_max, condition", [
+    (np.nan, 1.0, "2.14"),
+    (np.inf, np.inf, "2.14"),
+    (-np.inf, 1.0, "2.14"),
+    (0.5, np.nan, "2.15"),
+])
+def test_control_rejects_nonfinite_data(values, u_max, condition):
+    u = np.full((3, 4, 4), 0.5)
+    u[1, 2, 0] = values
+    with pytest.raises(AdmissibilityError, match=rf"\({condition}\)"):
+        Control(u, u_max).validate()
+    with pytest.raises(AdmissibilityError, match=rf"\({condition}\)"):
+        Control(u, np.full((4, 4), u_max)).validate()
+
+
 def test_model_spec_rejections():
     with pytest.raises(AdmissibilityError, match=r"\(2\.3\)"):
         base_model(m=0.0).validate()
