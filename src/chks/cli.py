@@ -4,8 +4,9 @@
     chks optimize <cfg> [--out DIR] [--seed N]
     chks verify   <cfg> --suite NAME [--out DIR] [--seed N]
 
-Exit status is 0 iff every monitor or suite passes. All file formats are
-described in the README; outputs land in --out (default ./out).
+Exit status is 0 iff every monitor or suite passes, 2 for a rejected command
+line or config and 3 for a solver failure. All file formats are described in
+the README; outputs land in --out (default ./out).
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from .control_opt import optimize
 from .fields_io import write_csv, write_field, write_series, write_trajectory
 from .grid import SolverError
 from .state import energy_series, solve_forward
-from .verify import REPORT_COLUMNS, run_suites
+from .verify import REPORT_COLUMNS, SUITES, run_suites
 
 
 def _series_rows(traj, report, energies) -> list[dict]:
@@ -116,20 +117,27 @@ def cmd_verify(cfg: RunConfig, out: Path, suite: str) -> int:
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(prog="chks", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
+    commands = {}
     for name in ("simulate", "optimize", "verify"):
-        p = sub.add_parser(name)
+        p = commands[name] = sub.add_parser(name)
         p.add_argument("config", type=Path)
         p.add_argument("--out", type=Path, default=Path("out"))
         p.add_argument("--seed", type=int, default=None)
         if name == "simulate":
             p.add_argument("--strict", action="store_true")
         if name == "verify":
-            p.add_argument("--suite", default="all")
+            p.add_argument("--suite", default="all", choices=["all", *SUITES])
     args = parser.parse_args(argv)
+    # Checked before the run, which could take long and would fail at its end:
+    # the nearest existing path of --out and its parents must be a directory.
+    existing = next(p for p in (args.out, *args.out.parents) if p.exists())
+    if not existing.is_dir():
+        commands[args.command].error(
+            f"--out {str(args.out)!r}: {str(existing)!r} exists and is not a directory")
 
     try:
         cfg = load_config(args.config, seed_override=args.seed)
-    except (ConfigError, FileNotFoundError) as exc:
+    except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
 

@@ -227,9 +227,16 @@ def generate_field(
 
 
 def load_config(path: str | Path, seed_override: int | None = None) -> RunConfig:
-    """Parse and fully validate a run configuration file."""
+    """Parse and fully validate a run configuration file.
+
+    A file that cannot be read, or is not text, raises ConfigError naming it.
+    """
     path = Path(path)
-    sections, top = _parse_lines(path.read_text())
+    try:
+        text = path.read_text()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read {str(path)!r}: {exc}") from exc
+    sections, top = _parse_lines(text)
     base_dir = path.parent
 
     seed = _Section(None, top).integer("seed", "1")

@@ -69,17 +69,32 @@ per-call work is kept to the arithmetic:
   are zeroed, which makes them the boundary faces.
 - ch_block_solve with rhs_mu=None treats the second right-hand side as
   zero and skips its transform; the adjoint's transposed block uses this.
-- Finiteness is checked where data enters: at each public operator's entry
-  and by the sweeps at the end of every step, and each field once per call.
-  The CG's warm start forms its first residual with the unchecked stencil,
-  since helmholtz_solve has scanned the guess, and a field alpha is checked
-  by its min and max, which carry any NaN or infinity. Inside the CG loop
+- Finiteness is checked where data enters. Each public kernel scans its
+  array arguments for NaN and infinity unless called with
+  check_finite=False (scipy.linalg's meaning: only those scans are
+  skipped). The forward, tangent and adjoint sweeps pass False to every
+  kernel call in their time loops and instead check all five outputs of
+  each step once, before they are stored or used by the next step; a
+  non-finite value made inside a step reaches an output through the
+  transforms, so it is caught at that step's end. One scan,
+  np.isfinite(f).all(), takes about 3 us at 16^2 and 23 us at 256^2.
+  Each sweep's entry keeps the checked calls on caller data. The CG's
+  warm start forms its first residual with the unchecked stencil, since
+  helmholtz_solve has scanned the guess or was told not to, and a field
+  alpha is checked by its min and max, which carry any NaN or infinity
+  (min alone when unchecked: min > 0 is the positive-definiteness
+  precondition). An unchecked right-hand side is caught by its norm,
+  which must be finite for the stopping test to mean anything. Inside
+  the CG loop
   nothing is scanned; a non-finite value there surfaces as a p.Ap that is
-  not a positive finite number, which raises SolverError.
+  not a positive finite number, which raises SolverError. Checks on
+  scalars use math.isfinite and math.sqrt: 0.07 us per call against
+  1.0 us for np.isfinite on a Python float (two x86-64 cores).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -170,7 +185,7 @@ def _to_cells(bx: np.ndarray, by: np.ndarray, ny: int, combine) -> np.ndarray:
     return out
 
 
-def laplacian(grid: Grid, f: np.ndarray) -> np.ndarray:
+def laplacian(grid: Grid, f: np.ndarray, check_finite: bool = True) -> np.ndarray:
     """5-point Laplacian with mirror ghost cells (zero normal derivative).
 
     Built from differences across interior faces: each one leaves the cell
@@ -178,8 +193,11 @@ def laplacian(grid: Grid, f: np.ndarray) -> np.ndarray:
     faces carry nothing, which is the mirror condition. Grids whose sides
     are both at most DENSE_DCT_MAX apply the same differences as two
     products with cached 1-D matrices, D_x f + f D_y (D symmetric).
+    check_finite=False skips the scan of f for NaN and infinity, as in
+    scipy.linalg; a caller that passes it checks what the result feeds.
     """
-    _check_finite(f)
+    if check_finite:
+        _check_finite(f)
     return _laplacian(grid, f)
 
 
@@ -207,6 +225,7 @@ def divergence(
     f: np.ndarray,
     scheme: str = "centered",
     upwind_by: np.ndarray | None = None,
+    check_finite: bool = True,
 ) -> np.ndarray:
     """Conservative divergence div(c_face grad f) with no flux through the boundary.
 
@@ -218,15 +237,22 @@ def divergence(
     state's sigma as upwind_by keeps its donor cells, which is the
     derivative of the upwind flux away from faces where its gradient
     vanishes.
+
+    check_finite=False skips the scans of c, f and upwind_by for NaN and
+    infinity, as in scipy.linalg; a caller that passes it checks what the
+    result feeds. A NaN in c or upwind_by need not reach the upwind
+    result, whose donor choice can pass over it, so skip those scans only
+    for fields already checked.
     """
     if scheme not in ("centered", "upwind"):
         raise ValueError(f"unknown chemotaxis flux scheme: {scheme!r}")
-    _check_finite(c, "c")
-    _check_finite(f, "f")
-    if scheme == "upwind" and upwind_by is not None:
-        _check_finite(upwind_by, "upwind_by")
-    else:
+    if scheme != "upwind" or upwind_by is None:
         upwind_by = f
+    if check_finite:
+        _check_finite(c, "c")
+        _check_finite(f, "f")
+        if upwind_by is not f:
+            _check_finite(upwind_by, "upwind_by")
     nx, ny = f.shape
     bx, by = np.empty((nx + 1, ny)), np.empty(nx * ny + 1)
     for (f_lo, f_hi), (c_lo, c_hi), (s_lo, s_hi), face, h in zip(
@@ -244,16 +270,21 @@ def divergence(
     return _to_cells(bx, by, ny, np.subtract)
 
 
-def grad_dot(grid: Grid, p: np.ndarray, w: np.ndarray) -> np.ndarray:
+def grad_dot(
+    grid: Grid, p: np.ndarray, w: np.ndarray, check_finite: bool = True
+) -> np.ndarray:
     """Cell average of the face products grad(p).grad(w).
 
     Each cell receives half of the product on each of its four faces, and
     boundary faces carry none. With the centered divergence this is the
     summation by parts <divergence(c, p), w> = -<c, grad_dot(p, w)>, which
     brings the adjoint's grad(sigma).grad(p3) back to cell centers.
+    check_finite=False skips the scans of p and w for NaN and infinity, as
+    in scipy.linalg; a caller that passes it checks what the result feeds.
     """
-    _check_finite(p, "p")
-    _check_finite(w, "w")
+    if check_finite:
+        _check_finite(p, "p")
+        _check_finite(w, "w")
     nx, ny = p.shape
     bx, by = np.empty((nx + 1, ny)), np.empty(nx * ny + 1)
     for (p_lo, p_hi), (w_lo, w_hi), face, h in zip(
@@ -361,6 +392,7 @@ def helmholtz_solve(
     alpha: float | np.ndarray,
     beta: float,
     x0: np.ndarray | None = None,
+    check_finite: bool = True,
 ) -> np.ndarray:
     """Solve (alpha*I - beta*Lap) x = b with homogeneous Neumann conditions.
 
@@ -371,28 +403,36 @@ def helmholtz_solve(
     work, not the stopping test. Alpha must be finite and positive, beta
     finite and nonnegative, and x0 a finite field of the grid's shape; the
     direct solve takes no guess.
+
+    check_finite=False skips the scans of b and x0 for NaN and infinity,
+    and of a field alpha for infinity, as in scipy.linalg; a caller that
+    passes it checks the result. The scalar checks, the shapes and
+    min(alpha) > 0, which positive definiteness needs, are still checked.
     """
-    _check_finite(b, "rhs")
-    if not (np.isfinite(beta) and beta >= 0):
+    if check_finite:
+        _check_finite(b, "rhs")
+    if not (math.isfinite(beta) and beta >= 0):
         raise SolverError("helmholtz_solve requires a finite beta >= 0")
     if np.isscalar(alpha) or np.ndim(alpha) == 0:
         if x0 is not None:
             raise SolverError("helmholtz_solve takes a guess only for a field alpha")
         alpha = float(alpha)
-        if not (np.isfinite(alpha) and alpha > 0):
+        if not (math.isfinite(alpha) and alpha > 0):
             raise SolverError("helmholtz_solve requires a finite alpha > 0")
         inv = _helmholtz_inverse(grid.nx, grid.ny, grid.hx, grid.hy, alpha, float(beta))
         return _idct2(_dct2(b) * inv)
     alpha = np.asarray(alpha, dtype=float)
     if alpha.shape != grid.shape:
         raise SolverError("variable alpha must match the grid shape")
-    # min and max carry any NaN or infinity, so two reductions check both.
-    if not (float(alpha.min()) > 0 and float(alpha.max()) < np.inf):
+    # min and max carry any NaN or infinity, so two reductions check both;
+    # min alone still catches NaN.
+    if not (float(alpha.min()) > 0 and (not check_finite or float(alpha.max()) < math.inf)):
         raise SolverError("helmholtz_solve requires a finite alpha > 0 everywhere")
     if x0 is not None:
         if np.shape(x0) != grid.shape:
             raise SolverError("the guess x0 must match the grid shape")
-        _check_finite(x0, "guess x0")
+        if check_finite:
+            _check_finite(x0, "guess x0")
     return _helmholtz_cg(grid, b, alpha, beta, x0)
 
 
@@ -418,9 +458,12 @@ def _helmholtz_cg(
     alpha_bar = float(alpha.mean())
     inv = 1.0 / (alpha_bar - beta * lap_eigenvalues(grid))
     delta = alpha - alpha_bar
-    b_norm = np.sqrt(np.vdot(b, b))
+    b_norm = math.sqrt(np.vdot(b, b))
     if b_norm == 0.0:
         return np.zeros_like(b)
+    # An infinite tolerance would let any guess pass the stopping test.
+    if not b_norm < math.inf:
+        raise SolverError("helmholtz CG: the rhs norm is not finite")
     tol = CG_RELATIVE_TOL * b_norm
     scratch = np.empty_like(b)
     if x0 is None:
@@ -434,7 +477,7 @@ def _helmholtz_cg(
         r += b
         np.multiply(alpha, x, out=scratch)
         r -= scratch
-        if np.sqrt(np.vdot(r, r)) <= tol:
+        if math.sqrt(np.vdot(r, r)) <= tol:
             return x
     q = r.copy()
     p = _precondition(r, inv)
@@ -444,14 +487,14 @@ def _helmholtz_cg(
         np.multiply(delta, p, out=scratch)
         scratch += q  # A p
         pap = float(np.vdot(p, scratch))
-        if not 0.0 < pap < np.inf:
+        if not 0.0 < pap < math.inf:
             raise SolverError(f"helmholtz CG broke down: p.Ap = {pap!r}")
         gamma = rz / pap
         scratch *= gamma
         r -= scratch
         np.multiply(p, gamma, out=scratch)
         x += scratch
-        if np.sqrt(np.vdot(r, r)) <= tol:
+        if math.sqrt(np.vdot(r, r)) <= tol:
             return x
         z = _precondition(r, inv)
         rz_new = float(np.vdot(r, z))
@@ -496,6 +539,7 @@ def ch_block_solve(
     tau: float,
     s_stab: float,
     transpose: bool = False,
+    check_finite: bool = True,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Solve the coupled pair { phi/tau - Lap mu = rhs_phi ; -Lap phi + s_stab*phi - mu = rhs_mu }.
 
@@ -506,14 +550,17 @@ def ch_block_solve(
     determinant); the backward adjoint sweep runs the block this way. Its
     inverse is the transpose of the cached inverse, so both share one entry.
     rhs_mu=None stands for a zero second right-hand side and skips its
-    transform.
+    transform. check_finite=False skips the scans of rhs_phi and rhs_mu for
+    NaN and infinity, as in scipy.linalg; a caller that passes it checks
+    the result. tau and s_stab are checked either way.
     """
-    _check_finite(rhs_phi, "rhs_phi")
-    if rhs_mu is not None:
-        _check_finite(rhs_mu, "rhs_mu")
-    if not (np.isfinite(tau) and tau > 0):
+    if check_finite:
+        _check_finite(rhs_phi, "rhs_phi")
+        if rhs_mu is not None:
+            _check_finite(rhs_mu, "rhs_mu")
+    if not (math.isfinite(tau) and tau > 0):
         raise SolverError("ch_block_solve requires a finite tau > 0")
-    if not (np.isfinite(s_stab) and s_stab >= 0):
+    if not (math.isfinite(s_stab) and s_stab >= 0):
         raise SolverError("ch_block_solve requires a finite s_stab >= 0")
     i11, i12, i21, i22 = _ch_block_inverse(
         grid.nx, grid.ny, grid.hx, grid.hy, float(tau), float(s_stab)

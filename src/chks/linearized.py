@@ -58,23 +58,28 @@ def solve_linearized(base: Trajectory, spec: ModelSpec, h: np.ndarray) -> Trajec
         a_k = base.a[k]
         sigma_new = base.sigma[k + 1]
         # Right-hand sides are updated in place on fresh arrays, such as the
-        # results of h_prime and f_second.
+        # results of h_prime and f_second. The kernels skip their finiteness
+        # scans: the base levels were checked by the forward sweep, and a
+        # non-finite value from h reaches an output, all five of which are
+        # checked at the end of the step.
 
         # psi/eta block: derivative of the stabilized phase-field step.
         rhs_psi = spec.prolif.h_prime(phi_k)
         rhs_psi += inv_tau
         rhs_psi *= psi
-        rhs_psi -= spec.chi_phi * g.laplacian(gr, nu)
+        rhs_psi -= spec.chi_phi * g.laplacian(gr, nu, check_finite=False)
         rhs_eta = spec.pot.f_second(phi_k)
         np.subtract(s_stab, rhs_eta, out=rhs_eta)
         rhs_eta *= psi
-        psi_new, eta_new = g.ch_block_solve(gr, rhs_psi, rhs_eta, tau_eff, s_stab)
+        psi_new, eta_new = g.ch_block_solve(
+            gr, rhs_psi, rhs_eta, tau_eff, s_stab, check_finite=False
+        )
 
         # nu: new psi enters, the rest explicit.
         rhs_nu = nu * (inv_tau + spec.c_n)
         rhs_nu += (spec.chi_phi + spec.c_phi) * psi_new
         rhs_nu += spec.c_sigma * omega
-        nu_new = g.helmholtz_solve(gr, rhs_nu, inv_tau, 1.0)
+        nu_new = g.helmholtz_solve(gr, rhs_nu, inv_tau, 1.0, check_finite=False)
 
         # omega: same implicit operator as the forward sigma update, its CG
         # started from the linear extrapolation of the stored levels.
@@ -82,22 +87,25 @@ def solve_linearized(base: Trajectory, spec: ModelSpec, h: np.ndarray) -> Trajec
         rhs_omega += (spec.chi_a - sigma_new) * alpha
         omega_new = g.helmholtz_solve(
             gr, rhs_omega, (inv_tau + 1.0) + a_k, 1.0,
-            omega if k == 0 else 2.0 * omega - out.omega[k - 1],
+            omega if k == 0 else 2.0 * omega - out.omega[k - 1], check_finite=False,
         )
 
         # alpha: linearized chemotaxis flux against the base, new omega, with
         # the upwind donor cells of the base sigma; alpha/tau + (1 - 2 a*)
         # alpha is formed as ((1/tau + 1) - 2 a*) alpha.
-        rhs_alpha = g.divergence(gr, alpha, sigma_new, scheme)
-        rhs_alpha += g.divergence(gr, a_k, omega_new, scheme, upwind_by=sigma_new)
+        rhs_alpha = g.divergence(gr, alpha, sigma_new, scheme, check_finite=False)
+        rhs_alpha += g.divergence(
+            gr, a_k, omega_new, scheme, upwind_by=sigma_new, check_finite=False
+        )
         rhs_alpha *= -spec.chi_a
         rhs_alpha += ((inv_tau + 1.0) - 2.0 * a_k) * alpha
         rhs_alpha += h[k]
-        alpha_new = g.helmholtz_solve(gr, rhs_alpha, inv_tau, 1.0)
+        alpha_new = g.helmholtz_solve(gr, rhs_alpha, inv_tau, 1.0, check_finite=False)
 
         psi, eta, nu, omega, alpha = psi_new, eta_new, nu_new, omega_new, alpha_new
-        if not (np.isfinite(psi).all() and np.isfinite(alpha).all() and np.isfinite(omega).all()):
-            raise SolverError(f"non-finite linearized state after step {k}")
+        for f in (psi, eta, alpha, nu, omega):
+            if not np.isfinite(f).all():
+                raise SolverError(f"non-finite linearized state after step {k}")
         out.psi[k + 1] = psi
         out.eta[k + 1] = eta
         out.alpha_lin[k + 1] = alpha

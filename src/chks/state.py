@@ -187,6 +187,9 @@ def step(
 
     sigma_guess, when given, starts the sigma CG solve (see
     grid.helmholtz_solve); it changes the work, not what is solved.
+    The kernels skip their finiteness scans: a non-finite value in what
+    the step reads reaches an output or stops a solve, and the five
+    outputs are checked once at the end.
     """
     if tau <= 0:
         raise SolverError("step requires tau > 0")
@@ -200,33 +203,35 @@ def step(
     tau_eff = 1.0 / (inv_tau + spec.m)
     rhs_phi = spec.prolif.h_value(phi)
     rhs_phi += phi * inv_tau
-    rhs_phi -= spec.chi_phi * g.laplacian(gr, n)
+    rhs_phi -= spec.chi_phi * g.laplacian(gr, n, check_finite=False)
     rhs_mu = spec.pot.f_prime(phi)
     np.subtract(s_stab * phi, rhs_mu, out=rhs_mu)
-    phi_new, mu_new = g.ch_block_solve(gr, rhs_phi, rhs_mu, tau_eff, s_stab)
+    phi_new, mu_new = g.ch_block_solve(gr, rhs_phi, rhs_mu, tau_eff, s_stab, check_finite=False)
 
     # 2. n: implicit diffusion, explicit reactions, new phi.
     rhs_n = n * (inv_tau + spec.c_n)
     rhs_n += (spec.chi_phi + spec.c_phi) * phi_new
     rhs_n += spec.c_sigma * sigma + spec.c_0
-    n_new = g.helmholtz_solve(gr, rhs_n, inv_tau, 1.0)
+    n_new = g.helmholtz_solve(gr, rhs_n, inv_tau, 1.0, check_finite=False)
 
     # 3. sigma: monotone implicit reaction with frozen a >= 0.
     a_frozen = np.maximum(a, 0.0)
     rhs_sigma = sigma * inv_tau
     rhs_sigma += spec.chi_a * a_frozen + 1.0
-    sigma_new = g.helmholtz_solve(gr, rhs_sigma, (inv_tau + 1.0) + a_frozen, 1.0, sigma_guess)
+    sigma_new = g.helmholtz_solve(
+        gr, rhs_sigma, (inv_tau + 1.0) + a_frozen, 1.0, sigma_guess, check_finite=False
+    )
 
     # 4. a: implicit diffusion, explicit chemotaxis against new sigma;
     # a/tau + a - a^2 is formed as a*((1/tau + 1) - a).
-    rhs_a = g.divergence(gr, a, sigma_new, flux_scheme)
+    rhs_a = g.divergence(gr, a, sigma_new, flux_scheme, check_finite=False)
     rhs_a *= -spec.chi_a
     rhs_a += a * ((inv_tau + 1.0) - a)
     rhs_a += u_k
-    a_new = g.helmholtz_solve(gr, rhs_a, inv_tau, 1.0)
+    a_new = g.helmholtz_solve(gr, rhs_a, inv_tau, 1.0, check_finite=False)
 
     for name, f in (("phi", phi_new), ("mu", mu_new), ("n", n_new), ("sigma", sigma_new), ("a", a_new)):
-        if not np.all(np.isfinite(f)):
+        if not np.isfinite(f).all():
             raise SolverError(f"non-finite {name} after step")
     return State(phi_new, mu_new, a_new, n_new, sigma_new)
 

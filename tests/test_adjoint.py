@@ -12,7 +12,7 @@ from chks.adjoint import (
     solve_adjoint,
 )
 from chks.config import load_config
-from chks.grid import Grid, laplacian
+from chks.grid import Grid, SolverError, laplacian
 from chks.linearized import solve_linearized
 from chks.potentials import AdmissibilityError, PotentialSpec, ProliferationSpec
 from chks.state import Control, ModelSpec, solve_forward
@@ -184,3 +184,14 @@ def test_sweeps_transform_budget(monkeypatch):
     adj = solve_adjoint(traj, cfg.control_spec, cfg.model)
     solve_linearized(traj, cfg.model, adj.p3[1:])
     assert len(calls) <= 0.95 * TRANSFORMS_COLD
+
+
+def test_nan_in_running_target_names_the_step(problem):
+    # phi_q[k] enters the backward step k + 1; the terminal step, which
+    # reads phi_q[nt - 1], scans its data on entry.
+    grid, spec, init, u, traj, cs, T, nt = problem
+    phi_q = cs.phi_q.copy()
+    phi_q[5, 2, 3] = np.nan
+    bad = ControlSpec(cs.b1, cs.b2, cs.b3, phi_q, cs.phi_omega, cs.u_max)
+    with pytest.raises(SolverError, match="backward step 6$"):
+        solve_adjoint(traj, bad, spec)

@@ -324,7 +324,32 @@ def test_cli_verify_duality_suite(tmp_path):
     assert (out / "duality.csv").exists()
 
 
-def test_cli_unknown_suite_errors(tmp_path):
-    with pytest.raises(ValueError):
-        main(["verify", str(CONFIG_DIR / "verify.cfg"), "--suite", "bogus",
-              "--out", str(tmp_path / "x")])
+@pytest.mark.parametrize("case", ["config_is_directory", "config_not_text", "unknown_suite",
+                                  "out_is_a_file", "out_below_a_file"])
+def test_cli_rejects_bad_command_line(tmp_path, capsys, monkeypatch, case):
+    # Exit 2 with the path or value named, before any solve; argparse
+    # reports its own rejections by raising SystemExit.
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved before rejecting the command line")
+
+    monkeypatch.setattr("chks.cli.solve_forward", no_solve)
+    not_text = tmp_path / "not_text.cfg"
+    not_text.write_bytes(b"\xff\xfe" + MINIMAL.encode())
+    out_file = write_cfg(tmp_path, "kept", name="out.txt")
+    argv, named = {
+        "config_is_directory": (["simulate", str(tmp_path)], str(tmp_path)),
+        "config_not_text": (["simulate", str(not_text)], str(not_text)),
+        "unknown_suite": (["verify", str(CONFIG_DIR / "verify.cfg"), "--suite", "nosuch"],
+                          "nosuch"),
+        "out_is_a_file": (["simulate", str(write_cfg(tmp_path, MINIMAL)), "--out", str(out_file)],
+                          str(out_file)),
+        "out_below_a_file": (["simulate", str(write_cfg(tmp_path, MINIMAL)),
+                              "--out", str(out_file / "run")], str(out_file)),
+    }[case]
+    try:
+        status = main(argv)
+    except SystemExit as exc:
+        status = exc.code
+    assert status == 2
+    assert named in capsys.readouterr().err
+    assert out_file.read_text() == "kept"

@@ -485,6 +485,52 @@ def test_ch_block_without_second_rhs_is_zero_rhs_byte_for_byte(n):
             assert a.tobytes() == b.tobytes()
 
 
+def _kernel_calls(grid, rng):
+    """One call of each kernel path, as a function of check_finite."""
+    f, g = rng.standard_normal(grid.shape), rng.standard_normal(grid.shape)
+    c, alpha = 0.5 + rng.random(grid.shape), 2.0 + rng.random(grid.shape)
+    return {
+        "laplacian": lambda check: laplacian(grid, f, check_finite=check),
+        "divergence": lambda check: divergence(grid, c, f, check_finite=check),
+        "divergence_upwind": lambda check: divergence(
+            grid, c, f, "upwind", upwind_by=g, check_finite=check),
+        "grad_dot": lambda check: grad_dot(grid, f, g, check_finite=check),
+        "helmholtz_direct": lambda check: helmholtz_solve(grid, f, 2.0, 0.5, check_finite=check),
+        "helmholtz_cg": lambda check: helmholtz_solve(grid, f, alpha, 0.5, g, check_finite=check),
+        "ch_block_solve": lambda check: ch_block_solve(
+            grid, f, g, 0.01, 1.5, check_finite=check),
+        "ch_block_solve_transposed": lambda check: ch_block_solve(
+            grid, f, None, 0.01, 1.5, transpose=True, check_finite=check),
+    }
+
+
+@pytest.mark.parametrize("n", [16, 256])
+@pytest.mark.parametrize("kernel", list(_kernel_calls(Grid(2, 2), np.random.default_rng(0))))
+def test_check_finite_false_is_bitwise_default(kernel, n):
+    # Skipping the scans changes no arithmetic, on the dense (16) and the
+    # sliced or FFT (256) paths alike.
+    call = _kernel_calls(Grid(n, n, 1.0, 0.7), np.random.default_rng(n))[kernel]
+    unchecked, checked = call(False), call(True)
+    if isinstance(checked, np.ndarray):
+        unchecked, checked = (unchecked,), (checked,)
+    for a, b in zip(unchecked, checked, strict=True):
+        assert a.tobytes() == b.tobytes()
+
+
+def test_unchecked_cg_rejects_nonfinite_rhs():
+    # Unscanned, a non-finite rhs makes the stopping tolerance infinite or
+    # NaN; with a guess it would otherwise return the guess as the solution.
+    grid = Grid(8, 6)
+    rng = np.random.default_rng(8)
+    alpha = 1.0 + rng.random(grid.shape)
+    for value in (np.nan, np.inf):
+        b = rng.standard_normal(grid.shape)
+        b[2, 3] = value
+        for guess in (None, np.zeros(grid.shape)):
+            with pytest.raises(SolverError, match="rhs norm"):
+                helmholtz_solve(grid, b, alpha, 1.0, guess, check_finite=False)
+
+
 def test_ch_block_interleaved_parameters_use_their_own_factors():
     grid = Grid(16, 12, 1.0, 0.6)
     rhs_phi = random_field(grid)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from chks.grid import Grid
+from chks.grid import Grid, SolverError
 from chks.linearized import solve_linearized, taylor_remainders
 from chks.state import Control, Trajectory, solve_forward, trajectory_distance
 
@@ -118,3 +118,11 @@ def test_linearized_norm_positive(setup):
     grid, spec, init, u, traj, T, nt = setup
     lin = solve_linearized(traj, spec, smooth_direction(grid, nt, 107))
     assert trajectory_distance(lin, Trajectory.zeros(grid, lin.times, lin.fields)) > 0
+
+
+def test_nan_in_direction_names_the_step(setup):
+    grid, spec, init, u, traj, T, nt = setup
+    h = smooth_direction(grid, nt, 104)
+    h[3, 5, 6] = np.nan
+    with pytest.raises(SolverError, match="after step 3$"):
+        solve_linearized(traj, spec, h)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
-from chks.grid import Grid
+from chks.grid import Grid, SolverError
 from chks.potentials import AdmissibilityError, PotentialSpec, ProliferationSpec
 from chks.state import (
     Control,
@@ -341,3 +341,14 @@ def test_model_spec_rejections():
         base_model(chi_phi=1.5).validate()
     with pytest.raises(AdmissibilityError, match=r"\(2\.3\)"):
         base_model(chi_a=0.0).validate()
+
+
+def test_forward_step_end_catches_unchecked_nan():
+    # With admissibility off nothing scans n0 on entry; the NaN reaches the
+    # step's outputs, and the step-end check names the step.
+    grid = Grid(8, 8)
+    init = make_random_init(grid, 5)
+    init.n0[3, 4] = np.nan
+    u = Control(np.zeros((4, grid.nx, grid.ny)), 1.0)
+    with pytest.raises(SolverError, match="forward step 0"):
+        solve_forward(grid, base_model(), init, u, 0.1, 4, check_admissibility=False)
