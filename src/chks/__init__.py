@@ -26,7 +26,6 @@ from .state import (
     InitialData,
     InvariantReport,
     ModelSpec,
-    State,
     Trajectory,
     check_mean_ode,
     energy,

@@ -25,6 +25,11 @@ identity
 
 holds with an O(tau) residual, which duality_residual quantifies.
 
+The sweep runs backward in place on the returned Trajectory: backward
+step k reads stored level k + 1 and writes level k. Its one exception is
+the first backward step, whose (p1, p2) input is the weakly imposed final
+condition (see solve_adjoint), while stored level Nt keeps p1(T).
+
 The advective term grad(sigma*).grad(p3) is evaluated with centered face
 gradients and averaged back to cell centers (grid.grad_dot), and
 div(a* grad p3) with the centered face mean of a*; no upwinding in the
@@ -38,7 +43,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import grid as g
-from .grid import SolverError
 from .potentials import AdmissibilityError
 from .state import ModelSpec, Trajectory
 
@@ -81,9 +85,6 @@ def solve_adjoint(base: Trajectory, cost: ControlSpec, spec: ModelSpec) -> Traje
 
     adj = Trajectory.zeros(gr, base.times, ("p1", "p2", "p3", "p4", "p5"))
     p1_final = cost.b2 * (base.phi[nt] - cost.phi_omega)
-    p3 = np.zeros(gr.shape)
-    p4 = np.zeros(gr.shape)
-    p5 = np.zeros(gr.shape)
     adj.p1[nt], adj.p2[nt] = p1_final, -g.laplacian(gr, p1_final)
 
     inv_tau = 1.0 / tau
@@ -94,7 +95,8 @@ def solve_adjoint(base: Trajectory, cost: ControlSpec, spec: ModelSpec) -> Traje
     # through one application of the implicit block, the same way the
     # transpose of the forward map pairs the terminal cost with the last
     # step. Imposing it strongly instead would leave the high modes of
-    # the final misfit undamped (an O(tau*lambda^2) error).
+    # the final misfit undamped (an O(tau*lambda^2) error). So the first
+    # backward step reads this (p1, p2) pair, not stored level nt.
     rhs_final = p1_final / tau
     if cost.b1:
         rhs_final = rhs_final + cost.b1 * (base.phi[nt] - cost.phi_q[nt - 1])
@@ -102,6 +104,7 @@ def solve_adjoint(base: Trajectory, cost: ControlSpec, spec: ModelSpec) -> Traje
     for k in range(nt - 1, -1, -1):
         a_k = base.a[k]
         sigma_new = base.sigma[k + 1]
+        p3, p4, p5 = adj.p3[k + 1], adj.p4[k + 1], adj.p5[k + 1]
         # Right-hand sides are updated in place on fresh arrays, such as the
         # results of grad_dot, divergence and h_prime. The kernels skip their
         # finiteness scans: the base levels were checked by the forward
@@ -114,21 +117,21 @@ def solve_adjoint(base: Trajectory, cost: ControlSpec, spec: ModelSpec) -> Traje
         rhs_p3 *= spec.chi_a
         rhs_p3 += ((inv_tau + 1.0) - 2.0 * a_k) * p3
         rhs_p3 -= (sigma_new - spec.chi_a) * p5
-        p3_new = g.helmholtz_solve(gr, rhs_p3, inv_tau, 1.0, check_finite=False)
+        adj.p3[k] = g.helmholtz_solve(gr, rhs_p3, inv_tau, 1.0, check_finite=False)
 
-        # p5: same implicit operator family as the forward sigma update.
+        # p5: same implicit operator family as the forward sigma update,
+        # its CG started from the extrapolation of the stored levels.
         # a* is frozen at level k here; the forward step that produced the
         # level-k sigma froze level k-1, so this choice staggers the
         # coefficient by one step and is the O(tau) gap the duality
         # residual measures.
-        rhs_p5 = g.divergence(gr, a_k, p3_new, check_finite=False)
+        rhs_p5 = g.divergence(gr, a_k, adj.p3[k], check_finite=False)
         rhs_p5 *= -spec.chi_a
         rhs_p5 += p5 * inv_tau
         rhs_p5 += spec.c_sigma * p4
-        # Its CG starts from the linear extrapolation of the stored levels.
-        p5_guess = p5 if k == nt - 1 else 2.0 * p5 - adj.p5[k + 2]
-        p5_new = g.helmholtz_solve(
-            gr, rhs_p5, (inv_tau + 1.0) + a_k, 1.0, p5_guess, check_finite=False
+        adj.p5[k] = g.helmholtz_solve(
+            gr, rhs_p5, (inv_tau + 1.0) + a_k, 1.0, adj.extrapolate("p5", k, -1),
+            check_finite=False,
         )
 
         # p4: nutrient adjoint with the phase coupling explicit. The second
@@ -136,7 +139,7 @@ def solve_adjoint(base: Trajectory, cost: ControlSpec, spec: ModelSpec) -> Traje
         # so -chi_phi Lap p1 is read as chi_phi p2 (equal up to round-off).
         rhs_p4 = spec.chi_phi * p2
         rhs_p4 += (inv_tau + spec.c_n) * p4
-        p4_new = g.helmholtz_solve(gr, rhs_p4, inv_tau, 1.0, check_finite=False)
+        adj.p4[k] = g.helmholtz_solve(gr, rhs_p4, inv_tau, 1.0, check_finite=False)
 
         # (p1, p2) block, transposed so that p2 = -Lap p1 holds exactly
         # and the stabilization terms mirror the forward s_stab*(phi+ - phi).
@@ -148,18 +151,14 @@ def solve_adjoint(base: Trajectory, cost: ControlSpec, spec: ModelSpec) -> Traje
         rhs_p1 += inv_tau
         rhs_p1 *= p1
         rhs_p1 += (s_stab - spec.pot.f_second(phi_k)) * p2
-        rhs_p1 += (spec.chi_phi + spec.c_phi) * p4_new
+        rhs_p1 += (spec.chi_phi + spec.c_phi) * adj.p4[k]
         if cost.b1 and k >= 1:
             rhs_p1 += cost.b1 * (phi_k - cost.phi_q[k - 1])
-        p1_new, p2_new = g.ch_block_solve(
+        adj.p1[k], adj.p2[k] = g.ch_block_solve(
             gr, rhs_p1, None, tau_eff, s_stab, transpose=True, check_finite=False
         )
-
-        p1, p2, p3, p4, p5 = p1_new, p2_new, p3_new, p4_new, p5_new
-        for f in (p1, p2, p3, p4, p5):
-            if not np.isfinite(f).all():
-                raise SolverError(f"non-finite adjoint state at backward step {k}")
-        adj.p1[k], adj.p2[k], adj.p3[k], adj.p4[k], adj.p5[k] = p1, p2, p3, p4, p5
+        adj.check_step(k, -1)
+        p1, p2 = adj.p1[k], adj.p2[k]
     return adj
 
 

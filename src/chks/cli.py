@@ -114,6 +114,16 @@ def cmd_verify(cfg: RunConfig, out: Path, suite: str) -> int:
     return 0 if ok else 1
 
 
+def _seed(text: str) -> int:
+    """A --seed value: numpy's generators take nonnegative integers only."""
+    try:
+        if int(text) >= 0:
+            return int(text)
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"must be a nonnegative integer, got {text!r}")
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(prog="chks", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -122,7 +132,7 @@ def main(argv: list[str] | None = None) -> int:
         p = commands[name] = sub.add_parser(name)
         p.add_argument("config", type=Path)
         p.add_argument("--out", type=Path, default=Path("out"))
-        p.add_argument("--seed", type=int, default=None)
+        p.add_argument("--seed", type=_seed, default=None)
         if name == "simulate":
             p.add_argument("--strict", action="store_true")
         if name == "verify":

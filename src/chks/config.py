@@ -30,7 +30,8 @@ Field generators:
                                                affinely mapped into [lo, hi]
     file <path>                                field snapshot file
 
-A key may appear once per section. Numbers must be finite, the grid needs
+A key may appear once per section. The seed must be nonnegative, numbers
+must be finite, the grid needs
 nx, ny >= 2 and lx, ly > 0, time T > 0, Nt >= 1 and s_stab >= 0, and
 [optimize] max_iters >= 0 with armijo_c and backtrack in (0, 1); a violation
 names the line and the key. Every admissibility condition of the model is
@@ -239,7 +240,10 @@ def load_config(path: str | Path, seed_override: int | None = None) -> RunConfig
     sections, top = _parse_lines(text)
     base_dir = path.parent
 
-    seed = _Section(None, top).integer("seed", "1")
+    top_level = _Section(None, top)
+    seed = top_level.integer("seed", "1")
+    if seed < 0:
+        raise top_level.reject("seed", "must be nonnegative")
     if seed_override is not None:
         seed = seed_override
     rng = np.random.default_rng(seed)

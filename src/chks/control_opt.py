@@ -26,6 +26,9 @@ from .adjoint import ControlSpec, solve_adjoint
 from .grid import Grid
 from .state import Control, InitialData, ModelSpec, Trajectory, solve_forward
 
+# Step reductions the line search tries before it gives up.
+MAX_BACKTRACKS = 40
+
 
 @dataclass
 class OptimizeOptions:
@@ -33,7 +36,6 @@ class OptimizeOptions:
     max_iters: int = 200
     armijo_c: float = 1e-4
     backtrack: float = 0.5
-    max_backtracks: int = 40
     s_stab: float | None = None
     flux_scheme: str = "centered"
 
@@ -159,7 +161,7 @@ def optimize(
         grad = reduced_gradient(adj, u, cs.b3)
         s = step_size
         accepted = False
-        for bt in range(opts.max_backtracks + 1):
+        for bt in range(MAX_BACKTRACKS + 1):
             trial_values = project_admissible(u.values - s * grad, cs.u_max)
             trial = Control(trial_values, cs.u_max)
             step_norm_sq = tau * gr.cell_area * float(np.sum((trial_values - u.values) ** 2))

@@ -16,7 +16,8 @@ implicit operators, same update ordering (psi -> nu -> omega -> alpha),
 with every coefficient frozen from the base trajectory at the level the
 forward step used for the corresponding term. That congruence is what
 makes the Taylor remainder of the forward map second order in the
-direction size.
+direction size. Like the forward sweep, step k reads stored level k of
+the returned Trajectory and writes level k + 1 in place.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import grid as g
-from .grid import Grid, SolverError
+from .grid import Grid
 from .state import (
     Control,
     InitialData,
@@ -46,17 +47,13 @@ def solve_linearized(base: Trajectory, spec: ModelSpec, h: np.ndarray) -> Trajec
     scheme = base.flux_scheme
 
     out = Trajectory.zeros(gr, base.times, ("psi", "eta", "alpha_lin", "nu", "omega"))
-    psi = np.zeros(gr.shape)
-    alpha = np.zeros(gr.shape)
-    nu = np.zeros(gr.shape)
-    omega = np.zeros(gr.shape)
-
     inv_tau = 1.0 / tau
     tau_eff = 1.0 / (inv_tau + spec.m)
     for k in range(nt):
         phi_k = base.phi[k]
         a_k = base.a[k]
         sigma_new = base.sigma[k + 1]
+        psi, alpha, nu, omega = out.psi[k], out.alpha_lin[k], out.nu[k], out.omega[k]
         # Right-hand sides are updated in place on fresh arrays, such as the
         # results of h_prime and f_second. The kernels skip their finiteness
         # scans: the base levels were checked by the forward sweep, and a
@@ -71,23 +68,23 @@ def solve_linearized(base: Trajectory, spec: ModelSpec, h: np.ndarray) -> Trajec
         rhs_eta = spec.pot.f_second(phi_k)
         np.subtract(s_stab, rhs_eta, out=rhs_eta)
         rhs_eta *= psi
-        psi_new, eta_new = g.ch_block_solve(
+        out.psi[k + 1], out.eta[k + 1] = g.ch_block_solve(
             gr, rhs_psi, rhs_eta, tau_eff, s_stab, check_finite=False
         )
 
         # nu: new psi enters, the rest explicit.
         rhs_nu = nu * (inv_tau + spec.c_n)
-        rhs_nu += (spec.chi_phi + spec.c_phi) * psi_new
+        rhs_nu += (spec.chi_phi + spec.c_phi) * out.psi[k + 1]
         rhs_nu += spec.c_sigma * omega
-        nu_new = g.helmholtz_solve(gr, rhs_nu, inv_tau, 1.0, check_finite=False)
+        out.nu[k + 1] = g.helmholtz_solve(gr, rhs_nu, inv_tau, 1.0, check_finite=False)
 
         # omega: same implicit operator as the forward sigma update, its CG
-        # started from the linear extrapolation of the stored levels.
+        # started from the extrapolation of the stored levels.
         rhs_omega = omega * inv_tau
         rhs_omega += (spec.chi_a - sigma_new) * alpha
-        omega_new = g.helmholtz_solve(
-            gr, rhs_omega, (inv_tau + 1.0) + a_k, 1.0,
-            omega if k == 0 else 2.0 * omega - out.omega[k - 1], check_finite=False,
+        out.omega[k + 1] = g.helmholtz_solve(
+            gr, rhs_omega, (inv_tau + 1.0) + a_k, 1.0, out.extrapolate("omega", k),
+            check_finite=False,
         )
 
         # alpha: linearized chemotaxis flux against the base, new omega, with
@@ -95,22 +92,13 @@ def solve_linearized(base: Trajectory, spec: ModelSpec, h: np.ndarray) -> Trajec
         # alpha is formed as ((1/tau + 1) - 2 a*) alpha.
         rhs_alpha = g.divergence(gr, alpha, sigma_new, scheme, check_finite=False)
         rhs_alpha += g.divergence(
-            gr, a_k, omega_new, scheme, upwind_by=sigma_new, check_finite=False
+            gr, a_k, out.omega[k + 1], scheme, upwind_by=sigma_new, check_finite=False
         )
         rhs_alpha *= -spec.chi_a
         rhs_alpha += ((inv_tau + 1.0) - 2.0 * a_k) * alpha
         rhs_alpha += h[k]
-        alpha_new = g.helmholtz_solve(gr, rhs_alpha, inv_tau, 1.0, check_finite=False)
-
-        psi, eta, nu, omega, alpha = psi_new, eta_new, nu_new, omega_new, alpha_new
-        for f in (psi, eta, alpha, nu, omega):
-            if not np.isfinite(f).all():
-                raise SolverError(f"non-finite linearized state after step {k}")
-        out.psi[k + 1] = psi
-        out.eta[k + 1] = eta
-        out.alpha_lin[k + 1] = alpha
-        out.nu[k + 1] = nu
-        out.omega[k + 1] = omega
+        out.alpha_lin[k + 1] = g.helmholtz_solve(gr, rhs_alpha, inv_tau, 1.0, check_finite=False)
+        out.check_step(k)
     return out
 
 

@@ -144,16 +144,6 @@ class PotentialSpec:
             return self.f1_second(r) - 0.25 * self.c1
         return self.f1_second(r) - 2.0 * self.c2
 
-    def f_third(self, r):
-        r = np.asarray(r, dtype=float)
-        if self.kind == "regular":
-            return 3.0 * self.c1 * (2.0 * r - 1.0)
-        # Quadratic extension outside the clamp window has zero third derivative.
-        rc, r_raw = self._clamped(r)
-        inside = rc == r_raw
-        val = (2.0 * rc - 1.0) / (rc * (1.0 - rc)) ** 2
-        return np.where(inside, val, 0.0)
-
     def r0(self) -> float:
         """Root of F1': 0 for the regular split, 1/2 for the logarithmic one."""
         return 0.0 if self.kind == "regular" else 0.5
@@ -195,25 +185,6 @@ class ProliferationSpec:
             return np.zeros_like(r)
         s = 1.0 / (1.0 + np.exp(-self.k * r))
         return self.h0 * self.k * s * (1.0 - s)
-
-    def h_second(self, r):
-        r = np.asarray(r, dtype=float)
-        if self.kind in ("zero", "constant"):
-            return np.zeros_like(r)
-        s = 1.0 / (1.0 + np.exp(-self.k * r))
-        return self.h0 * self.k**2 * s * (1.0 - s) * (1.0 - 2.0 * s)
-
-    def bounds(self) -> tuple[float, float, float]:
-        """Closed-form (sup|h|, sup|h'|, sup|h''|)."""
-        if self.kind == "zero":
-            return (0.0, 0.0, 0.0)
-        if self.kind == "constant":
-            return (abs(self.h0), 0.0, 0.0)
-        return (
-            abs(self.h0),
-            abs(self.h0) * self.k / 4.0,
-            abs(self.h0) * self.k**2 / (6.0 * math.sqrt(3.0)),
-        )
 
     def value_range(self) -> tuple[float, float]:
         """Closure of the range of h."""

@@ -26,8 +26,9 @@ phi -> n -> sigma -> a:
 4. a: implicit diffusion, explicit chemotaxis flux against the *new*
    sigma, explicit logistic term and control source.
 
-The forward sweep only steps and stores the full trajectory, which the
-linearized/adjoint replays need; monitors are computed from the stored levels.
+The forward sweep steps in place on a Trajectory, which it stores in full
+because the linearized/adjoint replays need it: step k reads stored level k
+and writes level k + 1. Monitors are computed from the stored levels.
 """
 
 from __future__ import annotations
@@ -114,17 +115,6 @@ class Control:
 
 
 @dataclass
-class State:
-    """One time level of the solution quintuple."""
-
-    phi: np.ndarray
-    mu: np.ndarray
-    a: np.ndarray
-    n: np.ndarray
-    sigma: np.ndarray
-
-
-@dataclass
 class Trajectory:
     """A stored sweep on the uniform step grid t_k = k * tau.
 
@@ -132,8 +122,10 @@ class Trajectory:
     order phi, mu, a, n, sigma for the forward sweep, psi, eta, alpha_lin,
     nu, omega for the tangent sweep and p1, ..., p5 for the adjoint sweep.
     Fields also read as attributes bound to the same arrays (traj.phi,
-    lin.psi, adj.p3), so write into them in place. s_stab and
-    flux_scheme record the forward scheme, which the replays reuse.
+    lin.psi, adj.p3), so write into them in place. A trajectory is its
+    sweep's only state: step k reads stored level k (k + 1 backward) and
+    writes the next level. s_stab and flux_scheme record the forward
+    scheme, which the replays reuse.
     """
 
     grid: Grid
@@ -161,6 +153,28 @@ class Trajectory:
     def tau(self) -> float:
         return float(self.times[1] - self.times[0])
 
+    def extrapolate(self, name: str, k: int, direction: int = 1) -> np.ndarray:
+        """CG start for the level of a field that step k writes.
+
+        With j the level the step reads (k forward, k + 1 backward), this is
+        the linear extrapolation 2 f_j - f_{j - direction} of the two stored
+        levels behind the new one, or f_j itself at the sweep's first step.
+        """
+        j = k if direction > 0 else k + 1
+        f = self.fields[name]
+        if not 0 <= j - direction <= self.nt:
+            return f[j]
+        return 2.0 * f[j] - f[j - direction]
+
+    def check_step(self, k: int, direction: int = 1) -> None:
+        """Raise SolverError naming the first non-finite field of the level
+        step k wrote (k + 1 forward, k backward)."""
+        level = k + 1 if direction > 0 else k
+        for name, f in self.fields.items():
+            if not np.isfinite(f[level]).all():
+                where = "step" if direction > 0 else "backward step"
+                raise SolverError(f"non-finite {name} after {where} {k}")
+
 
 @dataclass
 class InvariantReport:
@@ -173,27 +187,20 @@ class InvariantReport:
     clamp_events: np.ndarray  # (Nt+1,) per level: PotentialSpec.clamp_counts(traj.phi)
 
 
-def step(
-    gr: Grid,
-    state: State,
-    u_k: np.ndarray,
-    spec: ModelSpec,
-    tau: float,
-    s_stab: float,
-    flux_scheme: str = "centered",
-    sigma_guess: np.ndarray | None = None,
-) -> State:
-    """Advance one IMEX step; see the module docstring for the scheme.
+def step(traj: Trajectory, k: int, u_k: np.ndarray, spec: ModelSpec) -> None:
+    """Advance the forward sweep one IMEX step, from stored level k to k + 1.
 
-    sigma_guess, when given, starts the sigma CG solve (see
-    grid.helmholtz_solve); it changes the work, not what is solved.
-    The kernels skip their finiteness scans: a non-finite value in what
-    the step reads reaches an output or stops a solve, and the five
-    outputs are checked once at the end.
+    See the module docstring for the scheme; the grid, tau, s_stab and the
+    flux scheme are the trajectory's. The sigma CG starts from
+    traj.extrapolate, which changes the work, not what is solved. The
+    kernels skip their finiteness scans: a non-finite value in what the
+    step reads reaches an output or stops a solve, and the five new fields
+    are checked once at the end.
     """
+    gr, tau, s_stab = traj.grid, traj.tau, traj.s_stab
     if tau <= 0:
         raise SolverError("step requires tau > 0")
-    phi, a, n, sigma = state.phi, state.a, state.n, state.sigma
+    phi, a, n, sigma = traj.phi[k], traj.a[k], traj.n[k], traj.sigma[k]
 
     inv_tau = 1.0 / tau
     # Right-hand sides are updated in place on fresh arrays, such as the
@@ -206,34 +213,33 @@ def step(
     rhs_phi -= spec.chi_phi * g.laplacian(gr, n, check_finite=False)
     rhs_mu = spec.pot.f_prime(phi)
     np.subtract(s_stab * phi, rhs_mu, out=rhs_mu)
-    phi_new, mu_new = g.ch_block_solve(gr, rhs_phi, rhs_mu, tau_eff, s_stab, check_finite=False)
+    traj.phi[k + 1], traj.mu[k + 1] = g.ch_block_solve(
+        gr, rhs_phi, rhs_mu, tau_eff, s_stab, check_finite=False
+    )
 
     # 2. n: implicit diffusion, explicit reactions, new phi.
     rhs_n = n * (inv_tau + spec.c_n)
-    rhs_n += (spec.chi_phi + spec.c_phi) * phi_new
+    rhs_n += (spec.chi_phi + spec.c_phi) * traj.phi[k + 1]
     rhs_n += spec.c_sigma * sigma + spec.c_0
-    n_new = g.helmholtz_solve(gr, rhs_n, inv_tau, 1.0, check_finite=False)
+    traj.n[k + 1] = g.helmholtz_solve(gr, rhs_n, inv_tau, 1.0, check_finite=False)
 
     # 3. sigma: monotone implicit reaction with frozen a >= 0.
     a_frozen = np.maximum(a, 0.0)
     rhs_sigma = sigma * inv_tau
     rhs_sigma += spec.chi_a * a_frozen + 1.0
-    sigma_new = g.helmholtz_solve(
-        gr, rhs_sigma, (inv_tau + 1.0) + a_frozen, 1.0, sigma_guess, check_finite=False
+    traj.sigma[k + 1] = g.helmholtz_solve(
+        gr, rhs_sigma, (inv_tau + 1.0) + a_frozen, 1.0, traj.extrapolate("sigma", k),
+        check_finite=False,
     )
 
     # 4. a: implicit diffusion, explicit chemotaxis against new sigma;
     # a/tau + a - a^2 is formed as a*((1/tau + 1) - a).
-    rhs_a = g.divergence(gr, a, sigma_new, flux_scheme, check_finite=False)
+    rhs_a = g.divergence(gr, a, traj.sigma[k + 1], traj.flux_scheme, check_finite=False)
     rhs_a *= -spec.chi_a
     rhs_a += a * ((inv_tau + 1.0) - a)
     rhs_a += u_k
-    a_new = g.helmholtz_solve(gr, rhs_a, inv_tau, 1.0, check_finite=False)
-
-    for name, f in (("phi", phi_new), ("mu", mu_new), ("n", n_new), ("sigma", sigma_new), ("a", a_new)):
-        if not np.isfinite(f).all():
-            raise SolverError(f"non-finite {name} after step")
-    return State(phi_new, mu_new, a_new, n_new, sigma_new)
+    traj.a[k + 1] = g.helmholtz_solve(gr, rhs_a, inv_tau, 1.0, check_finite=False)
+    traj.check_step(k)
 
 
 def solve_forward(
@@ -264,27 +270,16 @@ def solve_forward(
     if s_stab is None:
         s_stab = default_s_stab(spec.pot)
 
-    tau = T / nt
     traj = Trajectory.zeros(
         gr, np.linspace(0.0, T, nt + 1), ("phi", "mu", "a", "n", "sigma"),
         s_stab=s_stab, flux_scheme=flux_scheme,
     )
-    cur = State(
-        init.phi0.copy(),
-        -g.laplacian(gr, init.phi0) + spec.pot.f_prime(init.phi0),
-        init.a0.copy(),
-        init.n0.copy(),
-        init.sigma0.copy(),
-    )
-    for k in range(nt + 1):
-        traj.phi[k], traj.mu[k] = cur.phi, cur.mu
-        traj.a[k], traj.n[k], traj.sigma[k] = cur.a, cur.n, cur.sigma
-        if k == nt:
-            break
-        # Linear extrapolation of the two stored sigma levels starts its solve.
-        guess = cur.sigma if k == 0 else 2.0 * cur.sigma - traj.sigma[k - 1]
+    traj.phi[0], traj.a[0], traj.n[0] = init.phi0, init.a0, init.n0
+    traj.sigma[0] = init.sigma0
+    traj.mu[0] = -g.laplacian(gr, init.phi0) + spec.pot.f_prime(init.phi0)
+    for k in range(nt):
         try:
-            cur = step(gr, cur, u.values[k], spec, tau, s_stab, flux_scheme, guess)
+            step(traj, k, u.values[k], spec)
         except SolverError as exc:
             raise SolverError(f"forward step {k} failed: {exc}") from exc
 
@@ -300,33 +295,30 @@ def solve_forward(
     return traj, report
 
 
-def energy(gr: Grid, state: State, spec: ModelSpec) -> float:
-    """Free energy: entropy of a, chemotaxis couplings, gradient terms, and F(phi).
+def energy(traj: Trajectory, k: int, spec: ModelSpec) -> float:
+    """Free energy of stored level k of a forward trajectory.
 
     E = int a*(ln a - 1) - chi_phi int n*phi - chi_a int a*sigma
         + (1/2) int (|grad phi|^2 + |grad n|^2 + |grad sigma|^2) + int F(phi)
 
     The entropy term clamps a at 1e-14 from below.
     """
-    a_safe = np.maximum(state.a, 1e-14)
+    gr = traj.grid
+    phi, a, n, sigma = traj.phi[k], traj.a[k], traj.n[k], traj.sigma[k]
+    a_safe = np.maximum(a, 1e-14)
     area = gr.cell_area
     ent = area * float(np.sum(a_safe * (np.log(a_safe) - 1.0)))
-    coup = -spec.chi_phi * g.inner(gr, state.n, state.phi) - spec.chi_a * g.inner(
-        gr, state.a, state.sigma
-    )
+    coup = -spec.chi_phi * g.inner(gr, n, phi) - spec.chi_a * g.inner(gr, a, sigma)
     grads = 0.5 * (
-        g.grad_norm_sq(gr, state.phi)
-        + g.grad_norm_sq(gr, state.n)
-        + g.grad_norm_sq(gr, state.sigma)
+        g.grad_norm_sq(gr, phi) + g.grad_norm_sq(gr, n) + g.grad_norm_sq(gr, sigma)
     )
-    pot = area * float(np.sum(spec.pot.f_value(state.phi)))
+    pot = area * float(np.sum(spec.pot.f_value(phi)))
     return ent + coup + grads + pot
 
 
 def energy_series(traj: Trajectory, spec: ModelSpec) -> np.ndarray:
     """Free energy of each stored level of a forward trajectory."""
-    levels = zip(*traj.fields.values())  # phi, mu, a, n, sigma: State's field order
-    return np.array([energy(traj.grid, State(*level), spec) for level in levels])
+    return np.array([energy(traj, k, spec) for k in range(traj.nt + 1)])
 
 
 def energy_phi_part(gr: Grid, phi: np.ndarray, spec: ModelSpec) -> float:

@@ -259,13 +259,14 @@ def test_cli_simulate_rejects_malformed_field_generator(tmp_path, capsys, phrase
     ("Nt = 8", "Nt = 8\n[optimize]\nbacktrack = 0", "backtrack = 0"),
     ("Nt = 8", "Nt = 8\n[optimize]\narmijo_c = -1", "armijo_c = -1"),
     ("Nt = 8", "Nt = 8\n[optimize]\narmijo_c = 1", "armijo_c = 1"),
+    ("seed = 7", "seed = -3", "seed = -3"),
 ], ids=["seed", "s_stab", "u_max", "T_nan", "b1_nan", "unknown_section", "unknown_key",
         "nx_negative", "nx_zero", "lx_negative", "lx_inf", "T_inf", "repeated_key",
         "s_stab_negative", "max_iters_negative", "backtrack_above_1", "backtrack_zero",
-        "armijo_c_negative", "armijo_c_one"])
+        "armijo_c_negative", "armijo_c_one", "seed_negative"])
 def test_cli_simulate_rejects_bad_statement(tmp_path, capsys, old, new, bad):
-    # A malformed number, NaN or infinity, a grid size, s_stab or optimizer
-    # setting out of range, a repeated key, or a section or key outside the
+    # A malformed number, NaN or infinity, a seed, grid size, s_stab or
+    # optimizer setting out of range, a repeated key, or a section or key outside the
     # grammar is a config error (exit 2) that names the statement's line and key.
     text = MINIMAL.replace(old, new, 1)
     line_no = text.splitlines().index(bad) + 1
@@ -325,7 +326,7 @@ def test_cli_verify_duality_suite(tmp_path):
 
 
 @pytest.mark.parametrize("case", ["config_is_directory", "config_not_text", "unknown_suite",
-                                  "out_is_a_file", "out_below_a_file"])
+                                  "out_is_a_file", "out_below_a_file", "seed_negative"])
 def test_cli_rejects_bad_command_line(tmp_path, capsys, monkeypatch, case):
     # Exit 2 with the path or value named, before any solve; argparse
     # reports its own rejections by raising SystemExit.
@@ -345,6 +346,7 @@ def test_cli_rejects_bad_command_line(tmp_path, capsys, monkeypatch, case):
                           str(out_file)),
         "out_below_a_file": (["simulate", str(write_cfg(tmp_path, MINIMAL)),
                               "--out", str(out_file / "run")], str(out_file)),
+        "seed_negative": (["simulate", str(CONFIG_DIR / "verify.cfg"), "--seed", "-1"], "'-1'"),
     }[case]
     try:
         status = main(argv)

@@ -10,7 +10,7 @@ from chks.state import (
     Control,
     InitialData,
     ModelSpec,
-    State,
+    Trajectory,
     energy,
     solve_forward,
     step,
@@ -28,10 +28,15 @@ def base_model(**kw):
     return ModelSpec(**defaults)
 
 
-def homogeneous_state(grid, phi, a, n, sigma, spec):
-    const = lambda v: np.full(grid.shape, float(v))
-    mu = spec.pot.f_prime(const(phi))  # Laplacian of a constant vanishes
-    return State(const(phi), mu, const(a), const(n), const(sigma))
+FORWARD_FIELDS = ("phi", "mu", "a", "n", "sigma")
+
+
+def homogeneous_trajectory(grid, phi, a, n, sigma, spec, tau, nt=1, s_stab=0.5):
+    """A forward trajectory of nt steps whose level 0 is a homogeneous state."""
+    traj = Trajectory.zeros(grid, tau * np.arange(nt + 1), FORWARD_FIELDS, s_stab=s_stab)
+    traj.phi[0], traj.a[0], traj.n[0], traj.sigma[0] = phi, a, n, sigma
+    traj.mu[0] = spec.pot.f_prime(traj.phi[0])  # Laplacian of a constant vanishes
+    return traj
 
 
 def scalar_imex_step(vals, u, spec, tau, s_stab):
@@ -55,25 +60,24 @@ def test_step_matches_scalar_oracle_on_homogeneous_state():
     grid = Grid(16, 16)
     spec = base_model()
     tau, s_stab = 0.02, 0.5
-    st = homogeneous_state(grid, 0.4, 0.8, 0.1, 0.6, spec)
+    traj = homogeneous_trajectory(grid, 0.4, 0.8, 0.1, 0.6, spec, tau, s_stab=s_stab)
     u = np.full(grid.shape, 0.3)
-    new = step(grid, st, u, spec, tau, s_stab)
+    step(traj, 0, u, spec)
     ph, an, nn, sn = scalar_imex_step((0.4, 0.8, 0.1, 0.6), 0.3, spec, tau, s_stab)
-    np.testing.assert_allclose(new.phi, ph, rtol=1e-12, atol=1e-13)
-    np.testing.assert_allclose(new.a, an, rtol=1e-12, atol=1e-13)
-    np.testing.assert_allclose(new.n, nn, rtol=1e-12, atol=1e-13)
-    np.testing.assert_allclose(new.sigma, sn, rtol=1e-12, atol=1e-13)
+    np.testing.assert_allclose(traj.phi[1], ph, rtol=1e-12, atol=1e-13)
+    np.testing.assert_allclose(traj.a[1], an, rtol=1e-12, atol=1e-13)
+    np.testing.assert_allclose(traj.n[1], nn, rtol=1e-12, atol=1e-13)
+    np.testing.assert_allclose(traj.sigma[1], sn, rtol=1e-12, atol=1e-13)
     mu_expect = float(spec.pot.f_prime(0.4)) + s_stab * (ph - 0.4)
-    np.testing.assert_allclose(new.mu, mu_expect, rtol=1e-11, atol=1e-13)
+    np.testing.assert_allclose(traj.mu[1], mu_expect, rtol=1e-11, atol=1e-13)
 
 
 def test_step_zero_a_is_equilibrium():
     grid = Grid(8, 8)
     spec = base_model()
-    st = homogeneous_state(grid, 0.5, 0.0, 0.0, 0.5, spec)
-    st.a[:] = 0.0
-    new = step(grid, st, np.zeros(grid.shape), spec, 0.05, 0.5)
-    assert np.all(new.a == 0.0)
+    traj = homogeneous_trajectory(grid, 0.5, 0.0, 0.0, 0.5, spec, 0.05)
+    step(traj, 0, np.zeros(grid.shape), spec)
+    assert np.all(traj.a[1] == 0.0)
 
 
 def test_sigma_relaxation_closed_form_and_first_order():
@@ -85,12 +89,10 @@ def test_sigma_relaxation_closed_form_and_first_order():
 
     def run(nt):
         tau = T / nt
-        st = homogeneous_state(grid, 0.5, 0.0, 0.0, s_bar, spec)
-        st.a[:] = 0.0
-        vals = [s_bar]
-        for _ in range(nt):
-            st = step(grid, st, np.zeros(grid.shape), spec, tau, 0.5)
-            vals.append(float(st.sigma[0, 0]))
+        traj = homogeneous_trajectory(grid, 0.5, 0.0, 0.0, s_bar, spec, tau, nt=nt)
+        for k in range(nt):
+            step(traj, k, np.zeros(grid.shape), spec)
+        vals = traj.sigma[:, 0, 0]
         discrete = s_bar
         for k in range(1, nt + 1):
             discrete = (discrete / tau + 1.0) * tau / (1.0 + tau)
@@ -101,6 +103,58 @@ def test_sigma_relaxation_closed_form_and_first_order():
     err = [abs(run(nt) - exact) for nt in (16, 32, 64)]
     assert err[0] / err[1] == pytest.approx(2.0, rel=0.15)
     assert err[1] / err[2] == pytest.approx(2.0, rel=0.15)
+
+
+def test_step_writes_only_the_next_level():
+    # Step k reads stored levels up to k and writes level k + 1: with every
+    # later level NaN it reproduces the sweep's level k + 1 bit for bit and
+    # leaves the other levels as they were.
+    grid = Grid(8, 8)
+    spec = base_model()
+    init = make_random_init(grid, 6)
+    u = Control(0.4 * np.ones((4, grid.nx, grid.ny)), 1.0)
+    ref, _ = solve_forward(grid, spec, init, u, 0.2, 4)
+    k = 1
+    traj = Trajectory(ref.grid, ref.times, {name: f.copy() for name, f in ref.fields.items()},
+                      s_stab=ref.s_stab, flux_scheme=ref.flux_scheme)
+    for f in traj.fields.values():
+        f[k + 1:] = np.nan
+    step(traj, k, u.values[k], spec)
+    for name in FORWARD_FIELDS:
+        got, want = traj.fields[name], ref.fields[name]
+        assert got[: k + 2].tobytes() == want[: k + 2].tobytes(), name
+        assert np.isnan(got[k + 2:]).all(), name
+
+
+def test_trajectory_extrapolate_both_directions():
+    grid = Grid(4, 3)
+    rng = np.random.default_rng(3)
+    x = rng.standard_normal((5, *grid.shape))
+    traj = Trajectory(grid, 0.1 * np.arange(5), {"x": x})
+    # First forward step: only level 0 is stored behind level 1.
+    assert traj.extrapolate("x", 0).tobytes() == x[0].tobytes()
+    # First backward step (k = nt - 1 writes level nt - 1 from level nt).
+    assert traj.extrapolate("x", 3, -1).tobytes() == x[4].tobytes()
+    # In between, linear extrapolation of the two levels behind the new one.
+    assert traj.extrapolate("x", 2).tobytes() == (2.0 * x[2] - x[1]).tobytes()
+    assert traj.extrapolate("x", 1, -1).tobytes() == (2.0 * x[2] - x[3]).tobytes()
+
+
+def test_trajectory_check_step_names_first_nonfinite_field():
+    grid = Grid(4, 4)
+    traj = Trajectory.zeros(grid, 0.1 * np.arange(5), ("x", "y", "z"))
+    traj.y[3, 1, 2] = np.nan
+    traj.z[3, 0, 0] = np.inf
+    with pytest.raises(SolverError, match=r"^non-finite y after step 2$"):
+        traj.check_step(2)
+    with pytest.raises(SolverError, match=r"^non-finite y after backward step 3$"):
+        traj.check_step(3, -1)
+    traj.y[3] = 0.0
+    with pytest.raises(SolverError, match=r"^non-finite z after step 2$"):
+        traj.check_step(2)
+    # The levels the other steps wrote are finite.
+    traj.check_step(1)
+    traj.check_step(2, -1)
 
 
 def test_forward_homogeneous_matches_adaptive_ode_reference():
@@ -211,31 +265,24 @@ def test_mean_ode_residual_halves_with_tau():
 def test_energy_entropy_term_only():
     grid = Grid(10, 10)  # unit square
     spec = base_model()
-    st = State(
-        phi=np.zeros(grid.shape),
-        mu=np.zeros(grid.shape),
-        a=np.ones(grid.shape),
-        n=np.zeros(grid.shape),
-        sigma=np.zeros(grid.shape),
-    )
-    assert energy(grid, st, spec) == pytest.approx(-1.0, rel=1e-13)
+    level = Trajectory.zeros(grid, np.zeros(1), FORWARD_FIELDS)
+    level.a[0] = 1.0
+    assert energy(level, 0, spec) == pytest.approx(-1.0, rel=1e-13)
 
 
 def test_energy_shift_in_n_changes_coupling_only():
     grid = Grid(12, 12)
     spec = base_model()
     rng = np.random.default_rng(9)
-    st = State(
-        phi=rng.uniform(0.1, 0.9, grid.shape),
-        mu=np.zeros(grid.shape),
-        a=rng.uniform(0.5, 1.5, grid.shape),
-        n=rng.standard_normal(grid.shape),
-        sigma=rng.uniform(0, 1, grid.shape),
-    )
+    traj = Trajectory.zeros(grid, np.arange(2.0), FORWARD_FIELDS)
+    traj.phi[:] = rng.uniform(0.1, 0.9, grid.shape)
+    traj.a[:] = rng.uniform(0.5, 1.5, grid.shape)
+    traj.n[:] = rng.standard_normal(grid.shape)
+    traj.sigma[:] = rng.uniform(0, 1, grid.shape)
     c = 0.37
-    shifted = State(st.phi, st.mu, st.a, st.n + c, st.sigma)
-    delta = energy(grid, shifted, spec) - energy(grid, st, spec)
-    expected = -spec.chi_phi * c * grid.cell_area * st.phi.sum()
+    traj.n[1] += c  # level 1 is level 0 with n shifted by c
+    delta = energy(traj, 1, spec) - energy(traj, 0, spec)
+    expected = -spec.chi_phi * c * grid.cell_area * traj.phi[0].sum()
     assert delta == pytest.approx(expected, rel=1e-10)
 
 
