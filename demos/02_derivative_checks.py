@@ -25,6 +25,7 @@ from chks import (
     ProliferationSpec,
     cost,
     duality_residual,
+    inner,
     reduced_gradient,
     solve_adjoint,
     solve_forward,
@@ -59,7 +60,7 @@ h = profile[:, None, None] * pattern[None]
 
 print("1) Taylor test (expect order ~2):")
 eps_list = [1e-2, 5e-3, 2.5e-3]
-rem = taylor_remainders(grid, model, traj, init, u, h, eps_list, T, nt)
+rem = taylor_remainders(traj, model, init, u, h, eps_list)
 for i, eps in enumerate(eps_list):
     order = "" if i == 0 else f"   order {np.log2(rem[i-1] / rem[i]):.3f}"
     print(f"   eps = {eps:.4g}   remainder = {rem[i]:.4e}{order}")
@@ -84,12 +85,12 @@ cs = ControlSpec(b1=1.0, b2=1.0, b3=1e-3, phi_q=phi_q, phi_omega=phi_omega, u_ma
 adj = solve_adjoint(traj, cs, model)
 grad = reduced_gradient(adj, u, cs.b3)
 eps = 1e-4
-directional = tau * grid.cell_area * float(np.sum(grad * h))
+directional = tau * inner(grid, grad, h)
 up = Control(u.values + eps * h, 1.0)
 um = Control(u.values - eps * h, 1.0)
 tp, _ = solve_forward(grid, model, init, up, T, nt)
 tm, _ = solve_forward(grid, model, init, um, T, nt)
-fd = (cost(grid, tp, up, cs) - cost(grid, tm, um, cs)) / (2 * eps)
+fd = (cost(tp, up, cs) - cost(tm, um, cs)) / (2 * eps)
 print(f"   adjoint   {directional:+.10e}")
 print(f"   central   {fd:+.10e}")
 print(f"   rel error {abs(directional - fd) / abs(fd):.3e}")

@@ -21,6 +21,7 @@ from chks import (
     OptimizeOptions,
     PotentialSpec,
     ProliferationSpec,
+    inner,
     optimize,
     solve_forward,
     stationarity_residual,
@@ -67,7 +68,7 @@ print("cost history:")
 for i, (j, s) in enumerate(zip(result.cost_history, result.stationarity_history)):
     print(f"   iter {i}: J = {j:.6e}   stationarity = {s:.3e}")
 
-stat = stationarity_residual(grid, tau, result.u_star, result.adjoint, cs)
+stat = stationarity_residual(result.u_star, result.adjoint, cs)
 print(f"\nprojection identity defect ||u* - P(-p3/b3)|| = {stat:.3e}")
 
 # Spot-check the variational inequality against random admissible doses.
@@ -76,7 +77,7 @@ rng = np.random.default_rng(0)
 worst = np.inf
 for _ in range(20):
     utest = rng.uniform(0.0, 1.0, result.u_star.values.shape)
-    vi = tau * grid.cell_area * float(np.sum(grad * (utest - result.u_star.values)))
+    vi = tau * inner(grid, grad, utest - result.u_star.values)
     worst = min(worst, vi / control_norm(grid, tau, utest - result.u_star.values))
 print(f"worst normalized variational-inequality value over 20 samples: {worst:.3e}")
 print("(nonnegative up to round-off at a stationary point)")

@@ -10,7 +10,6 @@ from .grid import (
     helmholtz_solve,
     inner,
     laplacian,
-    mean,
     norm_l2,
 )
 from .potentials import (

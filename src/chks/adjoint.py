@@ -25,10 +25,11 @@ identity
 
 holds with an O(tau) residual, which duality_residual quantifies.
 
-The sweep runs backward in place on the returned Trajectory: backward
-step k reads stored level k + 1 and writes level k. Its one exception is
-the first backward step, whose (p1, p2) input is the weakly imposed final
-condition (see solve_adjoint), while stored level Nt keeps p1(T).
+The sweep runs backward in place on the returned Trajectory, which
+records the base's s_stab and flux scheme: backward step k reads stored
+level k + 1 and writes level k. Its one exception is the first backward
+step, whose (p1, p2) input is the weakly imposed final condition (see
+solve_adjoint), while stored level Nt keeps p1(T).
 
 The advective term grad(sigma*).grad(p3) is evaluated with centered face
 gradients and averaged back to cell centers (grid.grad_dot), and
@@ -83,7 +84,10 @@ def solve_adjoint(base: Trajectory, cost: ControlSpec, spec: ModelSpec) -> Traje
     if cost.phi_omega.shape != gr.shape:
         raise ValueError("phi_omega must match the grid shape")
 
-    adj = Trajectory.zeros(gr, base.times, ("p1", "p2", "p3", "p4", "p5"))
+    adj = Trajectory.zeros(
+        gr, base.times, ("p1", "p2", "p3", "p4", "p5"),
+        s_stab=base.s_stab, flux_scheme=base.flux_scheme,
+    )
     p1_final = cost.b2 * (base.phi[nt] - cost.phi_omega)
     adj.p1[nt], adj.p2[nt] = p1_final, -g.laplacian(gr, p1_final)
 
@@ -173,19 +177,16 @@ def duality_residual(
 
     LHS = int_Q h p3, RHS = b1 int_Q (phi* - phi_Q) psi
                           + b2 int_Om (phi*(T) - phi_Om) psi(T),
-    rectangle rule in time with p3 and psi paired at the step end levels.
+    rectangle rule in time with p3 and psi paired at the step end levels
+    (tau * grid.inner over the stacked levels 1..Nt).
     Returns |LHS - RHS| / (|LHS| + |RHS| + 1e-30).
     """
     gr = base.grid
-    nt = base.nt
     tau = base.tau
-    if lin.nt != nt or adj.nt != nt:
+    if lin.nt != base.nt or adj.nt != base.nt:
         raise ValueError("trajectories must share the time grid")
-    lhs = sum(tau * g.inner(gr, h[k], adj.p3[k + 1]) for k in range(nt))
-    rhs = cost.b2 * g.inner(gr, base.phi[nt] - cost.phi_omega, lin.psi[nt])
+    lhs = tau * g.inner(gr, h, adj.p3[1:])
+    rhs = cost.b2 * g.inner(gr, base.phi[-1] - cost.phi_omega, lin.psi[-1])
     if cost.b1:
-        rhs += cost.b1 * sum(
-            tau * g.inner(gr, base.phi[k + 1] - cost.phi_q[k], lin.psi[k + 1])
-            for k in range(nt)
-        )
+        rhs += cost.b1 * tau * g.inner(gr, base.phi[1:] - cost.phi_q, lin.psi[1:])
     return abs(lhs - rhs) / (abs(lhs) + abs(rhs) + 1e-30)

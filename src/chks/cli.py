@@ -17,7 +17,7 @@ from pathlib import Path
 
 from .config import ConfigError, RunConfig, load_config
 from .control_opt import optimize
-from .fields_io import write_csv, write_field, write_series, write_trajectory
+from .fields_io import SERIES_COLUMNS, write_csv, write_field, write_trajectory
 from .grid import SolverError
 from .state import energy_series, solve_forward
 from .verify import REPORT_COLUMNS, SUITES, run_suites
@@ -48,7 +48,7 @@ def cmd_simulate(cfg: RunConfig, out: Path, strict: bool) -> int:
     )
     energies = energy_series(traj, cfg.model)
     write_trajectory(out, traj.grid, traj.fields)
-    write_series(out, _series_rows(traj, report, energies))
+    write_csv(out / "series.csv", SERIES_COLUMNS, _series_rows(traj, report, energies))
     failures = []
     if report.sigma_min < -1e-8 or report.sigma_max > 1.0 + 1e-8:
         failures.append(f"sigma range [{report.sigma_min:.3e}, {report.sigma_max:.3e}]")

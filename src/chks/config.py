@@ -245,6 +245,8 @@ def load_config(path: str | Path, seed_override: int | None = None) -> RunConfig
     if seed < 0:
         raise top_level.reject("seed", "must be nonnegative")
     if seed_override is not None:
+        if seed_override < 0:
+            raise ConfigError(f"seed override {seed_override}: must be nonnegative")
         seed = seed_override
     rng = np.random.default_rng(seed)
 

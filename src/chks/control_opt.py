@@ -13,6 +13,10 @@ as a function of the control alone is p3 + b3*u, with p3 the third
 adjoint component; the necessary optimality condition is the pointwise
 projection identity u* = P(-p3/b3), whose defect is the stationarity
 residual used as the stopping rule.
+
+Every integral over Q is the rectangle rule at the step-end levels 1..Nt,
+tau * grid.inner over the stacked levels. cost and stationarity_residual
+read the grid and tau from the trajectory they are given.
 """
 
 from __future__ import annotations
@@ -54,27 +58,22 @@ class OptimizeResult:
     adjoint: Trajectory | None = None
 
 
-def cost(
-    gr: Grid, traj: Trajectory, u: Control, cs: ControlSpec
-) -> float:
-    """Tracking cost: rectangle rule in time (step-end levels), cell sums in space."""
-    nt = traj.nt
-    tau = traj.tau
-    if u.values.shape != (nt, gr.nx, gr.ny):
+def cost(traj: Trajectory, u: Control, cs: ControlSpec) -> float:
+    """Tracking cost J of a forward trajectory and the control that drove it."""
+    gr, tau = traj.grid, traj.tau
+    shape = (traj.nt, gr.nx, gr.ny)
+    if u.values.shape != shape:
         raise ValueError("control shape mismatch")
-    if cs.phi_q.shape != (nt, gr.nx, gr.ny):
+    if cs.phi_q.shape != shape:
         raise ValueError("phi_q shape mismatch")
     j = 0.0
     if cs.b1:
-        j += 0.5 * cs.b1 * sum(
-            tau * g.inner(gr, traj.phi[k + 1] - cs.phi_q[k], traj.phi[k + 1] - cs.phi_q[k])
-            for k in range(nt)
-        )
+        d = traj.phi[1:] - cs.phi_q
+        j += 0.5 * cs.b1 * tau * g.inner(gr, d, d)
     if cs.b2:
-        d = traj.phi[nt] - cs.phi_omega
+        d = traj.phi[-1] - cs.phi_omega
         j += 0.5 * cs.b2 * g.inner(gr, d, d)
-    j += 0.5 * cs.b3 * sum(tau * g.inner(gr, u.values[k], u.values[k]) for k in range(nt))
-    return float(j)
+    return j + 0.5 * cs.b3 * tau * g.inner(gr, u.values, u.values)
 
 
 def project_admissible(values: np.ndarray, u_max: float | np.ndarray) -> np.ndarray:
@@ -84,7 +83,7 @@ def project_admissible(values: np.ndarray, u_max: float | np.ndarray) -> np.ndar
 
 def control_norm(gr: Grid, tau: float, values: np.ndarray) -> float:
     """Discrete L2(Q) norm of a control-shaped array."""
-    return float(np.sqrt(tau * gr.cell_area * np.sum(values**2)))
+    return float(np.sqrt(tau * g.inner(gr, values, values)))
 
 
 def reduced_gradient(adj: Trajectory, u: Control, b3: float) -> np.ndarray:
@@ -100,12 +99,10 @@ def reduced_gradient(adj: Trajectory, u: Control, b3: float) -> np.ndarray:
     return adj.p3[1:] + b3 * u.values
 
 
-def stationarity_residual(
-    gr: Grid, tau: float, u: Control, adj: Trajectory, cs: ControlSpec
-) -> float:
+def stationarity_residual(u: Control, adj: Trajectory, cs: ControlSpec) -> float:
     """L2(Q) norm of u - P(-p3/b3); zero iff the discrete optimality condition holds."""
     target = project_admissible(-adj.p3[1:] / cs.b3, cs.u_max)
-    return control_norm(gr, tau, u.values - target)
+    return control_norm(adj.grid, adj.tau, u.values - target)
 
 
 def optimize(
@@ -139,11 +136,11 @@ def optimize(
         return traj
 
     traj = forward(u)
-    j_cur = cost(gr, traj, u, cs)
+    j_cur = cost(traj, u, cs)
     step_size = 1.0 / cs.b3
     for it in range(opts.max_iters + 1):
         adj = solve_adjoint(traj, cs, spec)
-        stat = stationarity_residual(gr, tau, u, adj, cs)
+        stat = stationarity_residual(u, adj, cs)
         result.cost_history.append(j_cur)
         result.stationarity_history.append(stat)
         result.iterations = it
@@ -164,9 +161,9 @@ def optimize(
         for bt in range(MAX_BACKTRACKS + 1):
             trial_values = project_admissible(u.values - s * grad, cs.u_max)
             trial = Control(trial_values, cs.u_max)
-            step_norm_sq = tau * gr.cell_area * float(np.sum((trial_values - u.values) ** 2))
+            step_norm_sq = control_norm(gr, tau, trial_values - u.values) ** 2
             traj_trial = forward(trial)
-            j_trial = cost(gr, traj_trial, trial, cs)
+            j_trial = cost(traj_trial, trial, cs)
             if j_trial <= j_cur - opts.armijo_c / max(s, 1e-300) * step_norm_sq:
                 u, traj, j_cur = trial, traj_trial, j_trial
                 result.step_sizes.append(s)

@@ -81,16 +81,6 @@ def write_trajectory(
             write_field(out / f"{prefix}{name}_{k:06}.fld", grid, arr[k])
 
 
-def write_series(out_dir: str | Path, rows: list[dict]) -> None:
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    with open(out / "series.csv", "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=SERIES_COLUMNS)
-        writer.writeheader()
-        for row in rows:
-            writer.writerow(row)
-
-
 def write_csv(path: str | Path, columns: list[str], rows: list[dict]) -> None:
     Path(path).parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="") as fh:

@@ -297,14 +297,13 @@ def grad_dot(
     return _to_cells(bx, by, ny, np.add)
 
 
-def mean(grid: Grid, f: np.ndarray) -> float:
-    """Cell average of f."""
-    return float(f.mean())
-
-
 def inner(grid: Grid, f: np.ndarray, g: np.ndarray) -> float:
-    """Discrete L2 pairing hx*hy*sum(f*g)."""
-    return float(grid.cell_area * np.sum(f * g))
+    """Discrete L2 pairing hx*hy*sum(f*g), formed without a product array.
+
+    Stacked (levels, nx, ny) arrays are paired over all their levels, so
+    tau * inner(grid, f, g) over the step-end levels is the L2(Q) pairing.
+    """
+    return float(grid.cell_area * np.vdot(f, g))
 
 
 def norm_l2(grid: Grid, f: np.ndarray) -> float:

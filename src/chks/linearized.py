@@ -17,7 +17,11 @@ with every coefficient frozen from the base trajectory at the level the
 forward step used for the corresponding term. That congruence is what
 makes the Taylor remainder of the forward map second order in the
 direction size. Like the forward sweep, step k reads stored level k of
-the returned Trajectory and writes level k + 1 in place.
+the returned Trajectory and writes level k + 1 in place; the returned
+Trajectory records the base's s_stab and flux scheme.
+
+taylor_remainders reads the grid, the step count and the end time from the
+base trajectory it is given.
 """
 
 from __future__ import annotations
@@ -25,7 +29,6 @@ from __future__ import annotations
 import numpy as np
 
 from . import grid as g
-from .grid import Grid
 from .state import (
     Control,
     InitialData,
@@ -46,7 +49,10 @@ def solve_linearized(base: Trajectory, spec: ModelSpec, h: np.ndarray) -> Trajec
     s_stab = base.s_stab
     scheme = base.flux_scheme
 
-    out = Trajectory.zeros(gr, base.times, ("psi", "eta", "alpha_lin", "nu", "omega"))
+    out = Trajectory.zeros(
+        gr, base.times, ("psi", "eta", "alpha_lin", "nu", "omega"),
+        s_stab=s_stab, flux_scheme=scheme,
+    )
     inv_tau = 1.0 / tau
     tau_eff = 1.0 / (inv_tau + spec.m)
     for k in range(nt):
@@ -103,27 +109,26 @@ def solve_linearized(base: Trajectory, spec: ModelSpec, h: np.ndarray) -> Trajec
 
 
 def taylor_remainders(
-    gr: Grid,
-    spec: ModelSpec,
     base_traj: Trajectory,
+    spec: ModelSpec,
     init: InitialData,
     u: Control,
     h: np.ndarray,
     epsilons: list[float],
-    T: float,
-    nt: int,
 ) -> list[float]:
     """Remainders ||S(u + eps*h) - S(u) - eps*lin(h)|| for a sweep of eps.
 
-    Perturbed controls must stay admissible; callers pick u interior to the
-    box and eps*h small enough.
+    base_traj is S(u); the perturbed runs reuse its grid, step count, end
+    time and scheme. Perturbed controls must stay admissible; callers pick
+    u interior to the box and eps*h small enough.
     """
+    gr = base_traj.grid
     lin = solve_linearized(base_traj, spec, h)
     remainders = []
     for eps in epsilons:
         u_eps = Control(u.values + eps * h, u.u_max)
         traj_eps, _ = solve_forward(
-            gr, spec, init, u_eps, T, nt,
+            gr, spec, init, u_eps, float(base_traj.times[-1]), base_traj.nt,
             s_stab=base_traj.s_stab, flux_scheme=base_traj.flux_scheme,
         )
         predicted = Trajectory(gr, base_traj.times, {

@@ -28,7 +28,10 @@ phi -> n -> sigma -> a:
 
 The forward sweep steps in place on a Trajectory, which it stores in full
 because the linearized/adjoint replays need it: step k reads stored level k
-and writes level k + 1. Monitors are computed from the stored levels.
+and writes level k + 1. Monitors are computed from the stored levels after
+the sweep: reductions over all levels at once where they need no
+whole-trajectory temporary of a nonlinear function, and one level at a time
+(h(phi), the energy, the gradient norms) where they would.
 """
 
 from __future__ import annotations
@@ -318,6 +321,8 @@ def energy(traj: Trajectory, k: int, spec: ModelSpec) -> float:
 
 def energy_series(traj: Trajectory, spec: ModelSpec) -> np.ndarray:
     """Free energy of each stored level of a forward trajectory."""
+    # Per level, as h(phi) in check_mean_ode: whole-trajectory temporaries
+    # would raise the peak memory of a 256^2 run.
     return np.array([energy(traj, k, spec) for k in range(traj.nt + 1)])
 
 
@@ -340,14 +345,12 @@ def check_mean_ode(traj: Trajectory, spec: ModelSpec) -> float:
     vanishes to round-off when h is constant (in particular h = 0 and
     h = m*r0).
     """
-    tau = traj.tau
     means = traj.phi.mean(axis=(1, 2))
-    hbar = np.array([float(spec.prolif.h_value(traj.phi[k]).mean()) for k in range(traj.nt + 1)])
-    res = 0.0
-    for k in range(traj.nt):
-        r = abs((means[k + 1] - means[k]) / tau + spec.m * means[k + 1] - hbar[k + 1])
-        res = max(res, r)
-    return res
+    # h(phi) one level at a time: on the whole trajectory it raises
+    # peak_rss_mb by 13% on a 256^2 forward run. Level 0's is never read.
+    hbar = np.array([spec.prolif.h_value(phi).mean() for phi in traj.phi[1:]])
+    res = np.diff(means) / traj.tau + spec.m * means[1:] - hbar
+    return float(np.abs(res).max())
 
 
 def trajectory_distance(t1: Trajectory, t2: Trajectory) -> float:
@@ -360,14 +363,12 @@ def trajectory_distance(t1: Trajectory, t2: Trajectory) -> float:
     across grids.
     """
     gr = t1.grid
-    tau = t1.tau
     total = 0.0
     for f1, f2 in zip(t1.fields.values(), t2.fields.values(), strict=True):
         d = f1 - f2
-        sup_l2 = max(g.norm_l2(gr, d[k]) for k in range(d.shape[0]))
-        h1_acc = sum(
-            tau * (g.norm_l2(gr, d[k]) ** 2 + g.grad_norm_sq(gr, d[k]))
-            for k in range(d.shape[0])
-        )
-        total += sup_l2 + np.sqrt(h1_acc)
+        l2_sq = gr.cell_area * np.einsum("kij,kij->k", d, d)
+        # Per level: whole-trajectory face differences would be two more
+        # temporaries the size of d.
+        grad_sq = [g.grad_norm_sq(gr, level) for level in d]
+        total += np.sqrt(l2_sq.max()) + np.sqrt(t1.tau * np.sum(l2_sq + grad_sq))
     return float(total)

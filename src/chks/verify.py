@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import grid as g
 from .adjoint import ControlSpec, duality_residual, solve_adjoint
 from .config import RunConfig, generate_field
 from .control_opt import control_norm, cost, reduced_gradient
@@ -105,13 +106,12 @@ def suite_gradcheck(
     results = []
     for d in range(n_directions):
         h = _smooth_direction(gr, nt, rng)
-        directional = tau * gr.cell_area * float(np.sum(grad * h))
-        traj_p, _ = _forward(cfg, Control(u.values + eps * h, u.u_max))
-        traj_m, _ = _forward(cfg, Control(u.values - eps * h, u.u_max))
-        fd = (
-            cost(gr, traj_p, Control(u.values + eps * h, u.u_max), cs)
-            - cost(gr, traj_m, Control(u.values - eps * h, u.u_max), cs)
-        ) / (2.0 * eps)
+        directional = tau * g.inner(gr, grad, h)
+        u_p = Control(u.values + eps * h, u.u_max)
+        u_m = Control(u.values - eps * h, u.u_max)
+        j_p = cost(_forward(cfg, u_p)[0], u_p, cs)
+        j_m = cost(_forward(cfg, u_m)[0], u_m, cs)
+        fd = (j_p - j_m) / (2.0 * eps)
         rel = abs(directional - fd) / max(abs(fd), 1e-30)
         results.append(
             CheckResult("gradcheck", f"direction_{d}", rel, threshold, rel <= threshold,
@@ -134,9 +134,7 @@ def suite_taylor(
     umax = cfg.control_spec.u_max
     u = Control(np.clip(u.values, 1.5 * margin, umax - 1.5 * margin), umax)
     traj, _ = _forward(cfg, u)
-    rem = taylor_remainders(
-        cfg.grid, cfg.model, traj, cfg.init, u, h, list(epsilons), cfg.T, cfg.nt
-    )
+    rem = taylor_remainders(traj, cfg.model, cfg.init, u, h, list(epsilons))
     results = []
     for i in range(len(epsilons) - 1):
         ratio = epsilons[i] / epsilons[i + 1]
@@ -335,14 +333,12 @@ def suite_invariants(cfg: RunConfig) -> list[CheckResult]:
     return results
 
 
-def energy_stability_worst_increase(
-    gr: Grid, T: float, nt: int, seed: int, s_stab: float | None = None
-) -> float:
+def energy_stability_worst_increase(gr: Grid, T: float, nt: int, seed: int) -> float:
     """Largest one-step increase of the phase energy in the decoupled run.
 
     chi_phi = 0, m = 0, h = 0 decouple the phase-field pair from the other
-    unknowns; the stabilized semi-implicit step should then dissipate
-    (1/2)|grad phi|^2 + F(phi) at every step.
+    unknowns; the stabilized semi-implicit step, at the potential's default
+    s_stab, should then dissipate (1/2)|grad phi|^2 + F(phi) at every step.
     """
     model = ModelSpec(m=0.0, chi_phi=0.0, c_phi=0.0, c_sigma=0.0)  # regular c1 = 1, h = 0
     rng = np.random.default_rng(seed)
@@ -353,9 +349,7 @@ def energy_stability_worst_increase(
         sigma0=0.5 * np.ones(gr.shape),
     )
     u = Control(np.zeros((nt, gr.nx, gr.ny)), 1.0)
-    traj, _ = solve_forward(
-        gr, model, init, u, T, nt, s_stab=s_stab, check_admissibility=False
-    )
+    traj, _ = solve_forward(gr, model, init, u, T, nt, check_admissibility=False)
     energies = np.array([energy_phi_part(gr, traj.phi[k], model) for k in range(nt + 1)])
     return float(np.max(np.diff(energies)))
 

@@ -94,7 +94,7 @@ def test_criterion_04_projection_characterization():
     res = optimize(gr, cfg_ic.model, cfg_ic.init, cfg_ic.control_spec, cfg_ic.u0,
                    T, nt, cfg_ic.opts)
     assert res.converged, "inverse-crime optimize run did not converge"
-    stat = stationarity_residual(gr, tau, res.u_star, res.adjoint, cfg_ic.control_spec)
+    stat = stationarity_residual(res.u_star, res.adjoint, cfg_ic.control_spec)
     bound = 1e-6 * (1.0 + control_norm(gr, tau, res.u_star.values))
     proj_ok = stat <= bound
 

@@ -106,6 +106,34 @@ def test_duality_residual_small_and_tau_decreasing(problem):
     assert residuals[1] / residuals[2] >= 1.5
 
 
+def test_duality_residual_matches_per_level_sums(problem):
+    # An upwind base, a non-constant running target, and both sides of the
+    # identity written per level.
+    grid, spec, init, u, traj, cs, T, nt = problem
+    tau = T / nt
+    base, _ = solve_forward(grid, spec, init, u, T, nt, flux_scheme="upwind")
+    csr = ControlSpec(b1=0.7, b2=1.3, b3=cs.b3,
+                      phi_q=0.5 + 0.1 * smooth_direction(grid, nt, 210),
+                      phi_omega=cs.phi_omega, u_max=1.0)
+    h = smooth_direction(grid, nt, 211)
+    adj = solve_adjoint(base, csr, spec)
+    lin = solve_linearized(base, spec, h)
+    # The adjoint trajectory records the scheme of the forward one.
+    assert adj.flux_scheme == "upwind"
+    assert adj.s_stab == base.s_stab > 0
+    area = grid.cell_area
+    lhs = sum(tau * area * np.sum(h[k] * adj.p3[k + 1]) for k in range(nt))
+    rhs = csr.b2 * area * np.sum((base.phi[nt] - csr.phi_omega) * lin.psi[nt])
+    rhs += csr.b1 * sum(tau * area * np.sum((base.phi[k + 1] - csr.phi_q[k]) * lin.psi[k + 1])
+                        for k in range(nt))
+    ref = abs(lhs - rhs) / (abs(lhs) + abs(rhs))
+    got = duality_residual(base, adj, h, lin, csr)
+    assert ref > 1e-8  # a residual, not round-off, is compared
+    # The residual is divided by |lhs| + |rhs|, so round-off in either side
+    # moves it by about 1e-16 absolute, whatever the residual's size.
+    assert abs(got - ref) <= 1e-14
+
+
 def test_duality_zero_direction_guard(problem):
     grid, spec, init, u, traj, cs, T, nt = problem
     adj = solve_adjoint(traj, cs, spec)

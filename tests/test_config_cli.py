@@ -67,6 +67,8 @@ def test_seed_override(tmp_path):
     path = write_cfg(tmp_path, MINIMAL)
     cfg = load_config(path, seed_override=123)
     assert cfg.seed == 123
+    with pytest.raises(ConfigError, match="seed override -1"):
+        load_config(path, seed_override=-1)
 
 
 def test_chi_out_of_range_cites_condition(tmp_path):

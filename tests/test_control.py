@@ -42,7 +42,7 @@ def test_cost_perfect_tracking_zero_control(problem):
     traj, _ = solve_forward(grid, spec, init, u, T, nt)
     cs_perfect = ControlSpec(b1=1.0, b2=1.0, b3=1.0, phi_q=traj.phi[1:].copy(),
                              phi_omega=traj.phi[nt].copy(), u_max=1.0)
-    assert cost(grid, traj, u, cs_perfect) == 0.0
+    assert cost(traj, u, cs_perfect) == 0.0
 
 
 def test_cost_pure_control_quadrature():
@@ -56,9 +56,26 @@ def test_cost_pure_control_quadrature():
     cs = ControlSpec(b1=0.0, b2=0.0, b3=b3,
                      phi_q=np.zeros((nt, grid.nx, grid.ny)),
                      phi_omega=np.zeros(grid.shape), u_max=2.0)
-    assert cost(grid, traj, u, cs) == pytest.approx(b3 / 2.0, rel=1e-14)
+    assert cost(traj, u, cs) == pytest.approx(b3 / 2.0, rel=1e-14)
     u2 = Control(2.0 * u.values, 2.0)
-    assert cost(grid, traj, u2, cs) == pytest.approx(4.0 * b3 / 2.0, rel=1e-14)
+    assert cost(traj, u2, cs) == pytest.approx(4.0 * b3 / 2.0, rel=1e-14)
+
+
+def test_cost_matches_per_level_quadrature(problem):
+    # All three terms weighted, against the rectangle rule written per level.
+    grid, spec, init, cs, T, nt = problem
+    tau = T / nt
+    u = Control(np.clip(0.5 + 0.2 * smooth_direction(grid, nt, 320), 0, 1), 1.0)
+    traj, _ = solve_forward(grid, spec, init, u, T, nt)
+    cs3 = ControlSpec(b1=0.7, b2=1.3, b3=0.2,
+                      phi_q=0.5 + 0.1 * smooth_direction(grid, nt, 321),
+                      phi_omega=cs.phi_omega, u_max=1.0)
+    area = grid.cell_area
+    ref = 0.5 * cs3.b2 * area * np.sum((traj.phi[nt] - cs3.phi_omega) ** 2)
+    for k in range(nt):
+        ref += 0.5 * cs3.b1 * tau * area * np.sum((traj.phi[k + 1] - cs3.phi_q[k]) ** 2)
+        ref += 0.5 * cs3.b3 * tau * area * np.sum(u.values[k] ** 2)
+    assert cost(traj, u, cs3) == pytest.approx(ref, rel=1e-13)
 
 
 def test_projection_identity_clamp_nonexpansive():
@@ -109,27 +126,26 @@ def test_gradient_matches_central_differences(problem):
         tp, _ = solve_forward(grid, spec, init, Control(u.values + eps * h, 1.0), T, nt)
         tm, _ = solve_forward(grid, spec, init, Control(u.values - eps * h, 1.0), T, nt)
         fd = (
-            cost(grid, tp, Control(u.values + eps * h, 1.0), cs)
-            - cost(grid, tm, Control(u.values - eps * h, 1.0), cs)
+            cost(tp, Control(u.values + eps * h, 1.0), cs)
+            - cost(tm, Control(u.values - eps * h, 1.0), cs)
         ) / (2 * eps)
         assert abs(directional - fd) / abs(fd) <= 1e-3
 
 
 def test_stationarity_residual_fixed_point(problem):
     grid, spec, init, cs, T, nt = problem
-    tau = T / nt
     u = Control(0.4 * np.ones((nt, grid.nx, grid.ny)), 1.0)
     traj, _ = solve_forward(grid, spec, init, u, T, nt)
     adj = solve_adjoint(traj, cs, spec)
     u_fix = Control(project_admissible(-adj.p3[1:] / cs.b3, 1.0), 1.0)
-    assert stationarity_residual(grid, tau, u_fix, adj, cs) == 0.0
+    assert stationarity_residual(u_fix, adj, cs) == 0.0
 
     cs0 = ControlSpec(b1=0.0, b2=0.0, b3=1.0, phi_q=cs.phi_q, phi_omega=cs.phi_omega,
                       u_max=1.0)
     u0 = Control(np.zeros((nt, grid.nx, grid.ny)), 1.0)
     traj0, _ = solve_forward(grid, spec, init, u0, T, nt)
     adj0 = solve_adjoint(traj0, cs0, spec)
-    assert stationarity_residual(grid, tau, u0, adj0, cs0) == 0.0
+    assert stationarity_residual(u0, adj0, cs0) == 0.0
 
 
 def test_optimize_trivial_quadratic(problem):
@@ -163,7 +179,7 @@ def test_optimize_inverse_crime(problem):
     assert np.all(diffs <= 1e-18)
     # Projection characterization at the reported iterate.
     adj = res.adjoint
-    stat = stationarity_residual(grid, tau, res.u_star, adj, cs_ic)
+    stat = stationarity_residual(res.u_star, adj, cs_ic)
     assert stat <= 1e-6 * (1.0 + control_norm(grid, tau, res.u_star.values))
     # Sampled variational inequality over random admissible controls.
     grad = reduced_gradient(adj, res.u_star, cs_ic.b3)

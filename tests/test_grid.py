@@ -17,7 +17,6 @@ from chks.grid import (
     inner,
     lap_eigenvalues,
     laplacian,
-    mean,
     norm_l2,
 )
 
@@ -65,7 +64,7 @@ def test_laplacian_mean_zero_and_negative_semidefinite():
     for _ in range(5):
         f = random_field(grid)
         lap = laplacian(grid, f)
-        assert abs(mean(grid, lap)) <= 1e-13 * np.abs(lap).max()
+        assert abs(lap.mean()) <= 1e-13 * np.abs(lap).max()
         assert inner(grid, lap, f) <= 1e-12
     const = np.full(grid.shape, 2.0)
     assert inner(grid, laplacian(grid, const), const) == 0.0
@@ -108,7 +107,7 @@ def test_divergence_conservation():
     f = random_field(grid)
     for scheme in ("centered", "upwind"):
         div = divergence(grid, c, f, scheme)
-        assert abs(mean(grid, div)) <= 1e-13 * np.abs(div).max()
+        assert abs(div.mean()) <= 1e-13 * np.abs(div).max()
         assert np.all(divergence(grid, np.zeros(grid.shape), f, scheme) == 0.0)
 
 
@@ -162,13 +161,18 @@ def test_chemotaxis_flux_upwind_donor_cells():
 
 
 def test_mean_and_inner_basics():
-    grid = Grid(2, 1, 2.0, 1.0)
-    assert mean(grid, np.array([[0.0], [1.0]])) == 0.5
     unit = Grid(4, 4, 1.0, 1.0)
     ones = np.ones(unit.shape)
     assert norm_l2(unit, ones) == pytest.approx(1.0, rel=1e-14)
     f = random_field(unit)
     assert inner(unit, f, f) == pytest.approx(norm_l2(unit, f) ** 2, rel=1e-13)
+    # Stacked levels pair as the sum of their per-level pairings.
+    grid = Grid(6, 5, 1.3, 0.7)
+    fs = RNG.standard_normal((4, *grid.shape))
+    gs = RNG.standard_normal((4, *grid.shape))
+    per_level = sum(inner(grid, fs[k], gs[k]) for k in range(4))
+    scale = sum(inner(grid, np.abs(fs[k]), np.abs(gs[k])) for k in range(4))
+    assert abs(inner(grid, fs, gs) - per_level) <= 1e-14 * scale
 
 
 def test_helmholtz_constant_rhs():

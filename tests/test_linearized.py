@@ -71,7 +71,7 @@ def test_taylor_remainder_second_order(setup):
     grid, spec, init, u, traj, T, nt = setup
     h = smooth_direction(grid, nt, 104)
     eps = [1e-2, 5e-3, 2.5e-3]
-    rem = taylor_remainders(grid, spec, traj, init, u, h, eps, T, nt)
+    rem = taylor_remainders(traj, spec, init, u, h, eps)
     orders = [np.log2(rem[i] / rem[i + 1]) for i in range(len(rem) - 1)]
     assert min(orders) >= 1.5
     # The remainder is genuinely second order, not just above the floor.
@@ -104,8 +104,12 @@ def test_upwind_scheme_linearization(setup):
     grid, spec, init, u, traj, T, nt = setup
     traj_up, _ = solve_forward(grid, spec, init, u, T, nt, flux_scheme="upwind")
     h = smooth_direction(grid, nt, 106)
-    rem = taylor_remainders(grid, spec, traj_up, init, u, h, [1e-2, 5e-3], T, nt)
+    rem = taylor_remainders(traj_up, spec, init, u, h, [1e-2, 5e-3])
     assert np.log2(rem[0] / rem[1]) >= 1.4
+    # The tangent trajectory records the scheme of the forward one.
+    lin = solve_linearized(traj_up, spec, h)
+    assert lin.flux_scheme == "upwind"
+    assert lin.s_stab == traj_up.s_stab > 0
 
 
 def test_shape_mismatch_rejected(setup):

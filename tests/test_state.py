@@ -11,6 +11,7 @@ from chks.state import (
     InitialData,
     ModelSpec,
     Trajectory,
+    check_mean_ode,
     energy,
     solve_forward,
     step,
@@ -260,6 +261,23 @@ def test_mean_ode_residual_halves_with_tau():
         res[nt] = report.mean_ode_residual
     ratio = res[32] / res[64]
     assert 1.6 <= ratio <= 2.4
+
+
+def test_check_mean_ode_matches_per_level_loop():
+    grid = Grid(16, 16)
+    spec = base_model()  # logistic proliferation
+    init = make_random_init(grid, 7)
+    nt, T = 32, 0.5
+    u = Control(0.3 * np.ones((nt, grid.nx, grid.ny)), 1.0)
+    traj, report = solve_forward(grid, spec, init, u, T, nt)
+    tau = T / nt
+    ref = 0.0
+    for k in range(nt):
+        new, old = traj.phi[k + 1].mean(), traj.phi[k].mean()
+        hbar = spec.prolif.h_value(traj.phi[k + 1]).mean()
+        ref = max(ref, abs((new - old) / tau + spec.m * new - hbar))
+    assert check_mean_ode(traj, spec) == report.mean_ode_residual
+    assert report.mean_ode_residual == pytest.approx(ref, rel=1e-12)
 
 
 def test_energy_entropy_term_only():
