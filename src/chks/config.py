@@ -30,6 +30,11 @@ Field generators:
                                                affinely mapped into [lo, hi]
     file <path>                                field snapshot file
 
+Cosine terms are built from 1-D cosines of the cell-centre abscissae and
+ordinates, broadcast to the grid. Generator numbers must be finite, modes
+at least 0, and the realized field (a snapshot file's too) finite; a
+violation quotes the phrase.
+
 A key may appear once per section. The seed must be nonnegative, numbers
 must be finite, the grid needs
 nx, ny >= 2 and lx, ly > 0, time T > 0, Nt >= 1 and s_stab >= 0, and
@@ -135,6 +140,14 @@ def _parse_lines(text: str) -> tuple[dict[str, dict[str, tuple[str, int]]], dict
     return sections, top
 
 
+def _finite(token: str) -> float:
+    """The number token spells; ValueError unless it parses and is finite."""
+    x = float(token)
+    if not math.isfinite(x):
+        raise ValueError(f"{token!r} is not a finite number")
+    return x
+
+
 class _Section:
     """Typed reads of one section's keys; name None is the top level."""
 
@@ -156,14 +169,11 @@ class _Section:
         return (default, 0)
 
     def number(self, key: str, default: str | None = None) -> float:
-        value, line_no = self.raw(key, default)
+        value, _ = self.raw(key, default)
         try:
-            x = float(value)
-            if math.isfinite(x):
-                return x
+            return _finite(value)
         except ValueError:
-            pass
-        raise self.reject(key, "must be a finite number")
+            raise self.reject(key, "must be a finite number") from None
 
     def reject(self, key: str, requirement: str) -> ConfigError:
         """The error for a value of key that breaks requirement, naming its line."""
@@ -187,10 +197,14 @@ def generate_field(
 ) -> np.ndarray:
     """Realize a field generator phrase on the grid.
 
-    A malformed phrase, or a snapshot file that cannot be read or does not
-    match the grid, raises ConfigError naming the phrase.
+    Each cosine term is a function of x times a function of y, so the
+    cosines run on a column of the nx cell-centre abscissae and a row of the
+    ny ordinates, and broadcasting forms only their products on the grid.
+    A malformed phrase, a non-finite number, a negative mode count, a
+    snapshot file that cannot be read or does not match the grid, or a
+    realized field with a non-finite value raises ConfigError naming the
+    phrase.
     """
-    x, y = gr.cell_centers()
     kind, *args = phrase.split() or [""]
     kind = kind.lower()
     if kind not in _ARITY:
@@ -198,14 +212,19 @@ def generate_field(
     if len(args) != _ARITY[kind]:
         raise ConfigError(f"field generator {phrase!r}: {kind} takes "
                           f"{_ARITY[kind]} argument(s), got {len(args)}")
+    # Grid.cell_centers' coordinates as a column (nx, 1) and a row (1, ny).
+    x = ((np.arange(gr.nx) + 0.5) * gr.hx)[:, None]
+    y = ((np.arange(gr.ny) + 0.5) * gr.hy)[None, :]
     try:
         if kind == "constant":
-            return np.full(gr.shape, float(args[0]))
-        if kind == "cosine":
-            off, amp, kx, ky = (float(t) for t in args)
-            return off + amp * np.cos(kx * np.pi * x / gr.lx) * np.cos(ky * np.pi * y / gr.ly)
-        if kind == "random_smooth":
-            lo, hi, modes = float(args[0]), float(args[1]), int(args[2])
+            f = np.full(gr.shape, _finite(args[0]))
+        elif kind == "cosine":
+            off, amp, kx, ky = (_finite(t) for t in args)
+            f = off + amp * np.cos(kx * np.pi * x / gr.lx) * np.cos(ky * np.pi * y / gr.ly)
+        elif kind == "random_smooth":
+            lo, hi, modes = _finite(args[0]), _finite(args[1]), int(args[2])
+            if modes < 0:
+                raise ValueError(f"modes must be at least 0, got {modes}")
             f = np.zeros(gr.shape)
             for kx in range(modes + 1):
                 for ky in range(modes + 1):
@@ -213,18 +232,21 @@ def generate_field(
                     f += c * np.cos(kx * np.pi * x / gr.lx) * np.cos(ky * np.pi * y / gr.ly)
             fmin, fmax = float(f.min()), float(f.max())
             if fmax - fmin < 1e-30:
-                return np.full(gr.shape, 0.5 * (lo + hi))
-            return lo + (hi - lo) * (f - fmin) / (fmax - fmin)
-        if kind == "file":
+                f = np.full(gr.shape, 0.5 * (lo + hi))
+            else:
+                f = lo + (hi - lo) * (f - fmin) / (fmax - fmin)
+        else:
             path = Path(args[0])
             if base_dir is not None and not path.is_absolute():
                 path = base_dir / path
-            fgrid, data = read_field(path)
+            fgrid, f = read_field(path)
             if fgrid.shape != gr.shape:
                 raise ValueError(f"{path} has shape {fgrid.shape}, expected {gr.shape}")
-            return data
     except (OSError, ValueError) as exc:
         raise ConfigError(f"field generator {phrase!r}: {exc}") from exc
+    if not np.isfinite(f).all():
+        raise ConfigError(f"field generator {phrase!r}: field has non-finite values")
+    return f
 
 
 def load_config(path: str | Path, seed_override: int | None = None) -> RunConfig:

@@ -109,11 +109,14 @@ class Control:
     u_max: float | np.ndarray = 1.0
 
     def validate(self) -> None:
-        # Written so that a NaN fails each test; u_max may be infinite.
+        # Written so that a NaN fails each test; u_max may be infinite. A
+        # scalar bound is tested on the maximum: NaN values fail min >= 0.
         if not np.min(self.u_max) >= 0:
             raise AdmissibilityError("(2.15): u_max must be nonnegative, not NaN")
-        if not (self.values.min() >= 0.0 and self.values.max() < np.inf
-                and np.all(self.values <= self.u_max)):
+        hi = self.values.max()
+        if not (self.values.min() >= 0.0 and hi < np.inf
+                and (hi <= self.u_max if np.ndim(self.u_max) == 0
+                     else np.all(self.values <= self.u_max))):
             raise AdmissibilityError("(2.14): control must be finite with 0 <= u <= u_max")
 
 

@@ -161,6 +161,35 @@ def test_generator_field_ranges():
     assert abs(cos - 0.5).max() <= 0.2 + 1e-12
 
 
+@pytest.mark.parametrize("grid", [Grid(7, 5, 1.3, 0.7), Grid(33, 17, 0.9, 2.1)],
+                         ids=["7x5", "33x17"])
+def test_generate_field_matches_meshgrid_formulas(grid):
+    # The generators evaluated on full (nx, ny) coordinate arrays: the
+    # separable form must give the same bits and leave the rng in the same state.
+    x, y = grid.cell_centers()
+
+    def random_smooth(lo, hi, modes, rng):
+        f = np.zeros(grid.shape)
+        for kx in range(modes + 1):
+            for ky in range(modes + 1):
+                c = rng.normal()
+                f += c * np.cos(kx * np.pi * x / grid.lx) * np.cos(ky * np.pi * y / grid.ly)
+        fmin, fmax = float(f.min()), float(f.max())
+        if fmax - fmin < 1e-30:
+            return np.full(grid.shape, 0.5 * (lo + hi))
+        return lo + (hi - lo) * (f - fmin) / (fmax - fmin)
+
+    cases = [(f"random_smooth 0.2 0.8 {m}", lambda rng, m=m: random_smooth(0.2, 0.8, m, rng))
+             for m in (0, 2, 3)]
+    cases += [("cosine 0.5 0.2 2 3", lambda rng: 0.5 + 0.2 * np.cos(2.0 * np.pi * x / grid.lx)
+               * np.cos(3.0 * np.pi * y / grid.ly)),
+              ("constant 0.7", lambda rng: np.full(grid.shape, 0.7))]
+    for phrase, oracle in cases:
+        rng, rng_oracle = np.random.default_rng(17), np.random.default_rng(17)
+        assert np.array_equal(generate_field(grid, phrase, rng), oracle(rng_oracle)), phrase
+        assert rng.normal() == rng_oracle.normal(), phrase
+
+
 def test_field_snapshot_roundtrip_bit_exact(tmp_path):
     grid = Grid(5, 3, 2.0, 1.0)
     data = np.random.default_rng(1).standard_normal(grid.shape)
@@ -229,16 +258,36 @@ def test_cli_simulate_rejects_bad_config(tmp_path):
 @pytest.mark.parametrize("phrase", [
     "constant abc", "constant", "cosine 0.5", "file truncated.fld", "file bad_magic.fld",
     "constant 0.4 0.9", "cosine 0.5 0.2 1 1 7", "random_smooth 0 1 2 9",
+    "constant nan", "cosine 0.5 inf 1 1", "cosine 0.5 0.2 inf 1", "random_smooth 0 1 -1",
+    "file nan.fld",
 ])
 def test_cli_simulate_rejects_malformed_field_generator(tmp_path, capsys, phrase):
     grid = Grid(8, 8)
     write_field(tmp_path / "good.fld", grid, np.full(grid.shape, 0.4))
+    nan_cell = np.full(grid.shape, 0.4)
+    nan_cell[3, 5] = np.nan
+    write_field(tmp_path / "nan.fld", grid, nan_cell)
     good = (tmp_path / "good.fld").read_bytes()
     (tmp_path / "truncated.fld").write_bytes(good[:-8])
     (tmp_path / "bad_magic.fld").write_bytes(b"CHKSFLD0" + good[8:])
     bad = write_cfg(tmp_path, MINIMAL.replace("phi0 = constant 0.4", f"phi0 = {phrase}"))
     assert main(["simulate", str(bad), "--out", str(tmp_path / "o")]) == 2
     assert repr(phrase) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, old, new", [
+    (["optimize"], "u0 = constant 0.2", "u0 = constant 0.2\nphi_q = constant nan"),
+    (["verify", "--suite", "duality"], "u0 = constant 0.2",
+     "u0 = constant 0.2\nphi_q = constant nan"),
+    (["optimize"], "u0 = constant 0.2",
+     "u0 = constant 0.2\ntargets = simulation\nu_true = constant nan"),
+], ids=["optimize_phi_q", "verify_phi_q", "optimize_u_true"])
+def test_cli_rejects_nonfinite_target_generator(tmp_path, capsys, command, old, new):
+    # A NaN target or simulated control is a config error quoting the
+    # phrase (exit 2), not a solver error (exit 3) or a traceback.
+    bad = write_cfg(tmp_path, MINIMAL.replace(old, new, 1))
+    assert main([command[0], str(bad), *command[1:], "--out", str(tmp_path / "o")]) == 2
+    assert "'constant nan'" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("old, new, bad", [

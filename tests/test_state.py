@@ -399,6 +399,42 @@ def test_control_rejects_nonfinite_data(values, u_max, condition):
         Control(u, np.full((4, 4), u_max)).validate()
 
 
+def test_control_validate_verdicts_match_full_comparison():
+    # The verdict of the three-pass test min >= 0, max < inf and
+    # all(values <= u_max), for scalar and array bounds.
+    def admissible_by_full_comparison(values, u_max):
+        return bool(values.min() >= 0.0 and values.max() < np.inf
+                    and np.all(values <= u_max))
+
+    u_max = 0.75
+    above = np.nextafter(u_max, np.inf)
+    cases = []
+    for cell in (np.nan, np.inf, -0.25, above, u_max, 0.5):
+        values = np.full((3, 4, 4), 0.5)
+        values[1, 2, 0] = cell
+        cases += [(values, u_max), (values, np.inf)]
+    bound = np.full((4, 4), u_max)
+    bound[3, 1] = 0.25
+    values = np.full((3, 4, 4), 0.25)
+    cases += [(values, bound)]
+    values = values.copy()
+    values[2, 3, 1] = 0.5  # above its cell's bound, below the bound's maximum
+    cases += [(values, bound)]
+    verdicts = []
+    for values, bound in cases:
+        try:
+            Control(values, bound).validate()
+            verdicts.append(True)
+        except AdmissibilityError:
+            verdicts.append(False)
+    assert verdicts == [admissible_by_full_comparison(v, b) for v, b in cases]
+    # NaN, +inf and negative cells fail under both bounds; just above u_max
+    # fails only the finite one; at u_max passes; the array bound's one
+    # exceeded cell fails.
+    assert verdicts == [False, False, False, False, False, False,
+                        False, True, True, True, True, True, True, False]
+
+
 def test_model_spec_rejections():
     with pytest.raises(AdmissibilityError, match=r"\(2\.3\)"):
         base_model(m=0.0).validate()
