@@ -31,6 +31,19 @@ level k + 1 and writes level k. Its one exception is the first backward
 step, whose (p1, p2) input is the weakly imposed final condition (see
 solve_adjoint), while stored level Nt keeps p1(T).
 
+A backward step is two chains that share no level they write, which
+grid.run_chains may run at once:
+
+- p3 -> p5 reads the base a at level k and sigma at level k + 1, and p3,
+  p4 and p5 at level k + 1 (p5 also at k + 2, for the CG start), and
+  writes p3 and p5 at level k;
+- p4 -> p1/p2 reads the base phi at level k, phi_Q, the (p1, p2) pair
+  of level k + 1 and p4 at level k + 1, and writes p4, p1 and p2 at
+  level k.
+
+p4 is the one unknown both read, at the level before the one p4 -> p1/p2
+writes.
+
 The advective term grad(sigma*).grad(p3) is evaluated with centered face
 gradients and averaged back to cell centers (grid.grad_dot), and
 div(a* grad p3) with the centered face mean of a*; no upwinding in the
@@ -105,15 +118,17 @@ def solve_adjoint(base: Trajectory, cost: ControlSpec, spec: ModelSpec) -> Traje
     if cost.b1:
         rhs_final = rhs_final + cost.b1 * (base.phi[nt] - cost.phi_q[nt - 1])
     p1, p2 = g.ch_block_solve(gr, rhs_final, None, tau_eff, s_stab, transpose=True)
-    for k in range(nt - 1, -1, -1):
+    # Right-hand sides are updated in place on fresh arrays, such as the
+    # results of grad_dot, divergence and h_prime. The kernels skip their
+    # finiteness scans: the base levels were checked by the forward sweep,
+    # and a non-finite value from the targets reaches an output, all five
+    # of which are checked at the end of the step.
+
+    def transport(k: int) -> None:
+        """p3 and p5 at level k from p3, p4 and p5 at levels k + 1 and up."""
         a_k = base.a[k]
         sigma_new = base.sigma[k + 1]
         p3, p4, p5 = adj.p3[k + 1], adj.p4[k + 1], adj.p5[k + 1]
-        # Right-hand sides are updated in place on fresh arrays, such as the
-        # results of grad_dot, divergence and h_prime. The kernels skip their
-        # finiteness scans: the base levels were checked by the forward
-        # sweep, and a non-finite value from the targets reaches an output,
-        # all five of which are checked at the end of the step.
 
         # p3: transport source from centered face gradients, reaction
         # explicit; p3/tau + (1 - 2 a*) p3 is formed as ((1/tau + 1) - 2 a*) p3.
@@ -138,11 +153,13 @@ def solve_adjoint(base: Trajectory, cost: ControlSpec, spec: ModelSpec) -> Traje
             check_finite=False,
         )
 
+    def phase(k: int, p1: np.ndarray, p2: np.ndarray) -> None:
+        """p4, p1 and p2 at level k from the (p1, p2) pair given and p4 at level k + 1."""
         # p4: nutrient adjoint with the phase coupling explicit. The second
         # row of the transposed block, -Lap p1 - p2 = 0, makes p2 = -Lap p1,
         # so -chi_phi Lap p1 is read as chi_phi p2 (equal up to round-off).
         rhs_p4 = spec.chi_phi * p2
-        rhs_p4 += (inv_tau + spec.c_n) * p4
+        rhs_p4 += (inv_tau + spec.c_n) * adj.p4[k + 1]
         adj.p4[k] = g.helmholtz_solve(gr, rhs_p4, inv_tau, 1.0, check_finite=False)
 
         # (p1, p2) block, transposed so that p2 = -Lap p1 holds exactly
@@ -161,6 +178,9 @@ def solve_adjoint(base: Trajectory, cost: ControlSpec, spec: ModelSpec) -> Traje
         adj.p1[k], adj.p2[k] = g.ch_block_solve(
             gr, rhs_p1, None, tau_eff, s_stab, transpose=True, check_finite=False
         )
+
+    for k in range(nt - 1, -1, -1):
+        g.run_chains(gr, lambda: transport(k), lambda: phase(k, p1, p2))
         adj.check_step(k, -1)
         p1, p2 = adj.p1[k], adj.p2[k]
     return adj

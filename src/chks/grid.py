@@ -90,11 +90,36 @@ per-call work is kept to the arithmetic:
   not a positive finite number, which raises SolverError. Checks on
   scalars use math.isfinite and math.sqrt: 0.07 us per call against
   1.0 us for np.isfinite on a Python float (two x86-64 cores).
+- A step of each sweep is two chains of these calls that share no level
+  they write (see the state, linearized and adjoint docstrings).
+  run_chains runs the later chain in the serial order on one persistent
+  worker thread while the caller runs the earlier one, on grids of at
+  least CONCURRENT_MIN_CELLS = 144^2 cells, and one after the other on
+  smaller grids. pocketfft and numpy release the interpreter lock on such
+  arrays, and each chain makes the same calls on the same inputs, so the
+  results are bitwise those of the serial order. The crossover is measured
+  in-process: sweep time concurrent over serial, per sweep, for the
+  forward, adjoint and tangent sweeps of configs/verify.cfg (32 steps) on
+  square grids, medians of 5-11 interleaved pairs, two x86-64 cores, BLAS
+  on one thread: 2.5-2.8 at 32^2, 1.54-1.58 at 64^2, 1.02-1.21 at 96^2,
+  1.02-1.03 at 112^2, 0.90-1.12 at 128^2, 0.79-0.90 at 144^2, 0.76-1.19 at
+  160^2 (0.76-0.81 in a batch of 9 pairs), 0.80-0.90 at 176^2, 0.84-0.89
+  at 192^2 and 0.66-0.79 at 256^2. Below the crossover a call is too short
+  to pay for passing the interpreter lock between the threads. scipy.fft's
+  own workers=2, which splits one transform over two threads, stays out:
+  400 dctn calls at 256^2 took 0.40-0.45 s serial and 0.30-0.73 s with
+  workers=2, varying from batch to batch, against 0.29-0.33 s for two
+  threads that each transform their own array. It would share only the
+  transforms, about half of a step, and on two cores it would compete with
+  the worker.
 """
 
 from __future__ import annotations
 
 import math
+import os
+from collections.abc import Callable
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -109,6 +134,9 @@ CG_MAX_ITER_FACTOR = 10
 # Largest grid side at which a 2-D DCT is done by dense matrix products; see
 # the module docstring for the measured crossover against scipy.fft.
 DENSE_DCT_MAX = 64
+# Fewest cells at which run_chains runs the two chains of a sweep step at
+# once; see the module docstring for the measured crossover.
+CONCURRENT_MIN_CELLS = 144 * 144
 
 
 class SolverError(RuntimeError):
@@ -151,6 +179,49 @@ class Grid:
         x = (np.arange(self.nx) + 0.5) * self.hx
         y = (np.arange(self.ny) + 0.5) * self.hy
         return np.meshgrid(x, y, indexing="ij")
+
+
+_CHAIN_WORKER: ThreadPoolExecutor
+
+
+def _new_chain_worker() -> None:
+    """Bind the one thread that run_chains hands the second chain of a step.
+
+    The executor starts the thread on first use. A forked child binds a new
+    executor, since the parent's thread does not exist there.
+    """
+    global _CHAIN_WORKER
+    _CHAIN_WORKER = ThreadPoolExecutor(max_workers=1, thread_name_prefix="chks-chain")
+
+
+_new_chain_worker()
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_new_chain_worker)
+
+
+def run_chains(grid: Grid, first: Callable[[], None], second: Callable[[], None]) -> None:
+    """Run first() and second(), two chains of one sweep step that share no data.
+
+    Neither chain may read what the other writes. On grids of at least
+    CONCURRENT_MIN_CELLS cells the worker thread runs second while the
+    caller runs first; on smaller grids they run one after the other. Each
+    chain makes the same calls on the same inputs either way, so the
+    results are bitwise the same. An error is the one the serial order
+    meets first: first's if it raised, else second's. Both chains have
+    finished when this returns or raises, so no write lands later; after an
+    error, though, the levels that second writes may hold its results where
+    the serial order never ran it.
+    """
+    if grid.nx * grid.ny < CONCURRENT_MIN_CELLS:
+        first()
+        second()
+        return
+    later = _CHAIN_WORKER.submit(second)
+    try:
+        first()
+    finally:
+        wait((later,))
+    later.result()
 
 
 def _check_finite(f: np.ndarray, name: str = "field") -> None:

@@ -20,6 +20,15 @@ direction size. Like the forward sweep, step k reads stored level k of
 the returned Trajectory and writes level k + 1 in place; the returned
 Trajectory records the base's s_stab and flux scheme.
 
+Like the forward step, a tangent step is two chains that share no level
+they write, which grid.run_chains may run at once:
+
+- psi/eta -> nu reads the base phi at level k and psi, nu and omega at
+  level k, and writes psi, eta and nu at level k + 1;
+- omega -> alpha reads the base a at level k and sigma at level k + 1,
+  omega and alpha at level k (omega also at k - 1, for the CG start) and
+  h[k], and writes omega and alpha at level k + 1.
+
 taylor_remainders reads the grid, the step count and the end time from the
 base trajectory it is given.
 """
@@ -55,16 +64,16 @@ def solve_linearized(base: Trajectory, spec: ModelSpec, h: np.ndarray) -> Trajec
     )
     inv_tau = 1.0 / tau
     tau_eff = 1.0 / (inv_tau + spec.m)
-    for k in range(nt):
+    # Right-hand sides are updated in place on fresh arrays, such as the
+    # results of h_prime and f_second. The kernels skip their finiteness
+    # scans: the base levels were checked by the forward sweep, and a
+    # non-finite value from h reaches an output, all five of which are
+    # checked at the end of the step.
+
+    def phase(k: int) -> None:
+        """psi, eta and nu at level k + 1 from psi, nu and omega at level k."""
         phi_k = base.phi[k]
-        a_k = base.a[k]
-        sigma_new = base.sigma[k + 1]
-        psi, alpha, nu, omega = out.psi[k], out.alpha_lin[k], out.nu[k], out.omega[k]
-        # Right-hand sides are updated in place on fresh arrays, such as the
-        # results of h_prime and f_second. The kernels skip their finiteness
-        # scans: the base levels were checked by the forward sweep, and a
-        # non-finite value from h reaches an output, all five of which are
-        # checked at the end of the step.
+        psi, nu, omega = out.psi[k], out.nu[k], out.omega[k]
 
         # psi/eta block: derivative of the stabilized phase-field step.
         rhs_psi = spec.prolif.h_prime(phi_k)
@@ -83,6 +92,12 @@ def solve_linearized(base: Trajectory, spec: ModelSpec, h: np.ndarray) -> Trajec
         rhs_nu += (spec.chi_phi + spec.c_phi) * out.psi[k + 1]
         rhs_nu += spec.c_sigma * omega
         out.nu[k + 1] = g.helmholtz_solve(gr, rhs_nu, inv_tau, 1.0, check_finite=False)
+
+    def chemotaxis(k: int) -> None:
+        """omega and alpha at level k + 1 from omega and alpha at levels up to k."""
+        a_k = base.a[k]
+        sigma_new = base.sigma[k + 1]
+        alpha, omega = out.alpha_lin[k], out.omega[k]
 
         # omega: same implicit operator as the forward sigma update, its CG
         # started from the extrapolation of the stored levels.
@@ -104,6 +119,9 @@ def solve_linearized(base: Trajectory, spec: ModelSpec, h: np.ndarray) -> Trajec
         rhs_alpha += ((inv_tau + 1.0) - 2.0 * a_k) * alpha
         rhs_alpha += h[k]
         out.alpha_lin[k + 1] = g.helmholtz_solve(gr, rhs_alpha, inv_tau, 1.0, check_finite=False)
+
+    for k in range(nt):
+        g.run_chains(gr, lambda: phase(k), lambda: chemotaxis(k))
         out.check_step(k)
     return out
 

@@ -28,7 +28,17 @@ phi -> n -> sigma -> a:
 
 The forward sweep steps in place on a Trajectory, which it stores in full
 because the linearized/adjoint replays need it: step k reads stored level k
-and writes level k + 1. Monitors are computed from the stored levels after
+and writes level k + 1. Within a step, (a, sigma) reaches (phi, mu, n) only
+through the lagged source c_sigma*sigma, so the step is two chains that
+share no level they write:
+
+- phi/mu -> n reads phi, n and sigma at level k and writes phi, mu and n at
+  level k + 1;
+- sigma -> a reads a and sigma at level k (and sigma at level k - 1 for the
+  CG start) and writes sigma and a at level k + 1.
+
+That independence is what lets grid.run_chains run the two at once on large
+grids with every stored level bitwise that of the order above. Monitors are computed from the stored levels after
 the sweep: reductions over all levels at once where they need no
 whole-trajectory temporary of a nonlinear function, and one level at a time
 (h(phi), the energy, the gradient norms) where they would.
@@ -197,20 +207,27 @@ def step(traj: Trajectory, k: int, u_k: np.ndarray, spec: ModelSpec) -> None:
     """Advance the forward sweep one IMEX step, from stored level k to k + 1.
 
     See the module docstring for the scheme; the grid, tau, s_stab and the
-    flux scheme are the trajectory's. The sigma CG starts from
+    flux scheme are the trajectory's. The step is two chains that share no
+    level they write, phi/mu -> n and sigma -> a, which grid.run_chains
+    runs at once on large grids. The sigma CG starts from
     traj.extrapolate, which changes the work, not what is solved. The
     kernels skip their finiteness scans: a non-finite value in what the
     step reads reaches an output or stops a solve, and the five new fields
     are checked once at the end.
     """
-    gr, tau, s_stab = traj.grid, traj.tau, traj.s_stab
-    if tau <= 0:
+    if traj.tau <= 0:
         raise SolverError("step requires tau > 0")
-    phi, a, n, sigma = traj.phi[k], traj.a[k], traj.n[k], traj.sigma[k]
+    g.run_chains(traj.grid, lambda: _phase_nutrient(traj, k, spec),
+                 lambda: _chemotaxis(traj, k, u_k, spec))
+    traj.check_step(k)
 
-    inv_tau = 1.0 / tau
+
+def _phase_nutrient(traj: Trajectory, k: int, spec: ModelSpec) -> None:
+    """Steps 1 and 2: phi, mu and n at level k + 1 from phi, n and sigma at level k."""
+    gr, inv_tau, s_stab = traj.grid, 1.0 / traj.tau, traj.s_stab
+    phi, n, sigma = traj.phi[k], traj.n[k], traj.sigma[k]
     # Right-hand sides are updated in place on fresh arrays, such as the
-    # results of h_value, f_prime, divergence and laplacian.
+    # results of h_value, f_prime, divergence and laplacian, in both chains.
 
     # 1. phi/mu block. m is implicit via the effective step.
     tau_eff = 1.0 / (inv_tau + spec.m)
@@ -229,6 +246,12 @@ def step(traj: Trajectory, k: int, u_k: np.ndarray, spec: ModelSpec) -> None:
     rhs_n += spec.c_sigma * sigma + spec.c_0
     traj.n[k + 1] = g.helmholtz_solve(gr, rhs_n, inv_tau, 1.0, check_finite=False)
 
+
+def _chemotaxis(traj: Trajectory, k: int, u_k: np.ndarray, spec: ModelSpec) -> None:
+    """Steps 3 and 4: sigma and a at level k + 1 from a and sigma at levels up to k."""
+    gr, inv_tau = traj.grid, 1.0 / traj.tau
+    a, sigma = traj.a[k], traj.sigma[k]
+
     # 3. sigma: monotone implicit reaction with frozen a >= 0.
     a_frozen = np.maximum(a, 0.0)
     rhs_sigma = sigma * inv_tau
@@ -245,7 +268,6 @@ def step(traj: Trajectory, k: int, u_k: np.ndarray, spec: ModelSpec) -> None:
     rhs_a += a * ((inv_tau + 1.0) - a)
     rhs_a += u_k
     traj.a[k + 1] = g.helmholtz_solve(gr, rhs_a, inv_tau, 1.0, check_finite=False)
-    traj.check_step(k)
 
 
 def solve_forward(

@@ -1,0 +1,234 @@
+"""The two chains of a sweep step: concurrent on large grids, serial below.
+
+Every test runs on a grid just at the size where grid.run_chains hands the
+second chain to its worker thread, and forces the serial path by raising
+grid.CONCURRENT_MIN_CELLS out of reach.
+"""
+
+import math
+import multiprocessing
+import threading
+import time
+from queue import Empty
+
+import numpy as np
+import pytest
+
+from chks import grid as grid_mod
+from chks.adjoint import ControlSpec, solve_adjoint
+from chks.grid import Grid, SolverError
+from chks.linearized import solve_linearized
+from chks.state import Control, InitialData, Trajectory, solve_forward, step
+
+from test_linearized import smooth_direction
+from test_state import base_model, make_random_init
+
+SIDE = 144
+NT = 3
+T = 0.05
+
+
+def serial(monkeypatch):
+    monkeypatch.setattr(grid_mod, "CONCURRENT_MIN_CELLS", math.inf)
+
+
+def checked_block_solve(monkeypatch):
+    """Let ch_block_solve, which only the phase chains call in the sweep
+    loops, scan its right-hand sides, so that a NaN there raises inside
+    that chain rather than at the step-end check."""
+    original = grid_mod.ch_block_solve
+
+    def checked(*args, **kwargs):
+        kwargs["check_finite"] = True
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(grid_mod, "ch_block_solve", checked)
+
+
+class Problem:
+    def __init__(self, scheme="centered"):
+        self.grid = Grid(SIDE, SIDE)
+        assert SIDE * SIDE >= grid_mod.CONCURRENT_MIN_CELLS
+        self.spec = base_model()
+        self.init = make_random_init(self.grid, 12)
+        self.u = Control(0.4 * np.ones((NT, SIDE, SIDE)), 1.0)
+        self.scheme = scheme
+        x, y = self.grid.cell_centers()
+        self.cost = ControlSpec(
+            b1=1.0, b2=1.0, b3=1e-3, phi_q=np.full((NT, SIDE, SIDE), 0.5),
+            phi_omega=0.5 + 0.2 * np.cos(np.pi * x) * np.cos(np.pi * y),
+        )
+        self.h = smooth_direction(self.grid, NT, 5)
+
+    def forward(self, injected=()):
+        """The forward sweep, with values put into one cell of its data.
+
+        injected maps "phi0", "a0", "n0" or "sigma0" to a value, and "u" to
+        a (step, value) pair; admissibility is not checked.
+        """
+        init = InitialData(*(f.copy() for f in vars(self.init).values()))
+        u = Control(self.u.values.copy(), self.u.u_max)
+        for name, value in dict(injected).items():
+            if name == "u":
+                u.values[value[0], 7, 9] = value[1]
+            else:
+                getattr(init, name)[7, 9] = value
+        traj, _ = solve_forward(self.grid, self.spec, init, u, T, NT,
+                                flux_scheme=self.scheme, check_admissibility=False)
+        return traj
+
+    def sweeps(self):
+        """Every field of the forward, adjoint and tangent sweeps."""
+        traj = self.forward()
+        adj = solve_adjoint(traj, self.cost, self.spec)
+        lin = solve_linearized(traj, self.spec, self.h)
+        return {**traj.fields, **adj.fields, **lin.fields}
+
+
+@pytest.mark.parametrize("scheme", ["centered", "upwind"])
+def test_concurrent_chains_match_serial_bitwise(monkeypatch, scheme):
+    problem = Problem(scheme)
+    threads = set()
+    original = grid_mod.helmholtz_solve
+
+    def recorded(*args, **kwargs):
+        threads.add(threading.current_thread().name)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(grid_mod, "helmholtz_solve", recorded)
+    concurrent = problem.sweeps()
+    assert any(name.startswith("chks-chain") for name in threads)
+    rerun = problem.sweeps()
+    with monkeypatch.context() as m:
+        serial(m)
+        threads.clear()
+        reference = problem.sweeps()
+        assert not any(name.startswith("chks-chain") for name in threads)
+    assert len(reference) == 15
+    for name, f in reference.items():
+        assert np.array_equal(concurrent[name], f), name
+        # Criterion 12 where the worker runs: a rerun gives the same bytes.
+        assert rerun[name].tobytes() == concurrent[name].tobytes(), name
+
+
+def error_of(run):
+    with pytest.raises(Exception) as info:
+        run()
+    return type(info.value), str(info.value)
+
+
+def poisoned(traj, **levels):
+    """A copy of a trajectory with one cell of each named field replaced at a level."""
+    fields = {name: f.copy() for name, f in traj.fields.items()}
+    for name, (k, value) in levels.items():
+        fields[name][k, 7, 9] = value
+    return Trajectory(traj.grid, traj.times, fields, traj.s_stab, traj.flux_scheme)
+
+
+# Each case names the sweep, what is injected at one step, and the error the
+# serial path raises: a phase-chain NaN raises in the checked block solve,
+# a NaN or nonpositive coefficient in the chemotaxis chain stops its CG, and
+# with both the chain that comes first in the serial order wins.
+NOT_POSITIVE = -100.0  # a* with (1/tau + 1) + a* < 0, the CG's coefficient
+CASES = {
+    "forward-phase": ("forward", {"n0": np.nan}, "forward step 0 failed: rhs_phi"),
+    "forward-chemotaxis": ("forward", {"a0": np.nan},
+                           "forward step 0 failed: helmholtz_solve requires a finite alpha"),
+    "forward-both": ("forward", {"n0": np.nan, "a0": np.nan},
+                     "forward step 0 failed: rhs_phi"),
+    "forward-control": ("forward", {"u": (1, np.nan)},
+                        "forward step 1 failed: non-finite a after step 1"),
+    "tangent-phase": ("tangent", {"phi": (1, np.nan)}, "rhs_phi"),
+    "tangent-chemotaxis": ("tangent", {"a": (1, NOT_POSITIVE)},
+                           "helmholtz_solve requires a finite alpha"),
+    "tangent-both": ("tangent", {"phi": (1, np.nan), "a": (1, NOT_POSITIVE)}, "rhs_phi"),
+    "adjoint-transport": ("adjoint", {"a": (1, NOT_POSITIVE)},
+                          "helmholtz_solve requires a finite alpha"),
+    "adjoint-phase": ("adjoint", {"phi": (1, np.nan)}, "rhs_phi"),
+    "adjoint-both": ("adjoint", {"phi": (1, np.nan), "a": (1, NOT_POSITIVE)},
+                     "helmholtz_solve requires a finite alpha"),
+}
+
+
+@pytest.fixture(scope="module")
+def reference():
+    problem = Problem()
+    with pytest.MonkeyPatch.context() as m:
+        serial(m)
+        base = problem.forward()
+        return problem, base, problem.sweeps()
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_chain_errors_match_serial(monkeypatch, reference, case):
+    problem, base, fields = reference
+    sweep, injected, message = CASES[case]
+    checked_block_solve(monkeypatch)
+
+    def run():
+        if sweep == "forward":
+            problem.forward(injected)
+        elif sweep == "tangent":
+            solve_linearized(poisoned(base, **injected), problem.spec, problem.h)
+        else:
+            solve_adjoint(poisoned(base, **injected), problem.cost, problem.spec)
+
+    concurrent = error_of(run)
+    with monkeypatch.context() as m:
+        serial(m)
+        expected = error_of(run)
+    assert expected[0] is SolverError
+    assert expected[1].startswith(message)
+    assert concurrent == expected
+    # The worker is free again: the clean sweeps complete and match.
+    for name, f in problem.sweeps().items():
+        assert np.array_equal(f, fields[name]), name
+
+
+def test_step_raises_after_the_worker_finished(monkeypatch, reference):
+    # The phase chain raises at once; the chemotaxis chain, slowed down on
+    # the worker, has still written a at level k + 1 when step raises.
+    problem, base, _ = reference
+    k = 1
+    checked_block_solve(monkeypatch)
+    original = grid_mod.divergence
+
+    def slow(*args, **kwargs):
+        time.sleep(0.05)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(grid_mod, "divergence", slow)
+    traj = poisoned(base, n=(k, np.nan))
+    for f in traj.fields.values():
+        f[k + 1:] = np.nan
+    with pytest.raises(SolverError, match="^rhs_phi"):
+        step(traj, k, problem.u.values[k], problem.spec)
+    assert np.array_equal(traj.a[k + 1], base.a[k + 1])
+    assert np.array_equal(traj.sigma[k + 1], base.sigma[k + 1])
+
+
+def _forward_in_child(problem, expected, queue):
+    queue.put(np.array_equal(problem.forward().a, expected))
+
+
+@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                    reason="needs the fork start method")
+def test_forked_child_gets_its_own_worker(reference):
+    # The parent's worker thread runs a chain before the fork; it does not
+    # exist in the forked child, which must start its own.
+    problem, base, _ = reference
+    problem.forward()
+    ctx = multiprocessing.get_context("fork")
+    queue = ctx.Queue()
+    child = ctx.Process(target=_forward_in_child, args=(problem, base.a, queue))
+    child.start()
+    try:
+        matched = queue.get(timeout=30)
+    except Empty:
+        matched = None
+    child.join(timeout=5)
+    if child.is_alive():
+        child.kill()
+    assert matched is not None, "the forked child's sweep did not finish"
+    assert matched
+    assert child.exitcode == 0
