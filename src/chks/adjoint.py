@@ -67,6 +67,8 @@ class ControlSpec:
 
     phi_q has shape (Nt, nx, ny); slice k is the running target on the
     step interval ending at t_{k+1}. phi_omega is the final-time target.
+    phi_q may be a read-only view that repeats one field on every step (as
+    load_config builds it), so a caller that changes it copies it first.
     """
 
     b1: float

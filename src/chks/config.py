@@ -15,8 +15,7 @@ Sections and keys (a section or key not listed here is rejected):
                prolif (zero|constant|logistic), h0, k
     [initial]  phi0, a0, n0, sigma0   (field generators, see below)
     [control]  b1, b2, b3, u_max (number or 'file <path>'),
-               u0 (field generator, replicated over steps),
-               targets (simulation|fields),
+               u0 (field generator), targets (simulation|fields),
                u_true (generator; targets=simulation),
                phi_q, phi_omega (generators; targets=fields)
     [time]     T, Nt, s_stab (number or 'default'), flux_scheme
@@ -33,16 +32,18 @@ Field generators:
 Cosine terms are built from 1-D cosines of the cell-centre abscissae and
 ordinates, broadcast to the grid. Generator numbers must be finite, modes
 at least 0, and the realized field (a snapshot file's too) finite; a
-violation quotes the phrase.
+violation quotes the phrase. The control u0, u_true and the fields target
+phi_q each hold for every step: each is one generated field, shared by
+every step as a read-only (Nt, nx, ny) view, so a caller that changes one
+copies it first.
 
 A key may appear once per section. The seed must be nonnegative, numbers
-must be finite, the grid needs
-nx, ny >= 2 and lx, ly > 0, time T > 0, Nt >= 1 and s_stab >= 0, and
-[optimize] max_iters >= 0 with armijo_c and backtrack in (0, 1); a violation
-names the line and the key. Every admissibility condition of the model is
-checked at load time; a violation raises ConfigError whose message cites the
-condition identifier (see the README table) and the config line that set the
-offending value.
+must be finite, the grid needs nx, ny >= 2 and lx, ly > 0, time T > 0,
+Nt >= 1 and s_stab >= 0, and [optimize] tol_stat >= 0 and max_iters >= 0
+with armijo_c and backtrack in (0, 1); a violation names the line and the
+key. Every admissibility condition of the model is checked at load time; a
+violation raises ConfigError whose message cites the condition identifier
+(see the README table) and the config line that set the offending value.
 All randomness derives from the single seed, so identical configs produce
 bit-identical runs.
 """
@@ -348,14 +349,15 @@ def load_config(path: str | Path, seed_override: int | None = None) -> RunConfig
     b2 = sc.number("b2", "0.0")
     b3 = sc.number("b3", "1.0")
 
+    steps = (nt, gr.nx, gr.ny)
     u0_slice = generate_field(gr, sc.raw("u0", "constant 0.0")[0], rng, base_dir)
-    u0 = Control(np.repeat(u0_slice[None, :, :], nt, axis=0), u_max)
+    u0 = Control(np.broadcast_to(u0_slice, steps), u_max)
 
     u_true = None
     targets = sc.word("targets", "fields")
     if targets == "simulation":
         u_true_slice = generate_field(gr, sc.raw("u_true", "constant 0.0")[0], rng, base_dir)
-        u_true = np.repeat(np.clip(u_true_slice, 0.0, u_max)[None, :, :], nt, axis=0)
+        u_true = np.broadcast_to(np.clip(u_true_slice, 0.0, u_max), steps)
         traj_true, _ = solve_forward(
             gr, model, init, Control(u_true, u_max), T, nt,
             s_stab=s_stab, flux_scheme=flux_scheme,
@@ -364,7 +366,7 @@ def load_config(path: str | Path, seed_override: int | None = None) -> RunConfig
         phi_omega = traj_true.phi[nt].copy()
     elif targets == "fields":
         phi_q_slice = generate_field(gr, sc.raw("phi_q", "constant 0.5")[0], rng, base_dir)
-        phi_q = np.repeat(phi_q_slice[None, :, :], nt, axis=0)
+        phi_q = np.broadcast_to(phi_q_slice, steps)
         phi_omega = generate_field(gr, sc.raw("phi_omega", "constant 0.5")[0], rng, base_dir)
     else:
         raise ConfigError("[control]: targets must be 'simulation' or 'fields'")
@@ -385,6 +387,9 @@ def load_config(path: str | Path, seed_override: int | None = None) -> RunConfig
         s_stab=s_stab,
         flux_scheme=flux_scheme,
     )
+    # A negative tolerance is a stopping test that can never hold.
+    if opts.tol_stat < 0:
+        raise so.reject("tol_stat", "must be nonnegative")
     if opts.max_iters < 0:
         raise so.reject("max_iters", "must be at least 0")
     # A factor outside (0, 1) makes the Armijo search grow or zero its step.

@@ -124,7 +124,7 @@ def optimize(
     """
     opts = opts or OptimizeOptions()
     cs.validate()
-    u = Control(project_admissible(u0.values.copy(), cs.u_max), cs.u_max)
+    u = Control(project_admissible(u0.values, cs.u_max), cs.u_max)
     tau = T / nt
 
     result = OptimizeResult(u_star=u)

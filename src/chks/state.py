@@ -113,7 +113,11 @@ class InitialData:
 
 @dataclass
 class Control:
-    """Piecewise-constant-in-time distributed source: values[k] acts on step k."""
+    """Piecewise-constant-in-time distributed source: values[k] acts on step k.
+
+    values may be a read-only view that repeats one field on every step (as
+    load_config builds it), so a caller that changes it copies it first.
+    """
 
     values: np.ndarray  # (Nt, nx, ny)
     u_max: float | np.ndarray = 1.0

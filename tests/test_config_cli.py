@@ -306,6 +306,8 @@ def test_cli_rejects_nonfinite_target_generator(tmp_path, capsys, command, old, 
     ("b3 = 1.0", "b3 = 1.0\nb3 = 5.0", "b3 = 5.0"),
     ("[time]", "[time]\ns_stab = -5", "s_stab = -5"),
     ("Nt = 8", "Nt = 8\n[optimize]\nmax_iters = -1", "max_iters = -1"),
+    ("Nt = 8", "Nt = 8\n[optimize]\ntol_stat = -1", "tol_stat = -1"),
+    ("Nt = 8", "Nt = 8\n[optimize]\ntol_stat = -1e-9", "tol_stat = -1e-9"),
     ("Nt = 8", "Nt = 8\n[optimize]\nbacktrack = 2", "backtrack = 2"),
     ("Nt = 8", "Nt = 8\n[optimize]\nbacktrack = 0", "backtrack = 0"),
     ("Nt = 8", "Nt = 8\n[optimize]\narmijo_c = -1", "armijo_c = -1"),
@@ -313,7 +315,8 @@ def test_cli_rejects_nonfinite_target_generator(tmp_path, capsys, command, old, 
     ("seed = 7", "seed = -3", "seed = -3"),
 ], ids=["seed", "s_stab", "u_max", "T_nan", "b1_nan", "unknown_section", "unknown_key",
         "nx_negative", "nx_zero", "lx_negative", "lx_inf", "T_inf", "repeated_key",
-        "s_stab_negative", "max_iters_negative", "backtrack_above_1", "backtrack_zero",
+        "s_stab_negative", "max_iters_negative", "tol_stat_negative", "tol_stat_tiny_negative",
+        "backtrack_above_1", "backtrack_zero",
         "armijo_c_negative", "armijo_c_one", "seed_negative"])
 def test_cli_simulate_rejects_bad_statement(tmp_path, capsys, old, new, bad):
     # A malformed number, NaN or infinity, a seed, grid size, s_stab or
