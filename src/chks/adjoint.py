@@ -98,6 +98,10 @@ def solve_adjoint(base: Trajectory, cost: ControlSpec, spec: ModelSpec) -> Traje
         raise ValueError("phi_q must have shape (nt, nx, ny)")
     if cost.phi_omega.shape != gr.shape:
         raise ValueError("phi_omega must match the grid shape")
+    # Scanned by min and max, which build no whole-array temporary.
+    for name, f in (("phi_q", cost.phi_q), ("phi_omega", cost.phi_omega)):
+        if not -np.inf < f.min() <= f.max() < np.inf:
+            raise ValueError(f"{name} contains non-finite values")
 
     adj = Trajectory.zeros(
         gr, base.times, ("p1", "p2", "p3", "p4", "p5"),
@@ -122,9 +126,9 @@ def solve_adjoint(base: Trajectory, cost: ControlSpec, spec: ModelSpec) -> Traje
     p1, p2 = g.ch_block_solve(gr, rhs_final, None, tau_eff, s_stab, transpose=True)
     # Right-hand sides are updated in place on fresh arrays, such as the
     # results of grad_dot, divergence and h_prime. The kernels skip their
-    # finiteness scans: the base levels were checked by the forward sweep,
-    # and a non-finite value from the targets reaches an output, all five
-    # of which are checked at the end of the step.
+    # finiteness scans: the base levels were checked by the forward sweep
+    # and the targets on entry, and the five outputs are checked at the end
+    # of each step.
 
     def transport(k: int) -> None:
         """p3 and p5 at level k from p3, p4 and p5 at levels k + 1 and up."""

@@ -19,7 +19,7 @@ from .config import ConfigError, RunConfig, load_config
 from .control_opt import optimize
 from .fields_io import SERIES_COLUMNS, write_csv, write_field, write_trajectory
 from .grid import SolverError
-from .state import energy_series, solve_forward
+from .state import A_MIN_UPWIND, SIGMA_RANGE, energy_series, solve_forward
 from .verify import REPORT_COLUMNS, SUITES, run_suites
 
 
@@ -50,12 +50,12 @@ def cmd_simulate(cfg: RunConfig, out: Path, strict: bool) -> int:
     write_trajectory(out, traj.grid, traj.fields)
     write_csv(out / "series.csv", SERIES_COLUMNS, _series_rows(traj, report, energies))
     failures = []
-    if report.sigma_min < -1e-8 or report.sigma_max > 1.0 + 1e-8:
+    if report.sigma_min < SIGMA_RANGE[0] or report.sigma_max > SIGMA_RANGE[1]:
         failures.append(f"sigma range [{report.sigma_min:.3e}, {report.sigma_max:.3e}]")
     clamp_total = int(report.clamp_events.sum())
     if strict and clamp_total > 0:
         failures.append(f"{clamp_total} potential clamp events")
-    if strict and cfg.flux_scheme == "upwind" and report.a_min < -1e-10:
+    if strict and cfg.flux_scheme == "upwind" and report.a_min < A_MIN_UPWIND:
         failures.append(f"a_min {report.a_min:.3e}")
     for msg in failures:
         print(f"monitor tripped: {msg}", file=sys.stderr)

@@ -159,9 +159,6 @@ class _Section:
     def _label(self, key: str) -> str:
         return key if self.name is None else f"[{self.name}] {key}"
 
-    def has(self, key: str) -> bool:
-        return key in self.data
-
     def raw(self, key: str, default=None):
         if key in self.data:
             return self.data[key]
@@ -193,6 +190,25 @@ class _Section:
         return value.strip().lower()
 
 
+def _axes(gr: Grid) -> tuple[np.ndarray, np.ndarray]:
+    """Grid.cell_centers' coordinates as a column (nx, 1) and a row (1, ny)."""
+    return ((np.arange(gr.nx) + 0.5) * gr.hx)[:, None], ((np.arange(gr.ny) + 0.5) * gr.hy)[None, :]
+
+
+def cosine_series(gr: Grid, coeffs: np.ndarray) -> np.ndarray:
+    """Sum of coeffs[kx, ky] * cos(kx pi x/lx) * cos(ky pi y/ly) on the grid.
+
+    The terms are added in the row-major order of coeffs, each the product
+    of a column of 1-D cosines and a row, so the sum has the bits of the
+    same terms evaluated on full (nx, ny) coordinate arrays.
+    """
+    x, y = _axes(gr)
+    f = np.zeros(gr.shape)
+    for (kx, ky), c in np.ndenumerate(coeffs):
+        f += c * np.cos(kx * np.pi * x / gr.lx) * np.cos(ky * np.pi * y / gr.ly)
+    return f
+
+
 def generate_field(
     gr: Grid, phrase: str, rng: np.random.Generator, base_dir: Path | None = None
 ) -> np.ndarray:
@@ -213,24 +229,18 @@ def generate_field(
     if len(args) != _ARITY[kind]:
         raise ConfigError(f"field generator {phrase!r}: {kind} takes "
                           f"{_ARITY[kind]} argument(s), got {len(args)}")
-    # Grid.cell_centers' coordinates as a column (nx, 1) and a row (1, ny).
-    x = ((np.arange(gr.nx) + 0.5) * gr.hx)[:, None]
-    y = ((np.arange(gr.ny) + 0.5) * gr.hy)[None, :]
     try:
         if kind == "constant":
             f = np.full(gr.shape, _finite(args[0]))
         elif kind == "cosine":
             off, amp, kx, ky = (_finite(t) for t in args)
+            x, y = _axes(gr)
             f = off + amp * np.cos(kx * np.pi * x / gr.lx) * np.cos(ky * np.pi * y / gr.ly)
         elif kind == "random_smooth":
             lo, hi, modes = _finite(args[0]), _finite(args[1]), int(args[2])
             if modes < 0:
                 raise ValueError(f"modes must be at least 0, got {modes}")
-            f = np.zeros(gr.shape)
-            for kx in range(modes + 1):
-                for ky in range(modes + 1):
-                    c = rng.normal()
-                    f += c * np.cos(kx * np.pi * x / gr.lx) * np.cos(ky * np.pi * y / gr.ly)
+            f = cosine_series(gr, rng.normal(size=(modes + 1, modes + 1)))
             fmin, fmax = float(f.min()), float(f.max())
             if fmax - fmin < 1e-30:
                 f = np.full(gr.shape, 0.5 * (lo + hi))

@@ -54,6 +54,8 @@ def solve_linearized(base: Trajectory, spec: ModelSpec, h: np.ndarray) -> Trajec
     nt = base.nt
     if h.shape != (nt, gr.nx, gr.ny):
         raise ValueError("direction shape must match the control layout (nt, nx, ny)")
+    if not -np.inf < h.min() <= h.max() < np.inf:
+        raise ValueError("direction h contains non-finite values")
     tau = base.tau
     s_stab = base.s_stab
     scheme = base.flux_scheme
@@ -66,9 +68,8 @@ def solve_linearized(base: Trajectory, spec: ModelSpec, h: np.ndarray) -> Trajec
     tau_eff = 1.0 / (inv_tau + spec.m)
     # Right-hand sides are updated in place on fresh arrays, such as the
     # results of h_prime and f_second. The kernels skip their finiteness
-    # scans: the base levels were checked by the forward sweep, and a
-    # non-finite value from h reaches an output, all five of which are
-    # checked at the end of the step.
+    # scans: the base levels were checked by the forward sweep and h on
+    # entry, and the five outputs are checked at the end of each step.
 
     def phase(k: int) -> None:
         """psi, eta and nu at level k + 1 from psi, nu and omega at level k."""

@@ -196,6 +196,13 @@ class Trajectory:
                 raise SolverError(f"non-finite {name} after {where} {k}")
 
 
+# Bounds of the forward monitors, which chks simulate and the invariants
+# suite both apply: sigma stays in [0, 1] and, under the upwind flux, a
+# stays nonnegative, each up to round-off.
+SIGMA_RANGE = (-1e-8, 1.0 + 1e-8)
+A_MIN_UPWIND = -1e-10
+
+
 @dataclass
 class InvariantReport:
     sigma_min: float

@@ -12,7 +12,7 @@ from chks.adjoint import (
     solve_adjoint,
 )
 from chks.config import load_config
-from chks.grid import Grid, SolverError, laplacian
+from chks.grid import Grid, laplacian
 from chks.linearized import solve_linearized
 from chks.potentials import AdmissibilityError, PotentialSpec, ProliferationSpec
 from chks.state import Control, ModelSpec, solve_forward
@@ -214,12 +214,23 @@ def test_sweeps_transform_budget(monkeypatch):
     assert len(calls) <= 0.95 * TRANSFORMS_COLD
 
 
-def test_nan_in_running_target_names_the_step(problem):
-    # phi_q[k] enters the backward step k + 1; the terminal step, which
-    # reads phi_q[nt - 1], scans its data on entry.
+def test_nan_in_running_target_rejected_at_entry(problem):
+    # A non-finite target is bad input, not a solver failure: it is named
+    # before the first backward step, not found after the step it enters.
     grid, spec, init, u, traj, cs, T, nt = problem
     phi_q = cs.phi_q.copy()
     phi_q[5, 2, 3] = np.nan
     bad = ControlSpec(cs.b1, cs.b2, cs.b3, phi_q, cs.phi_omega, cs.u_max)
-    with pytest.raises(SolverError, match="backward step 6$"):
+    with pytest.raises(ValueError, match="^phi_q contains non-finite values$"):
+        solve_adjoint(traj, bad, spec)
+
+
+@pytest.mark.parametrize("value, cells", [(np.nan, np.s_[:, :]), (-np.inf, np.s_[4, 7])],
+                         ids=["all-nan", "one-inf"])
+def test_nonfinite_final_target_rejected_at_entry(problem, value, cells):
+    grid, spec, init, u, traj, cs, T, nt = problem
+    phi_omega = cs.phi_omega.copy()
+    phi_omega[cells] = value
+    bad = ControlSpec(cs.b1, cs.b2, cs.b3, cs.phi_q, phi_omega, cs.u_max)
+    with pytest.raises(ValueError, match="^phi_omega contains non-finite values$"):
         solve_adjoint(traj, bad, spec)

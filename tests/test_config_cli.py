@@ -13,6 +13,7 @@ from chks.fields_io import read_field, write_field
 from chks.grid import Grid
 from chks.potentials import AdmissibilityError, ProliferationSpec
 from chks.state import solve_forward
+from chks.verify import _smooth_direction
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -188,6 +189,35 @@ def test_generate_field_matches_meshgrid_formulas(grid):
         rng, rng_oracle = np.random.default_rng(17), np.random.default_rng(17)
         assert np.array_equal(generate_field(grid, phrase, rng), oracle(rng_oracle)), phrase
         assert rng.normal() == rng_oracle.normal(), phrase
+
+
+@pytest.mark.parametrize("grid", [Grid(7, 5, 1.3, 0.7), Grid(33, 17, 0.9, 2.1)],
+                         ids=["7x5", "33x17"])
+def test_smooth_direction_matches_meshgrid_loop(grid):
+    # The verification suites' directions drawn one coefficient at a time
+    # and evaluated on full (nx, ny) coordinate arrays: the block draws and
+    # the separable series must give the same bits and leave the rng in the
+    # same state, so every suite measures the same problem.
+    x, y = grid.cell_centers()
+
+    def smooth_direction(nt, rng, modes):
+        out = np.zeros((nt, grid.nx, grid.ny))
+        for k in range(nt):
+            f = np.zeros(grid.shape)
+            for kx in range(modes + 1):
+                for ky in range(modes + 1):
+                    f += rng.normal() * np.cos(kx * np.pi * x / grid.lx) * np.cos(
+                        ky * np.pi * y / grid.ly
+                    )
+            peak = float(np.abs(f).max())
+            out[k] = f / peak if peak > 0 else f
+        return out
+
+    for nt, modes in ((1, 2), (6, 2), (3, 0), (2, 3)):
+        rng, rng_oracle = np.random.default_rng(23), np.random.default_rng(23)
+        assert np.array_equal(_smooth_direction(grid, nt, rng, modes),
+                              smooth_direction(nt, rng_oracle, modes)), (nt, modes)
+        assert rng.normal() == rng_oracle.normal(), (nt, modes)
 
 
 def test_field_snapshot_roundtrip_bit_exact(tmp_path):
