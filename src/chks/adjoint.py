@@ -87,6 +87,17 @@ class ControlSpec:
         if not np.min(self.u_max) >= 0:
             raise AdmissibilityError("(6.4): u_max must be nonnegative, not NaN")
 
+    def check_targets(self, gr: g.Grid, nt: int) -> None:
+        """ValueError naming phi_q or phi_omega unless it fits the grid and nt and is finite."""
+        if self.phi_q.shape != (nt, gr.nx, gr.ny):
+            raise ValueError("phi_q must have shape (nt, nx, ny)")
+        if self.phi_omega.shape != gr.shape:
+            raise ValueError("phi_omega must match the grid shape")
+        # Scanned by min and max, which build no whole-array temporary.
+        for name, f in (("phi_q", self.phi_q), ("phi_omega", self.phi_omega)):
+            if not -np.inf < f.min() <= f.max() < np.inf:
+                raise ValueError(f"{name} contains non-finite values")
+
 
 def solve_adjoint(base: Trajectory, cost: ControlSpec, spec: ModelSpec) -> Trajectory:
     """Backward sweep from step Nt to 0; see the module docstring."""
@@ -94,21 +105,16 @@ def solve_adjoint(base: Trajectory, cost: ControlSpec, spec: ModelSpec) -> Traje
     nt = base.nt
     tau = base.tau
     cost.validate()
-    if cost.phi_q.shape != (nt, gr.nx, gr.ny):
-        raise ValueError("phi_q must have shape (nt, nx, ny)")
-    if cost.phi_omega.shape != gr.shape:
-        raise ValueError("phi_omega must match the grid shape")
-    # Scanned by min and max, which build no whole-array temporary.
-    for name, f in (("phi_q", cost.phi_q), ("phi_omega", cost.phi_omega)):
-        if not -np.inf < f.min() <= f.max() < np.inf:
-            raise ValueError(f"{name} contains non-finite values")
+    cost.check_targets(gr, nt)
 
     adj = Trajectory.zeros(
         gr, base.times, ("p1", "p2", "p3", "p4", "p5"),
         s_stab=base.s_stab, flux_scheme=base.flux_scheme,
     )
+    # Every kernel here skips its finiteness scans: the forward sweep checked
+    # the base levels, check_targets the targets, and each step checks its outputs.
     p1_final = cost.b2 * (base.phi[nt] - cost.phi_omega)
-    adj.p1[nt], adj.p2[nt] = p1_final, -g.laplacian(gr, p1_final)
+    adj.p1[nt], adj.p2[nt] = p1_final, -g.laplacian(gr, p1_final, check_finite=False)
 
     inv_tau = 1.0 / tau
     tau_eff = 1.0 / (inv_tau + spec.m)
@@ -123,12 +129,10 @@ def solve_adjoint(base: Trajectory, cost: ControlSpec, spec: ModelSpec) -> Traje
     rhs_final = p1_final / tau
     if cost.b1:
         rhs_final = rhs_final + cost.b1 * (base.phi[nt] - cost.phi_q[nt - 1])
-    p1, p2 = g.ch_block_solve(gr, rhs_final, None, tau_eff, s_stab, transpose=True)
+    p1, p2 = g.ch_block_solve(gr, rhs_final, None, tau_eff, s_stab, transpose=True,
+                              check_finite=False)
     # Right-hand sides are updated in place on fresh arrays, such as the
-    # results of grad_dot, divergence and h_prime. The kernels skip their
-    # finiteness scans: the base levels were checked by the forward sweep
-    # and the targets on entry, and the five outputs are checked at the end
-    # of each step.
+    # results of grad_dot, divergence and h_prime.
 
     def transport(k: int) -> None:
         """p3 and p5 at level k from p3, p4 and p5 at levels k + 1 and up."""

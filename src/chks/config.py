@@ -37,15 +37,17 @@ phi_q each hold for every step: each is one generated field, shared by
 every step as a read-only (Nt, nx, ny) view, so a caller that changes one
 copies it first.
 
-A key may appear once per section. The seed must be nonnegative, numbers
-must be finite, the grid needs nx, ny >= 2 and lx, ly > 0, time T > 0,
-Nt >= 1 and s_stab >= 0, and [optimize] tol_stat >= 0 and max_iters >= 0
-with armijo_c and backtrack in (0, 1); a violation names the line and the
-key. Every admissibility condition of the model is checked at load time; a
-violation raises ConfigError whose message cites the condition identifier
-(see the README table) and the config line that set the offending value.
-All randomness derives from the single seed, so identical configs produce
-bit-identical runs.
+A key may appear once per section; a key left out of [model], [optimize]
+or the grid's lx, ly takes its dataclass default. The seed must be
+nonnegative, numbers must be finite, the grid needs nx, ny >= 2 and
+lx, ly > 0, time T > 0, Nt >= 1 and s_stab >= 0, [optimize] tol_stat >= 0
+and max_iters >= 0 with armijo_c and backtrack in (0, 1), and a word one
+of those listed; a target key the chosen targets does not read is
+rejected. A violation names the line and the key. Every admissibility
+condition of the model is checked at load time; a violation raises
+ConfigError citing the section and the condition identifier (see the
+README table). All randomness derives from the single seed, so identical
+configs produce bit-identical runs.
 """
 
 from __future__ import annotations
@@ -58,8 +60,9 @@ import numpy as np
 
 from .adjoint import ControlSpec
 from .fields_io import read_field
-from .grid import Grid
-from .potentials import AdmissibilityError, PotentialSpec, ProliferationSpec
+from .grid import FLUX_SCHEMES, Grid
+from .potentials import (POTENTIAL_KINDS, PROLIFERATION_KINDS, AdmissibilityError,
+                         PotentialSpec, ProliferationSpec)
 from .state import Control, InitialData, ModelSpec, solve_forward
 from .control_opt import OptimizeOptions
 
@@ -81,6 +84,8 @@ _KEYS: dict[str | None, tuple[str, ...]] = {
     "optimize": ("tol_stat", "max_iters", "armijo_c", "backtrack"),
 }
 _ARITY = {"constant": 1, "cosine": 4, "random_smooth": 3, "file": 1}
+# The words of [control] targets, and the target keys each one reads.
+_TARGET_KEYS = {"simulation": ("u_true",), "fields": ("phi_q", "phi_omega")}
 
 
 @dataclass
@@ -103,14 +108,13 @@ class RunConfig:
         return self.T / self.nt
 
 
-def _parse_lines(text: str) -> tuple[dict[str, dict[str, tuple[str, int]]], dict[str, tuple[str, int]]]:
-    """Parse into {section: {key: (value, line_no)}} plus top-level keys.
+def _parse_lines(text: str) -> dict[str | None, _Section]:
+    """Parse into one _Section per name of _KEYS, None for the top level.
 
     Sections and keys are checked against _KEYS, and a key set twice in one
     section is rejected.
     """
-    sections: dict[str, dict[str, tuple[str, int]]] = {}
-    top: dict[str, tuple[str, int]] = {}
+    sections = {name: _Section(name) for name in _KEYS}
     name = None
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -122,7 +126,6 @@ def _parse_lines(text: str) -> tuple[dict[str, dict[str, tuple[str, int]]], dict
                 raise ConfigError(f"line {line_no}: empty section name")
             if name not in _KEYS:
                 raise ConfigError(f"line {line_no}: unknown section [{name}]")
-            sections.setdefault(name, {})
             continue
         if "=" not in line:
             raise ConfigError(f"line {line_no}: expected 'key = value', got {raw.strip()!r}")
@@ -133,12 +136,12 @@ def _parse_lines(text: str) -> tuple[dict[str, dict[str, tuple[str, int]]], dict
         where = "at top level" if name is None else f"in section [{name}]"
         if key not in _KEYS[name]:
             raise ConfigError(f"line {line_no}: unknown key '{key}' {where}")
-        data = top if name is None else sections[name]
+        data = sections[name].data
         if key in data:
             raise ConfigError(f"line {line_no}: key '{key}' {where} "
                               f"repeats line {data[key][1]}")
         data[key] = (value, line_no)
-    return sections, top
+    return sections
 
 
 def _finite(token: str) -> float:
@@ -150,44 +153,44 @@ def _finite(token: str) -> float:
 
 
 class _Section:
-    """Typed reads of one section's keys; name None is the top level."""
+    """Typed reads of the keys one section sets; name None is the top level."""
 
-    def __init__(self, name: str | None, data: dict[str, tuple[str, int]]):
+    def __init__(self, name: str | None):
         self.name = name
-        self.data = data
-
-    def _label(self, key: str) -> str:
-        return key if self.name is None else f"[{self.name}] {key}"
-
-    def raw(self, key: str, default=None):
-        if key in self.data:
-            return self.data[key]
-        if default is None:
-            raise ConfigError(f"section [{self.name}] is missing required key '{key}'")
-        return (default, 0)
-
-    def number(self, key: str, default: str | None = None) -> float:
-        value, _ = self.raw(key, default)
-        try:
-            return _finite(value)
-        except ValueError:
-            raise self.reject(key, "must be a finite number") from None
+        self.data: dict[str, tuple[str, int]] = {}
 
     def reject(self, key: str, requirement: str) -> ConfigError:
-        """The error for a value of key that breaks requirement, naming its line."""
-        value, line_no = self.data.get(key, (None, 0))
-        return ConfigError(f"line {line_no}: {self._label(key)} {requirement}, got {value!r}")
+        """The error for the value of key that breaks requirement, naming its line."""
+        value, line_no = self.data[key]
+        label = key if self.name is None else f"[{self.name}] {key}"
+        return ConfigError(f"line {line_no}: {label} {requirement}, got {value!r}")
 
-    def integer(self, key: str, default: str | None = None) -> int:
-        value, line_no = self.raw(key, default)
+    def _read(self, key: str, default, parse, requirement: str):
+        """The value of key through parse, or default when the file leaves key out."""
+        if key not in self.data:
+            return default
         try:
-            return int(value)
+            return parse(self.data[key][0])
         except ValueError:
-            raise ConfigError(f"line {line_no}: {self._label(key)} must be an integer, got {value!r}")
+            raise self.reject(key, requirement) from None
 
-    def word(self, key: str, default: str | None = None) -> str:
-        value, _ = self.raw(key, default)
-        return value.strip().lower()
+    def number(self, key: str, default: float | None = None) -> float:
+        return self._read(key, default, _finite, "must be a finite number")
+
+    def integer(self, key: str, default: int) -> int:
+        return self._read(key, default, int, "must be an integer")
+
+    def numbers(self, *keys: str) -> dict[str, float]:
+        """The numbers of those keys the file sets, as dataclass keywords."""
+        return {key: self.number(key) for key in keys if key in self.data}
+
+    def choice(self, key: str, words: tuple[str, ...], default: str) -> str:
+        if key not in self.data:
+            return default
+        word = self.data[key][0].lower()
+        if word not in words:
+            raise self.reject(key, f"must be one of {', '.join(words)}")
+        return word
 
 
 def _axes(gr: Grid) -> tuple[np.ndarray, np.ndarray]:
@@ -270,116 +273,97 @@ def load_config(path: str | Path, seed_override: int | None = None) -> RunConfig
         text = path.read_text()
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read {str(path)!r}: {exc}") from exc
-    sections, top = _parse_lines(text)
-    base_dir = path.parent
+    sections = _parse_lines(text)
 
-    top_level = _Section(None, top)
-    seed = top_level.integer("seed", "1")
+    top = sections[None]
+    seed = top.integer("seed", 1)
     if seed < 0:
-        raise top_level.reject("seed", "must be nonnegative")
+        raise top.reject("seed", "must be nonnegative")
     if seed_override is not None:
         if seed_override < 0:
             raise ConfigError(f"seed override {seed_override}: must be nonnegative")
         seed = seed_override
     rng = np.random.default_rng(seed)
 
-    sg = _Section("grid", sections.get("grid", {}))
-    sizes = {key: sg.integer(key, "16") for key in ("nx", "ny")}
-    sizes.update({key: sg.number(key, "1.0") for key in ("lx", "ly")})
-    for key in ("nx", "ny"):
-        if sizes[key] < 2:
+    sg = sections["grid"]
+    sizes = {key: sg.integer(key, 16) for key in ("nx", "ny")}
+    lengths = sg.numbers("lx", "ly")
+    for key, n in sizes.items():
+        if n < 2:
             raise sg.reject(key, "must be at least 2 for a PDE run")
-    for key in ("lx", "ly"):
-        if sizes[key] <= 0:
+    for key, length in lengths.items():
+        if length <= 0:
             raise sg.reject(key, "must be positive")
-    gr = Grid(**sizes)
+    gr = Grid(**sizes, **lengths)
 
-    sm = _Section("model", sections.get("model", {}))
-    pot_kind = sm.word("potential", "regular")
+    def field(section: _Section, key: str, default: float) -> np.ndarray:
+        """The field of key's generator phrase, or the constant default."""
+        if key not in section.data:
+            return np.full(gr.shape, default)
+        return generate_field(gr, section.data[key][0], rng, path.parent)
+
+    sm = sections["model"]
     try:
-        pot = PotentialSpec(
-            kind=pot_kind,
-            c1=sm.number("c1", "1.0"),
-            c2=sm.number("c2", "2.0"),
-            eps_clamp=sm.number("eps_clamp", "1e-8"),
-        )
-        prolif = ProliferationSpec(
-            kind=sm.word("prolif", "zero"),
-            h0=sm.number("h0", "0.0"),
-            k=sm.number("k", "1.0"),
-        )
         model = ModelSpec(
-            m=sm.number("m", "1.0"),
-            chi_phi=sm.number("chi_phi", "0.2"),
-            chi_a=sm.number("chi_a", "0.3"),
-            c_phi=sm.number("c_phi", "0.1"),
-            c_n=sm.number("c_n", "-1.0"),
-            c_sigma=sm.number("c_sigma", "0.1"),
-            c_0=sm.number("c_0", "0.0"),
-            pot=pot,
-            prolif=prolif,
+            **sm.numbers("m", "chi_phi", "chi_a", "c_phi", "c_n", "c_sigma", "c_0"),
+            pot=PotentialSpec(kind=sm.choice("potential", POTENTIAL_KINDS, PotentialSpec.kind),
+                              **sm.numbers("c1", "c2", "eps_clamp")),
+            prolif=ProliferationSpec(
+                kind=sm.choice("prolif", PROLIFERATION_KINDS, ProliferationSpec.kind),
+                **sm.numbers("h0", "k")),
         )
         model.validate()
     except AdmissibilityError as exc:
         raise ConfigError(f"[model]: {exc}") from exc
 
-    st = _Section("time", sections.get("time", {}))
-    T = st.number("t", "0.5")
-    nt = st.integer("nt", "32")
+    st = sections["time"]
+    T = st.number("t", 0.5)
+    nt = st.integer("nt", 32)
     if T <= 0:
         raise st.reject("t", "must be positive")
     if nt < 1:
         raise st.reject("nt", "must be at least 1")
-    s_stab = None if st.word("s_stab", "default") == "default" else st.number("s_stab")
-    if s_stab is not None and s_stab < 0:
-        raise st.reject("s_stab", "must be nonnegative")
-    flux_scheme = st.word("flux_scheme", "centered")
-    if flux_scheme not in ("centered", "upwind"):
-        raise ConfigError("[time]: flux_scheme must be 'centered' or 'upwind'")
+    s_stab = None  # the potential's default, also for s_stab = default
+    if "s_stab" in st.data and st.data["s_stab"][0].lower() != "default":
+        s_stab = st.number("s_stab")
+        if s_stab < 0:
+            raise st.reject("s_stab", "must be nonnegative")
+    flux_scheme = st.choice("flux_scheme", FLUX_SCHEMES, "centered")
 
-    si = _Section("initial", sections.get("initial", {}))
-    init = InitialData(
-        phi0=generate_field(gr, si.raw("phi0", "constant 0.5")[0], rng, base_dir),
-        a0=generate_field(gr, si.raw("a0", "constant 1.0")[0], rng, base_dir),
-        n0=generate_field(gr, si.raw("n0", "constant 0.0")[0], rng, base_dir),
-        sigma0=generate_field(gr, si.raw("sigma0", "constant 0.5")[0], rng, base_dir),
-    )
+    si = sections["initial"]
+    init = InitialData(phi0=field(si, "phi0", 0.5), a0=field(si, "a0", 1.0),
+                       n0=field(si, "n0", 0.0), sigma0=field(si, "sigma0", 0.5))
     try:
         init.validate(model)
     except AdmissibilityError as exc:
         raise ConfigError(f"[initial]: {exc}") from exc
 
-    sc = _Section("control", sections.get("control", {}))
-    umax_raw, _ = sc.raw("u_max", "1.0")
-    if umax_raw.split()[0].lower() == "file":
-        u_max: float | np.ndarray = generate_field(gr, umax_raw, rng, base_dir)
+    sc = sections["control"]
+    targets = sc.choice("targets", tuple(_TARGET_KEYS), "fields")
+    for words, keys in _TARGET_KEYS.items():
+        for key in keys:
+            if words != targets and key in sc.data:
+                raise sc.reject(key, f"is read only when targets = {words}")
+    b1, b2, b3 = sc.number("b1", 0.0), sc.number("b2", 0.0), sc.number("b3", 1.0)
+    if "u_max" in sc.data and sc.data["u_max"][0].split()[0].lower() == "file":
+        u_max: float | np.ndarray = generate_field(gr, sc.data["u_max"][0], rng, path.parent)
     else:
-        u_max = sc.number("u_max", "1.0")
-    b1 = sc.number("b1", "0.0")
-    b2 = sc.number("b2", "0.0")
-    b3 = sc.number("b3", "1.0")
-
+        u_max = sc.number("u_max", 1.0)
     steps = (nt, gr.nx, gr.ny)
-    u0_slice = generate_field(gr, sc.raw("u0", "constant 0.0")[0], rng, base_dir)
-    u0 = Control(np.broadcast_to(u0_slice, steps), u_max)
+    u0 = Control(np.broadcast_to(field(sc, "u0", 0.0), steps), u_max)
 
     u_true = None
-    targets = sc.word("targets", "fields")
     if targets == "simulation":
-        u_true_slice = generate_field(gr, sc.raw("u_true", "constant 0.0")[0], rng, base_dir)
-        u_true = np.broadcast_to(np.clip(u_true_slice, 0.0, u_max), steps)
+        u_true = np.broadcast_to(np.clip(field(sc, "u_true", 0.0), 0.0, u_max), steps)
         traj_true, _ = solve_forward(
             gr, model, init, Control(u_true, u_max), T, nt,
             s_stab=s_stab, flux_scheme=flux_scheme,
         )
         phi_q = traj_true.phi[1:].copy()
         phi_omega = traj_true.phi[nt].copy()
-    elif targets == "fields":
-        phi_q_slice = generate_field(gr, sc.raw("phi_q", "constant 0.5")[0], rng, base_dir)
-        phi_q = np.broadcast_to(phi_q_slice, steps)
-        phi_omega = generate_field(gr, sc.raw("phi_omega", "constant 0.5")[0], rng, base_dir)
     else:
-        raise ConfigError("[control]: targets must be 'simulation' or 'fields'")
+        phi_q = np.broadcast_to(field(sc, "phi_q", 0.5), steps)
+        phi_omega = field(sc, "phi_omega", 0.5)
 
     cs = ControlSpec(b1=b1, b2=b2, b3=b3, phi_q=phi_q, phi_omega=phi_omega, u_max=u_max)
     try:
@@ -388,12 +372,10 @@ def load_config(path: str | Path, seed_override: int | None = None) -> RunConfig
     except AdmissibilityError as exc:
         raise ConfigError(f"[control]: {exc}") from exc
 
-    so = _Section("optimize", sections.get("optimize", {}))
+    so = sections["optimize"]
     opts = OptimizeOptions(
-        tol_stat=so.number("tol_stat", "1e-6"),
-        max_iters=so.integer("max_iters", "200"),
-        armijo_c=so.number("armijo_c", "1e-4"),
-        backtrack=so.number("backtrack", "0.5"),
+        **so.numbers("tol_stat", "armijo_c", "backtrack"),
+        max_iters=so.integer("max_iters", OptimizeOptions.max_iters),
         s_stab=s_stab,
         flux_scheme=flux_scheme,
     )

@@ -61,11 +61,9 @@ class OptimizeResult:
 def cost(traj: Trajectory, u: Control, cs: ControlSpec) -> float:
     """Tracking cost J of a forward trajectory and the control that drove it."""
     gr, tau = traj.grid, traj.tau
-    shape = (traj.nt, gr.nx, gr.ny)
-    if u.values.shape != shape:
+    if u.values.shape != (traj.nt, gr.nx, gr.ny):
         raise ValueError("control shape mismatch")
-    if cs.phi_q.shape != shape:
-        raise ValueError("phi_q shape mismatch")
+    cs.check_targets(gr, traj.nt)
     j = 0.0
     if cs.b1:
         d = traj.phi[1:] - cs.phi_q

@@ -137,6 +137,8 @@ DENSE_DCT_MAX = 64
 # Fewest cells at which run_chains runs the two chains of a sweep step at
 # once; see the module docstring for the measured crossover.
 CONCURRENT_MIN_CELLS = 144 * 144
+# The schemes divergence accepts for its face coefficient.
+FLUX_SCHEMES = ("centered", "upwind")
 
 
 class SolverError(RuntimeError):
@@ -315,7 +317,7 @@ def divergence(
     result, whose donor choice can pass over it, so skip those scans only
     for fields already checked.
     """
-    if scheme not in ("centered", "upwind"):
+    if scheme not in FLUX_SCHEMES:
         raise ValueError(f"unknown chemotaxis flux scheme: {scheme!r}")
     if scheme != "upwind" or upwind_by is None:
         upwind_by = f

@@ -38,6 +38,11 @@ from dataclasses import dataclass
 import numpy as np
 
 
+# The kinds PotentialSpec and ProliferationSpec accept.
+POTENTIAL_KINDS = ("regular", "logarithmic")
+PROLIFERATION_KINDS = ("zero", "constant", "logistic")
+
+
 class AdmissibilityError(ValueError):
     """A model or data admissibility condition is violated.
 
@@ -60,7 +65,7 @@ class PotentialSpec:
     eps_clamp: float = 1e-8
 
     def __post_init__(self):
-        if self.kind not in ("regular", "logarithmic"):
+        if self.kind not in POTENTIAL_KINDS:
             raise ValueError(f"unknown potential kind: {self.kind!r}")
         if self.kind == "regular" and not self.c1 > 0:
             raise AdmissibilityError("(2.6): regular potential coefficient c1 must be positive")
@@ -166,7 +171,7 @@ class ProliferationSpec:
     k: float = 1.0
 
     def __post_init__(self):
-        if self.kind not in ("zero", "constant", "logistic"):
+        if self.kind not in PROLIFERATION_KINDS:
             raise ValueError(f"unknown proliferation kind: {self.kind!r}")
         if not (math.isfinite(self.h0) and math.isfinite(self.k)):
             raise AdmissibilityError("(2.4): proliferation parameters must be finite")

@@ -357,7 +357,7 @@ def energy(traj: Trajectory, k: int, spec: ModelSpec) -> float:
 
 def energy_series(traj: Trajectory, spec: ModelSpec) -> np.ndarray:
     """Free energy of each stored level of a forward trajectory."""
-    # Per level, as h(phi) in check_mean_ode: whole-trajectory temporaries
+    # Per level, as h(phi) in mean_ode_residuals: whole-trajectory temporaries
     # would raise the peak memory of a 256^2 run.
     return np.array([energy(traj, k, spec) for k in range(traj.nt + 1)])
 
@@ -369,12 +369,12 @@ def energy_phi_part(gr: Grid, phi: np.ndarray, spec: ModelSpec) -> float:
     )
 
 
-def check_mean_ode(traj: Trajectory, spec: ModelSpec) -> float:
-    """Max residual of the mean-value ODE  d/dt mean(phi) + m*mean(phi) = mean(h(phi)).
+def mean_ode_residuals(traj: Trajectory, spec: ModelSpec) -> np.ndarray:
+    """Per-step residuals of the mean-value ODE  d/dt mean(phi) + m*mean(phi) = mean(h(phi)).
 
-    Measured in backward-Euler form at the new level:
+    Measured in backward-Euler form at the new level, for k = 0 .. Nt-1:
 
-        |(mean_{k+1} - mean_k)/tau + m*mean_{k+1} - mean(h(phi_{k+1}))|
+        (mean_{k+1} - mean_k)/tau + m*mean_{k+1} - mean(h(phi_{k+1}))
 
     The scheme satisfies this identity with h lagged at level k, so the
     residual equals the one-step lag of mean(h(phi)) and is O(tau); it
@@ -385,8 +385,12 @@ def check_mean_ode(traj: Trajectory, spec: ModelSpec) -> float:
     # h(phi) one level at a time: on the whole trajectory it raises
     # peak_rss_mb by 13% on a 256^2 forward run. Level 0's is never read.
     hbar = np.array([spec.prolif.h_value(phi).mean() for phi in traj.phi[1:]])
-    res = np.diff(means) / traj.tau + spec.m * means[1:] - hbar
-    return float(np.abs(res).max())
+    return np.diff(means) / traj.tau + spec.m * means[1:] - hbar
+
+
+def check_mean_ode(traj: Trajectory, spec: ModelSpec) -> float:
+    """Max over the steps of |mean_ode_residuals|."""
+    return float(np.abs(mean_ode_residuals(traj, spec)).max())
 
 
 def trajectory_distance(t1: Trajectory, t2: Trajectory) -> float:

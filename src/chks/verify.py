@@ -34,6 +34,7 @@ from .state import (
     InitialData,
     ModelSpec,
     energy_phi_part,
+    mean_ode_residuals,
     solve_forward,
     trajectory_distance,
 )
@@ -276,14 +277,17 @@ def suite_invariants(cfg: RunConfig) -> list[CheckResult]:
                             report_d.mean_ode_residual, 1e-12))
     results.append(_at_most("invariants", "mean_ode_decay_closed_form", decay_dev, 1e-12))
 
-    # Mean ODE: generic residual halves with tau.
+    # Mean ODE: generic residual halves with tau in l1 in time. Its maximum
+    # sits in the initial layer of the rough data, where no O(tau) bound holds.
     model_g, init_g, u_g = _matrix_case(cfg, "regular", cfg.seed + 40)
-    _, rep_1 = solve_forward(gr, model_g, init_g, u_g, cfg.T, cfg.nt)
-    u_g2 = Control(np.repeat(u_g.values, 2, axis=0), u_g.u_max)
-    _, rep_2 = solve_forward(gr, model_g, init_g, u_g2, cfg.T, 2 * cfg.nt)
-    ratio = rep_1.mean_ode_residual / rep_2.mean_ode_residual
+    l1 = []
+    for factor in (1, 2):
+        u_f = Control(np.repeat(u_g.values, factor, axis=0), u_g.u_max)
+        traj_f, _ = solve_forward(gr, model_g, init_g, u_f, cfg.T, factor * cfg.nt)
+        l1.append(traj_f.tau * float(np.abs(mean_ode_residuals(traj_f, model_g)).sum()))
+    ratio = l1[0] / l1[1]
     results.append(CheckResult("invariants", "mean_ode_tau_halving_ratio", ratio, 1.6,
-                               1.6 <= ratio <= 2.4, "target 2.0 +/- 20%"))
+                               1.6 <= ratio <= 2.4, "l1 in time; target 2.0 +/- 20%"))
 
     # Decoupled phase-field energy stability at the default stabilization.
     for i, run_seed in enumerate((cfg.seed + 50, cfg.seed + 51, cfg.seed + 52)):

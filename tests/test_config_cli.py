@@ -1,6 +1,7 @@
 """Config grammar, load-time admissibility checks, CLI runs, file formats."""
 
 import csv
+import dataclasses
 import struct
 from pathlib import Path
 
@@ -9,10 +10,11 @@ import pytest
 
 from chks.cli import main
 from chks.config import ConfigError, generate_field, load_config
+from chks.control_opt import OptimizeOptions
 from chks.fields_io import read_field, write_field
 from chks.grid import Grid
 from chks.potentials import AdmissibilityError, ProliferationSpec
-from chks.state import solve_forward
+from chks.state import ModelSpec, solve_forward
 from chks.verify import _smooth_direction
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -343,21 +345,42 @@ def test_cli_rejects_nonfinite_target_generator(tmp_path, capsys, command, old, 
     ("Nt = 8", "Nt = 8\n[optimize]\narmijo_c = -1", "armijo_c = -1"),
     ("Nt = 8", "Nt = 8\n[optimize]\narmijo_c = 1", "armijo_c = 1"),
     ("seed = 7", "seed = -3", "seed = -3"),
+    ("potential = regular", "potential = foo", "potential = foo"),
+    ("prolif = logistic", "prolif = foo", "prolif = foo"),
+    ("[time]", "[time]\nflux_scheme = foo", "flux_scheme = foo"),
+    ("[control]", "[control]\ntargets = foo", "targets = foo"),
+    ("[control]", "[control]\ntargets = simulation\nphi_q = constant 0.5", "phi_q = constant 0.5"),
+    ("[control]", "[control]\ntargets = simulation\nphi_omega = constant 0.5",
+     "phi_omega = constant 0.5"),
+    ("[control]", "[control]\ntargets = fields\nu_true = constant 0.5", "u_true = constant 0.5"),
 ], ids=["seed", "s_stab", "u_max", "T_nan", "b1_nan", "unknown_section", "unknown_key",
         "nx_negative", "nx_zero", "lx_negative", "lx_inf", "T_inf", "repeated_key",
         "s_stab_negative", "max_iters_negative", "tol_stat_negative", "tol_stat_tiny_negative",
         "backtrack_above_1", "backtrack_zero",
-        "armijo_c_negative", "armijo_c_one", "seed_negative"])
+        "armijo_c_negative", "armijo_c_one", "seed_negative",
+        "potential_unknown", "prolif_unknown", "flux_scheme_unknown", "targets_unknown",
+        "phi_q_with_simulation", "phi_omega_with_simulation", "u_true_with_fields"])
 def test_cli_simulate_rejects_bad_statement(tmp_path, capsys, old, new, bad):
     # A malformed number, NaN or infinity, a seed, grid size, s_stab or
-    # optimizer setting out of range, a repeated key, or a section or key outside the
-    # grammar is a config error (exit 2) that names the statement's line and key.
+    # optimizer setting out of range, a word outside its list, a target key
+    # the chosen targets does not read, a repeated key, or a section or key
+    # outside the grammar is a config error (exit 2) that names the
+    # statement's line and key.
     text = MINIMAL.replace(old, new, 1)
     line_no = text.splitlines().index(bad) + 1
     assert main(["simulate", str(write_cfg(tmp_path, text)), "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
     assert f"line {line_no}:" in err
     assert bad.split("=")[0].strip().lower() in err
+
+
+def test_empty_sections_take_dataclass_defaults(tmp_path):
+    # A key left out of [model] or [optimize] takes its dataclass default.
+    text = MINIMAL.replace("potential = regular\nprolif = logistic\nh0 = 0.5\n", "")
+    cfg = load_config(write_cfg(tmp_path, text + "[optimize]\n"))
+    for spec, default in ((cfg.model, ModelSpec()), (cfg.opts, OptimizeOptions())):
+        for f in dataclasses.fields(default):
+            assert getattr(spec, f.name) == getattr(default, f.name), f.name
 
 
 def test_repeated_key_names_both_lines(tmp_path):

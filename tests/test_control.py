@@ -78,6 +78,20 @@ def test_cost_matches_per_level_quadrature(problem):
     assert cost(traj, u, cs3) == pytest.approx(ref, rel=1e-13)
 
 
+@pytest.mark.parametrize("name, cell", [("phi_q", (5, 2, 3)), ("phi_omega", (2, 3))],
+                         ids=["phi_q", "phi_omega"])
+def test_cost_rejects_nonfinite_target(problem, name, cell):
+    # A NaN target is named, not returned as a NaN cost.
+    grid, spec, init, cs, T, nt = problem
+    u = Control(np.zeros((nt, grid.nx, grid.ny)), 1.0)
+    traj = Trajectory.zeros(grid, np.linspace(0, T, nt + 1), ("phi", "mu", "a", "n", "sigma"))
+    targets = {"phi_q": cs.phi_q.copy(), "phi_omega": cs.phi_omega.copy()}
+    targets[name][cell] = np.nan
+    bad = ControlSpec(cs.b1, cs.b2, cs.b3, targets["phi_q"], targets["phi_omega"], cs.u_max)
+    with pytest.raises(ValueError, match=f"^{name} contains non-finite values$"):
+        cost(traj, u, bad)
+
+
 def test_projection_identity_clamp_nonexpansive():
     u_max = 1.5
     v = RNG.uniform(0.0, u_max, (4, 8, 8))
