@@ -7,7 +7,8 @@ from .grid import (
     ch_block_solve,
     divergence,
     grad_dot,
-    helmholtz_solve,
+    helmholtz_cg,
+    helmholtz_direct,
     inner,
     laplacian,
     norm_l2,

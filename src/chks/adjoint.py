@@ -146,7 +146,7 @@ def solve_adjoint(base: Trajectory, cost: ControlSpec, spec: ModelSpec) -> Traje
         rhs_p3 *= spec.chi_a
         rhs_p3 += ((inv_tau + 1.0) - 2.0 * a_k) * p3
         rhs_p3 -= (sigma_new - spec.chi_a) * p5
-        adj.p3[k] = g.helmholtz_solve(gr, rhs_p3, inv_tau, 1.0, check_finite=False)
+        adj.p3[k] = g.helmholtz_direct(gr, rhs_p3, inv_tau, check_finite=False)
 
         # p5: same implicit operator family as the forward sigma update,
         # its CG started from the extrapolation of the stored levels.
@@ -158,8 +158,8 @@ def solve_adjoint(base: Trajectory, cost: ControlSpec, spec: ModelSpec) -> Traje
         rhs_p5 *= -spec.chi_a
         rhs_p5 += p5 * inv_tau
         rhs_p5 += spec.c_sigma * p4
-        adj.p5[k] = g.helmholtz_solve(
-            gr, rhs_p5, (inv_tau + 1.0) + a_k, 1.0, adj.extrapolate("p5", k, -1),
+        adj.p5[k] = g.helmholtz_cg(
+            gr, rhs_p5, (inv_tau + 1.0) + a_k, adj.extrapolate("p5", k, -1),
             check_finite=False,
         )
 
@@ -170,7 +170,7 @@ def solve_adjoint(base: Trajectory, cost: ControlSpec, spec: ModelSpec) -> Traje
         # so -chi_phi Lap p1 is read as chi_phi p2 (equal up to round-off).
         rhs_p4 = spec.chi_phi * p2
         rhs_p4 += (inv_tau + spec.c_n) * adj.p4[k + 1]
-        adj.p4[k] = g.helmholtz_solve(gr, rhs_p4, inv_tau, 1.0, check_finite=False)
+        adj.p4[k] = g.helmholtz_direct(gr, rhs_p4, inv_tau, check_finite=False)
 
         # (p1, p2) block, transposed so that p2 = -Lap p1 holds exactly
         # and the stabilization terms mirror the forward s_stab*(phi+ - phi).

@@ -32,10 +32,10 @@ Field generators:
 Cosine terms are built from 1-D cosines of the cell-centre abscissae and
 ordinates, broadcast to the grid. Generator numbers must be finite, modes
 at least 0, and the realized field (a snapshot file's too) finite; a
-violation quotes the phrase. The control u0, u_true and the fields target
-phi_q each hold for every step: each is one generated field, shared by
-every step as a read-only (Nt, nx, ny) view, so a caller that changes one
-copies it first.
+violation names the line and the key and quotes the phrase. The control
+u0, u_true and the fields target phi_q each hold for every step: each is
+one generated field, shared by every step as a read-only (Nt, nx, ny)
+view, so a caller that changes one copies it first.
 
 A key may appear once per section; a key left out of [model], [optimize]
 or the grid's lx, ly takes its dataclass default. The seed must be
@@ -159,11 +159,14 @@ class _Section:
         self.name = name
         self.data: dict[str, tuple[str, int]] = {}
 
+    def where(self, key: str) -> str:
+        """'line N: [section] key', where the file sets key."""
+        label = key if self.name is None else f"[{self.name}] {key}"
+        return f"line {self.data[key][1]}: {label}"
+
     def reject(self, key: str, requirement: str) -> ConfigError:
         """The error for the value of key that breaks requirement, naming its line."""
-        value, line_no = self.data[key]
-        label = key if self.name is None else f"[{self.name}] {key}"
-        return ConfigError(f"line {line_no}: {label} {requirement}, got {value!r}")
+        return ConfigError(f"{self.where(key)} {requirement}, got {self.data[key][0]!r}")
 
     def _read(self, key: str, default, parse, requirement: str):
         """The value of key through parse, or default when the file leaves key out."""
@@ -300,7 +303,10 @@ def load_config(path: str | Path, seed_override: int | None = None) -> RunConfig
         """The field of key's generator phrase, or the constant default."""
         if key not in section.data:
             return np.full(gr.shape, default)
-        return generate_field(gr, section.data[key][0], rng, path.parent)
+        try:
+            return generate_field(gr, section.data[key][0], rng, path.parent)
+        except ConfigError as exc:
+            raise ConfigError(f"{section.where(key)}: {exc}") from exc
 
     sm = sections["model"]
     try:
@@ -346,7 +352,7 @@ def load_config(path: str | Path, seed_override: int | None = None) -> RunConfig
                 raise sc.reject(key, f"is read only when targets = {words}")
     b1, b2, b3 = sc.number("b1", 0.0), sc.number("b2", 0.0), sc.number("b3", 1.0)
     if "u_max" in sc.data and sc.data["u_max"][0].split()[0].lower() == "file":
-        u_max: float | np.ndarray = generate_field(gr, sc.data["u_max"][0], rng, path.parent)
+        u_max: float | np.ndarray = field(sc, "u_max", 1.0)
     else:
         u_max = sc.number("u_max", 1.0)
     steps = (nt, gr.nx, gr.ny)

@@ -13,9 +13,10 @@ Operators
                                centered mean or the upwind donor cell.
 - grad_dot(grid, p, w):        cell average of the face products
                                grad(p).grad(w).
-- helmholtz_solve(...):        (alpha*I - beta*Lap) x = b, direct by DCT
-                               diagonalization; preconditioned CG, from an
-                               optional guess, when alpha varies in space.
+- helmholtz_direct(...):       (alpha*I - Lap) x = b for a scalar alpha,
+                               exactly by DCT diagonalization.
+- helmholtz_cg(...):           (alpha*I - Lap) x = b for a field alpha, by
+                               preconditioned CG from an optional guess.
 - ch_block_solve(...):         the coupled 2x2 per-mode system of a
                                semi-implicit Cahn-Hilliard step.
 
@@ -41,13 +42,13 @@ per-call work is kept to the arithmetic:
   differences that divergence and grad_dot use (below), contiguous along
   both axes (250 us against 340 us with strided y slices at 256^2, each
   with its finiteness check).
-- Cached per grid (lru_cache, read-only arrays): the Laplacian eigenvalues,
-  the DCT and second-difference matrices, the per-mode inverse of the phi/mu
-  block for each (tau, s_stab), and 1/(alpha - beta*lam) of each
-  scalar-alpha Helmholtz solve. The singular-mode check of the block runs
-  when its inverse is built.
+- Cached per grid (lru_cache keyed on the frozen Grid, read-only arrays):
+  the Laplacian eigenvalues, the per-mode inverse of the phi/mu block for
+  each (tau, s_stab), and 1/(alpha - lam) of each direct Helmholtz solve;
+  the DCT and second-difference matrices are keyed on their size. The
+  singular-mode check of the block runs when its inverse is built.
 - The variable-coefficient CG calls no stencil in its loop. Its
-  preconditioner M = alpha_bar*I - beta*Lap is inverted exactly by DCT, so
+  preconditioner M = alpha_bar*I - Lap is inverted exactly by DCT, so
   M z = r for every preconditioned residual z, and M p is carried by
   recurrence: q = r at the start, and q <- r + beta_k*q alongside
   p <- z + beta_k*p. Then A p = q + (alpha - alpha_bar)*p is one
@@ -56,10 +57,9 @@ per-call work is kept to the arithmetic:
   are updated in place through one scratch array.
 - A guess x0 for the CG (the sweeps pass the linear extrapolation of their
   last two stored levels; Fischer, CMAME 163, 1998) costs one stencil call,
-  for the initial residual b - alpha*x0 + beta*Lap x0, and saves about one
-  DCT pair per call on the sweeps' solves. The stopping test and the
-  iteration budget are the same with or without it, and the test runs
-  before the first preconditioner application.
+  for the initial residual b - alpha*x0 + Lap x0, as the cold start x0 = 0
+  does, and saves about one DCT pair per call on the sweeps' solves. The
+  stopping test and the iteration budget do not depend on the start.
 - divergence and grad_dot work on differences across interior faces
   only and build no face-flux arrays: each face value is added to the cell
   on one side and subtracted from (or, for grad_dot, added to) the cell on
@@ -78,16 +78,15 @@ per-call work is kept to the arithmetic:
   non-finite value made inside a step reaches an output through the
   transforms, so it is caught at that step's end. One scan,
   np.isfinite(f).all(), takes about 3 us at 16^2 and 23 us at 256^2.
-  Each sweep's entry keeps the checked calls on caller data. The CG's
-  warm start forms its first residual with the unchecked stencil, since
-  helmholtz_solve has scanned the guess or was told not to, and a field
-  alpha is checked by its min and max, which carry any NaN or infinity
-  (min alone when unchecked: min > 0 is the positive-definiteness
-  precondition). An unchecked right-hand side is caught by its norm,
-  which must be finite for the stopping test to mean anything. Inside
-  the CG loop
-  nothing is scanned; a non-finite value there surfaces as a p.Ap that is
-  not a positive finite number, which raises SolverError. Checks on
+  Each sweep's entry keeps the checked calls on caller data. The CG forms
+  its first residual with the unchecked stencil, since it has scanned the
+  guess or was told not to, and its field alpha is checked by its min and
+  max, which carry any NaN or infinity (min alone when unchecked: min > 0
+  is the positive-definiteness precondition). An unchecked right-hand
+  side is caught by its norm, which must be finite for the stopping test
+  to mean anything. Inside the CG loop nothing is scanned; a non-finite
+  value there surfaces as a p.Ap that is not a positive finite number,
+  which raises SolverError. Checks on
   scalars use math.isfinite and math.sqrt: 0.07 us per call against
   1.0 us for np.isfinite on a Python float (two x86-64 cores).
 - A step of each sweep is two chains of these calls that share no level
@@ -401,18 +400,13 @@ def _read_only(a: np.ndarray) -> np.ndarray:
 
 
 @lru_cache(maxsize=32)
-def _lap_eigenvalues(nx: int, ny: int, hx: float, hy: float) -> np.ndarray:
-    """Eigenvalues of the mirrored 5-point Laplacian in DCT-II space, shape (nx, ny)."""
-    kx = np.arange(nx)
-    ky = np.arange(ny)
-    lam_x = -(2.0 / hx**2) * (1.0 - np.cos(np.pi * kx / nx))
-    lam_y = -(2.0 / hy**2) * (1.0 - np.cos(np.pi * ky / ny))
-    return _read_only(lam_x[:, None] + lam_y[None, :])
-
-
 def lap_eigenvalues(grid: Grid) -> np.ndarray:
-    """Cached, read-only eigenvalues of the mirrored 5-point Laplacian."""
-    return _lap_eigenvalues(grid.nx, grid.ny, grid.hx, grid.hy)
+    """Cached, read-only eigenvalues of the mirrored 5-point Laplacian in DCT-II space."""
+    kx = np.arange(grid.nx)
+    ky = np.arange(grid.ny)
+    lam_x = -(2.0 / grid.hx**2) * (1.0 - np.cos(np.pi * kx / grid.nx))
+    lam_y = -(2.0 / grid.hy**2) * (1.0 - np.cos(np.pi * ky / grid.ny))
+    return _read_only(lam_x[:, None] + lam_y[None, :])
 
 
 @lru_cache(maxsize=8)
@@ -451,84 +445,67 @@ def _idct2(fh: np.ndarray) -> np.ndarray:
 
 
 @lru_cache(maxsize=32)
-def _helmholtz_inverse(
-    nx: int, ny: int, hx: float, hy: float, alpha: float, beta: float
+def _helmholtz_inverse(grid: Grid, alpha: float) -> np.ndarray:
+    """Per-mode 1/(alpha - lam) of the scalar-alpha Helmholtz operator."""
+    return _read_only(1.0 / (alpha - lap_eigenvalues(grid)))
+
+
+def helmholtz_direct(
+    grid: Grid, b: np.ndarray, alpha: float, *, check_finite: bool = True
 ) -> np.ndarray:
-    """Per-mode 1/(alpha - beta*lam) of the scalar-alpha Helmholtz operator."""
-    return _read_only(1.0 / (alpha - beta * _lap_eigenvalues(nx, ny, hx, hy)))
+    """Solve (alpha*I - Lap) x = b with homogeneous Neumann conditions, exactly by DCT.
 
-
-def helmholtz_solve(
-    grid: Grid,
-    b: np.ndarray,
-    alpha: float | np.ndarray,
-    beta: float,
-    x0: np.ndarray | None = None,
-    check_finite: bool = True,
-) -> np.ndarray:
-    """Solve (alpha*I - beta*Lap) x = b with homogeneous Neumann conditions.
-
-    Scalar alpha > 0: exact direct solve by DCT diagonalization.
-    Field alpha (spatially varying, min > 0): conjugate gradient
-    preconditioned by the mean-coefficient direct solve, started from the
-    guess x0 when one is given (zero otherwise). The guess changes the
-    work, not the stopping test. Alpha must be finite and positive, beta
-    finite and nonnegative, and x0 a finite field of the grid's shape; the
-    direct solve takes no guess.
-
-    check_finite=False skips the scans of b and x0 for NaN and infinity,
-    and of a field alpha for infinity, as in scipy.linalg; a caller that
-    passes it checks the result. The scalar checks, the shapes and
-    min(alpha) > 0, which positive definiteness needs, are still checked.
+    alpha is a finite positive scalar; helmholtz_cg solves a field alpha.
+    check_finite=False skips the scan of b for NaN and infinity, as in
+    scipy.linalg; a caller that passes it checks the result. alpha is
+    checked either way.
     """
     if check_finite:
         _check_finite(b, "rhs")
-    if not (math.isfinite(beta) and beta >= 0):
-        raise SolverError("helmholtz_solve requires a finite beta >= 0")
-    if np.isscalar(alpha) or np.ndim(alpha) == 0:
-        if x0 is not None:
-            raise SolverError("helmholtz_solve takes a guess only for a field alpha")
-        alpha = float(alpha)
-        if not (math.isfinite(alpha) and alpha > 0):
-            raise SolverError("helmholtz_solve requires a finite alpha > 0")
-        inv = _helmholtz_inverse(grid.nx, grid.ny, grid.hx, grid.hy, alpha, float(beta))
-        return _idct2(_dct2(b) * inv)
+    alpha = float(alpha)  # a field alpha raises TypeError: it is helmholtz_cg's
+    if not (math.isfinite(alpha) and alpha > 0):
+        raise SolverError("helmholtz_direct requires a finite alpha > 0")
+    return _precondition(b, _helmholtz_inverse(grid, alpha))
+
+
+def helmholtz_cg(
+    grid: Grid, b: np.ndarray, alpha: np.ndarray, x0: np.ndarray | None = None,
+    check_finite: bool = True,
+) -> np.ndarray:
+    """Solve (alpha(x)*I - Lap) x = b with homogeneous Neumann conditions by CG.
+
+    alpha is a field of the grid's shape with finite values and min > 0. The
+    conjugate gradient, preconditioned by the mean-coefficient direct solve,
+    starts from the guess x0, a finite field of the grid's shape, or from
+    zero. Either start costs one stencil, for the first residual, and the
+    loop none (see "Cost per call" in the module docstring). The stopping
+    test ||r|| <= CG_RELATIVE_TOL*||b|| runs before the first transform, so
+    an exact guess costs none. The operator is symmetric positive definite,
+    so a p.Ap that is not a positive finite number means the iterate broke
+    down (or went non-finite) and raises SolverError: the loop's only
+    finiteness check.
+
+    check_finite=False skips the scans of b and x0 for NaN and infinity,
+    and of alpha for infinity, as in scipy.linalg; a caller that passes it
+    checks the result. The shapes, min(alpha) > 0 and a finite norm of b
+    are still checked.
+    """
+    if check_finite:
+        _check_finite(b, "rhs")
     alpha = np.asarray(alpha, dtype=float)
     if alpha.shape != grid.shape:
-        raise SolverError("variable alpha must match the grid shape")
+        raise SolverError("helmholtz_cg requires alpha of the grid's shape")
     # min and max carry any NaN or infinity, so two reductions check both;
     # min alone still catches NaN.
     if not (float(alpha.min()) > 0 and (not check_finite or float(alpha.max()) < math.inf)):
-        raise SolverError("helmholtz_solve requires a finite alpha > 0 everywhere")
+        raise SolverError("helmholtz_cg requires a finite alpha > 0 everywhere")
     if x0 is not None:
         if np.shape(x0) != grid.shape:
             raise SolverError("the guess x0 must match the grid shape")
         if check_finite:
             _check_finite(x0, "guess x0")
-    return _helmholtz_cg(grid, b, alpha, beta, x0)
-
-
-def _helmholtz_cg(
-    grid: Grid, b: np.ndarray, alpha: np.ndarray, beta: float, x0: np.ndarray | None = None
-) -> np.ndarray:
-    """Preconditioned CG for (alpha(x)*I - beta*Lap) x = b, from x0 or from zero.
-
-    The loop calls no stencil: q = M p is kept by recurrence, M =
-    alpha_bar*I - beta*Lap the exactly inverted preconditioner, so
-    A p = q + (alpha - alpha_bar)*p; see "Cost per call" in the module
-    docstring. A guess x0 costs one stencil, for its residual
-    b - alpha*x0 + beta*Lap x0; with M z = r for z the first preconditioned
-    residual, the recurrence starts from q = r either way. The stopping test
-    ||r|| <= CG_RELATIVE_TOL*||b|| runs before the first preconditioner
-    application, so an exact guess costs no transform.
-
-    The operator is symmetric positive definite, so p.Ap > 0 for every
-    nonzero direction; a p.Ap that is not a positive finite number means the
-    iterate broke down (or went non-finite) and raises SolverError. That is
-    the loop's only finiteness check.
-    """
     alpha_bar = float(alpha.mean())
-    inv = 1.0 / (alpha_bar - beta * lap_eigenvalues(grid))
+    inv = 1.0 / (alpha_bar - lap_eigenvalues(grid))
     delta = alpha - alpha_bar
     b_norm = math.sqrt(np.vdot(b, b))
     if b_norm == 0.0:
@@ -538,19 +515,14 @@ def _helmholtz_cg(
         raise SolverError("helmholtz CG: the rhs norm is not finite")
     tol = CG_RELATIVE_TOL * b_norm
     scratch = np.empty_like(b)
-    if x0 is None:
-        x = np.zeros_like(b)
-        r = b.copy()
-    else:
-        x = np.array(x0, dtype=float)
-        # helmholtz_solve has scanned the guess, so the stencil skips it.
-        r = _laplacian(grid, x)
-        r *= beta
-        r += b
-        np.multiply(alpha, x, out=scratch)
-        r -= scratch
-        if math.sqrt(np.vdot(r, r)) <= tol:
-            return x
+    x = np.zeros(grid.shape) if x0 is None else np.array(x0, dtype=float)
+    # The guess is scanned or declared checked, so the stencil skips it.
+    r = _laplacian(grid, x)
+    r += b
+    np.multiply(alpha, x, out=scratch)
+    r -= scratch
+    if math.sqrt(np.vdot(r, r)) <= tol:
+        return x
     q = r.copy()
     p = _precondition(r, inv)
     rz = float(np.vdot(r, p))
@@ -587,15 +559,13 @@ def _precondition(r: np.ndarray, inv: np.ndarray) -> np.ndarray:
 
 
 @lru_cache(maxsize=16)
-def _ch_block_inverse(
-    nx: int, ny: int, hx: float, hy: float, tau: float, s_stab: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+def _ch_block_inverse(grid: Grid, tau: float, s_stab: float) -> tuple[np.ndarray, ...]:
     """Per-mode inverse (i11, i12, i21, i22) of the phi/mu block matrix.
 
     The matrix is [[1/tau, -lam], [s_stab - lam, -1]]. Raises SolverError,
     and caches nothing, when a mode's determinant is numerically zero.
     """
-    lam = _lap_eigenvalues(nx, ny, hx, hy)
+    lam = lap_eigenvalues(grid)
     det = -1.0 / tau - lam * (lam - s_stab)
     if np.any(np.abs(det) < 1e-14):
         raise SolverError("ch_block_solve hit a singular mode")
@@ -634,9 +604,7 @@ def ch_block_solve(
         raise SolverError("ch_block_solve requires a finite tau > 0")
     if not (math.isfinite(s_stab) and s_stab >= 0):
         raise SolverError("ch_block_solve requires a finite s_stab >= 0")
-    i11, i12, i21, i22 = _ch_block_inverse(
-        grid.nx, grid.ny, grid.hx, grid.hy, float(tau), float(s_stab)
-    )
+    i11, i12, i21, i22 = _ch_block_inverse(grid, float(tau), float(s_stab))
     if transpose:
         i12, i21 = i21, i12
     rp = _dct2(rhs_phi)

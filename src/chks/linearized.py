@@ -92,7 +92,7 @@ def solve_linearized(base: Trajectory, spec: ModelSpec, h: np.ndarray) -> Trajec
         rhs_nu = nu * (inv_tau + spec.c_n)
         rhs_nu += (spec.chi_phi + spec.c_phi) * out.psi[k + 1]
         rhs_nu += spec.c_sigma * omega
-        out.nu[k + 1] = g.helmholtz_solve(gr, rhs_nu, inv_tau, 1.0, check_finite=False)
+        out.nu[k + 1] = g.helmholtz_direct(gr, rhs_nu, inv_tau, check_finite=False)
 
     def chemotaxis(k: int) -> None:
         """omega and alpha at level k + 1 from omega and alpha at levels up to k."""
@@ -104,8 +104,8 @@ def solve_linearized(base: Trajectory, spec: ModelSpec, h: np.ndarray) -> Trajec
         # started from the extrapolation of the stored levels.
         rhs_omega = omega * inv_tau
         rhs_omega += (spec.chi_a - sigma_new) * alpha
-        out.omega[k + 1] = g.helmholtz_solve(
-            gr, rhs_omega, (inv_tau + 1.0) + a_k, 1.0, out.extrapolate("omega", k),
+        out.omega[k + 1] = g.helmholtz_cg(
+            gr, rhs_omega, (inv_tau + 1.0) + a_k, out.extrapolate("omega", k),
             check_finite=False,
         )
 
@@ -119,7 +119,7 @@ def solve_linearized(base: Trajectory, spec: ModelSpec, h: np.ndarray) -> Trajec
         rhs_alpha *= -spec.chi_a
         rhs_alpha += ((inv_tau + 1.0) - 2.0 * a_k) * alpha
         rhs_alpha += h[k]
-        out.alpha_lin[k + 1] = g.helmholtz_solve(gr, rhs_alpha, inv_tau, 1.0, check_finite=False)
+        out.alpha_lin[k + 1] = g.helmholtz_direct(gr, rhs_alpha, inv_tau, check_finite=False)
 
     for k in range(nt):
         g.run_chains(gr, lambda: phase(k), lambda: chemotaxis(k))

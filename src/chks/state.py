@@ -255,7 +255,7 @@ def _phase_nutrient(traj: Trajectory, k: int, spec: ModelSpec) -> None:
     rhs_n = n * (inv_tau + spec.c_n)
     rhs_n += (spec.chi_phi + spec.c_phi) * traj.phi[k + 1]
     rhs_n += spec.c_sigma * sigma + spec.c_0
-    traj.n[k + 1] = g.helmholtz_solve(gr, rhs_n, inv_tau, 1.0, check_finite=False)
+    traj.n[k + 1] = g.helmholtz_direct(gr, rhs_n, inv_tau, check_finite=False)
 
 
 def _chemotaxis(traj: Trajectory, k: int, u_k: np.ndarray, spec: ModelSpec) -> None:
@@ -267,8 +267,8 @@ def _chemotaxis(traj: Trajectory, k: int, u_k: np.ndarray, spec: ModelSpec) -> N
     a_frozen = np.maximum(a, 0.0)
     rhs_sigma = sigma * inv_tau
     rhs_sigma += spec.chi_a * a_frozen + 1.0
-    traj.sigma[k + 1] = g.helmholtz_solve(
-        gr, rhs_sigma, (inv_tau + 1.0) + a_frozen, 1.0, traj.extrapolate("sigma", k),
+    traj.sigma[k + 1] = g.helmholtz_cg(
+        gr, rhs_sigma, (inv_tau + 1.0) + a_frozen, traj.extrapolate("sigma", k),
         check_finite=False,
     )
 
@@ -278,7 +278,7 @@ def _chemotaxis(traj: Trajectory, k: int, u_k: np.ndarray, spec: ModelSpec) -> N
     rhs_a *= -spec.chi_a
     rhs_a += a * ((inv_tau + 1.0) - a)
     rhs_a += u_k
-    traj.a[k + 1] = g.helmholtz_solve(gr, rhs_a, inv_tau, 1.0, check_finite=False)
+    traj.a[k + 1] = g.helmholtz_direct(gr, rhs_a, inv_tau, check_finite=False)
 
 
 def solve_forward(

@@ -89,13 +89,13 @@ class Problem:
 def test_concurrent_chains_match_serial_bitwise(monkeypatch, scheme):
     problem = Problem(scheme)
     threads = set()
-    original = grid_mod.helmholtz_solve
+    original = grid_mod.helmholtz_direct
 
     def recorded(*args, **kwargs):
         threads.add(threading.current_thread().name)
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(grid_mod, "helmholtz_solve", recorded)
+    monkeypatch.setattr(grid_mod, "helmholtz_direct", recorded)
     concurrent = problem.sweeps()
     assert any(name.startswith("chks-chain") for name in threads)
     rerun = problem.sweeps()
@@ -133,20 +133,20 @@ NOT_POSITIVE = -100.0  # a* with (1/tau + 1) + a* < 0, the CG's coefficient
 CASES = {
     "forward-phase": ("forward", {"n0": np.nan}, "forward step 0 failed: rhs_phi"),
     "forward-chemotaxis": ("forward", {"a0": np.nan},
-                           "forward step 0 failed: helmholtz_solve requires a finite alpha"),
+                           "forward step 0 failed: helmholtz_cg requires a finite alpha"),
     "forward-both": ("forward", {"n0": np.nan, "a0": np.nan},
                      "forward step 0 failed: rhs_phi"),
     "forward-control": ("forward", {"u": (1, np.nan)},
                         "forward step 1 failed: non-finite a after step 1"),
     "tangent-phase": ("tangent", {"phi": (1, np.nan)}, "rhs_phi"),
     "tangent-chemotaxis": ("tangent", {"a": (1, NOT_POSITIVE)},
-                           "helmholtz_solve requires a finite alpha"),
+                           "helmholtz_cg requires a finite alpha"),
     "tangent-both": ("tangent", {"phi": (1, np.nan), "a": (1, NOT_POSITIVE)}, "rhs_phi"),
     "adjoint-transport": ("adjoint", {"a": (1, NOT_POSITIVE)},
-                          "helmholtz_solve requires a finite alpha"),
+                          "helmholtz_cg requires a finite alpha"),
     "adjoint-phase": ("adjoint", {"phi": (1, np.nan)}, "rhs_phi"),
     "adjoint-both": ("adjoint", {"phi": (1, np.nan), "a": (1, NOT_POSITIVE)},
-                     "helmholtz_solve requires a finite alpha"),
+                     "helmholtz_cg requires a finite alpha"),
 }
 
 

@@ -287,13 +287,20 @@ def test_cli_simulate_rejects_bad_config(tmp_path):
     assert main(["simulate", str(bad), "--out", str(tmp_path / "o")]) == 2
 
 
-@pytest.mark.parametrize("phrase", [
+MALFORMED_PHRASES = [
     "constant abc", "constant", "cosine 0.5", "file truncated.fld", "file bad_magic.fld",
     "constant 0.4 0.9", "cosine 0.5 0.2 1 1 7", "random_smooth 0 1 2 9",
     "constant nan", "cosine 0.5 inf 1 1", "cosine 0.5 0.2 inf 1", "random_smooth 0 1 -1",
     "file nan.fld",
-])
-def test_cli_simulate_rejects_malformed_field_generator(tmp_path, capsys, phrase):
+]
+
+
+@pytest.mark.parametrize("section, key, phrase", [
+    *(("initial", "phi0", phrase) for phrase in MALFORMED_PHRASES),
+    ("control", "phi_omega", "constant nan"),
+    ("control", "u_max", "file nan.fld"),
+], ids=[*MALFORMED_PHRASES, "phi_omega constant nan", "u_max file nan.fld"])
+def test_cli_simulate_rejects_malformed_field_generator(tmp_path, capsys, section, key, phrase):
     grid = Grid(8, 8)
     write_field(tmp_path / "good.fld", grid, np.full(grid.shape, 0.4))
     nan_cell = np.full(grid.shape, 0.4)
@@ -302,9 +309,15 @@ def test_cli_simulate_rejects_malformed_field_generator(tmp_path, capsys, phrase
     good = (tmp_path / "good.fld").read_bytes()
     (tmp_path / "truncated.fld").write_bytes(good[:-8])
     (tmp_path / "bad_magic.fld").write_bytes(b"CHKSFLD0" + good[8:])
-    bad = write_cfg(tmp_path, MINIMAL.replace("phi0 = constant 0.4", f"phi0 = {phrase}"))
+    # key's line goes first in its section, in place of any line setting it.
+    lines = [line for line in MINIMAL.splitlines() if not line.startswith(f"{key} = ")]
+    line_no = lines.index(f"[{section}]") + 2
+    lines.insert(line_no - 1, f"{key} = {phrase}")
+    bad = write_cfg(tmp_path, "\n".join(lines))
     assert main(["simulate", str(bad), "--out", str(tmp_path / "o")]) == 2
-    assert repr(phrase) in capsys.readouterr().err
+    # The rejection names the line and the key before the phrase.
+    err = capsys.readouterr().err
+    assert f"line {line_no}: [{section}] {key}: field generator {phrase!r}: " in err
 
 
 @pytest.mark.parametrize("command, old, new", [

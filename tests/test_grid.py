@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 import scipy.fft as sfft
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from chks import grid as grid_mod
@@ -13,7 +13,8 @@ from chks.grid import (
     ch_block_solve,
     divergence,
     grad_dot,
-    helmholtz_solve,
+    helmholtz_cg,
+    helmholtz_direct,
     inner,
     lap_eigenvalues,
     laplacian,
@@ -178,7 +179,7 @@ def test_mean_and_inner_basics():
 def test_helmholtz_constant_rhs():
     grid = Grid(8, 8)
     c = 3.0
-    x = helmholtz_solve(grid, np.full(grid.shape, c), 2.0, 7.0)
+    x = helmholtz_direct(grid, np.full(grid.shape, c), 2.0)
     np.testing.assert_allclose(x, c / 2.0, rtol=1e-13)
 
 
@@ -187,44 +188,53 @@ def test_helmholtz_eigenfield_mode_division():
     xx, _ = grid.cell_centers()
     b = np.cos(np.pi * xx / grid.lx)
     lam = -(2.0 / grid.hx**2) * (1.0 - np.cos(np.pi * grid.hx / grid.lx))
-    beta = 0.3
-    x = helmholtz_solve(grid, b, 1.0, beta)
-    np.testing.assert_allclose(x, b / (1.0 - beta * lam), rtol=1e-12, atol=1e-14)
+    x = helmholtz_direct(grid, b, 3.0)
+    np.testing.assert_allclose(x, b / (3.0 - lam), rtol=1e-12, atol=1e-14)
 
 
 def test_helmholtz_residual_and_alpha_guard():
     grid = Grid(12, 10, 1.2, 0.8)
     b = random_field(grid)
-    alpha, beta = 0.7, 2.1
-    x = helmholtz_solve(grid, b, alpha, beta)
-    res = alpha * x - beta * laplacian(grid, x) - b
+    alpha = 0.3
+    x = helmholtz_direct(grid, b, alpha)
+    res = alpha * x - laplacian(grid, x) - b
     assert norm_l2(grid, res) <= 1e-12 * norm_l2(grid, b)
+    for bad_alpha in (0.0, -1.0, np.nan, np.inf):
+        with pytest.raises(SolverError, match="helmholtz_direct requires"):
+            helmholtz_direct(grid, b, bad_alpha)
     bad_field = np.ones(grid.shape)
     bad_field[3, 4] = np.inf
     nan_field = np.ones(grid.shape)
     nan_field[0, 0] = np.nan
-    for bad_alpha in (0.0, -1.0, np.nan, np.inf, bad_field, nan_field, -bad_field):
-        with pytest.raises(SolverError):
-            helmholtz_solve(grid, b, bad_alpha, 1.0)
+    for bad_alpha in (bad_field, nan_field, -bad_field, np.zeros(grid.shape)):
+        with pytest.raises(SolverError, match="helmholtz_cg requires"):
+            helmholtz_cg(grid, b, bad_alpha)
+    # Neither kernel takes the other's alpha.
+    with pytest.raises(TypeError):
+        helmholtz_direct(grid, b, np.ones(grid.shape))
+    with pytest.raises(SolverError, match="grid's shape"):
+        helmholtz_cg(grid, b, 2.0)
 
 
 def test_helmholtz_variable_coefficient_cg():
     grid = Grid(14, 9)
     b = random_field(grid)
-    alpha = 1.0 + np.abs(random_field(grid))
-    beta = 0.5
-    x = helmholtz_solve(grid, b, alpha, beta)
-    res = alpha * x - beta * laplacian(grid, x) - b
+    alpha = 2.0 + np.abs(random_field(grid))
+    x = helmholtz_cg(grid, b, alpha)
+    res = alpha * x - laplacian(grid, x) - b
     assert norm_l2(grid, res) <= 1e-11 * norm_l2(grid, b)
     # The loop scans no field for NaN; a non-finite iterate surfaces as p.Ap.
-    alpha[2, 3] = np.nan
+    # Unchecked, a NaN guess goes unscanned and reaches the loop.
+    guess = np.zeros(grid.shape)
+    guess[2, 3] = np.nan
     with pytest.raises(SolverError, match="p.Ap"):
-        grid_mod._helmholtz_cg(grid, b, alpha, beta)
+        helmholtz_cg(grid, b, alpha, guess, check_finite=False)
 
 
 def test_helmholtz_variable_coefficient_cg_calls_no_stencil(monkeypatch):
-    # q = M p is kept by recurrence, so the loop needs no Laplacian; a guess
-    # costs exactly one, unchecked, for its initial residual.
+    # q = M p is kept by recurrence, so the loop needs no Laplacian; the
+    # start costs exactly one, unchecked, for the initial residual, whether
+    # it is a guess or zero.
     calls = {"laplacian": 0, "_laplacian": 0}
 
     def counted(name, fn):
@@ -236,17 +246,17 @@ def test_helmholtz_variable_coefficient_cg_calls_no_stencil(monkeypatch):
     grid = Grid(12, 10)
     rng = np.random.default_rng(3)
     b = rng.standard_normal(grid.shape)
-    alpha = 1.0 + rng.random(grid.shape)
+    alpha = 2.0 + rng.random(grid.shape)
     noise = 1e-3 * rng.standard_normal(grid.shape)
     with monkeypatch.context() as m:
         m.setattr(grid_mod, "laplacian", counted("laplacian", laplacian))
         m.setattr(grid_mod, "_laplacian", counted("_laplacian", grid_mod._laplacian))
-        x = helmholtz_solve(grid, b, alpha, 0.5)
-        assert calls == {"laplacian": 0, "_laplacian": 0}
-        y = helmholtz_solve(grid, b, alpha, 0.5, x + noise)
+        x = helmholtz_cg(grid, b, alpha)
         assert calls == {"laplacian": 0, "_laplacian": 1}
+        y = helmholtz_cg(grid, b, alpha, x + noise)
+        assert calls == {"laplacian": 0, "_laplacian": 2}
     for z in (x, y):
-        res = alpha * z - 0.5 * laplacian(grid, z) - b
+        res = alpha * z - laplacian(grid, z) - b
         assert norm_l2(grid, res) <= 1e-11 * norm_l2(grid, b)
 
 
@@ -254,14 +264,14 @@ def test_helmholtz_exact_guess_applies_no_preconditioner(monkeypatch):
     grid = Grid(20, 16)
     rng = np.random.default_rng(5)
     x_true = rng.standard_normal(grid.shape)
-    alpha = 2.0 + rng.random(grid.shape)
-    b = alpha * x_true - 0.3 * laplacian(grid, x_true)
+    alpha = 6.0 + 3.0 * rng.random(grid.shape)
+    b = alpha * x_true - laplacian(grid, x_true)
 
     def no_transform(*args, **kwargs):
         raise AssertionError("preconditioner applied")
 
     monkeypatch.setattr(grid_mod, "_dct2", no_transform)
-    x = helmholtz_solve(grid, b, alpha, 0.3, x_true)
+    x = helmholtz_cg(grid, b, alpha, x_true)
     np.testing.assert_array_equal(x, x_true)
     assert x is not x_true
 
@@ -276,17 +286,17 @@ def test_helmholtz_guess_validation():
     inf_guess[0, 5] = -np.inf
     for bad, match in ((np.zeros((6, 8)), "shape"), (nan_guess, "guess"), (inf_guess, "guess")):
         with pytest.raises(SolverError, match=match):
-            helmholtz_solve(grid, b, alpha, 1.0, bad)
-    # The direct solve has no use for a guess; ignoring it would hide a mistake.
-    with pytest.raises(SolverError, match="guess"):
-        helmholtz_solve(grid, b, 2.0, 1.0, np.zeros(grid.shape))
+            helmholtz_cg(grid, b, alpha, bad)
+    # The direct solve takes no guess; ignoring one would hide a mistake.
+    with pytest.raises(TypeError):
+        helmholtz_direct(grid, b, 2.0, np.zeros(grid.shape))
 
 
-@pytest.mark.parametrize("n, lo, hi, beta", [
-    (256, 65.0, 65.35, 1.0),  # the workloads' 1/tau + 1 + a
-    (64, 1.0, 1e4, 1e-2),  # strongly varying alpha: over 100 iterations
+@pytest.mark.parametrize("n, lo, hi", [
+    (256, 65.0, 65.35),  # the workloads' 1/tau + 1 + a
+    (64, 100.0, 1e6),  # strongly varying alpha: over 100 iterations
 ])
-def test_helmholtz_cg_true_residual(n, lo, hi, beta):
+def test_helmholtz_cg_true_residual(n, lo, hi):
     # The recurrence for M p drifts from the stencil only by round-off, so
     # the residual computed with the stencil meets the CG tolerance, from a
     # cold start, a guess near the solution and a bad guess alike.
@@ -294,35 +304,34 @@ def test_helmholtz_cg_true_residual(n, lo, hi, beta):
     rng = np.random.default_rng(n)
     b = rng.standard_normal(grid.shape)
     alpha = lo + (hi - lo) * rng.random(grid.shape)
-    x_cold = helmholtz_solve(grid, b, alpha, beta)
+    x_cold = helmholtz_cg(grid, b, alpha)
     near = x_cold + 1e-6 * np.abs(x_cold).max() * rng.standard_normal(grid.shape)
     for x in (x_cold,
-              helmholtz_solve(grid, b, alpha, beta, near),
-              helmholtz_solve(grid, b, alpha, beta, -10.0 * x_cold)):
-        res = alpha * x - beta * laplacian(grid, x) - b
+              helmholtz_cg(grid, b, alpha, near),
+              helmholtz_cg(grid, b, alpha, -10.0 * x_cold)):
+        res = alpha * x - laplacian(grid, x) - b
         assert np.linalg.norm(res) <= 1e-11 * np.linalg.norm(b)
 
 
 @settings(max_examples=40, deadline=None)
 @given(
     nx=st.integers(2, 40), ny=st.integers(2, 40),
-    lo=st.floats(1.0, 1e4), spread=st.floats(0.0, 1.0), beta=st.floats(1e-2, 1.0),
+    lo=st.floats(1.0, 1e6), spread=st.floats(0.0, 1.0),
     seed=st.integers(0, 2**32 - 1), scale=st.floats(-10.0, 10.0), noise=st.floats(0.0, 10.0),
 )
-def test_helmholtz_cg_guess_meets_cold_residual_bound(nx, ny, lo, spread, beta, seed, scale,
-                                                      noise):
+def test_helmholtz_cg_guess_meets_cold_residual_bound(nx, ny, lo, spread, seed, scale, noise):
     # Any finite guess within ten times the solution's size: beyond that the
     # round-off of x itself (about eps*|x0|) bounds the true residual.
     grid = Grid(nx, ny)
     rng = np.random.default_rng(seed)
     b = rng.standard_normal(grid.shape)
     alpha = lo * (1.0 + spread * rng.random(grid.shape))
-    x_cold = helmholtz_solve(grid, b, alpha, beta)
+    x_cold = helmholtz_cg(grid, b, alpha)
     size = np.abs(x_cold).max()
     guess = np.clip(scale * x_cold + noise * size * rng.standard_normal(grid.shape),
                     -10.0 * size, 10.0 * size)
-    for x in (x_cold, helmholtz_solve(grid, b, alpha, beta, guess)):
-        res = alpha * x - beta * laplacian(grid, x) - b
+    for x in (x_cold, helmholtz_cg(grid, b, alpha, guess)):
+        res = alpha * x - laplacian(grid, x) - b
         assert np.linalg.norm(res) <= 1e-11 * np.linalg.norm(b)
 
 
@@ -438,6 +447,50 @@ def test_eigenvalues_match_operator():
     assert np.all(lam <= 0.0)
 
 
+@settings(max_examples=40, deadline=None)
+@given(
+    nx=st.integers(2, 2 * grid_mod.DENSE_DCT_MAX), ny=st.integers(2, 2 * grid_mod.DENSE_DCT_MAX),
+    lx=st.floats(0.1, 10.0), ly=st.floats(0.1, 10.0), seed=st.integers(0, 2**32 - 1),
+)
+@example(nx=16, ny=40, lx=1.0, ly=0.7, seed=0)  # dense products
+@example(nx=96, ny=7, lx=2.0, ly=0.3, seed=1)  # face differences
+def test_lap_eigenvalues_diagonalize_the_self_adjoint_laplacian(nx, ny, lx, ly, seed):
+    # On both sides of DENSE_DCT_MAX: the orthonormal DCT-II turns the
+    # stencil into multiplication by lap_eigenvalues, and the stencil is
+    # self-adjoint under inner, each to round-off of its Cauchy-Schwarz scale.
+    grid = Grid(nx, ny, lx, ly)
+    rng = np.random.default_rng(seed)
+    f, g = rng.standard_normal(grid.shape), rng.standard_normal(grid.shape)
+    lap_f, lap_g = laplacian(grid, f), laplacian(grid, g)
+    lam = lap_eigenvalues(grid)
+    fh = sfft.dctn(f, type=2, norm="ortho")
+    assert np.linalg.norm(sfft.dctn(lap_f, type=2, norm="ortho") - lam * fh) <= (
+        1e-13 * np.abs(lam).max() * np.linalg.norm(f))
+    scale = norm_l2(grid, lap_f) * norm_l2(grid, g)
+    assert abs(inner(grid, lap_f, g) - inner(grid, f, lap_g)) <= 1e-13 * scale
+
+
+def test_grid_keyed_caches_tell_side_lengths_apart():
+    # Two grids of one shape but different ly have different spacings, so
+    # neither may be handed the other's cached eigenvalues or inverses.
+    wide, tall = Grid(8, 6, 1.0, 1.0), Grid(8, 6, 1.0, 2.0)
+    assert wide.shape == tall.shape
+    for cached in (
+        lambda gr: lap_eigenvalues(gr),
+        lambda gr: grid_mod._helmholtz_inverse(gr, 2.0),
+        lambda gr: grid_mod._ch_block_inverse(gr, 0.1, 0.5)[0],
+    ):
+        a, b = cached(wide), cached(tall)
+        assert a is not b
+        assert not np.array_equal(a, b)
+        # An equal grid, built anew, gets the same cached array.
+        assert cached(Grid(8, 6, 1.0, 2.0)) is b
+    b = random_field(tall)
+    x = helmholtz_direct(tall, b, 2.0)
+    res = 2.0 * x - laplacian(tall, x) - b
+    assert norm_l2(tall, res) <= 1e-12 * norm_l2(tall, b)
+
+
 def test_cached_spectral_arrays_are_read_only():
     grid = Grid(8, 6, 1.0, 2.0)
     lam = lap_eigenvalues(grid)
@@ -447,8 +500,8 @@ def test_cached_spectral_arrays_are_read_only():
     np.testing.assert_array_equal(lap_eigenvalues(grid), before)
     cached = (
         grid_mod._dct_matrix(8),
-        grid_mod._helmholtz_inverse(8, 6, grid.hx, grid.hy, 2.0, 1.0),
-        *grid_mod._ch_block_inverse(8, 6, grid.hx, grid.hy, 0.1, 0.5),
+        grid_mod._helmholtz_inverse(grid, 2.0),
+        *grid_mod._ch_block_inverse(grid, 0.1, 0.5),
     )
     for arr in cached:
         with pytest.raises(ValueError):
@@ -499,8 +552,8 @@ def _kernel_calls(grid, rng):
         "divergence_upwind": lambda check: divergence(
             grid, c, f, "upwind", upwind_by=g, check_finite=check),
         "grad_dot": lambda check: grad_dot(grid, f, g, check_finite=check),
-        "helmholtz_direct": lambda check: helmholtz_solve(grid, f, 2.0, 0.5, check_finite=check),
-        "helmholtz_cg": lambda check: helmholtz_solve(grid, f, alpha, 0.5, g, check_finite=check),
+        "helmholtz_direct": lambda check: helmholtz_direct(grid, f, 2.0, check_finite=check),
+        "helmholtz_cg": lambda check: helmholtz_cg(grid, f, alpha, g, check_finite=check),
         "ch_block_solve": lambda check: ch_block_solve(
             grid, f, g, 0.01, 1.5, check_finite=check),
         "ch_block_solve_transposed": lambda check: ch_block_solve(
@@ -532,7 +585,7 @@ def test_unchecked_cg_rejects_nonfinite_rhs():
         b[2, 3] = value
         for guess in (None, np.zeros(grid.shape)):
             with pytest.raises(SolverError, match="rhs norm"):
-                helmholtz_solve(grid, b, alpha, 1.0, guess, check_finite=False)
+                helmholtz_cg(grid, b, alpha, guess, check_finite=False)
 
 
 def test_ch_block_interleaved_parameters_use_their_own_factors():

@@ -2,17 +2,21 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
 from chks.grid import Grid, SolverError
 from chks.potentials import AdmissibilityError, PotentialSpec, ProliferationSpec
 from chks.state import (
+    SIGMA_RANGE,
     Control,
     InitialData,
     ModelSpec,
     Trajectory,
     check_mean_ode,
     energy,
+    mean_ode_residuals,
     solve_forward,
     step,
 )
@@ -225,6 +229,41 @@ def test_sigma_maximum_principle_random_runs():
         assert report.sigma_max <= 1.0 + 1e-8
 
 
+@settings(max_examples=40, deadline=None)
+@given(
+    nx=st.integers(2, 12), ny=st.integers(2, 12),
+    lx=st.floats(0.2, 5.0), ly=st.floats(0.2, 5.0),
+    T=st.floats(1e-3, 2.0), nt=st.integers(1, 4), chi_a=st.floats(0.01, 0.99),
+    scheme=st.sampled_from(["centered", "upwind"]), seed=st.integers(0, 2**32 - 1),
+)
+def test_sigma_stays_in_range_property(nx, ny, lx, ly, T, nt, chi_a, scheme, seed):
+    # The sigma step freezes max(a, 0), so its matrix is an M-matrix and
+    # sigma stays in [0, 1] for every tau, under either flux, whatever the
+    # sign of a. The data are constant on a few blocks, so that whole
+    # regions sit at the bounds sigma = 0 or 1. a0 takes negative values,
+    # which the centered flux reaches from admissible data; the other fields
+    # are admissible.
+    grid = Grid(nx, ny, lx, ly)
+    rng = np.random.default_rng(seed)
+
+    def blocks(values):
+        m = int(rng.integers(2, 4))
+        coarse = rng.choice(values, (m, m))
+        return coarse[np.ix_(np.arange(nx) * m // nx, np.arange(ny) * m // ny)]
+
+    init = InitialData(
+        phi0=rng.random(grid.shape),
+        a0=blocks([-0.5, 1e-6, 1e-3, 1.0]),
+        n0=rng.uniform(-1.0, 1.0, grid.shape),
+        sigma0=blocks([0.0, 1.0]),
+    )
+    u = Control(np.broadcast_to(blocks([0.0, 1.0]), (nt, nx, ny)), 1.0)
+    _, report = solve_forward(grid, base_model(chi_a=chi_a), init, u, T, nt,
+                              flux_scheme=scheme, check_admissibility=False)
+    assert SIGMA_RANGE[0] <= report.sigma_min
+    assert report.sigma_max <= SIGMA_RANGE[1]
+
+
 def test_mean_ode_stationary_and_decay():
     grid = Grid(16, 16)
     # Stationary: h = m*r0 with the logarithmic potential, mean pinned at 1/2.
@@ -250,16 +289,20 @@ def test_mean_ode_stationary_and_decay():
     assert report_d.mean_ode_residual <= 1e-12
 
 
-def test_mean_ode_residual_halves_with_tau():
+@pytest.mark.parametrize("seed", [5, 4, 8])
+def test_mean_ode_residual_halves_with_tau(seed):
+    # The l1 norm in time, as the verify row measures it: the maximum over
+    # the steps picks one step's residual, whose halving ratio depends on the
+    # data (0.76-1.41 on seeds 4 and 8).
     grid = Grid(16, 16)
     spec = base_model()  # logistic proliferation: genuinely nonlinear mean ODE
-    init = make_random_init(grid, 5)
-    res = {}
+    init = make_random_init(grid, seed)
+    l1 = {}
     for nt in (32, 64):
         u = Control(0.3 * np.ones((nt, grid.nx, grid.ny)), 1.0)
-        _, report = solve_forward(grid, spec, init, u, 0.5, nt)
-        res[nt] = report.mean_ode_residual
-    ratio = res[32] / res[64]
+        traj, _ = solve_forward(grid, spec, init, u, 0.5, nt)
+        l1[nt] = traj.tau * np.abs(mean_ode_residuals(traj, spec)).sum()
+    ratio = l1[32] / l1[64]
     assert 1.6 <= ratio <= 2.4
 
 
