@@ -111,10 +111,10 @@ def solve_adjoint(base: Trajectory, cost: ControlSpec, spec: ModelSpec) -> Traje
         gr, base.times, ("p1", "p2", "p3", "p4", "p5"),
         s_stab=base.s_stab, flux_scheme=base.flux_scheme,
     )
-    # Every kernel here skips its finiteness scans: the forward sweep checked
-    # the base levels, check_targets the targets, and each step checks its outputs.
+    # The kernels scan nothing: the forward sweep checked the base levels,
+    # check_targets the targets, and each step checks its outputs.
     p1_final = cost.b2 * (base.phi[nt] - cost.phi_omega)
-    adj.p1[nt], adj.p2[nt] = p1_final, -g.laplacian(gr, p1_final, check_finite=False)
+    adj.p1[nt], adj.p2[nt] = p1_final, -g.laplacian(gr, p1_final)
 
     inv_tau = 1.0 / tau
     tau_eff = 1.0 / (inv_tau + spec.m)
@@ -129,8 +129,7 @@ def solve_adjoint(base: Trajectory, cost: ControlSpec, spec: ModelSpec) -> Traje
     rhs_final = p1_final / tau
     if cost.b1:
         rhs_final = rhs_final + cost.b1 * (base.phi[nt] - cost.phi_q[nt - 1])
-    p1, p2 = g.ch_block_solve(gr, rhs_final, None, tau_eff, s_stab, transpose=True,
-                              check_finite=False)
+    p1, p2 = g.ch_block_solve(gr, rhs_final, None, tau_eff, s_stab, transpose=True)
     # Right-hand sides are updated in place on fresh arrays, such as the
     # results of grad_dot, divergence and h_prime.
 
@@ -142,11 +141,11 @@ def solve_adjoint(base: Trajectory, cost: ControlSpec, spec: ModelSpec) -> Traje
 
         # p3: transport source from centered face gradients, reaction
         # explicit; p3/tau + (1 - 2 a*) p3 is formed as ((1/tau + 1) - 2 a*) p3.
-        rhs_p3 = g.grad_dot(gr, sigma_new, p3, check_finite=False)
+        rhs_p3 = g.grad_dot(gr, sigma_new, p3)
         rhs_p3 *= spec.chi_a
         rhs_p3 += ((inv_tau + 1.0) - 2.0 * a_k) * p3
         rhs_p3 -= (sigma_new - spec.chi_a) * p5
-        adj.p3[k] = g.helmholtz_direct(gr, rhs_p3, inv_tau, check_finite=False)
+        adj.p3[k] = g.helmholtz_direct(gr, rhs_p3, inv_tau)
 
         # p5: same implicit operator family as the forward sigma update,
         # its CG started from the extrapolation of the stored levels.
@@ -154,13 +153,12 @@ def solve_adjoint(base: Trajectory, cost: ControlSpec, spec: ModelSpec) -> Traje
         # level-k sigma froze level k-1, so this choice staggers the
         # coefficient by one step and is the O(tau) gap the duality
         # residual measures.
-        rhs_p5 = g.divergence(gr, a_k, adj.p3[k], check_finite=False)
+        rhs_p5 = g.divergence(gr, a_k, adj.p3[k])
         rhs_p5 *= -spec.chi_a
         rhs_p5 += p5 * inv_tau
         rhs_p5 += spec.c_sigma * p4
         adj.p5[k] = g.helmholtz_cg(
-            gr, rhs_p5, (inv_tau + 1.0) + a_k, adj.extrapolate("p5", k, -1),
-            check_finite=False,
+            gr, rhs_p5, (inv_tau + 1.0) + a_k, adj.extrapolate("p5", k, -1)
         )
 
     def phase(k: int, p1: np.ndarray, p2: np.ndarray) -> None:
@@ -170,7 +168,7 @@ def solve_adjoint(base: Trajectory, cost: ControlSpec, spec: ModelSpec) -> Traje
         # so -chi_phi Lap p1 is read as chi_phi p2 (equal up to round-off).
         rhs_p4 = spec.chi_phi * p2
         rhs_p4 += (inv_tau + spec.c_n) * adj.p4[k + 1]
-        adj.p4[k] = g.helmholtz_direct(gr, rhs_p4, inv_tau, check_finite=False)
+        adj.p4[k] = g.helmholtz_direct(gr, rhs_p4, inv_tau)
 
         # (p1, p2) block, transposed so that p2 = -Lap p1 holds exactly
         # and the stabilization terms mirror the forward s_stab*(phi+ - phi).
@@ -185,9 +183,7 @@ def solve_adjoint(base: Trajectory, cost: ControlSpec, spec: ModelSpec) -> Traje
         rhs_p1 += (spec.chi_phi + spec.c_phi) * adj.p4[k]
         if cost.b1 and k >= 1:
             rhs_p1 += cost.b1 * (phi_k - cost.phi_q[k - 1])
-        adj.p1[k], adj.p2[k] = g.ch_block_solve(
-            gr, rhs_p1, None, tau_eff, s_stab, transpose=True, check_finite=False
-        )
+        adj.p1[k], adj.p2[k] = g.ch_block_solve(gr, rhs_p1, None, tau_eff, s_stab, transpose=True)
 
     for k in range(nt - 1, -1, -1):
         g.run_chains(gr, lambda: transport(k), lambda: phase(k, p1, p2))

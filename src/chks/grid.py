@@ -37,11 +37,11 @@ per-call work is kept to the arithmetic:
   grids call scipy.fft. The choice follows from the grid shape alone.
 - The Laplacian follows the same rule. At or below DENSE_DCT_MAX it is two
   products with cached 1-D mirrored second-difference matrices,
-  D_x f + f D_y (8 us at 16^2 with its finiteness check, against 18 us
-  for the slices, on two x86-64 cores); above it, the interior-face
-  differences that divergence and grad_dot use (below), contiguous along
-  both axes (250 us against 340 us with strided y slices at 256^2, each
-  with its finiteness check).
+  D_x f + f D_y (8 us at 16^2, against 18 us for the slices, on two
+  x86-64 cores); above it, the interior-face differences that divergence
+  and grad_dot use (below), contiguous along both axes (250 us against
+  340 us with strided y slices at 256^2). All four timings include a scan
+  of f for NaN and infinity.
 - Cached per grid (lru_cache keyed on the frozen Grid, read-only arrays):
   the Laplacian eigenvalues, the per-mode inverse of the phi/mu block for
   each (tau, s_stab), and 1/(alpha - lam) of each direct Helmholtz solve;
@@ -69,26 +69,24 @@ per-call work is kept to the arithmetic:
   are zeroed, which makes them the boundary faces.
 - ch_block_solve with rhs_mu=None treats the second right-hand side as
   zero and skips its transform; the adjoint's transposed block uses this.
-- Finiteness is checked where data enters. Each public kernel scans its
-  array arguments for NaN and infinity unless called with
-  check_finite=False (scipy.linalg's meaning: only those scans are
-  skipped). The forward, tangent and adjoint sweeps pass False to every
-  kernel call in their time loops and instead check all five outputs of
-  each step once, before they are stored or used by the next step; a
+- The kernels never scan an array argument for NaN or infinity. A
+  non-finite argument reaches the result through the arithmetic, except
+  where the upwind divergence's donor choice passes over it, and
+  helmholtz_cg raises SolverError when the norm of its right-hand side is
+  not finite or a p.Ap is not a positive finite number, the loop's only
+  test. The checks live where data enters and at each step's end: the
+  config reader; InitialData.validate, Control.validate and
+  ControlSpec.check_targets; solve_linearized's check of its direction h;
+  and Trajectory.check_step, which checks all five outputs of each sweep
+  step once, before they are stored or used by the next step. A
   non-finite value made inside a step reaches an output through the
   transforms, so it is caught at that step's end. One scan,
   np.isfinite(f).all(), takes about 3 us at 16^2 and 23 us at 256^2.
-  Each sweep's entry keeps the checked calls on caller data. The CG forms
-  its first residual with the unchecked stencil, since it has scanned the
-  guess or was told not to, and its field alpha is checked by its min and
-  max, which carry any NaN or infinity (min alone when unchecked: min > 0
-  is the positive-definiteness precondition). An unchecked right-hand
-  side is caught by its norm, which must be finite for the stopping test
-  to mean anything. Inside the CG loop nothing is scanned; a non-finite
-  value there surfaces as a p.Ap that is not a positive finite number,
-  which raises SolverError. Checks on
-  scalars use math.isfinite and math.sqrt: 0.07 us per call against
-  1.0 us for np.isfinite on a Python float (two x86-64 cores).
+  Every other precondition is checked on every call: helmholtz_cg's
+  shapes and its field alpha, by min > 0 and a finite mean, which carry
+  any NaN or infinity; the scalars of helmholtz_direct and ch_block_solve, by
+  math.isfinite, 0.07 us per call against 1.0 us for np.isfinite on a
+  Python float (two x86-64 cores).
 - A step of each sweep is two chains of these calls that share no level
   they write (see the state, linearized and adjoint docstrings).
   run_chains runs the later chain in the serial order on one persistent
@@ -225,11 +223,6 @@ def run_chains(grid: Grid, first: Callable[[], None], second: Callable[[], None]
     later.result()
 
 
-def _check_finite(f: np.ndarray, name: str = "field") -> None:
-    if not np.isfinite(f).all():
-        raise SolverError(f"{name} contains non-finite values")
-
-
 def _face_pairs(f: np.ndarray):
     """Low and high cells of the interior x faces (rows) and y faces.
 
@@ -257,7 +250,7 @@ def _to_cells(bx: np.ndarray, by: np.ndarray, ny: int, combine) -> np.ndarray:
     return out
 
 
-def laplacian(grid: Grid, f: np.ndarray, check_finite: bool = True) -> np.ndarray:
+def laplacian(grid: Grid, f: np.ndarray) -> np.ndarray:
     """5-point Laplacian with mirror ghost cells (zero normal derivative).
 
     Built from differences across interior faces: each one leaves the cell
@@ -265,16 +258,7 @@ def laplacian(grid: Grid, f: np.ndarray, check_finite: bool = True) -> np.ndarra
     faces carry nothing, which is the mirror condition. Grids whose sides
     are both at most DENSE_DCT_MAX apply the same differences as two
     products with cached 1-D matrices, D_x f + f D_y (D symmetric).
-    check_finite=False skips the scan of f for NaN and infinity, as in
-    scipy.linalg; a caller that passes it checks what the result feeds.
     """
-    if check_finite:
-        _check_finite(f)
-    return _laplacian(grid, f)
-
-
-def _laplacian(grid: Grid, f: np.ndarray) -> np.ndarray:
-    """laplacian without the finiteness scan, for callers that made it."""
     nx, ny = f.shape
     cx, cy = 1.0 / grid.hx**2, 1.0 / grid.hy**2
     if max(nx, ny) <= DENSE_DCT_MAX:
@@ -297,7 +281,6 @@ def divergence(
     f: np.ndarray,
     scheme: str = "centered",
     upwind_by: np.ndarray | None = None,
-    check_finite: bool = True,
 ) -> np.ndarray:
     """Conservative divergence div(c_face grad f) with no flux through the boundary.
 
@@ -308,23 +291,13 @@ def divergence(
     difference of upwind_by (f when None) is positive. Passing the base
     state's sigma as upwind_by keeps its donor cells, which is the
     derivative of the upwind flux away from faces where its gradient
-    vanishes.
-
-    check_finite=False skips the scans of c, f and upwind_by for NaN and
-    infinity, as in scipy.linalg; a caller that passes it checks what the
-    result feeds. A NaN in c or upwind_by need not reach the upwind
-    result, whose donor choice can pass over it, so skip those scans only
-    for fields already checked.
+    vanishes. A NaN in c or upwind_by need not reach the upwind result,
+    whose donor choice can pass over it, so pass only checked fields.
     """
     if scheme not in FLUX_SCHEMES:
         raise ValueError(f"unknown chemotaxis flux scheme: {scheme!r}")
     if scheme != "upwind" or upwind_by is None:
         upwind_by = f
-    if check_finite:
-        _check_finite(c, "c")
-        _check_finite(f, "f")
-        if upwind_by is not f:
-            _check_finite(upwind_by, "upwind_by")
     nx, ny = f.shape
     bx, by = np.empty((nx + 1, ny)), np.empty(nx * ny + 1)
     for (f_lo, f_hi), (c_lo, c_hi), (s_lo, s_hi), face, h in zip(
@@ -342,21 +315,14 @@ def divergence(
     return _to_cells(bx, by, ny, np.subtract)
 
 
-def grad_dot(
-    grid: Grid, p: np.ndarray, w: np.ndarray, check_finite: bool = True
-) -> np.ndarray:
+def grad_dot(grid: Grid, p: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Cell average of the face products grad(p).grad(w).
 
     Each cell receives half of the product on each of its four faces, and
     boundary faces carry none. With the centered divergence this is the
     summation by parts <divergence(c, p), w> = -<c, grad_dot(p, w)>, which
     brings the adjoint's grad(sigma).grad(p3) back to cell centers.
-    check_finite=False skips the scans of p and w for NaN and infinity, as
-    in scipy.linalg; a caller that passes it checks what the result feeds.
     """
-    if check_finite:
-        _check_finite(p, "p")
-        _check_finite(w, "w")
     nx, ny = p.shape
     bx, by = np.empty((nx + 1, ny)), np.empty(nx * ny + 1)
     for (p_lo, p_hi), (w_lo, w_hi), face, h in zip(
@@ -387,7 +353,6 @@ def grad_norm_sq(grid: Grid, f: np.ndarray) -> float:
 
     Boundary faces carry no gradient, so only interior faces are summed.
     """
-    _check_finite(f)
     dx = f[1:, :] - f[:-1, :]
     dy = f[:, 1:] - f[:, :-1]
     return grid.cell_area * float(np.vdot(dx, dx) / grid.hx**2 + np.vdot(dy, dy) / grid.hy**2)
@@ -450,18 +415,11 @@ def _helmholtz_inverse(grid: Grid, alpha: float) -> np.ndarray:
     return _read_only(1.0 / (alpha - lap_eigenvalues(grid)))
 
 
-def helmholtz_direct(
-    grid: Grid, b: np.ndarray, alpha: float, *, check_finite: bool = True
-) -> np.ndarray:
+def helmholtz_direct(grid: Grid, b: np.ndarray, alpha: float) -> np.ndarray:
     """Solve (alpha*I - Lap) x = b with homogeneous Neumann conditions, exactly by DCT.
 
     alpha is a finite positive scalar; helmholtz_cg solves a field alpha.
-    check_finite=False skips the scan of b for NaN and infinity, as in
-    scipy.linalg; a caller that passes it checks the result. alpha is
-    checked either way.
     """
-    if check_finite:
-        _check_finite(b, "rhs")
     alpha = float(alpha)  # a field alpha raises TypeError: it is helmholtz_cg's
     if not (math.isfinite(alpha) and alpha > 0):
         raise SolverError("helmholtz_direct requires a finite alpha > 0")
@@ -469,8 +427,7 @@ def helmholtz_direct(
 
 
 def helmholtz_cg(
-    grid: Grid, b: np.ndarray, alpha: np.ndarray, x0: np.ndarray | None = None,
-    check_finite: bool = True,
+    grid: Grid, b: np.ndarray, alpha: np.ndarray, x0: np.ndarray | None = None
 ) -> np.ndarray:
     """Solve (alpha(x)*I - Lap) x = b with homogeneous Neumann conditions by CG.
 
@@ -483,28 +440,19 @@ def helmholtz_cg(
     an exact guess costs none. The operator is symmetric positive definite,
     so a p.Ap that is not a positive finite number means the iterate broke
     down (or went non-finite) and raises SolverError: the loop's only
-    finiteness check.
-
-    check_finite=False skips the scans of b and x0 for NaN and infinity,
-    and of alpha for infinity, as in scipy.linalg; a caller that passes it
-    checks the result. The shapes, min(alpha) > 0 and a finite norm of b
-    are still checked.
+    finiteness check. A non-finite b fails the norm test before the loop;
+    b and x0 are not scanned.
     """
-    if check_finite:
-        _check_finite(b, "rhs")
     alpha = np.asarray(alpha, dtype=float)
     if alpha.shape != grid.shape:
         raise SolverError("helmholtz_cg requires alpha of the grid's shape")
-    # min and max carry any NaN or infinity, so two reductions check both;
-    # min alone still catches NaN.
-    if not (float(alpha.min()) > 0 and (not check_finite or float(alpha.max()) < math.inf)):
+    # min > 0 rules out NaN and -inf; then the mean, which the preconditioner
+    # needs, is finite exactly when every value is.
+    alpha_bar = float(alpha.mean()) if float(alpha.min()) > 0 else math.nan
+    if not alpha_bar < math.inf:
         raise SolverError("helmholtz_cg requires a finite alpha > 0 everywhere")
-    if x0 is not None:
-        if np.shape(x0) != grid.shape:
-            raise SolverError("the guess x0 must match the grid shape")
-        if check_finite:
-            _check_finite(x0, "guess x0")
-    alpha_bar = float(alpha.mean())
+    if x0 is not None and np.shape(x0) != grid.shape:
+        raise SolverError("the guess x0 must match the grid shape")
     inv = 1.0 / (alpha_bar - lap_eigenvalues(grid))
     delta = alpha - alpha_bar
     b_norm = math.sqrt(np.vdot(b, b))
@@ -516,8 +464,7 @@ def helmholtz_cg(
     tol = CG_RELATIVE_TOL * b_norm
     scratch = np.empty_like(b)
     x = np.zeros(grid.shape) if x0 is None else np.array(x0, dtype=float)
-    # The guess is scanned or declared checked, so the stencil skips it.
-    r = _laplacian(grid, x)
+    r = laplacian(grid, x)
     r += b
     np.multiply(alpha, x, out=scratch)
     r -= scratch
@@ -581,7 +528,6 @@ def ch_block_solve(
     tau: float,
     s_stab: float,
     transpose: bool = False,
-    check_finite: bool = True,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Solve the coupled pair { phi/tau - Lap mu = rhs_phi ; -Lap phi + s_stab*phi - mu = rhs_mu }.
 
@@ -592,14 +538,8 @@ def ch_block_solve(
     determinant); the backward adjoint sweep runs the block this way. Its
     inverse is the transpose of the cached inverse, so both share one entry.
     rhs_mu=None stands for a zero second right-hand side and skips its
-    transform. check_finite=False skips the scans of rhs_phi and rhs_mu for
-    NaN and infinity, as in scipy.linalg; a caller that passes it checks
-    the result. tau and s_stab are checked either way.
+    transform.
     """
-    if check_finite:
-        _check_finite(rhs_phi, "rhs_phi")
-        if rhs_mu is not None:
-            _check_finite(rhs_mu, "rhs_mu")
     if not (math.isfinite(tau) and tau > 0):
         raise SolverError("ch_block_solve requires a finite tau > 0")
     if not (math.isfinite(s_stab) and s_stab >= 0):

@@ -67,9 +67,9 @@ def solve_linearized(base: Trajectory, spec: ModelSpec, h: np.ndarray) -> Trajec
     inv_tau = 1.0 / tau
     tau_eff = 1.0 / (inv_tau + spec.m)
     # Right-hand sides are updated in place on fresh arrays, such as the
-    # results of h_prime and f_second. The kernels skip their finiteness
-    # scans: the base levels were checked by the forward sweep and h on
-    # entry, and the five outputs are checked at the end of each step.
+    # results of h_prime and f_second. The kernels scan nothing: the base
+    # levels were checked by the forward sweep and h on entry, and the five
+    # outputs are checked at the end of each step.
 
     def phase(k: int) -> None:
         """psi, eta and nu at level k + 1 from psi, nu and omega at level k."""
@@ -80,19 +80,17 @@ def solve_linearized(base: Trajectory, spec: ModelSpec, h: np.ndarray) -> Trajec
         rhs_psi = spec.prolif.h_prime(phi_k)
         rhs_psi += inv_tau
         rhs_psi *= psi
-        rhs_psi -= spec.chi_phi * g.laplacian(gr, nu, check_finite=False)
+        rhs_psi -= spec.chi_phi * g.laplacian(gr, nu)
         rhs_eta = spec.pot.f_second(phi_k)
         np.subtract(s_stab, rhs_eta, out=rhs_eta)
         rhs_eta *= psi
-        out.psi[k + 1], out.eta[k + 1] = g.ch_block_solve(
-            gr, rhs_psi, rhs_eta, tau_eff, s_stab, check_finite=False
-        )
+        out.psi[k + 1], out.eta[k + 1] = g.ch_block_solve(gr, rhs_psi, rhs_eta, tau_eff, s_stab)
 
         # nu: new psi enters, the rest explicit.
         rhs_nu = nu * (inv_tau + spec.c_n)
         rhs_nu += (spec.chi_phi + spec.c_phi) * out.psi[k + 1]
         rhs_nu += spec.c_sigma * omega
-        out.nu[k + 1] = g.helmholtz_direct(gr, rhs_nu, inv_tau, check_finite=False)
+        out.nu[k + 1] = g.helmholtz_direct(gr, rhs_nu, inv_tau)
 
     def chemotaxis(k: int) -> None:
         """omega and alpha at level k + 1 from omega and alpha at levels up to k."""
@@ -105,21 +103,18 @@ def solve_linearized(base: Trajectory, spec: ModelSpec, h: np.ndarray) -> Trajec
         rhs_omega = omega * inv_tau
         rhs_omega += (spec.chi_a - sigma_new) * alpha
         out.omega[k + 1] = g.helmholtz_cg(
-            gr, rhs_omega, (inv_tau + 1.0) + a_k, out.extrapolate("omega", k),
-            check_finite=False,
+            gr, rhs_omega, (inv_tau + 1.0) + a_k, out.extrapolate("omega", k)
         )
 
         # alpha: linearized chemotaxis flux against the base, new omega, with
         # the upwind donor cells of the base sigma; alpha/tau + (1 - 2 a*)
         # alpha is formed as ((1/tau + 1) - 2 a*) alpha.
-        rhs_alpha = g.divergence(gr, alpha, sigma_new, scheme, check_finite=False)
-        rhs_alpha += g.divergence(
-            gr, a_k, out.omega[k + 1], scheme, upwind_by=sigma_new, check_finite=False
-        )
+        rhs_alpha = g.divergence(gr, alpha, sigma_new, scheme)
+        rhs_alpha += g.divergence(gr, a_k, out.omega[k + 1], scheme, upwind_by=sigma_new)
         rhs_alpha *= -spec.chi_a
         rhs_alpha += ((inv_tau + 1.0) - 2.0 * a_k) * alpha
         rhs_alpha += h[k]
-        out.alpha_lin[k + 1] = g.helmholtz_direct(gr, rhs_alpha, inv_tau, check_finite=False)
+        out.alpha_lin[k + 1] = g.helmholtz_direct(gr, rhs_alpha, inv_tau)
 
     for k in range(nt):
         g.run_chains(gr, lambda: phase(k), lambda: chemotaxis(k))

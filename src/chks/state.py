@@ -222,9 +222,9 @@ def step(traj: Trajectory, k: int, u_k: np.ndarray, spec: ModelSpec) -> None:
     level they write, phi/mu -> n and sigma -> a, which grid.run_chains
     runs at once on large grids. The sigma CG starts from
     traj.extrapolate, which changes the work, not what is solved. The
-    kernels skip their finiteness scans: a non-finite value in what the
-    step reads reaches an output or stops a solve, and the five new fields
-    are checked once at the end.
+    kernels scan nothing: a non-finite value in what the step reads reaches
+    an output or stops a solve, and the five new fields are checked once at
+    the end.
     """
     if traj.tau <= 0:
         raise SolverError("step requires tau > 0")
@@ -244,18 +244,16 @@ def _phase_nutrient(traj: Trajectory, k: int, spec: ModelSpec) -> None:
     tau_eff = 1.0 / (inv_tau + spec.m)
     rhs_phi = spec.prolif.h_value(phi)
     rhs_phi += phi * inv_tau
-    rhs_phi -= spec.chi_phi * g.laplacian(gr, n, check_finite=False)
+    rhs_phi -= spec.chi_phi * g.laplacian(gr, n)
     rhs_mu = spec.pot.f_prime(phi)
     np.subtract(s_stab * phi, rhs_mu, out=rhs_mu)
-    traj.phi[k + 1], traj.mu[k + 1] = g.ch_block_solve(
-        gr, rhs_phi, rhs_mu, tau_eff, s_stab, check_finite=False
-    )
+    traj.phi[k + 1], traj.mu[k + 1] = g.ch_block_solve(gr, rhs_phi, rhs_mu, tau_eff, s_stab)
 
     # 2. n: implicit diffusion, explicit reactions, new phi.
     rhs_n = n * (inv_tau + spec.c_n)
     rhs_n += (spec.chi_phi + spec.c_phi) * traj.phi[k + 1]
     rhs_n += spec.c_sigma * sigma + spec.c_0
-    traj.n[k + 1] = g.helmholtz_direct(gr, rhs_n, inv_tau, check_finite=False)
+    traj.n[k + 1] = g.helmholtz_direct(gr, rhs_n, inv_tau)
 
 
 def _chemotaxis(traj: Trajectory, k: int, u_k: np.ndarray, spec: ModelSpec) -> None:
@@ -268,17 +266,16 @@ def _chemotaxis(traj: Trajectory, k: int, u_k: np.ndarray, spec: ModelSpec) -> N
     rhs_sigma = sigma * inv_tau
     rhs_sigma += spec.chi_a * a_frozen + 1.0
     traj.sigma[k + 1] = g.helmholtz_cg(
-        gr, rhs_sigma, (inv_tau + 1.0) + a_frozen, traj.extrapolate("sigma", k),
-        check_finite=False,
+        gr, rhs_sigma, (inv_tau + 1.0) + a_frozen, traj.extrapolate("sigma", k)
     )
 
     # 4. a: implicit diffusion, explicit chemotaxis against new sigma;
     # a/tau + a - a^2 is formed as a*((1/tau + 1) - a).
-    rhs_a = g.divergence(gr, a, traj.sigma[k + 1], traj.flux_scheme, check_finite=False)
+    rhs_a = g.divergence(gr, a, traj.sigma[k + 1], traj.flux_scheme)
     rhs_a *= -spec.chi_a
     rhs_a += a * ((inv_tau + 1.0) - a)
     rhs_a += u_k
-    traj.a[k + 1] = g.helmholtz_direct(gr, rhs_a, inv_tau, check_finite=False)
+    traj.a[k + 1] = g.helmholtz_direct(gr, rhs_a, inv_tau)
 
 
 def solve_forward(

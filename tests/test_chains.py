@@ -33,14 +33,15 @@ def serial(monkeypatch):
 
 
 def checked_block_solve(monkeypatch):
-    """Let ch_block_solve, which only the phase chains call in the sweep
-    loops, scan its right-hand sides, so that a NaN there raises inside
-    that chain rather than at the step-end check."""
+    """Scan rhs_phi before each ch_block_solve, which only the phase chains
+    call in the sweep loops, so that a NaN there raises inside that chain
+    rather than at the step-end check."""
     original = grid_mod.ch_block_solve
 
-    def checked(*args, **kwargs):
-        kwargs["check_finite"] = True
-        return original(*args, **kwargs)
+    def checked(grid, rhs_phi, *args, **kwargs):
+        if not np.isfinite(rhs_phi).all():
+            raise SolverError("rhs_phi contains non-finite values")
+        return original(grid, rhs_phi, *args, **kwargs)
 
     monkeypatch.setattr(grid_mod, "ch_block_solve", checked)
 

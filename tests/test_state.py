@@ -488,11 +488,14 @@ def test_model_spec_rejections():
 
 
 def test_forward_step_end_catches_unchecked_nan():
-    # With admissibility off nothing scans n0 on entry; the NaN reaches the
-    # step's outputs, and the step-end check names the step.
+    # With admissibility off nothing scans the initial data on entry; a NaN
+    # in any field reaches the step's outputs or stops a solve, and the
+    # error names the step. NaN only: an infinity would raise through the
+    # RuntimeWarning filter in the arithmetic first.
     grid = Grid(8, 8)
-    init = make_random_init(grid, 5)
-    init.n0[3, 4] = np.nan
     u = Control(np.zeros((4, grid.nx, grid.ny)), 1.0)
-    with pytest.raises(SolverError, match="forward step 0"):
-        solve_forward(grid, base_model(), init, u, 0.1, 4, check_admissibility=False)
+    for name in ("phi0", "a0", "n0", "sigma0"):
+        init = make_random_init(grid, 5)
+        getattr(init, name)[3, 4] = np.nan
+        with pytest.raises(SolverError, match="^forward step 0 failed"):
+            solve_forward(grid, base_model(), init, u, 0.1, 4, check_admissibility=False)
