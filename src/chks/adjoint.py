@@ -35,7 +35,8 @@ A backward step is two chains that share no level they write, which
 grid.run_chains may run at once:
 
 - p3 -> p5 reads the base a at level k and sigma at level k + 1, and p3,
-  p4 and p5 at level k + 1 (p5 also at k + 2, for the CG start), and
+  p4 and p5 at level k + 1 (p5 also at k + 2, or a reference adjoint's
+  p5 at levels k and k + 1, for the CG start), and
   writes p3 and p5 at level k;
 - p4 -> p1/p2 reads the base phi at level k, phi_Q, the (p1, p2) pair
   of level k + 1 and p4 at level k + 1, and writes p4, p1 and p2 at
@@ -99,8 +100,18 @@ class ControlSpec:
                 raise ValueError(f"{name} contains non-finite values")
 
 
-def solve_adjoint(base: Trajectory, cost: ControlSpec, spec: ModelSpec) -> Trajectory:
-    """Backward sweep from step Nt to 0; see the module docstring."""
+def solve_adjoint(
+    base: Trajectory, cost: ControlSpec, spec: ModelSpec, like: Trajectory | None = None
+) -> Trajectory:
+    """Backward sweep from step Nt to 0; see the module docstring.
+
+    like is an optional adjoint trajectory on the base's grid with its step
+    count, such as the adjoint of a nearby control: each backward step's p5
+    CG then starts from the new level k + 1 plus like's p5 increment over
+    the same step (Trajectory.extrapolate), not from the extrapolation in
+    time. That changes the work, not what is solved. Any other like raises
+    ValueError.
+    """
     gr = base.grid
     nt = base.nt
     tau = base.tau
@@ -111,6 +122,7 @@ def solve_adjoint(base: Trajectory, cost: ControlSpec, spec: ModelSpec) -> Traje
         gr, base.times, ("p1", "p2", "p3", "p4", "p5"),
         s_stab=base.s_stab, flux_scheme=base.flux_scheme,
     )
+    adj.check_like(like)
     # The kernels scan nothing: the forward sweep checked the base levels,
     # check_targets the targets, and each step checks its outputs.
     p1_final = cost.b2 * (base.phi[nt] - cost.phi_omega)
@@ -148,7 +160,8 @@ def solve_adjoint(base: Trajectory, cost: ControlSpec, spec: ModelSpec) -> Traje
         adj.p3[k] = g.helmholtz_direct(gr, rhs_p3, inv_tau)
 
         # p5: same implicit operator family as the forward sigma update,
-        # its CG started from the extrapolation of the stored levels.
+        # its CG started from the extrapolation of the stored levels, or
+        # from like's increment over this step.
         # a* is frozen at level k here; the forward step that produced the
         # level-k sigma froze level k-1, so this choice staggers the
         # coefficient by one step and is the O(tau) gap the duality
@@ -158,7 +171,7 @@ def solve_adjoint(base: Trajectory, cost: ControlSpec, spec: ModelSpec) -> Traje
         rhs_p5 += p5 * inv_tau
         rhs_p5 += spec.c_sigma * p4
         adj.p5[k] = g.helmholtz_cg(
-            gr, rhs_p5, (inv_tau + 1.0) + a_k, adj.extrapolate("p5", k, -1)
+            gr, rhs_p5, (inv_tau + 1.0) + a_k, adj.extrapolate("p5", k, -1, like)
         )
 
     def phase(k: int, p1: np.ndarray, p2: np.ndarray) -> None:

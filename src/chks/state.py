@@ -34,8 +34,9 @@ share no level they write:
 
 - phi/mu -> n reads phi, n and sigma at level k and writes phi, mu and n at
   level k + 1;
-- sigma -> a reads a and sigma at level k (and sigma at level k - 1 for the
-  CG start) and writes sigma and a at level k + 1.
+- sigma -> a reads a and sigma at level k (and, for the CG start, sigma at
+  level k - 1 or a reference trajectory's sigma at levels k and k + 1) and
+  writes sigma and a at level k + 1.
 
 That independence is what lets grid.run_chains run the two at once on large
 grids with every stored level bitwise that of the order above. Monitors are computed from the stored levels after
@@ -173,18 +174,40 @@ class Trajectory:
     def tau(self) -> float:
         return float(self.times[1] - self.times[0])
 
-    def extrapolate(self, name: str, k: int, direction: int = 1) -> np.ndarray:
+    def extrapolate(
+        self, name: str, k: int, direction: int = 1, like: Trajectory | None = None
+    ) -> np.ndarray:
         """CG start for the level of a field that step k writes.
 
-        With j the level the step reads (k forward, k + 1 backward), this is
-        the linear extrapolation 2 f_j - f_{j - direction} of the two stored
-        levels behind the new one, or f_j itself at the sweep's first step.
+        With j the level the step reads (k forward, k + 1 backward) and
+        d = direction, there are two starts:
+
+        - Without like, the extrapolation in time 2 f_j - f_{j - d} of the
+          two stored levels behind the new one, or f_j itself at the
+          sweep's first step.
+        - With like, a reference sweep of the same grid and step count
+          whose field g is like.fields[name], the start f_j + (g_{j+d} - g_j):
+          the reference's increment over the same step (Fischer, CMAME 163,
+          1998). It is formed as g_{j+d} + (f_j - g_j), so a sweep that
+          repeats the reference's solve starts from its result bitwise.
+
+        Either start changes the CG's work, not what it solves.
         """
         j = k if direction > 0 else k + 1
         f = self.fields[name]
+        if like is not None:
+            g_ref = like.fields[name]
+            return g_ref[j + direction] + (f[j] - g_ref[j])
         if not 0 <= j - direction <= self.nt:
             return f[j]
         return 2.0 * f[j] - f[j - direction]
+
+    def check_like(self, like: Trajectory | None) -> None:
+        """ValueError naming like unless it is None or has this trajectory's
+        grid, step count and field names."""
+        if like is not None and (like.grid != self.grid or like.nt != self.nt
+                                 or like.fields.keys() != self.fields.keys()):
+            raise ValueError("like must have the grid, the step count and the fields of the solve")
 
     def check_step(self, k: int, direction: int = 1) -> None:
         """Raise SolverError naming the first non-finite field of the level
@@ -214,22 +237,28 @@ class InvariantReport:
     clamp_events: np.ndarray  # (Nt+1,) per level: PotentialSpec.clamp_counts(traj.phi)
 
 
-def step(traj: Trajectory, k: int, u_k: np.ndarray, spec: ModelSpec) -> None:
+def step(
+    traj: Trajectory, k: int, u_k: np.ndarray, spec: ModelSpec,
+    like: Trajectory | None = None,
+) -> None:
     """Advance the forward sweep one IMEX step, from stored level k to k + 1.
 
     See the module docstring for the scheme; the grid, tau, s_stab and the
     flux scheme are the trajectory's. The step is two chains that share no
     level they write, phi/mu -> n and sigma -> a, which grid.run_chains
     runs at once on large grids. The sigma CG starts from
-    traj.extrapolate, which changes the work, not what is solved. The
-    kernels scan nothing: a non-finite value in what the step reads reaches
-    an output or stops a solve, and the five new fields are checked once at
-    the end.
+    traj.extrapolate("sigma", k, like=like): the extrapolation in time of
+    traj's own levels, or, given a forward trajectory like of the same grid
+    and step count (solve_forward checks it), traj's level k plus like's
+    sigma increment over step k. That changes the work, not what is solved.
+    The kernels scan nothing: a non-finite value in what the step reads
+    reaches an output or stops a solve, and the five new fields are checked
+    once at the end.
     """
     if traj.tau <= 0:
         raise SolverError("step requires tau > 0")
     g.run_chains(traj.grid, lambda: _phase_nutrient(traj, k, spec),
-                 lambda: _chemotaxis(traj, k, u_k, spec))
+                 lambda: _chemotaxis(traj, k, u_k, spec, like))
     traj.check_step(k)
 
 
@@ -256,7 +285,9 @@ def _phase_nutrient(traj: Trajectory, k: int, spec: ModelSpec) -> None:
     traj.n[k + 1] = g.helmholtz_direct(gr, rhs_n, inv_tau)
 
 
-def _chemotaxis(traj: Trajectory, k: int, u_k: np.ndarray, spec: ModelSpec) -> None:
+def _chemotaxis(
+    traj: Trajectory, k: int, u_k: np.ndarray, spec: ModelSpec, like: Trajectory | None
+) -> None:
     """Steps 3 and 4: sigma and a at level k + 1 from a and sigma at levels up to k."""
     gr, inv_tau = traj.grid, 1.0 / traj.tau
     a, sigma = traj.a[k], traj.sigma[k]
@@ -266,7 +297,7 @@ def _chemotaxis(traj: Trajectory, k: int, u_k: np.ndarray, spec: ModelSpec) -> N
     rhs_sigma = sigma * inv_tau
     rhs_sigma += spec.chi_a * a_frozen + 1.0
     traj.sigma[k + 1] = g.helmholtz_cg(
-        gr, rhs_sigma, (inv_tau + 1.0) + a_frozen, traj.extrapolate("sigma", k)
+        gr, rhs_sigma, (inv_tau + 1.0) + a_frozen, traj.extrapolate("sigma", k, like=like)
     )
 
     # 4. a: implicit diffusion, explicit chemotaxis against new sigma;
@@ -288,12 +319,16 @@ def solve_forward(
     s_stab: float | None = None,
     flux_scheme: str = "centered",
     check_admissibility: bool = True,
+    like: Trajectory | None = None,
 ) -> tuple[Trajectory, InvariantReport]:
     """Integrate the system on [0, T] with nt uniform steps.
 
     mu at step 0 is the diagnostic value -Lap(phi0) + F'(phi0); afterwards
     it is a solved unknown. Set check_admissibility=False to run
-    deliberately degenerate data (used by the verification suites).
+    deliberately degenerate data (used by the verification suites). like
+    is an optional forward trajectory on the same grid with nt steps, such
+    as the solve for a nearby control, whose sigma increments start each
+    step's CG (see step); any other like raises ValueError.
     """
     if nt < 1:
         raise ValueError("nt must be at least 1")
@@ -310,12 +345,13 @@ def solve_forward(
         gr, np.linspace(0.0, T, nt + 1), ("phi", "mu", "a", "n", "sigma"),
         s_stab=s_stab, flux_scheme=flux_scheme,
     )
+    traj.check_like(like)
     traj.phi[0], traj.a[0], traj.n[0] = init.phi0, init.a0, init.n0
     traj.sigma[0] = init.sigma0
     traj.mu[0] = -g.laplacian(gr, init.phi0) + spec.pot.f_prime(init.phi0)
     for k in range(nt):
         try:
-            step(traj, k, u.values[k], spec)
+            step(traj, k, u.values[k], spec, like)
         except SolverError as exc:
             raise SolverError(f"forward step {k} failed: {exc}") from exc
 
