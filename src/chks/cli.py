@@ -17,28 +17,26 @@ from pathlib import Path
 
 from .config import ConfigError, RunConfig, load_config
 from .control_opt import optimize
-from .fields_io import SERIES_COLUMNS, write_csv, write_field, write_trajectory
+from .fields_io import write_csv, write_trajectory
 from .grid import SolverError
 from .state import A_MIN_UPWIND, SIGMA_RANGE, energy_series, solve_forward
-from .verify import REPORT_COLUMNS, SUITES, run_suites
+from .verify import SUITES, run_suites
 
 
 def _series_rows(traj, report, energies) -> list[dict]:
-    rows = []
-    for k in range(traj.nt + 1):
-        rows.append(
-            {
-                "step": k,
-                "time": f"{traj.times[k]:.12g}",
-                "energy": f"{energies[k]:.16e}",
-                "mean_phi": f"{traj.phi[k].mean():.16e}",
-                "sigma_min": f"{traj.sigma[k].min():.16e}",
-                "sigma_max": f"{traj.sigma[k].max():.16e}",
-                "a_min": f"{traj.a[k].min():.16e}",
-                "clamp_events": report.clamp_events[k],
-            }
-        )
-    return rows
+    return [
+        {
+            "step": k,
+            "time": f"{traj.times[k]:.12g}",
+            "energy": f"{energies[k]:.16e}",
+            "mean_phi": f"{report.mean_phi[k]:.16e}",
+            "sigma_min": f"{report.sigma_min[k]:.16e}",
+            "sigma_max": f"{report.sigma_max[k]:.16e}",
+            "a_min": f"{report.a_min[k]:.16e}",
+            "clamp_events": report.clamp_events[k],
+        }
+        for k in range(traj.nt + 1)
+    ]
 
 
 def cmd_simulate(cfg: RunConfig, out: Path, strict: bool) -> int:
@@ -48,19 +46,20 @@ def cmd_simulate(cfg: RunConfig, out: Path, strict: bool) -> int:
     )
     energies = energy_series(traj, cfg.model)
     write_trajectory(out, traj.grid, traj.fields)
-    write_csv(out / "series.csv", SERIES_COLUMNS, _series_rows(traj, report, energies))
+    write_csv(out / "series.csv", _series_rows(traj, report, energies))
+    sigma_lo, sigma_hi = report.sigma_min.min(), report.sigma_max.max()
     failures = []
-    if report.sigma_min < SIGMA_RANGE[0] or report.sigma_max > SIGMA_RANGE[1]:
-        failures.append(f"sigma range [{report.sigma_min:.3e}, {report.sigma_max:.3e}]")
+    if sigma_lo < SIGMA_RANGE[0] or sigma_hi > SIGMA_RANGE[1]:
+        failures.append(f"sigma range [{sigma_lo:.3e}, {sigma_hi:.3e}]")
     clamp_total = int(report.clamp_events.sum())
     if strict and clamp_total > 0:
         failures.append(f"{clamp_total} potential clamp events")
-    if strict and cfg.flux_scheme == "upwind" and report.a_min < A_MIN_UPWIND:
-        failures.append(f"a_min {report.a_min:.3e}")
+    if strict and cfg.flux_scheme == "upwind" and report.a_min.min() < A_MIN_UPWIND:
+        failures.append(f"a_min {report.a_min.min():.3e}")
     for msg in failures:
         print(f"monitor tripped: {msg}", file=sys.stderr)
     print(f"simulate: {cfg.nt} steps, energy {energies[-1]:.6e}, "
-          f"sigma in [{report.sigma_min:.3e}, {report.sigma_max:.3e}], wrote {out}")
+          f"sigma in [{sigma_lo:.3e}, {sigma_hi:.3e}], wrote {out}")
     return 1 if failures else 0
 
 
@@ -68,26 +67,21 @@ def cmd_optimize(cfg: RunConfig, out: Path) -> int:
     result = optimize(
         cfg.grid, cfg.model, cfg.init, cfg.control_spec, cfg.u0, cfg.T, cfg.nt, cfg.opts
     )
-    rows = []
-    for i in range(len(result.cost_history)):
-        rows.append(
-            {
-                "iteration": i,
-                "cost": f"{result.cost_history[i]:.16e}",
-                "stationarity": f"{result.stationarity_history[i]:.16e}",
-                "step_size": f"{result.step_sizes[i - 1]:.6e}" if 0 < i <= len(result.step_sizes) else "",
-                "backtracks": result.backtrack_counts[i - 1] if 0 < i <= len(result.backtrack_counts) else "",
-            }
-        )
-    out.mkdir(parents=True, exist_ok=True)
-    write_csv(out / "optimize.csv",
-              ["iteration", "cost", "stationarity", "step_size", "backtracks"], rows)
-    for k in range(cfg.nt):
-        write_field(out / f"control_{k:06}.fld", cfg.grid, result.u_star.values[k])
-    if result.trajectory is not None:
-        write_trajectory(out, cfg.grid, result.trajectory.fields)
-    if result.adjoint is not None:
-        write_trajectory(out, cfg.grid, result.adjoint.fields, prefix="adj_")
+    # Iteration i > 0 reports the step that produced its control.
+    rows = [
+        {
+            "iteration": i,
+            "cost": f"{result.cost_history[i]:.16e}",
+            "stationarity": f"{result.stationarity_history[i]:.16e}",
+            "step_size": f"{result.step_sizes[i - 1]:.6e}" if i else "",
+            "backtracks": result.backtrack_counts[i - 1] if i else "",
+        }
+        for i in range(len(result.cost_history))
+    ]
+    write_csv(out / "optimize.csv", rows)
+    write_trajectory(out, cfg.grid, {"control": result.u_star.values})
+    write_trajectory(out, cfg.grid, result.trajectory.fields)
+    write_trajectory(out, cfg.grid, result.adjoint.fields, prefix="adj_")
     print(
         f"optimize: {result.iterations} iterations, cost {result.cost_history[-1]:.6e}, "
         f"stationarity {result.stationarity_history[-1]:.3e}, converged={result.converged}"
@@ -97,15 +91,14 @@ def cmd_optimize(cfg: RunConfig, out: Path) -> int:
 
 def cmd_verify(cfg: RunConfig, out: Path, suite: str) -> int:
     results = run_suites(cfg, suite)
-    out.mkdir(parents=True, exist_ok=True)
-    write_csv(out / "verify_report.csv", REPORT_COLUMNS, [r.row() for r in results])
+    write_csv(out / "verify_report.csv", [r.row() for r in results])
     duality_rows = [
         {"tau": f"{cfg.tau / (2 ** i):.9g}", "residual": f"{r.value:.9e}"}
         for i, r in enumerate(r for r in results if r.suite == "duality"
                               and r.check.startswith("residual"))
     ]
     if duality_rows:
-        write_csv(out / "duality.csv", ["tau", "residual"], duality_rows)
+        write_csv(out / "duality.csv", duality_rows)
     ok = True
     for r in results:
         status = "pass" if r.passed else "FAIL"

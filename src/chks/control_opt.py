@@ -130,13 +130,17 @@ def optimize(
     Each iteration runs one adjoint solve, then a line search on J whose
     trials are forward solves; the accepted trial is the next iteration's
     state. Stops when the stationarity residual drops below
-    tol_stat * (1 + ||u||) or the iteration budget runs out. Accepted steps
+    tol_stat * (1 + ||u||) or the iteration budget of max_iters >= 0
+    iterations runs out, so the result always holds the last state and
+    adjoint; a negative max_iters raises ValueError. Accepted steps
     never increase J. Each trial starts its CG solves from the accepted
     trajectory's increments and each adjoint from the previous adjoint's
     (see the module docstring); the first forward and adjoint solves start
     from the extrapolation in time.
     """
     opts = opts or OptimizeOptions()
+    if opts.max_iters < 0:
+        raise ValueError(f"max_iters must be at least 0, got {opts.max_iters}")
     cs.validate()
     u = Control(project_admissible(u0.values, cs.u_max), cs.u_max)
     tau = T / nt

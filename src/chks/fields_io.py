@@ -24,17 +24,6 @@ from .grid import Grid
 MAGIC = b"CHKSFLD1"
 _HEADER = struct.Struct("<8sIIdd")
 
-SERIES_COLUMNS = [
-    "step",
-    "time",
-    "energy",
-    "mean_phi",
-    "sigma_min",
-    "sigma_max",
-    "a_min",
-    "clamp_events",
-]
-
 
 def write_field(path: str | Path, grid: Grid, data: np.ndarray) -> None:
     """Write one field snapshot (y outer, x inner, little-endian f64)."""
@@ -81,10 +70,10 @@ def write_trajectory(
             write_field(out / f"{prefix}{name}_{k:06}.fld", grid, arr[k])
 
 
-def write_csv(path: str | Path, columns: list[str], rows: list[dict]) -> None:
+def write_csv(path: str | Path, rows: list[dict]) -> None:
+    """Write rows under a header of the first row's keys, in their order."""
     Path(path).parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=columns)
+        writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
         writer.writeheader()
-        for row in rows:
-            writer.writerow(row)
+        writer.writerows(rows)

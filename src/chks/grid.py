@@ -35,13 +35,16 @@ per-call work is kept to the arithmetic:
   the FFT-based scipy.fft.dctn by 2-5x per call, which is mostly fixed call
   overhead on small arrays; from 128 up the O(n^3) products lose, so larger
   grids call scipy.fft. The choice follows from the grid shape alone.
-- The Laplacian follows the same rule. At or below DENSE_DCT_MAX it is two
-  products with cached 1-D mirrored second-difference matrices,
-  D_x f + f D_y (8 us at 16^2, against 18 us for the slices, on two
-  x86-64 cores); above it, the interior-face differences that divergence
-  and grad_dot use (below), contiguous along both axes (250 us against
-  340 us with strided y slices at 256^2). All four timings include a scan
-  of f for NaN and infinity.
+- The Laplacian switches at the same DENSE_DCT_MAX, though its own
+  crossover is lower. At or below it, it is two products with cached 1-D
+  mirrored second-difference matrices, D_x f + f D_y; above it, the
+  interior-face differences that divergence and grad_dot use (below),
+  contiguous along both axes. The products win at 16^2 (10 us against
+  16 us for the face differences) and 32^2 (14 against 19 us), tie at 48^2
+  (24 us) and lose at 64^2 (38 against 27-31 us): minimum of 7 x 3000
+  calls, BLAS on one thread, two x86-64 cores. At 256^2 the face
+  differences took 250 us against 340 us with strided y slices, timed
+  with a finiteness scan of f that the kernel no longer makes.
 - Cached per grid (lru_cache keyed on the frozen Grid, read-only arrays):
   the Laplacian eigenvalues, the per-mode inverse of the phi/mu block for
   each (tau, s_stab), and 1/(alpha - lam) of each direct Helmholtz solve;

@@ -39,10 +39,11 @@ share no level they write:
   writes sigma and a at level k + 1.
 
 That independence is what lets grid.run_chains run the two at once on large
-grids with every stored level bitwise that of the order above. Monitors are computed from the stored levels after
-the sweep: reductions over all levels at once where they need no
-whole-trajectory temporary of a nonlinear function, and one level at a time
-(h(phi), the energy, the gradient norms) where they would.
+grids with every stored level bitwise that of the order above. Monitors are
+computed from the stored levels after the sweep. solve_forward's report holds
+the per-level reductions (InvariantReport); the monitors of a nonlinear
+function, the mean-ODE residual (h(phi)) and the energy, run one level at a
+time and only when a caller asks for them.
 """
 
 from __future__ import annotations
@@ -228,13 +229,14 @@ A_MIN_UPWIND = -1e-10
 
 @dataclass
 class InvariantReport:
-    sigma_min: float
-    sigma_max: float
-    a_min: float
-    phi_min: float
-    phi_max: float
-    mean_ode_residual: float
-    clamp_events: np.ndarray  # (Nt+1,) per level: PotentialSpec.clamp_counts(traj.phi)
+    """Per-level monitors of a forward trajectory, each an (Nt+1,) array and
+    a column of series.csv. A check over the run takes its .min() or .max()."""
+
+    mean_phi: np.ndarray
+    sigma_min: np.ndarray
+    sigma_max: np.ndarray
+    a_min: np.ndarray
+    clamp_events: np.ndarray  # PotentialSpec.clamp_counts(traj.phi)
 
 
 def step(
@@ -328,7 +330,9 @@ def solve_forward(
     deliberately degenerate data (used by the verification suites). like
     is an optional forward trajectory on the same grid with nt steps, such
     as the solve for a nearby control, whose sigma increments start each
-    step's CG (see step); any other like raises ValueError.
+    step's CG (see step); any other like raises ValueError. Returns the
+    trajectory and its per-level monitors; check_mean_ode and energy_series
+    compute the others.
     """
     if nt < 1:
         raise ValueError("nt must be at least 1")
@@ -356,12 +360,10 @@ def solve_forward(
             raise SolverError(f"forward step {k} failed: {exc}") from exc
 
     report = InvariantReport(
-        sigma_min=float(traj.sigma.min()),
-        sigma_max=float(traj.sigma.max()),
-        a_min=float(traj.a.min()),
-        phi_min=float(traj.phi.min()),
-        phi_max=float(traj.phi.max()),
-        mean_ode_residual=check_mean_ode(traj, spec),
+        mean_phi=traj.phi.mean(axis=(1, 2)),
+        sigma_min=traj.sigma.min(axis=(1, 2)),
+        sigma_max=traj.sigma.max(axis=(1, 2)),
+        a_min=traj.a.min(axis=(1, 2)),
         clamp_events=spec.pot.clamp_counts(traj.phi),
     )
     return traj, report

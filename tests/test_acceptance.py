@@ -42,12 +42,15 @@ def invariants(cfg):
     return {r.check: r for r in suite_invariants(cfg)}
 
 
-def bounded_values(invariants, criterion, bounds):
-    """Values of the named rows, after checking each row's threshold is the criterion's bound."""
+def bounded_values(rows, criterion, bounds):
+    """Values of the named rows, after checking each row's threshold is the criterion's bound.
+
+    rows maps check names to a suite's rows, so the bound tested is the one
+    chks verify applies."""
     for check, bound in bounds.items():
-        threshold = invariants[check].threshold
+        threshold = rows[check].threshold
         assert threshold == bound, f"{criterion}: {check} threshold {threshold!r} is not {bound!r}"
-    return [invariants[check].value for check in bounds]
+    return [rows[check].value for check in bounds]
 
 
 def report(criterion, passed, detail):
@@ -56,7 +59,9 @@ def report(criterion, passed, detail):
 
 
 def test_criterion_01_gradient_consistency(cfg):
-    results = suite_gradcheck(cfg, n_directions=5, eps=1e-4, threshold=1e-3)
+    results = suite_gradcheck(cfg)
+    bounded_values({r.check: r for r in results}, "criterion 1",
+                   {f"direction_{d}": 1e-3 for d in range(5)})
     worst = max(r.value for r in results)
     report(
         "criterion 1 (gradient consistency)",
@@ -66,7 +71,9 @@ def test_criterion_01_gradient_consistency(cfg):
 
 
 def test_criterion_02_linearization_remainder(cfg):
-    results = suite_taylor(cfg, epsilons=(1e-2, 5e-3, 2.5e-3), min_order=1.5)
+    results = suite_taylor(cfg)
+    bounded_values({r.check: r for r in results}, "criterion 2",
+                   {"order_0.01_to_0.005": 1.5, "order_0.005_to_0.0025": 1.5})
     worst = min(r.value for r in results)
     report(
         "criterion 2 (linearization remainder)",
@@ -76,7 +83,9 @@ def test_criterion_02_linearization_remainder(cfg):
 
 
 def test_criterion_03_adjoint_duality(cfg):
-    results = suite_duality(cfg, threshold=1e-3, min_decrease=1.5)
+    results = suite_duality(cfg)
+    bounded_values({r.check: r for r in results}, "criterion 3",
+                   {"residual_nt_32": 1e-3, "residual_nt_64": 1e-3, "tau_halving_decrease": 1.5})
     res32 = next(r for r in results if r.check.startswith("residual"))
     dec = next(r for r in results if r.check == "tau_halving_decrease")
     report(
@@ -210,7 +219,9 @@ def test_criterion_09_decoupled_energy_stability(invariants):
 
 
 def test_criterion_10_empirical_continuous_dependence(cfg):
-    results = suite_lipschitz(cfg, n_pairs=10, max_factor=3.0)
+    results = suite_lipschitz(cfg)
+    bounded_values({r.check: r for r in results}, "criterion 10",
+                   {"max_ratio_16": np.inf, "max_ratio_32": np.inf, "grid_refinement_factor": 3.0})
     by_name = {r.check: r for r in results}
     factor = by_name["grid_refinement_factor"]
     finite = all(np.isfinite(r.value) for r in results)

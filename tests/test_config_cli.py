@@ -403,13 +403,15 @@ def test_repeated_key_names_both_lines(tmp_path):
         load_config(write_cfg(tmp_path, text))
 
 
-def test_cli_simulate_clamp_events_per_level(tmp_path):
-    # phi0 leaves [eps_clamp, 1 - eps_clamp] at the four corner cells. The
-    # report and series.csv count, per stored level, that level's cells outside.
-    text = (MINIMAL.replace("potential = regular", "potential = logarithmic\neps_clamp = 0.05")
+# phi0 leaves [eps_clamp, 1 - eps_clamp] at the four corner cells.
+CLAMPING = (MINIMAL.replace("potential = regular", "potential = logarithmic\neps_clamp = 0.05")
             .replace("prolif = logistic", "prolif = constant")
             .replace("phi0 = constant 0.4", "phi0 = cosine 0.5 0.49 1 1"))
-    path, out = write_cfg(tmp_path, text), tmp_path / "clamp"
+
+
+def test_cli_simulate_clamp_events_per_level(tmp_path):
+    # The report and series.csv count, per stored level, that level's cells outside.
+    path, out = write_cfg(tmp_path, CLAMPING), tmp_path / "clamp"
     assert main(["simulate", str(path), "--out", str(out)]) == 0
     with open(out / "series.csv") as fh:
         rows = list(csv.DictReader(fh))
@@ -419,6 +421,14 @@ def test_cli_simulate_clamp_events_per_level(tmp_path):
     assert expected[0] > 0
     assert [int(row["clamp_events"]) for row in rows] == expected
     assert report.clamp_events.tolist() == expected
+
+
+def test_cli_simulate_strict_fails_on_clamp_events(tmp_path, capsys):
+    path = write_cfg(tmp_path, CLAMPING)
+    assert main(["simulate", str(path), "--out", str(tmp_path / "loose")]) == 0
+    assert capsys.readouterr().err == ""
+    assert main(["simulate", str(path), "--out", str(tmp_path / "strict"), "--strict"]) == 1
+    assert capsys.readouterr().err == "monitor tripped: 4 potential clamp events\n"
 
 
 def test_cli_optimize_trivial(tmp_path):

@@ -217,6 +217,15 @@ def test_optimize_zero_budget_returns_initial(problem):
     assert res.iterations == 0
     np.testing.assert_array_equal(res.u_star.values, u0.values)
     assert len(res.stationarity_history) == 1
+    assert res.trajectory is not None and res.adjoint is not None
+
+
+def test_optimize_rejects_negative_budget(problem):
+    # Without the check a negative budget returns no cost, state or adjoint.
+    grid, spec, init, cs, T, nt = problem
+    u0 = Control(0.3 * np.ones((nt, grid.nx, grid.ny)), 1.0)
+    with pytest.raises(ValueError, match="max_iters"):
+        optimize(grid, spec, init, cs, u0, T, nt, OptimizeOptions(max_iters=-1))
 
 
 def test_optimize_iterates_stay_admissible(problem):
