@@ -32,7 +32,7 @@ step, whose (p1, p2) input is the weakly imposed final condition (see
 solve_adjoint), while stored level Nt keeps p1(T).
 
 A backward step is two chains that share no level they write, which
-grid.run_chains may run at once:
+Trajectory.advance runs, naming the step in any SolverError:
 
 - p3 -> p5 reads the base a at level k and sigma at level k + 1, and p3,
   p4 and p5 at level k + 1 (p5 also at k + 2, or a reference adjoint's
@@ -199,8 +199,7 @@ def solve_adjoint(
         adj.p1[k], adj.p2[k] = g.ch_block_solve(gr, rhs_p1, None, tau_eff, s_stab, transpose=True)
 
     for k in range(nt - 1, -1, -1):
-        g.run_chains(gr, lambda: transport(k), lambda: phase(k, p1, p2))
-        adj.check_step(k, -1)
+        adj.advance("adjoint", k, lambda: transport(k), lambda: phase(k, p1, p2), -1)
         p1, p2 = adj.p1[k], adj.p2[k]
     return adj
 

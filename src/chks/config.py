@@ -19,7 +19,7 @@ Sections and keys (a section or key not listed here is rejected):
                u_true (generator; targets=simulation),
                phi_q, phi_omega (generators; targets=fields)
     [time]     T, Nt, s_stab (number or 'default'), flux_scheme
-    [optimize] tol_stat, max_iters, armijo_c, backtrack
+    [optimize] tol_stat, max_iters, backtrack
 
 Field generators:
 
@@ -31,7 +31,7 @@ Field generators:
 
 Cosine terms are built from 1-D cosines of the cell-centre abscissae and
 ordinates, broadcast to the grid. Generator numbers must be finite, modes
-at least 0, and the realized field (a snapshot file's too) finite; a
+in [0, max(nx, ny)), and the realized field (a snapshot file's too) finite; a
 violation names the line and the key and quotes the phrase. The control
 u0, u_true and the fields target phi_q each hold for every step: each is
 one generated field, shared by every step as a read-only (Nt, nx, ny)
@@ -41,7 +41,7 @@ A key may appear once per section; a key left out of [model], [optimize]
 or the grid's lx, ly takes its dataclass default. The seed must be
 nonnegative, numbers must be finite, the grid needs nx, ny >= 2 and
 lx, ly > 0, time T > 0, Nt >= 1 and s_stab >= 0, [optimize] tol_stat >= 0
-and max_iters >= 0 with armijo_c and backtrack in (0, 1), and a word one
+and max_iters >= 0 with backtrack in (0, 1), and a word one
 of those listed; a target key the chosen targets does not read is
 rejected. A violation names the line and the key. Every admissibility
 condition of the model is checked at load time; a violation raises
@@ -81,7 +81,7 @@ _KEYS: dict[str | None, tuple[str, ...]] = {
     "initial": ("phi0", "a0", "n0", "sigma0"),
     "control": ("b1", "b2", "b3", "u_max", "u0", "targets", "u_true", "phi_q", "phi_omega"),
     "time": ("t", "nt", "s_stab", "flux_scheme"),
-    "optimize": ("tol_stat", "max_iters", "armijo_c", "backtrack"),
+    "optimize": ("tol_stat", "max_iters", "backtrack"),
 }
 _ARITY = {"constant": 1, "cosine": 4, "random_smooth": 3, "file": 1}
 # The words of [control] targets, and the target keys each one reads.
@@ -223,10 +223,10 @@ def generate_field(
     Each cosine term is a function of x times a function of y, so the
     cosines run on a column of the nx cell-centre abscissae and a row of the
     ny ordinates, and broadcasting forms only their products on the grid.
-    A malformed phrase, a non-finite number, a negative mode count, a
-    snapshot file that cannot be read or does not match the grid, or a
-    realized field with a non-finite value raises ConfigError naming the
-    phrase.
+    A malformed phrase, a non-finite number, a mode count outside
+    [0, max(nx, ny)), a snapshot file that cannot be read or does not match
+    the grid, or a realized field with a non-finite value raises ConfigError
+    naming the phrase.
     """
     kind, *args = phrase.split() or [""]
     kind = kind.lower()
@@ -244,8 +244,9 @@ def generate_field(
             f = off + amp * np.cos(kx * np.pi * x / gr.lx) * np.cos(ky * np.pi * y / gr.ly)
         elif kind == "random_smooth":
             lo, hi, modes = _finite(args[0]), _finite(args[1]), int(args[2])
-            if modes < 0:
-                raise ValueError(f"modes must be at least 0, got {modes}")
+            # On n cell centres, mode k >= n is +- a lower mode or 0.
+            if not 0 <= modes < max(gr.shape):
+                raise ValueError(f"modes must lie in [0, {max(gr.shape)}), got {modes}")
             f = cosine_series(gr, rng.normal(size=(modes + 1, modes + 1)))
             fmin, fmax = float(f.min()), float(f.max())
             if fmax - fmin < 1e-30:
@@ -380,7 +381,7 @@ def load_config(path: str | Path, seed_override: int | None = None) -> RunConfig
 
     so = sections["optimize"]
     opts = OptimizeOptions(
-        **so.numbers("tol_stat", "armijo_c", "backtrack"),
+        **so.numbers("tol_stat", "backtrack"),
         max_iters=so.integer("max_iters", OptimizeOptions.max_iters),
         s_stab=s_stab,
         flux_scheme=flux_scheme,
@@ -391,9 +392,8 @@ def load_config(path: str | Path, seed_override: int | None = None) -> RunConfig
     if opts.max_iters < 0:
         raise so.reject("max_iters", "must be at least 0")
     # A factor outside (0, 1) makes the Armijo search grow or zero its step.
-    for key in ("armijo_c", "backtrack"):
-        if not 0.0 < getattr(opts, key) < 1.0:
-            raise so.reject(key, "must lie in (0, 1)")
+    if not 0.0 < opts.backtrack < 1.0:
+        raise so.reject("backtrack", "must lie in (0, 1)")
 
     return RunConfig(
         grid=gr,

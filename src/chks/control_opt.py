@@ -42,15 +42,16 @@ from .adjoint import ControlSpec, solve_adjoint
 from .grid import Grid
 from .state import Control, InitialData, ModelSpec, Trajectory, solve_forward
 
-# Step reductions the line search tries before it gives up.
+# Step reductions the line search tries before it gives up, and the
+# sufficient-decrease factor of its Armijo test.
 MAX_BACKTRACKS = 40
+ARMIJO_C = 1e-4
 
 
 @dataclass
 class OptimizeOptions:
     tol_stat: float = 1e-6
     max_iters: int = 200
-    armijo_c: float = 1e-4
     backtrack: float = 0.5
     s_stab: float | None = None
     flux_scheme: str = "centered"
@@ -177,23 +178,20 @@ def optimize(
 
         grad = reduced_gradient(adj, u, cs.b3)
         s = step_size
-        accepted = False
         for bt in range(MAX_BACKTRACKS + 1):
             trial_values = project_admissible(u.values - s * grad, cs.u_max)
             trial = Control(trial_values, cs.u_max)
             step_norm_sq = control_norm(gr, tau, trial_values - u.values) ** 2
             traj_trial = forward(trial, like=traj)
             j_trial = cost(traj_trial, trial, cs)
-            if j_trial <= j_cur - opts.armijo_c / max(s, 1e-300) * step_norm_sq:
+            if j_trial <= j_cur - ARMIJO_C / max(s, 1e-300) * step_norm_sq:
                 u, traj, j_cur = trial, traj_trial, j_trial
                 result.step_sizes.append(s)
                 result.backtrack_counts.append(bt)
                 # Gentle step growth after clean accepts keeps progress fast.
                 step_size = min(s * 2.0, 1.0 / cs.b3) if bt == 0 else s
-                accepted = True
                 break
             s *= opts.backtrack
-        if not accepted:
+        else:
             result.message = "line search failed after max backtracks"
             return result
-    return result

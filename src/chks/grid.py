@@ -88,10 +88,11 @@ per-call work is kept to the arithmetic:
   test. The checks live where data enters and at each step's end: the
   config reader; InitialData.validate, Control.validate and
   ControlSpec.check_targets; solve_linearized's check of its direction h;
-  and Trajectory.check_step, which checks all five outputs of each sweep
-  step once, before they are stored or used by the next step. A
-  non-finite value made inside a step reaches an output through the
-  transforms, so it is caught at that step's end. One scan,
+  and Trajectory.advance, which runs each forward, tangent and adjoint
+  step and checks its five outputs once, before the next step reads them.
+  A non-finite value made inside a step reaches an output through the
+  transforms, so it is caught at that step's end. Its SolverError, like
+  every one raised inside a step, names the sweep and the step. One scan,
   np.isfinite(f).all(), takes about 3 us at 16^2 and 23 us at 256^2.
   Every other precondition is checked on every call: helmholtz_cg's
   shapes and its field alpha, by min > 0 and a finite mean, which carry
@@ -135,7 +136,6 @@ import numpy as np
 import scipy.fft as sfft
 
 # Fixed linear-solver tolerances.
-DIRECT_RESIDUAL_TOL = 1e-12
 CG_RELATIVE_TOL = 1e-12
 CG_MAX_ITER_FACTOR = 10
 

@@ -21,7 +21,7 @@ the returned Trajectory and writes level k + 1 in place; the returned
 Trajectory records the base's s_stab and flux scheme.
 
 Like the forward step, a tangent step is two chains that share no level
-they write, which grid.run_chains may run at once:
+they write, which Trajectory.advance runs, naming the step in any error:
 
 - psi/eta -> nu reads the base phi at level k and psi, nu and omega at
   level k, and writes psi, eta and nu at level k + 1;
@@ -117,8 +117,7 @@ def solve_linearized(base: Trajectory, spec: ModelSpec, h: np.ndarray) -> Trajec
         out.alpha_lin[k + 1] = g.helmholtz_direct(gr, rhs_alpha, inv_tau)
 
     for k in range(nt):
-        g.run_chains(gr, lambda: phase(k), lambda: chemotaxis(k))
-        out.check_step(k)
+        out.advance("tangent", k, lambda: phase(k), lambda: chemotaxis(k))
     return out
 
 

@@ -38,8 +38,9 @@ share no level they write:
   level k - 1 or a reference trajectory's sigma at levels k and k + 1) and
   writes sigma and a at level k + 1.
 
-That independence is what lets grid.run_chains run the two at once on large
-grids with every stored level bitwise that of the order above. Monitors are
+That independence lets Trajectory.advance, which runs each step of all three
+sweeps and names it in any SolverError, run the two at once on large grids
+with every stored level bitwise that of the order above. Monitors are
 computed from the stored levels after the sweep. solve_forward's report holds
 the per-level reductions (InvariantReport); the monitors of a nonlinear
 function, the mean-ODE residual (h(phi)) and the energy, run one level at a
@@ -210,14 +211,19 @@ class Trajectory:
                                  or like.fields.keys() != self.fields.keys()):
             raise ValueError("like must have the grid, the step count and the fields of the solve")
 
-    def check_step(self, k: int, direction: int = 1) -> None:
-        """Raise SolverError naming the first non-finite field of the level
-        step k wrote (k + 1 forward, k backward)."""
+    def advance(self, sweep: str, k: int, first, second, direction: int = 1) -> None:
+        """Run step k's two chains through grid.run_chains, then check the
+        level it wrote (k + 1 forward, k backward). A SolverError from either,
+        or the first non-finite field of that level, is raised again as
+        "<sweep> step k failed: <cause>"."""
         level = k + 1 if direction > 0 else k
-        for name, f in self.fields.items():
-            if not np.isfinite(f[level]).all():
-                where = "step" if direction > 0 else "backward step"
-                raise SolverError(f"non-finite {name} after {where} {k}")
+        try:
+            g.run_chains(self.grid, first, second)
+            for name, f in self.fields.items():
+                if not np.isfinite(f[level]).all():
+                    raise SolverError(f"non-finite {name}")
+        except SolverError as exc:
+            raise SolverError(f"{sweep} step {k} failed: {exc}") from exc
 
 
 # Bounds of the forward monitors, which chks simulate and the invariants
@@ -247,25 +253,24 @@ def step(
 
     See the module docstring for the scheme; the grid, tau, s_stab and the
     flux scheme are the trajectory's. The step is two chains that share no
-    level they write, phi/mu -> n and sigma -> a, which grid.run_chains
-    runs at once on large grids. The sigma CG starts from
+    level they write, phi/mu -> n and sigma -> a, which traj.advance runs
+    (at once on large grids). The sigma CG starts from
     traj.extrapolate("sigma", k, like=like): the extrapolation in time of
     traj's own levels, or, given a forward trajectory like of the same grid
     and step count (solve_forward checks it), traj's level k plus like's
     sigma increment over step k. That changes the work, not what is solved.
     The kernels scan nothing: a non-finite value in what the step reads
-    reaches an output or stops a solve, and the five new fields are checked
-    once at the end.
+    reaches an output or stops a solve, and advance checks the five new
+    fields once at the end and names the step in any SolverError.
     """
-    if traj.tau <= 0:
-        raise SolverError("step requires tau > 0")
-    g.run_chains(traj.grid, lambda: _phase_nutrient(traj, k, spec),
+    traj.advance("forward", k, lambda: _phase_nutrient(traj, k, spec),
                  lambda: _chemotaxis(traj, k, u_k, spec, like))
-    traj.check_step(k)
 
 
 def _phase_nutrient(traj: Trajectory, k: int, spec: ModelSpec) -> None:
     """Steps 1 and 2: phi, mu and n at level k + 1 from phi, n and sigma at level k."""
+    if traj.tau <= 0:
+        raise SolverError("step requires tau > 0")
     gr, inv_tau, s_stab = traj.grid, 1.0 / traj.tau, traj.s_stab
     phi, n, sigma = traj.phi[k], traj.n[k], traj.sigma[k]
     # Right-hand sides are updated in place on fresh arrays, such as the
@@ -354,10 +359,7 @@ def solve_forward(
     traj.sigma[0] = init.sigma0
     traj.mu[0] = -g.laplacian(gr, init.phi0) + spec.pot.f_prime(init.phi0)
     for k in range(nt):
-        try:
-            step(traj, k, u.values[k], spec, like)
-        except SolverError as exc:
-            raise SolverError(f"forward step {k} failed: {exc}") from exc
+        step(traj, k, u.values[k], spec, like)
 
     report = InvariantReport(
         mean_phi=traj.phi.mean(axis=(1, 2)),

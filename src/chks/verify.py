@@ -77,8 +77,9 @@ def _smooth_direction(gr: Grid, nt: int, rng: np.random.Generator, modes: int = 
 
 
 def _random_init(gr: Grid, rng: np.random.Generator, phi, a, n, sigma) -> InitialData:
-    """Two-mode random_smooth initial data, each field in its (lo, hi) range."""
-    return InitialData(*(generate_field(gr, f"random_smooth {lo} {hi} 2", rng)
+    """Two-mode (on a 2x2 grid one-mode) random_smooth data, each field in its (lo, hi)."""
+    modes = min(2, max(gr.shape) - 1)
+    return InitialData(*(generate_field(gr, f"random_smooth {lo} {hi} {modes}", rng)
                          for lo, hi in (phi, a, n, sigma)))
 
 
@@ -301,7 +302,7 @@ def energy_stability_worst_increase(gr: Grid, T: float, nt: int, seed: int) -> f
     model = ModelSpec(m=0.0, chi_phi=0.0, c_phi=0.0, c_sigma=0.0)  # regular c1 = 1, h = 0
     rng = np.random.default_rng(seed)
     init = InitialData(
-        phi0=generate_field(gr, "random_smooth 0.05 0.95 3", rng),
+        phi0=generate_field(gr, f"random_smooth 0.05 0.95 {min(3, max(gr.shape) - 1)}", rng),
         a0=np.ones(gr.shape),
         n0=np.zeros(gr.shape),
         sigma0=0.5 * np.ones(gr.shape),

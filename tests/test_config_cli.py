@@ -222,6 +222,20 @@ def test_smooth_direction_matches_meshgrid_loop(grid):
         assert rng.normal() == rng_oracle.normal(), (nt, modes)
 
 
+def test_random_smooth_modes_below_the_larger_grid_side(tmp_path):
+    # On n cell centres, mode k >= n repeats a lower mode (or vanishes), so
+    # a count of max(nx, ny) or more is rejected with its line and key.
+    text = MINIMAL.replace("nx = 8\nny = 8", "nx = 16\nny = 16")
+    cfg = load_config(write_cfg(tmp_path, text.replace("phi0 = constant 0.4",
+                                                       "phi0 = random_smooth 0.3 0.5 15")))
+    assert cfg.init.phi0.min() == pytest.approx(0.3)
+    bad = text.replace("phi0 = constant 0.4", "phi0 = random_smooth 0.3 0.5 16")
+    line_no = bad.splitlines().index("phi0 = random_smooth 0.3 0.5 16") + 1
+    with pytest.raises(ConfigError, match=rf"^line {line_no}: \[initial\] phi0: .*"
+                                          r"modes must lie in \[0, 16\), got 16$"):
+        load_config(write_cfg(tmp_path, bad))
+
+
 def test_field_snapshot_roundtrip_bit_exact(tmp_path):
     grid = Grid(5, 3, 2.0, 1.0)
     data = np.random.default_rng(1).standard_normal(grid.shape)
@@ -355,8 +369,7 @@ def test_cli_rejects_nonfinite_target_generator(tmp_path, capsys, command, old, 
     ("Nt = 8", "Nt = 8\n[optimize]\ntol_stat = -1e-9", "tol_stat = -1e-9"),
     ("Nt = 8", "Nt = 8\n[optimize]\nbacktrack = 2", "backtrack = 2"),
     ("Nt = 8", "Nt = 8\n[optimize]\nbacktrack = 0", "backtrack = 0"),
-    ("Nt = 8", "Nt = 8\n[optimize]\narmijo_c = -1", "armijo_c = -1"),
-    ("Nt = 8", "Nt = 8\n[optimize]\narmijo_c = 1", "armijo_c = 1"),
+    ("Nt = 8", "Nt = 8\n[optimize]\narmijo_c = 1e-4", "armijo_c = 1e-4"),
     ("seed = 7", "seed = -3", "seed = -3"),
     ("potential = regular", "potential = foo", "potential = foo"),
     ("prolif = logistic", "prolif = foo", "prolif = foo"),
@@ -370,7 +383,7 @@ def test_cli_rejects_nonfinite_target_generator(tmp_path, capsys, command, old, 
         "nx_negative", "nx_zero", "lx_negative", "lx_inf", "T_inf", "repeated_key",
         "s_stab_negative", "max_iters_negative", "tol_stat_negative", "tol_stat_tiny_negative",
         "backtrack_above_1", "backtrack_zero",
-        "armijo_c_negative", "armijo_c_one", "seed_negative",
+        "armijo_c_unknown", "seed_negative",
         "potential_unknown", "prolif_unknown", "flux_scheme_unknown", "targets_unknown",
         "phi_q_with_simulation", "phi_omega_with_simulation", "u_true_with_fields"])
 def test_cli_simulate_rejects_bad_statement(tmp_path, capsys, old, new, bad):
@@ -443,6 +456,16 @@ def test_cli_optimize_trivial(tmp_path):
     # final control is zero
     _, u_last = read_field(out / "control_000031.fld")
     assert np.abs(u_last).max() <= 1e-8
+
+
+def test_cli_optimize_solver_failure_names_sweep_and_step(tmp_path, capsys):
+    # b2 = 1e300 makes the adjoint's final data overflow inside a backward
+    # step: exit status 3, with the sweep and step in the message.
+    text = (CONFIG_DIR / "verify.cfg").read_text()
+    assert "\nb2 = 1.0\n" in text
+    bad = write_cfg(tmp_path, text.replace("\nb2 = 1.0\n", "\nb2 = 1e300\n"))
+    assert main(["optimize", str(bad), "--out", str(tmp_path / "o")]) == 3
+    assert capsys.readouterr().err.startswith("solver error: adjoint step ")
 
 
 def test_cli_verify_duality_suite(tmp_path):

@@ -145,21 +145,43 @@ def test_trajectory_extrapolate_both_directions():
     assert traj.extrapolate("x", 1, -1).tobytes() == (2.0 * x[2] - x[3]).tobytes()
 
 
-def test_trajectory_check_step_names_first_nonfinite_field():
+def test_trajectory_advance_names_sweep_step_and_first_nonfinite_field():
     grid = Grid(4, 4)
     traj = Trajectory.zeros(grid, 0.1 * np.arange(5), ("x", "y", "z"))
     traj.y[3, 1, 2] = np.nan
     traj.z[3, 0, 0] = np.inf
-    with pytest.raises(SolverError, match=r"^non-finite y after step 2$"):
-        traj.check_step(2)
-    with pytest.raises(SolverError, match=r"^non-finite y after backward step 3$"):
-        traj.check_step(3, -1)
+    calls = []
+
+    def noop():
+        calls.append(None)
+
+    # Step 2 forward and step 3 backward both write level 3.
+    with pytest.raises(SolverError, match=r"^forward step 2 failed: non-finite y$"):
+        traj.advance("forward", 2, noop, noop)
+    with pytest.raises(SolverError, match=r"^adjoint step 3 failed: non-finite y$"):
+        traj.advance("adjoint", 3, noop, noop, -1)
     traj.y[3] = 0.0
-    with pytest.raises(SolverError, match=r"^non-finite z after step 2$"):
-        traj.check_step(2)
+    with pytest.raises(SolverError, match=r"^tangent step 2 failed: non-finite z$"):
+        traj.advance("tangent", 2, noop, noop)
     # The levels the other steps wrote are finite.
-    traj.check_step(1)
-    traj.check_step(2, -1)
+    traj.advance("forward", 1, noop, noop)
+    traj.advance("adjoint", 2, noop, noop, -1)
+    assert len(calls) == 10
+
+    # A chain's SolverError is named the same way, and its cause is kept.
+    def fails():
+        raise SolverError("helmholtz CG: the rhs norm is not finite")
+
+    with pytest.raises(SolverError, match=r"^adjoint step 0 failed: helmholtz CG: ") as info:
+        traj.advance("adjoint", 0, noop, fails, -1)
+    assert str(info.value.__cause__) == "helmholtz CG: the rhs norm is not finite"
+
+
+def test_step_names_a_nonpositive_tau():
+    grid = Grid(4, 4)
+    traj = Trajectory.zeros(grid, np.zeros(3), ("phi", "mu", "a", "n", "sigma"))
+    with pytest.raises(SolverError, match=r"^forward step 1 failed: step requires tau > 0$"):
+        step(traj, 1, np.zeros(grid.shape), base_model())
 
 
 def test_forward_homogeneous_matches_adaptive_ode_reference():
