@@ -6,7 +6,9 @@
 
 Exit status is 0 iff every monitor or suite passes, 2 for a rejected command
 line or config and 3 for a solver failure. All file formats are described in
-the README; outputs land in --out (default ./out).
+the README; outputs land in --out (default ./out). simulate writes each
+level's snapshots during the sweep, so after a solver failure at step j
+those of levels 0 .. j are on disk, and series.csv is not.
 """
 
 from __future__ import annotations
@@ -15,11 +17,13 @@ import argparse
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from .config import ConfigError, RunConfig, load_config
 from .control_opt import optimize
 from .fields_io import write_csv, write_trajectory
 from .grid import SolverError
-from .state import A_MIN_UPWIND, SIGMA_RANGE, energy_series, solve_forward
+from .state import A_MIN_UPWIND, SIGMA_RANGE, energy, solve_forward
 from .verify import SUITES, run_suites
 
 
@@ -40,12 +44,19 @@ def _series_rows(traj, report, energies) -> list[dict]:
 
 
 def cmd_simulate(cfg: RunConfig, out: Path, strict: bool) -> int:
+    energies = np.empty(cfg.nt + 1)
+
+    # Runs inside the sweep (solve_forward's on_level), so a solver failure
+    # at step j leaves the snapshots of levels 0 .. j and no series.csv.
+    def on_level(traj, k):
+        energies[k] = energy(traj, k, cfg.model)
+        write_trajectory(out, traj.grid, {name: f[k:k + 1] for name, f in traj.fields.items()},
+                         start=k)
+
     traj, report = solve_forward(
         cfg.grid, cfg.model, cfg.init, cfg.u0, cfg.T, cfg.nt,
-        s_stab=cfg.s_stab, flux_scheme=cfg.flux_scheme,
+        s_stab=cfg.s_stab, flux_scheme=cfg.flux_scheme, on_level=on_level,
     )
-    energies = energy_series(traj, cfg.model)
-    write_trajectory(out, traj.grid, traj.fields)
     write_csv(out / "series.csv", _series_rows(traj, report, energies))
     sigma_lo, sigma_hi = report.sigma_min.min(), report.sigma_max.max()
     failures = []

@@ -61,13 +61,19 @@ def write_trajectory(
     grid: Grid,
     fields: dict[str, np.ndarray],
     prefix: str = "",
+    start: int = 0,
 ) -> None:
-    """Write per-step snapshots for each named field array of shape (nsteps, nx, ny)."""
+    """Write per-step snapshots for each named field array of shape (nsteps, nx, ny).
+
+    Entry j of an array is step start + j, so a caller can write a run's
+    levels as they come, one slice f[k:k + 1] with start=k at a time, and
+    get the files that writing the whole array at once gives.
+    """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     for name, arr in fields.items():
-        for k in range(arr.shape[0]):
-            write_field(out / f"{prefix}{name}_{k:06}.fld", grid, arr[k])
+        for j in range(arr.shape[0]):
+            write_field(out / f"{prefix}{name}_{start + j:06}.fld", grid, arr[j])
 
 
 def write_csv(path: str | Path, rows: list[dict]) -> None:

@@ -84,12 +84,14 @@ per-call work is kept to the arithmetic:
   non-finite argument reaches the result through the arithmetic, except
   where the upwind divergence's donor choice passes over it, and
   helmholtz_cg raises SolverError when the norm of its right-hand side is
-  not finite or a p.Ap is not a positive finite number, the loop's only
-  test. The checks live where data enters and at each step's end: the
-  config reader; InitialData.validate, Control.validate and
-  ControlSpec.check_targets; solve_linearized's check of its direction h;
-  and Trajectory.advance, which runs each forward, tangent and adjoint
-  step and checks its five outputs once, before the next step reads them.
+  not finite (then, and only then, it scans b once to say whether b holds a
+  non-finite value or only its norm overflows) or a p.Ap is not a positive
+  finite number, the loop's only test. The checks live where data enters
+  and at each step's end: the config reader; InitialData.validate,
+  Control.validate and ControlSpec.check_targets; solve_linearized's check
+  of its direction h; and Trajectory.advance, which runs each forward,
+  tangent and adjoint step and checks its five outputs once, before the
+  next step reads them.
   A non-finite value made inside a step reaches an output through the
   transforms, so it is caught at that step's end. Its SolverError, like
   every one raised inside a step, names the sweep and the step. One scan,
@@ -114,7 +116,13 @@ per-call work is kept to the arithmetic:
   1.02-1.03 at 112^2, 0.90-1.12 at 128^2, 0.79-0.90 at 144^2, 0.76-1.19 at
   160^2 (0.76-0.81 in a batch of 9 pairs), 0.80-0.90 at 176^2, 0.84-0.89
   at 192^2 and 0.66-0.79 at 256^2. Below the crossover a call is too short
-  to pay for passing the interpreter lock between the threads. scipy.fft's
+  to pay for passing the interpreter lock between the threads. The two
+  chains are not equal: at 256^2 a forward step's phi/mu -> n chain took
+  6.1-10.5 ms and its sigma -> a chain 10.2-17.5 ms, run one after the
+  other (medians over 96 steps, in four batches as the machine's speed
+  drifted). The caller's thread thus had 4-7 ms to spare per step, and
+  chks simulate spends it on solve_forward's on_level hook: one level's
+  energy (1.1-1.8 ms) and five snapshot writes (1.1-1.6 ms). scipy.fft's
   own workers=2, which splits one transform over two threads, stays out:
   400 dctn calls at 256^2 took 0.40-0.45 s serial and 0.30-0.73 s with
   workers=2, varying from batch to batch, against 0.29-0.33 s for two
@@ -451,8 +459,9 @@ def helmholtz_cg(
     an exact guess costs none. The operator is symmetric positive definite,
     so a p.Ap that is not a positive finite number means the iterate broke
     down (or went non-finite) and raises SolverError: the loop's only
-    finiteness check. A non-finite b fails the norm test before the loop;
-    b and x0 are not scanned.
+    finiteness check. A non-finite b, or one whose norm overflows, fails
+    the norm test before the loop, which then scans b once to name the
+    cause; otherwise b and x0 are not scanned.
     """
     alpha = np.asarray(alpha, dtype=float)
     if alpha.shape != grid.shape:
@@ -469,9 +478,14 @@ def helmholtz_cg(
     b_norm = math.sqrt(np.vdot(b, b))
     if b_norm == 0.0:
         return np.zeros_like(b)
-    # An infinite tolerance would let any guess pass the stopping test.
+    # An infinite tolerance would let any guess pass the stopping test. The
+    # norm also overflows for finite entries above about 1e154; one scan of b
+    # tells the two causes apart.
     if not b_norm < math.inf:
-        raise SolverError("helmholtz CG: the rhs norm is not finite")
+        b_max = float(np.abs(b).max())
+        if not b_max < math.inf:
+            raise SolverError("helmholtz CG: the rhs is not finite")
+        raise SolverError(f"helmholtz CG: the rhs norm overflows (max |b| = {b_max:.3g})")
     tol = CG_RELATIVE_TOL * b_norm
     scratch = np.empty_like(b)
     x = np.zeros(grid.shape) if x0 is None else np.array(x0, dtype=float)

@@ -40,15 +40,21 @@ share no level they write:
 
 That independence lets Trajectory.advance, which runs each step of all three
 sweeps and names it in any SolverError, run the two at once on large grids
-with every stored level bitwise that of the order above. Monitors are
-computed from the stored levels after the sweep. solve_forward's report holds
-the per-level reductions (InvariantReport); the monitors of a nonlinear
-function, the mean-ODE residual (h(phi)) and the energy, run one level at a
-time and only when a caller asks for them.
+with every stored level bitwise that of the order above. solve_forward's
+report holds the per-level reductions (InvariantReport), computed from the
+stored levels after the sweep. The monitors of a nonlinear function, the
+mean-ODE residual (h(phi)) and the energy, run one level at a time and only
+when a caller asks for them: after the sweep, or during it through
+solve_forward's on_level hook, which sees each level as soon as it is
+stored. Step k calls the hook for level k on the calling thread ahead of its
+phi/mu -> n chain, so on large grids the hook's work overlaps the worker's
+sigma -> a chain; it reads only levels up to k, which no chain of step k
+writes.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -247,7 +253,7 @@ class InvariantReport:
 
 def step(
     traj: Trajectory, k: int, u_k: np.ndarray, spec: ModelSpec,
-    like: Trajectory | None = None,
+    like: Trajectory | None = None, on_level: Callable[[Trajectory, int], None] | None = None,
 ) -> None:
     """Advance the forward sweep one IMEX step, from stored level k to k + 1.
 
@@ -262,9 +268,16 @@ def step(
     The kernels scan nothing: a non-finite value in what the step reads
     reaches an output or stops a solve, and advance checks the five new
     fields once at the end and names the step in any SolverError.
+    on_level(traj, k), if given, runs at the head of the phi/mu -> n chain,
+    on the calling thread; it may read levels up to k, which the step does
+    not write, and while it runs on a large grid the worker runs sigma -> a.
     """
-    traj.advance("forward", k, lambda: _phase_nutrient(traj, k, spec),
-                 lambda: _chemotaxis(traj, k, u_k, spec, like))
+    def first():
+        if on_level is not None:
+            on_level(traj, k)
+        _phase_nutrient(traj, k, spec)
+
+    traj.advance("forward", k, first, lambda: _chemotaxis(traj, k, u_k, spec, like))
 
 
 def _phase_nutrient(traj: Trajectory, k: int, spec: ModelSpec) -> None:
@@ -327,6 +340,7 @@ def solve_forward(
     flux_scheme: str = "centered",
     check_admissibility: bool = True,
     like: Trajectory | None = None,
+    on_level: Callable[[Trajectory, int], None] | None = None,
 ) -> tuple[Trajectory, InvariantReport]:
     """Integrate the system on [0, T] with nt uniform steps.
 
@@ -335,9 +349,15 @@ def solve_forward(
     deliberately degenerate data (used by the verification suites). like
     is an optional forward trajectory on the same grid with nt steps, such
     as the solve for a nearby control, whose sigma increments start each
-    step's CG (see step); any other like raises ValueError. Returns the
-    trajectory and its per-level monitors; check_mean_ode and energy_series
-    compute the others.
+    step's CG (see step); any other like raises ValueError.
+
+    on_level(traj, k), if given, is called once for each stored level
+    k = 0 .. nt, in order, and may read levels 0 .. k only: for k < nt
+    inside step k, ahead of its phi/mu -> n chain (see step), and for nt
+    after the last step. It must not write into traj, and an error it
+    raises ends the solve. After a SolverError at step j it has seen levels
+    0 .. j. Returns the trajectory and its per-level monitors;
+    check_mean_ode and energy_series compute the others.
     """
     if nt < 1:
         raise ValueError("nt must be at least 1")
@@ -359,7 +379,9 @@ def solve_forward(
     traj.sigma[0] = init.sigma0
     traj.mu[0] = -g.laplacian(gr, init.phi0) + spec.pot.f_prime(init.phi0)
     for k in range(nt):
-        step(traj, k, u.values[k], spec, like)
+        step(traj, k, u.values[k], spec, like, on_level)
+    if on_level is not None:
+        on_level(traj, nt)
 
     report = InvariantReport(
         mean_phi=traj.phi.mean(axis=(1, 2)),

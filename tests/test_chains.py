@@ -2,13 +2,15 @@
 
 Every test runs on a grid just at the size where grid.run_chains hands the
 second chain to its worker thread, and forces the serial path by raising
-grid.CONCURRENT_MIN_CELLS out of reach.
+grid.CONCURRENT_MIN_CELLS out of reach. The on_level hook's contract is
+also checked on the bundled 16x16 verify config, where the chains are serial.
 """
 
 import math
 import multiprocessing
 import threading
 import time
+from pathlib import Path
 from queue import Empty
 
 import numpy as np
@@ -16,6 +18,9 @@ import pytest
 
 from chks import grid as grid_mod
 from chks.adjoint import ControlSpec, solve_adjoint
+from chks.cli import cmd_simulate
+from chks.config import load_config
+from chks.fields_io import read_field, write_trajectory
 from chks.grid import Grid, SolverError
 from chks.linearized import solve_linearized
 from chks.state import Control, InitialData, Trajectory, solve_forward, step
@@ -26,6 +31,7 @@ from test_state import base_model, make_random_init
 SIDE = 144
 NT = 3
 T = 0.05
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 
 def serial(monkeypatch):
@@ -233,3 +239,68 @@ def test_forked_child_gets_its_own_worker(reference):
     assert matched is not None, "the forked child's sweep did not finish"
     assert matched
     assert child.exitcode == 0
+
+
+def _verify_forward_args():
+    cfg = load_config(CONFIG_DIR / "verify.cfg")
+    return (cfg.grid, cfg.model, cfg.init, cfg.u0, cfg.T, cfg.nt), {"s_stab": cfg.s_stab}
+
+
+def _problem_forward_args():
+    problem = Problem()
+    return (problem.grid, problem.spec, problem.init, problem.u, T, NT), {}
+
+
+@pytest.mark.parametrize("forward_args", [_verify_forward_args, _problem_forward_args],
+                         ids=["verify-16", "concurrent-144"])
+def test_on_level_sees_each_finished_level_once_in_order(forward_args):
+    args, kwargs = forward_args()
+    plain, plain_report = solve_forward(*args, **kwargs)
+    seen, threads = [], set()
+
+    def on_level(traj, k):
+        threads.add(threading.current_thread())
+        seen.append((k, {name: f[:k + 1].copy() for name, f in traj.fields.items()}))
+
+    traj, report = solve_forward(*args, **kwargs, on_level=on_level)
+    assert [k for k, _ in seen] == list(range(traj.nt + 1))
+    assert threads == {threading.current_thread()}
+    for k, levels in seen:
+        for name, f in levels.items():
+            assert f.tobytes() == traj.fields[name][:k + 1].tobytes(), (k, name)
+    for name, f in plain.fields.items():
+        assert f.tobytes() == traj.fields[name].tobytes(), name
+    for name, column in vars(plain_report).items():
+        assert column.tobytes() == getattr(report, name).tobytes(), name
+
+
+def test_simulate_writes_the_same_bytes_concurrent_and_serial(tmp_path, monkeypatch):
+    # cmd_simulate writes each level from its on_level hook, which overlaps
+    # the worker's chain at this size; the serial run must write the same files.
+    text = (CONFIG_DIR / "simulate.cfg").read_text()
+    for old, new in (("nx = 16", f"nx = {SIDE}"), ("ny = 16", f"ny = {SIDE}"),
+                     ("Nt = 32", f"Nt = {NT}")):
+        assert f"\n{old}\n" in text
+        text = text.replace(f"\n{old}\n", f"\n{new}\n")
+    path = tmp_path / "simulate-144.cfg"
+    path.write_text(text)
+    cfg = load_config(path)
+    assert cfg.grid.nx * cfg.grid.ny >= grid_mod.CONCURRENT_MIN_CELLS
+    assert cmd_simulate(cfg, tmp_path / "concurrent", strict=False) == 0
+    with monkeypatch.context() as m:
+        m.setattr(grid_mod, "CONCURRENT_MIN_CELLS", SIDE * SIDE + 1)
+        assert cmd_simulate(cfg, tmp_path / "serial", strict=False) == 0
+    names = sorted(p.name for p in (tmp_path / "serial").iterdir())
+    assert len(names) == 5 * (NT + 1) + 1 and "series.csv" in names
+    assert sorted(p.name for p in (tmp_path / "concurrent").iterdir()) == names
+    for name in names:
+        assert ((tmp_path / "concurrent" / name).read_bytes()
+                == (tmp_path / "serial" / name).read_bytes()), name
+
+    # One level written on its own, with start, gets that level's file name.
+    k = 2
+    grid, phi_k = read_field(tmp_path / "serial" / f"phi_{k:06}.fld")
+    write_trajectory(tmp_path / "one", grid, {"phi": phi_k[None]}, start=k)
+    assert [p.name for p in (tmp_path / "one").iterdir()] == ["phi_000002.fld"]
+    assert ((tmp_path / "one" / "phi_000002.fld").read_bytes()
+            == (tmp_path / "serial" / "phi_000002.fld").read_bytes())

@@ -468,6 +468,23 @@ def test_cli_optimize_solver_failure_names_sweep_and_step(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("solver error: adjoint step ")
 
 
+def test_cli_simulate_solver_failure_keeps_the_levels_written(tmp_path, capsys):
+    # A finite but huge control overflows the sigma CG's rhs norm at step 1.
+    # Levels 0 and 1 were written during the sweep and stay on disk;
+    # series.csv, written after the sweep, is not.
+    text = (CONFIG_DIR / "simulate.cfg").read_text()
+    for old, new in (("u_max = 1.0", "u_max = 1e300"),
+                     ("u0 = constant 0.3", "u0 = constant 1e300")):
+        assert f"\n{old}\n" in text
+        text = text.replace(f"\n{old}\n", f"\n{new}\n")
+    out = tmp_path / "o"
+    assert main(["simulate", str(write_cfg(tmp_path, text)), "--out", str(out)]) == 3
+    assert capsys.readouterr().err.startswith(
+        "solver error: forward step 1 failed: helmholtz CG: the rhs norm overflows")
+    assert sorted(p.name for p in out.iterdir()) == sorted(
+        f"{name}_{k:06}.fld" for name in ("phi", "mu", "a", "n", "sigma") for k in (0, 1))
+
+
 def test_cli_verify_duality_suite(tmp_path):
     out = tmp_path / "ver"
     rc = main(["verify", str(CONFIG_DIR / "verify.cfg"), "--suite", "duality",

@@ -523,8 +523,26 @@ def test_unchecked_cg_rejects_nonfinite_rhs():
         b = rng.standard_normal(grid.shape)
         b[2, 3] = value
         for guess in (None, np.zeros(grid.shape)):
-            with pytest.raises(SolverError, match="rhs norm"):
+            with pytest.raises(SolverError, match="^helmholtz CG: the rhs is not finite$"):
                 helmholtz_cg(grid, b, alpha, guess)
+
+
+def test_cg_tells_an_overflowing_rhs_norm_from_a_nonfinite_rhs():
+    # Finite entries above about 1e154 overflow ||b||; the message then
+    # gives the largest |b|. An infinity or NaN among them is still named
+    # as a non-finite rhs.
+    grid = Grid(16, 16)
+    rng = np.random.default_rng(23)
+    alpha = 1.0 + rng.random(grid.shape)
+    b = rng.standard_normal(grid.shape)
+    b[4, 11] = -4.69e297
+    with pytest.raises(SolverError, match=r"^helmholtz CG: the rhs norm overflows "
+                                          r"\(max \|b\| = 4\.69e\+297\)$"):
+        helmholtz_cg(grid, b, alpha)
+    for value in (np.nan, np.inf, -np.inf):
+        b[9, 2] = value
+        with pytest.raises(SolverError, match="^helmholtz CG: the rhs is not finite$"):
+            helmholtz_cg(grid, b, alpha, np.zeros(grid.shape))
 
 
 def test_ch_block_interleaved_parameters_use_their_own_factors():
