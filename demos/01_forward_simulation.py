@@ -18,7 +18,7 @@ from chks import (
     PotentialSpec,
     ProliferationSpec,
     check_mean_ode,
-    energy_series,
+    energy,
     solve_forward,
 )
 
@@ -64,9 +64,8 @@ print(f"  mean-ODE residual {check_mean_ode(traj, model):.3e}  (O(tau) by constr
 print(f"  clamp events      {report.clamp_events.sum()}")
 
 print("\n energy along the run (should relax smoothly):")
-energies = energy_series(traj, model)
 for k in range(0, nt + 1, 8):
-    print(f"  t = {traj.times[k]:.3f}   E = {energies[k]:+.6f}   "
+    print(f"  t = {traj.times[k]:.3f}   E = {energy(traj, k, model):+.6f}   "
           f"mean(phi) = {report.mean_phi[k]:.5f}")
 
 # Trajectories can be persisted in the snapshot format for later analysis.

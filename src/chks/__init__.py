@@ -29,7 +29,6 @@ from .state import (
     Trajectory,
     check_mean_ode,
     energy,
-    energy_series,
     solve_forward,
     step,
     trajectory_distance,

@@ -6,9 +6,11 @@
 
 Exit status is 0 iff every monitor or suite passes, 2 for a rejected command
 line or config and 3 for a solver failure. All file formats are described in
-the README; outputs land in --out (default ./out). simulate writes each
+the README; outputs land in --out (default ./out). Each command first
+deletes the CSV files it writes from --out, so a CSV there always comes from
+a completed run; snapshots are overwritten in place. simulate writes each
 level's snapshots during the sweep, so after a solver failure at step j
-those of levels 0 .. j are on disk, and series.csv is not.
+those of levels 0 .. j are this run's, and series.csv is not on disk.
 """
 
 from __future__ import annotations
@@ -44,6 +46,8 @@ def _series_rows(traj, report, energies) -> list[dict]:
 
 
 def cmd_simulate(cfg: RunConfig, out: Path, strict: bool) -> int:
+    series = out / "series.csv"
+    series.unlink(missing_ok=True)
     energies = np.empty(cfg.nt + 1)
 
     # Runs inside the sweep (solve_forward's on_level), so a solver failure
@@ -57,7 +61,7 @@ def cmd_simulate(cfg: RunConfig, out: Path, strict: bool) -> int:
         cfg.grid, cfg.model, cfg.init, cfg.u0, cfg.T, cfg.nt,
         s_stab=cfg.s_stab, flux_scheme=cfg.flux_scheme, on_level=on_level,
     )
-    write_csv(out / "series.csv", _series_rows(traj, report, energies))
+    write_csv(series, _series_rows(traj, report, energies))
     sigma_lo, sigma_hi = report.sigma_min.min(), report.sigma_max.max()
     failures = []
     if sigma_lo < SIGMA_RANGE[0] or sigma_hi > SIGMA_RANGE[1]:
@@ -75,6 +79,8 @@ def cmd_simulate(cfg: RunConfig, out: Path, strict: bool) -> int:
 
 
 def cmd_optimize(cfg: RunConfig, out: Path) -> int:
+    table = out / "optimize.csv"
+    table.unlink(missing_ok=True)
     result = optimize(
         cfg.grid, cfg.model, cfg.init, cfg.control_spec, cfg.u0, cfg.T, cfg.nt, cfg.opts
     )
@@ -89,7 +95,7 @@ def cmd_optimize(cfg: RunConfig, out: Path) -> int:
         }
         for i in range(len(result.cost_history))
     ]
-    write_csv(out / "optimize.csv", rows)
+    write_csv(table, rows)
     write_trajectory(out, cfg.grid, {"control": result.u_star.values})
     write_trajectory(out, cfg.grid, result.trajectory.fields)
     write_trajectory(out, cfg.grid, result.adjoint.fields, prefix="adj_")
@@ -101,15 +107,18 @@ def cmd_optimize(cfg: RunConfig, out: Path) -> int:
 
 
 def cmd_verify(cfg: RunConfig, out: Path, suite: str) -> int:
+    report, duality = out / "verify_report.csv", out / "duality.csv"
+    for path in (report, duality):
+        path.unlink(missing_ok=True)
     results = run_suites(cfg, suite)
-    write_csv(out / "verify_report.csv", [r.row() for r in results])
+    write_csv(report, [r.row() for r in results])
     duality_rows = [
         {"tau": f"{cfg.tau / (2 ** i):.9g}", "residual": f"{r.value:.9e}"}
         for i, r in enumerate(r for r in results if r.suite == "duality"
                               and r.check.startswith("residual"))
     ]
     if duality_rows:
-        write_csv(out / "duality.csv", duality_rows)
+        write_csv(duality, duality_rows)
     ok = True
     for r in results:
         status = "pass" if r.passed else "FAIL"

@@ -24,6 +24,10 @@ The mirrored 5-point Laplacian is diagonalized by the orthonormal DCT-II,
 with 1-D eigenvalues -(2/h^2)(1 - cos(pi*k/n)); this makes the implicit
 solves exact direct solves.
 
+The module holds kernels and their read-only caches only, so two threads
+may call them at once, as Trajectory.advance (chks.state) does with the two
+chains of a sweep step on large grids.
+
 Cost per call
 -------------
 The sweeps call these kernels thousands of times on the same grid, so the
@@ -101,42 +105,11 @@ per-call work is kept to the arithmetic:
   any NaN or infinity; the scalars of helmholtz_direct and ch_block_solve, by
   math.isfinite, 0.07 us per call against 1.0 us for np.isfinite on a
   Python float (two x86-64 cores).
-- A step of each sweep is two chains of these calls that share no level
-  they write (see the state, linearized and adjoint docstrings).
-  run_chains runs the later chain in the serial order on one persistent
-  worker thread while the caller runs the earlier one, on grids of at
-  least CONCURRENT_MIN_CELLS = 144^2 cells, and one after the other on
-  smaller grids. pocketfft and numpy release the interpreter lock on such
-  arrays, and each chain makes the same calls on the same inputs, so the
-  results are bitwise those of the serial order. The crossover is measured
-  in-process: sweep time concurrent over serial, per sweep, for the
-  forward, adjoint and tangent sweeps of configs/verify.cfg (32 steps) on
-  square grids, medians of 5-11 interleaved pairs, two x86-64 cores, BLAS
-  on one thread: 2.5-2.8 at 32^2, 1.54-1.58 at 64^2, 1.02-1.21 at 96^2,
-  1.02-1.03 at 112^2, 0.90-1.12 at 128^2, 0.79-0.90 at 144^2, 0.76-1.19 at
-  160^2 (0.76-0.81 in a batch of 9 pairs), 0.80-0.90 at 176^2, 0.84-0.89
-  at 192^2 and 0.66-0.79 at 256^2. Below the crossover a call is too short
-  to pay for passing the interpreter lock between the threads. The two
-  chains are not equal: at 256^2 a forward step's phi/mu -> n chain took
-  6.1-10.5 ms and its sigma -> a chain 10.2-17.5 ms, run one after the
-  other (medians over 96 steps, in four batches as the machine's speed
-  drifted). The caller's thread thus had 4-7 ms to spare per step, and
-  chks simulate spends it on solve_forward's on_level hook: one level's
-  energy (1.1-1.8 ms) and five snapshot writes (1.1-1.6 ms). scipy.fft's
-  own workers=2, which splits one transform over two threads, stays out:
-  400 dctn calls at 256^2 took 0.40-0.45 s serial and 0.30-0.73 s with
-  workers=2, varying from batch to batch, against 0.29-0.33 s for two
-  threads that each transform their own array. It would share only the
-  transforms, about half of a step, and on two cores it would compete with
-  the worker.
 """
 
 from __future__ import annotations
 
 import math
-import os
-from collections.abc import Callable
-from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -150,9 +123,6 @@ CG_MAX_ITER_FACTOR = 10
 # Largest grid side at which a 2-D DCT is done by dense matrix products; see
 # the module docstring for the measured crossover against scipy.fft.
 DENSE_DCT_MAX = 64
-# Fewest cells at which run_chains runs the two chains of a sweep step at
-# once; see the module docstring for the measured crossover.
-CONCURRENT_MIN_CELLS = 144 * 144
 # The schemes divergence accepts for its face coefficient.
 FLUX_SCHEMES = ("centered", "upwind")
 
@@ -197,49 +167,6 @@ class Grid:
         x = (np.arange(self.nx) + 0.5) * self.hx
         y = (np.arange(self.ny) + 0.5) * self.hy
         return np.meshgrid(x, y, indexing="ij")
-
-
-_CHAIN_WORKER: ThreadPoolExecutor
-
-
-def _new_chain_worker() -> None:
-    """Bind the one thread that run_chains hands the second chain of a step.
-
-    The executor starts the thread on first use. A forked child binds a new
-    executor, since the parent's thread does not exist there.
-    """
-    global _CHAIN_WORKER
-    _CHAIN_WORKER = ThreadPoolExecutor(max_workers=1, thread_name_prefix="chks-chain")
-
-
-_new_chain_worker()
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_new_chain_worker)
-
-
-def run_chains(grid: Grid, first: Callable[[], None], second: Callable[[], None]) -> None:
-    """Run first() and second(), two chains of one sweep step that share no data.
-
-    Neither chain may read what the other writes. On grids of at least
-    CONCURRENT_MIN_CELLS cells the worker thread runs second while the
-    caller runs first; on smaller grids they run one after the other. Each
-    chain makes the same calls on the same inputs either way, so the
-    results are bitwise the same. An error is the one the serial order
-    meets first: first's if it raised, else second's. Both chains have
-    finished when this returns or raises, so no write lands later; after an
-    error, though, the levels that second writes may hold its results where
-    the serial order never ran it.
-    """
-    if grid.nx * grid.ny < CONCURRENT_MIN_CELLS:
-        first()
-        second()
-        return
-    later = _CHAIN_WORKER.submit(second)
-    try:
-        first()
-    finally:
-        wait((later,))
-    later.result()
 
 
 def _face_pairs(f: np.ndarray):
@@ -306,12 +233,14 @@ def divergence(
     The flux c_face*(f_high - f_low)/h lives on interior faces only, so the
     no-flux condition holds by construction. scheme='centered' takes the
     mean of the two adjacent cells for c_face; scheme='upwind' the donor
-    cell on the side the flux leaves, the low side where the face
-    difference of upwind_by (f when None) is positive. Passing the base
-    state's sigma as upwind_by keeps its donor cells, which is the
-    derivative of the upwind flux away from faces where its gradient
-    vanishes. A NaN in c or upwind_by need not reach the upwind result,
-    whose donor choice can pass over it, so pass only checked fields.
+    cell on the side the flux leaves: the low cell where upwind_by (f when
+    None) is larger in the high cell, else the high cell. For f this test
+    agrees with a positive face difference for every pair of doubles,
+    signed zeros, inf and NaN included. Passing the base state's sigma as
+    upwind_by keeps its donor cells, which is the derivative of the upwind
+    flux away from faces where its gradient vanishes. A NaN in c or
+    upwind_by need not reach the upwind result, whose donor choice can pass
+    over it, so pass only checked fields.
     """
     if scheme not in FLUX_SCHEMES:
         raise ValueError(f"unknown chemotaxis flux scheme: {scheme!r}")
@@ -328,7 +257,7 @@ def divergence(
             coef = c_lo + c_hi
             coef *= 0.5 / h**2
         else:
-            coef = np.where(face > 0.0 if upwind_by is f else s_hi > s_lo, c_lo, c_hi)
+            coef = np.where(s_hi > s_lo, c_lo, c_hi)
             coef *= 1.0 / h**2
         face *= coef
     return _to_cells(bx, by, ny, np.subtract)

@@ -50,11 +50,41 @@ stored. Step k calls the hook for level k on the calling thread ahead of its
 phi/mu -> n chain, so on large grids the hook's work overlaps the worker's
 sigma -> a chain; it reads only levels up to k, which no chain of step k
 writes.
+
+Two chains at once
+------------------
+On grids of at least CONCURRENT_MIN_CELLS = 144^2 cells, advance runs a
+step's later chain in the serial order on one persistent worker thread
+while the caller runs the earlier one; on smaller grids it runs them one
+after the other. pocketfft and numpy release the interpreter lock on such
+arrays, and each chain makes the same calls on the same inputs, so the
+results are bitwise those of the serial order. The crossover is measured
+in-process: sweep time concurrent over serial, per sweep, for the forward,
+adjoint and tangent sweeps of configs/verify.cfg (32 steps) on square
+grids, medians of 5-11 interleaved pairs, two x86-64 cores, BLAS on one
+thread: 2.5-2.8 at 32^2, 1.54-1.58 at 64^2, 1.02-1.21 at 96^2, 1.02-1.03 at
+112^2, 0.90-1.12 at 128^2, 0.79-0.90 at 144^2, 0.76-1.19 at 160^2
+(0.76-0.81 in a batch of 9 pairs), 0.80-0.90 at 176^2, 0.84-0.89 at 192^2
+and 0.66-0.79 at 256^2. Below the crossover a call is too short to pay for
+passing the interpreter lock between the threads. The two chains are not
+equal: at 256^2 a forward step's phi/mu -> n chain took 6.1-10.5 ms and its
+sigma -> a chain 10.2-17.5 ms, run one after the other (medians over 96
+steps, in four batches as the machine's speed drifted). The caller's thread
+thus had 4-7 ms to spare per step, and chks simulate spends it on the
+on_level hook: one level's energy (1.1-1.8 ms) and five snapshot writes
+(1.1-1.6 ms). scipy.fft's own workers=2, which splits one transform over
+two threads, stays out: 400 dctn calls at 256^2 took 0.40-0.45 s serial and
+0.30-0.73 s with workers=2, varying from batch to batch, against
+0.29-0.33 s for two threads that each transform their own array. It would
+share only the transforms, about half of a step, and on two cores it would
+compete with the worker.
 """
 
 from __future__ import annotations
 
+import os
 from collections.abc import Callable
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -68,6 +98,27 @@ from .potentials import (
     default_s_stab,
     derive_constants,
 )
+
+# Fewest cells at which Trajectory.advance runs a step's two chains at once;
+# see "Two chains at once" in the module docstring.
+CONCURRENT_MIN_CELLS = 144 * 144
+
+_CHAIN_WORKER: ThreadPoolExecutor
+
+
+def _new_chain_worker() -> None:
+    """Bind the one thread that Trajectory.advance hands a step's second chain.
+
+    The executor starts the thread on first use. A forked child binds a new
+    executor, since the parent's thread does not exist there.
+    """
+    global _CHAIN_WORKER
+    _CHAIN_WORKER = ThreadPoolExecutor(max_workers=1, thread_name_prefix="chks-chain")
+
+
+_new_chain_worker()
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_new_chain_worker)
 
 
 @dataclass
@@ -218,13 +269,34 @@ class Trajectory:
             raise ValueError("like must have the grid, the step count and the fields of the solve")
 
     def advance(self, sweep: str, k: int, first, second, direction: int = 1) -> None:
-        """Run step k's two chains through grid.run_chains, then check the
-        level it wrote (k + 1 forward, k backward). A SolverError from either,
-        or the first non-finite field of that level, is raised again as
-        "<sweep> step k failed: <cause>"."""
+        """Run step k of a sweep, its two chains first() then second(), and
+        check the level it wrote (k + 1 forward, k backward).
+
+        Neither chain may read what the other writes. Below
+        CONCURRENT_MIN_CELLS cells they run one after the other; from there
+        the worker thread runs second while the caller runs first. Each
+        chain makes the same calls on the same inputs either way, so every
+        stored level is bitwise that of the serial order. Both chains have
+        finished before the check, and before any error leaves, so no write
+        lands later; after an error, though, the levels that second writes
+        may hold its results where the serial order never ran it. The error
+        is the one the serial order meets first: first's, else second's,
+        else "non-finite <name>" for the first non-finite field of the new
+        level. A SolverError is raised again as
+        "<sweep> step k failed: <cause>"; any other error passes unchanged.
+        """
         level = k + 1 if direction > 0 else k
         try:
-            g.run_chains(self.grid, first, second)
+            if self.grid.nx * self.grid.ny < CONCURRENT_MIN_CELLS:
+                first()
+                second()
+            else:
+                later = _CHAIN_WORKER.submit(second)
+                try:
+                    first()
+                finally:
+                    wait((later,))
+                later.result()
             for name, f in self.fields.items():
                 if not np.isfinite(f[level]).all():
                     raise SolverError(f"non-finite {name}")
@@ -272,61 +344,56 @@ def step(
     on the calling thread; it may read levels up to k, which the step does
     not write, and while it runs on a large grid the worker runs sigma -> a.
     """
-    def first():
-        if on_level is not None:
-            on_level(traj, k)
-        _phase_nutrient(traj, k, spec)
-
-    traj.advance("forward", k, first, lambda: _chemotaxis(traj, k, u_k, spec, like))
-
-
-def _phase_nutrient(traj: Trajectory, k: int, spec: ModelSpec) -> None:
-    """Steps 1 and 2: phi, mu and n at level k + 1 from phi, n and sigma at level k."""
-    if traj.tau <= 0:
-        raise SolverError("step requires tau > 0")
-    gr, inv_tau, s_stab = traj.grid, 1.0 / traj.tau, traj.s_stab
-    phi, n, sigma = traj.phi[k], traj.n[k], traj.sigma[k]
+    gr = traj.grid
     # Right-hand sides are updated in place on fresh arrays, such as the
     # results of h_value, f_prime, divergence and laplacian, in both chains.
 
-    # 1. phi/mu block. m is implicit via the effective step.
-    tau_eff = 1.0 / (inv_tau + spec.m)
-    rhs_phi = spec.prolif.h_value(phi)
-    rhs_phi += phi * inv_tau
-    rhs_phi -= spec.chi_phi * g.laplacian(gr, n)
-    rhs_mu = spec.pot.f_prime(phi)
-    np.subtract(s_stab * phi, rhs_mu, out=rhs_mu)
-    traj.phi[k + 1], traj.mu[k + 1] = g.ch_block_solve(gr, rhs_phi, rhs_mu, tau_eff, s_stab)
+    def phase_nutrient() -> None:
+        """Steps 1 and 2: phi, mu and n at level k + 1 from phi, n and sigma at level k."""
+        if on_level is not None:
+            on_level(traj, k)
+        if traj.tau <= 0:
+            raise SolverError("step requires tau > 0")
+        inv_tau, s_stab = 1.0 / traj.tau, traj.s_stab
+        phi, n, sigma = traj.phi[k], traj.n[k], traj.sigma[k]
 
-    # 2. n: implicit diffusion, explicit reactions, new phi.
-    rhs_n = n * (inv_tau + spec.c_n)
-    rhs_n += (spec.chi_phi + spec.c_phi) * traj.phi[k + 1]
-    rhs_n += spec.c_sigma * sigma + spec.c_0
-    traj.n[k + 1] = g.helmholtz_direct(gr, rhs_n, inv_tau)
+        # 1. phi/mu block. m is implicit via the effective step.
+        tau_eff = 1.0 / (inv_tau + spec.m)
+        rhs_phi = spec.prolif.h_value(phi)
+        rhs_phi += phi * inv_tau
+        rhs_phi -= spec.chi_phi * g.laplacian(gr, n)
+        rhs_mu = spec.pot.f_prime(phi)
+        np.subtract(s_stab * phi, rhs_mu, out=rhs_mu)
+        traj.phi[k + 1], traj.mu[k + 1] = g.ch_block_solve(gr, rhs_phi, rhs_mu, tau_eff, s_stab)
 
+        # 2. n: implicit diffusion, explicit reactions, new phi.
+        rhs_n = n * (inv_tau + spec.c_n)
+        rhs_n += (spec.chi_phi + spec.c_phi) * traj.phi[k + 1]
+        rhs_n += spec.c_sigma * sigma + spec.c_0
+        traj.n[k + 1] = g.helmholtz_direct(gr, rhs_n, inv_tau)
 
-def _chemotaxis(
-    traj: Trajectory, k: int, u_k: np.ndarray, spec: ModelSpec, like: Trajectory | None
-) -> None:
-    """Steps 3 and 4: sigma and a at level k + 1 from a and sigma at levels up to k."""
-    gr, inv_tau = traj.grid, 1.0 / traj.tau
-    a, sigma = traj.a[k], traj.sigma[k]
+    def chemotaxis() -> None:
+        """Steps 3 and 4: sigma and a at level k + 1 from a and sigma at levels up to k."""
+        inv_tau = 1.0 / traj.tau
+        a, sigma = traj.a[k], traj.sigma[k]
 
-    # 3. sigma: monotone implicit reaction with frozen a >= 0.
-    a_frozen = np.maximum(a, 0.0)
-    rhs_sigma = sigma * inv_tau
-    rhs_sigma += spec.chi_a * a_frozen + 1.0
-    traj.sigma[k + 1] = g.helmholtz_cg(
-        gr, rhs_sigma, (inv_tau + 1.0) + a_frozen, traj.extrapolate("sigma", k, like=like)
-    )
+        # 3. sigma: monotone implicit reaction with frozen a >= 0.
+        a_frozen = np.maximum(a, 0.0)
+        rhs_sigma = sigma * inv_tau
+        rhs_sigma += spec.chi_a * a_frozen + 1.0
+        traj.sigma[k + 1] = g.helmholtz_cg(
+            gr, rhs_sigma, (inv_tau + 1.0) + a_frozen, traj.extrapolate("sigma", k, like=like)
+        )
 
-    # 4. a: implicit diffusion, explicit chemotaxis against new sigma;
-    # a/tau + a - a^2 is formed as a*((1/tau + 1) - a).
-    rhs_a = g.divergence(gr, a, traj.sigma[k + 1], traj.flux_scheme)
-    rhs_a *= -spec.chi_a
-    rhs_a += a * ((inv_tau + 1.0) - a)
-    rhs_a += u_k
-    traj.a[k + 1] = g.helmholtz_direct(gr, rhs_a, inv_tau)
+        # 4. a: implicit diffusion, explicit chemotaxis against new sigma;
+        # a/tau + a - a^2 is formed as a*((1/tau + 1) - a).
+        rhs_a = g.divergence(gr, a, traj.sigma[k + 1], traj.flux_scheme)
+        rhs_a *= -spec.chi_a
+        rhs_a += a * ((inv_tau + 1.0) - a)
+        rhs_a += u_k
+        traj.a[k + 1] = g.helmholtz_direct(gr, rhs_a, inv_tau)
+
+    traj.advance("forward", k, phase_nutrient, chemotaxis)
 
 
 def solve_forward(
@@ -357,7 +424,7 @@ def solve_forward(
     after the last step. It must not write into traj, and an error it
     raises ends the solve. After a SolverError at step j it has seen levels
     0 .. j. Returns the trajectory and its per-level monitors;
-    check_mean_ode and energy_series compute the others.
+    check_mean_ode and energy compute the others.
     """
     if nt < 1:
         raise ValueError("nt must be at least 1")
@@ -412,13 +479,6 @@ def energy(traj: Trajectory, k: int, spec: ModelSpec) -> float:
     )
     pot = area * float(np.sum(spec.pot.f_value(phi)))
     return ent + coup + grads + pot
-
-
-def energy_series(traj: Trajectory, spec: ModelSpec) -> np.ndarray:
-    """Free energy of each stored level of a forward trajectory."""
-    # Per level, as h(phi) in mean_ode_residuals: whole-trajectory temporaries
-    # would raise the peak memory of a 256^2 run.
-    return np.array([energy(traj, k, spec) for k in range(traj.nt + 1)])
 
 
 def energy_phi_part(gr: Grid, phi: np.ndarray, spec: ModelSpec) -> float:

@@ -1,8 +1,8 @@
 """The two chains of a sweep step: concurrent on large grids, serial below.
 
-Every test runs on a grid just at the size where grid.run_chains hands the
-second chain to its worker thread, and forces the serial path by raising
-grid.CONCURRENT_MIN_CELLS out of reach. The on_level hook's contract is
+Every test runs on a grid just at the size where Trajectory.advance hands
+the second chain to its worker thread, and forces the serial path by raising
+state.CONCURRENT_MIN_CELLS out of reach. The on_level hook's contract is
 also checked on the bundled 16x16 verify config, where the chains are serial.
 """
 
@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 
 from chks import grid as grid_mod
+from chks import state as state_mod
 from chks.adjoint import ControlSpec, solve_adjoint
 from chks.cli import cmd_simulate
 from chks.config import load_config
@@ -35,7 +36,7 @@ CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 
 def serial(monkeypatch):
-    monkeypatch.setattr(grid_mod, "CONCURRENT_MIN_CELLS", math.inf)
+    monkeypatch.setattr(state_mod, "CONCURRENT_MIN_CELLS", math.inf)
 
 
 def checked_block_solve(monkeypatch):
@@ -55,7 +56,7 @@ def checked_block_solve(monkeypatch):
 class Problem:
     def __init__(self, scheme="centered"):
         self.grid = Grid(SIDE, SIDE)
-        assert SIDE * SIDE >= grid_mod.CONCURRENT_MIN_CELLS
+        assert SIDE * SIDE >= state_mod.CONCURRENT_MIN_CELLS
         self.spec = base_model()
         self.init = make_random_init(self.grid, 12)
         self.u = Control(0.4 * np.ones((NT, SIDE, SIDE)), 1.0)
@@ -285,10 +286,10 @@ def test_simulate_writes_the_same_bytes_concurrent_and_serial(tmp_path, monkeypa
     path = tmp_path / "simulate-144.cfg"
     path.write_text(text)
     cfg = load_config(path)
-    assert cfg.grid.nx * cfg.grid.ny >= grid_mod.CONCURRENT_MIN_CELLS
+    assert cfg.grid.nx * cfg.grid.ny >= state_mod.CONCURRENT_MIN_CELLS
     assert cmd_simulate(cfg, tmp_path / "concurrent", strict=False) == 0
     with monkeypatch.context() as m:
-        m.setattr(grid_mod, "CONCURRENT_MIN_CELLS", SIDE * SIDE + 1)
+        m.setattr(state_mod, "CONCURRENT_MIN_CELLS", SIDE * SIDE + 1)
         assert cmd_simulate(cfg, tmp_path / "serial", strict=False) == 0
     names = sorted(p.name for p in (tmp_path / "serial").iterdir())
     assert len(names) == 5 * (NT + 1) + 1 and "series.csv" in names

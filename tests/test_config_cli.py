@@ -458,31 +458,73 @@ def test_cli_optimize_trivial(tmp_path):
     assert np.abs(u_last).max() <= 1e-8
 
 
-def test_cli_optimize_solver_failure_names_sweep_and_step(tmp_path, capsys):
-    # b2 = 1e300 makes the adjoint's final data overflow inside a backward
-    # step: exit status 3, with the sweep and step in the message.
+def overflowing_b2_cfg(tmp_path):
+    """configs/verify.cfg with b2 = 1e300, which makes the adjoint's final
+    data overflow inside a backward step."""
     text = (CONFIG_DIR / "verify.cfg").read_text()
     assert "\nb2 = 1.0\n" in text
-    bad = write_cfg(tmp_path, text.replace("\nb2 = 1.0\n", "\nb2 = 1e300\n"))
-    assert main(["optimize", str(bad), "--out", str(tmp_path / "o")]) == 3
-    assert capsys.readouterr().err.startswith("solver error: adjoint step ")
+    return write_cfg(tmp_path, text.replace("\nb2 = 1.0\n", "\nb2 = 1e300\n"), "b2.cfg")
 
 
-def test_cli_simulate_solver_failure_keeps_the_levels_written(tmp_path, capsys):
-    # A finite but huge control overflows the sigma CG's rhs norm at step 1.
-    # Levels 0 and 1 were written during the sweep and stay on disk;
-    # series.csv, written after the sweep, is not.
+def huge_control_cfg(tmp_path):
+    """configs/simulate.cfg with a finite but huge control, which overflows
+    the sigma CG's rhs norm at forward step 1."""
     text = (CONFIG_DIR / "simulate.cfg").read_text()
     for old, new in (("u_max = 1.0", "u_max = 1e300"),
                      ("u0 = constant 0.3", "u0 = constant 1e300")):
         assert f"\n{old}\n" in text
         text = text.replace(f"\n{old}\n", f"\n{new}\n")
+    return write_cfg(tmp_path, text, "huge_u.cfg")
+
+
+def test_cli_optimize_solver_failure_names_sweep_and_step(tmp_path, capsys):
+    # Exit status 3, with the sweep and step in the message.
+    assert main(["optimize", str(overflowing_b2_cfg(tmp_path)), "--out", str(tmp_path / "o")]) == 3
+    assert capsys.readouterr().err.startswith("solver error: adjoint step ")
+
+
+def test_cli_simulate_solver_failure_keeps_the_levels_written(tmp_path, capsys):
+    # Levels 0 and 1 were written during the sweep and stay on disk;
+    # series.csv, written after the sweep, is not.
     out = tmp_path / "o"
-    assert main(["simulate", str(write_cfg(tmp_path, text)), "--out", str(out)]) == 3
+    assert main(["simulate", str(huge_control_cfg(tmp_path)), "--out", str(out)]) == 3
     assert capsys.readouterr().err.startswith(
         "solver error: forward step 1 failed: helmholtz CG: the rhs norm overflows")
     assert sorted(p.name for p in out.iterdir()) == sorted(
         f"{name}_{k:06}.fld" for name in ("phi", "mu", "a", "n", "sigma") for k in (0, 1))
+
+
+# A CSV in --out always comes from a completed run: each command removes the
+# CSVs it writes before it runs, so a failed or narrower run into the --out
+# of an earlier one leaves none of the earlier run's CSVs behind.
+
+def test_cli_simulate_failure_removes_an_earlier_series_csv(tmp_path):
+    out = tmp_path / "o"
+    assert main(["simulate", str(CONFIG_DIR / "simulate.cfg"), "--out", str(out)]) == 0
+    assert (out / "series.csv").exists()
+    assert main(["simulate", str(huge_control_cfg(tmp_path)), "--out", str(out)]) == 3
+    assert not (out / "series.csv").exists()
+    # Snapshots are overwritten in place: the earlier run's later levels stay.
+    assert len(list(out.glob("*.fld"))) == 5 * 33
+
+
+def test_cli_optimize_failure_removes_an_earlier_optimize_csv(tmp_path):
+    out = tmp_path / "o"
+    assert main(["optimize", str(CONFIG_DIR / "trivial_optimum.cfg"), "--out", str(out)]) == 0
+    assert (out / "optimize.csv").exists()
+    assert main(["optimize", str(overflowing_b2_cfg(tmp_path)), "--out", str(out)]) == 3
+    assert not (out / "optimize.csv").exists()
+
+
+def test_cli_verify_gradcheck_removes_an_earlier_duality_csv(tmp_path):
+    out = tmp_path / "ver"
+    verify = ["verify", str(CONFIG_DIR / "verify.cfg"), "--out", str(out), "--suite"]
+    assert main(verify + ["duality"]) == 0
+    assert (out / "duality.csv").exists()
+    assert main(verify + ["gradcheck"]) == 0
+    assert not (out / "duality.csv").exists()
+    with open(out / "verify_report.csv", newline="") as fh:
+        assert {row["suite"] for row in csv.DictReader(fh)} == {"gradcheck"}
 
 
 def test_cli_verify_duality_suite(tmp_path):

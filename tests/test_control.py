@@ -16,8 +16,8 @@ from chks.control_opt import (
     reduced_gradient,
     stationarity_residual,
 )
-from chks.grid import CONCURRENT_MIN_CELLS, Grid
-from chks.state import Control, Trajectory, solve_forward
+from chks.grid import Grid
+from chks.state import CONCURRENT_MIN_CELLS, Control, Trajectory, solve_forward
 
 from test_adjoint import coupled_model
 from test_state import make_random_init

@@ -153,6 +153,24 @@ def test_chemotaxis_flux_upwind_donor_cells():
         assert np.abs(got - ref).max() <= 1e-14 * scale
 
 
+def test_upwind_donor_rule_is_the_same_for_f_and_a_copy_of_it():
+    # Without upwind_by the donor cells follow f through the one rule
+    # s_hi > s_lo that upwind_by uses, so passing a copy of f changes no bit,
+    # on fields whose neighbours tie (equal values, +0 against -0) and on
+    # fields that also hold infinities and NaN. At a tie the face difference
+    # is a zero, so the donor shows only through the sign of zero times a
+    # coefficient of either sign, or through 0 * inf; c has both.
+    grid = Grid(7, 6, 1.0, 0.7)
+    ties = np.array([-1.0, -0.0, 0.0, 0.0, 1.0, 1.0, 2.0])
+    for values in (ties, np.append(ties, [np.inf, -np.inf, np.nan])):
+        for _ in range(20):
+            c, f = RNG.choice(values, size=(2, *grid.shape))
+            with np.errstate(invalid="ignore"):
+                by_itself = divergence(grid, c, f, "upwind")
+                by_copy = divergence(grid, c, f, "upwind", upwind_by=f.copy())
+            assert by_itself.tobytes() == by_copy.tobytes()
+
+
 def test_mean_and_inner_basics():
     unit = Grid(4, 4, 1.0, 1.0)
     ones = np.ones(unit.shape)
