@@ -71,9 +71,8 @@ for k in range(0, nt + 1, 8):
 # Trajectories can be persisted in the snapshot format for later analysis.
 from chks.fields_io import write_trajectory
 
-write_trajectory(
-    "out_demo_forward",
-    grid,
-    {"phi": traj.phi[:: nt // 8], "sigma": traj.sigma[:: nt // 8]},
-)
+# Every eighth level, each under its own step number.
+for k in range(0, nt + 1, nt // 8):
+    write_trajectory("out_demo_forward", grid,
+                     {"phi": traj.phi[k:k + 1], "sigma": traj.sigma[k:k + 1]}, start=k)
 print("\nwrote phi/sigma snapshots to out_demo_forward/")

@@ -23,6 +23,7 @@ from chks import (
     ProliferationSpec,
     inner,
     optimize,
+    reduced_gradient,
     solve_forward,
     stationarity_residual,
 )
@@ -72,7 +73,7 @@ stat = stationarity_residual(result.u_star, result.adjoint, cs)
 print(f"\nprojection identity defect ||u* - P(-p3/b3)|| = {stat:.3e}")
 
 # Spot-check the variational inequality against random admissible doses.
-grad = result.adjoint.p3[1:] + cs.b3 * result.u_star.values
+grad = reduced_gradient(result.adjoint, result.u_star, cs.b3)
 rng = np.random.default_rng(0)
 worst = np.inf
 for _ in range(20):

@@ -5,12 +5,12 @@
     chks verify   <cfg> --suite NAME [--out DIR] [--seed N]
 
 Exit status is 0 iff every monitor or suite passes, 2 for a rejected command
-line or config and 3 for a solver failure. All file formats are described in
-the README; outputs land in --out (default ./out). Each command first
-deletes the CSV files it writes from --out, so a CSV there always comes from
-a completed run; snapshots are overwritten in place. simulate writes each
-level's snapshots during the sweep, so after a solver failure at step j
-those of levels 0 .. j are this run's, and series.csv is not on disk.
+line or config and 3 for a solver failure, also one met while the config
+loads. All file formats are described in the README; outputs land in --out
+(default ./out). Once the config has loaded, main deletes the files its
+command writes (OUTPUTS) from --out, so --out holds one run's files: after
+a solver failure at step j, simulate leaves the snapshots of levels 0 .. j,
+written during the sweep, and no series.csv.
 """
 
 from __future__ import annotations
@@ -27,6 +27,12 @@ from .fields_io import write_csv, write_trajectory
 from .grid import SolverError
 from .state import A_MIN_UPWIND, SIGMA_RANGE, energy, solve_forward
 from .verify import SUITES, run_suites
+
+# The files each command writes into --out, as globs. simulate and optimize
+# both write snapshots ({field}_{step:06}.fld), so each also deletes the CSV
+# that describes the other's.
+_RUN = ("*_" + "[0-9]" * 6 + ".fld", "series.csv", "optimize.csv")
+OUTPUTS = {"simulate": _RUN, "optimize": _RUN, "verify": ("verify_report.csv", "duality.csv")}
 
 
 def _series_rows(traj, report, energies) -> list[dict]:
@@ -46,8 +52,6 @@ def _series_rows(traj, report, energies) -> list[dict]:
 
 
 def cmd_simulate(cfg: RunConfig, out: Path, strict: bool) -> int:
-    series = out / "series.csv"
-    series.unlink(missing_ok=True)
     energies = np.empty(cfg.nt + 1)
 
     # Runs inside the sweep (solve_forward's on_level), so a solver failure
@@ -61,7 +65,7 @@ def cmd_simulate(cfg: RunConfig, out: Path, strict: bool) -> int:
         cfg.grid, cfg.model, cfg.init, cfg.u0, cfg.T, cfg.nt,
         s_stab=cfg.s_stab, flux_scheme=cfg.flux_scheme, on_level=on_level,
     )
-    write_csv(series, _series_rows(traj, report, energies))
+    write_csv(out / "series.csv", _series_rows(traj, report, energies))
     sigma_lo, sigma_hi = report.sigma_min.min(), report.sigma_max.max()
     failures = []
     if sigma_lo < SIGMA_RANGE[0] or sigma_hi > SIGMA_RANGE[1]:
@@ -79,8 +83,6 @@ def cmd_simulate(cfg: RunConfig, out: Path, strict: bool) -> int:
 
 
 def cmd_optimize(cfg: RunConfig, out: Path) -> int:
-    table = out / "optimize.csv"
-    table.unlink(missing_ok=True)
     result = optimize(
         cfg.grid, cfg.model, cfg.init, cfg.control_spec, cfg.u0, cfg.T, cfg.nt, cfg.opts
     )
@@ -95,7 +97,7 @@ def cmd_optimize(cfg: RunConfig, out: Path) -> int:
         }
         for i in range(len(result.cost_history))
     ]
-    write_csv(table, rows)
+    write_csv(out / "optimize.csv", rows)
     write_trajectory(out, cfg.grid, {"control": result.u_star.values})
     write_trajectory(out, cfg.grid, result.trajectory.fields)
     write_trajectory(out, cfg.grid, result.adjoint.fields, prefix="adj_")
@@ -107,18 +109,15 @@ def cmd_optimize(cfg: RunConfig, out: Path) -> int:
 
 
 def cmd_verify(cfg: RunConfig, out: Path, suite: str) -> int:
-    report, duality = out / "verify_report.csv", out / "duality.csv"
-    for path in (report, duality):
-        path.unlink(missing_ok=True)
     results = run_suites(cfg, suite)
-    write_csv(report, [r.row() for r in results])
+    write_csv(out / "verify_report.csv", [r.row() for r in results])
     duality_rows = [
         {"tau": f"{cfg.tau / (2 ** i):.9g}", "residual": f"{r.value:.9e}"}
         for i, r in enumerate(r for r in results if r.suite == "duality"
                               and r.check.startswith("residual"))
     ]
     if duality_rows:
-        write_csv(duality, duality_rows)
+        write_csv(out / "duality.csv", duality_rows)
     ok = True
     for r in results:
         status = "pass" if r.passed else "FAIL"
@@ -160,16 +159,18 @@ def main(argv: list[str] | None = None) -> int:
 
     try:
         cfg = load_config(args.config, seed_override=args.seed)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-
-    try:
+        for pattern in OUTPUTS[args.command]:
+            for path in args.out.glob(pattern):
+                if path.is_file():
+                    path.unlink()
         if args.command == "simulate":
             return cmd_simulate(cfg, args.out, args.strict)
         if args.command == "optimize":
             return cmd_optimize(cfg, args.out)
         return cmd_verify(cfg, args.out, args.suite)
+    except ConfigError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return 2
     except SolverError as exc:
         print(f"solver error: {exc}", file=sys.stderr)
         return 3

@@ -296,8 +296,10 @@ def load_config(path: str | Path, seed_override: int | None = None) -> RunConfig
         if n < 2:
             raise sg.reject(key, "must be at least 2 for a PDE run")
     for key, length in lengths.items():
-        if length <= 0:
-            raise sg.reject(key, "must be positive")
+        try:
+            Grid(**sizes, **{key: length})
+        except ValueError as exc:
+            raise ConfigError(f"{sg.where(key)}: {exc}") from None
     gr = Grid(**sizes, **lengths)
 
     def field(section: _Section, key: str, default: float) -> np.ndarray:

@@ -110,6 +110,7 @@ per-call work is kept to the arithmetic:
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -143,8 +144,13 @@ class Grid:
     def __post_init__(self):
         if self.nx < 1 or self.ny < 1:
             raise ValueError("grid needs at least one cell per axis")
-        if not (self.lx > 0 and self.ly > 0):
-            raise ValueError("domain side lengths must be positive")
+        for name, side, n in (("lx", self.lx, self.nx), ("ly", self.ly, self.ny)):
+            if not side > 0:
+                raise ValueError(f"side {name} = {side!r} must be positive")
+            # The kernels divide by h**2, so it must be a normal float.
+            if not sys.float_info.min <= (side / n) * (side / n) <= sys.float_info.max:
+                raise ValueError(f"side {name} = {side!r} over {n} cells gives a cell size "
+                                 "whose square underflows or overflows")
 
     @property
     def hx(self) -> float:

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from chks.cli import main
+from chks.cli import cmd_simulate, main
 from chks.config import ConfigError, generate_field, load_config
 from chks.control_opt import OptimizeOptions
 from chks.fields_io import read_field, write_field
@@ -361,6 +361,8 @@ def test_cli_rejects_nonfinite_target_generator(tmp_path, capsys, command, old, 
     ("nx = 8", "nx = 0", "nx = 0"),
     ("ny = 8", "ny = 8\nlx = -1", "lx = -1"),
     ("ny = 8", "ny = 8\nlx = inf", "lx = inf"),
+    ("ny = 8", "ny = 8\nlx = 1e-200", "lx = 1e-200"),
+    ("ny = 8", "ny = 8\nlx = 1e200", "lx = 1e200"),
     ("T = 0.25", "T = inf", "T = inf"),
     ("b3 = 1.0", "b3 = 1.0\nb3 = 5.0", "b3 = 5.0"),
     ("[time]", "[time]\ns_stab = -5", "s_stab = -5"),
@@ -380,7 +382,8 @@ def test_cli_rejects_nonfinite_target_generator(tmp_path, capsys, command, old, 
      "phi_omega = constant 0.5"),
     ("[control]", "[control]\ntargets = fields\nu_true = constant 0.5", "u_true = constant 0.5"),
 ], ids=["seed", "s_stab", "u_max", "T_nan", "b1_nan", "unknown_section", "unknown_key",
-        "nx_negative", "nx_zero", "lx_negative", "lx_inf", "T_inf", "repeated_key",
+        "nx_negative", "nx_zero", "lx_negative", "lx_inf", "lx_cell_underflow",
+        "lx_cell_overflow", "T_inf", "repeated_key",
         "s_stab_negative", "max_iters_negative", "tol_stat_negative", "tol_stat_tiny_negative",
         "backtrack_above_1", "backtrack_zero",
         "armijo_c_unknown", "seed_negative",
@@ -388,10 +391,11 @@ def test_cli_rejects_nonfinite_target_generator(tmp_path, capsys, command, old, 
         "phi_q_with_simulation", "phi_omega_with_simulation", "u_true_with_fields"])
 def test_cli_simulate_rejects_bad_statement(tmp_path, capsys, old, new, bad):
     # A malformed number, NaN or infinity, a seed, grid size, s_stab or
-    # optimizer setting out of range, a word outside its list, a target key
-    # the chosen targets does not read, a repeated key, or a section or key
-    # outside the grammar is a config error (exit 2) that names the
-    # statement's line and key.
+    # optimizer setting out of range, a side whose cell size squared
+    # underflows or overflows (the kernels divide by it), a word outside its
+    # list, a target key the chosen targets does not read, a repeated key, or
+    # a section or key outside the grammar is a config error (exit 2) that
+    # names the statement's line and key.
     text = MINIMAL.replace(old, new, 1)
     line_no = text.splitlines().index(bad) + 1
     assert main(["simulate", str(write_cfg(tmp_path, text)), "--out", str(tmp_path / "o")]) == 2
@@ -483,6 +487,11 @@ def test_cli_optimize_solver_failure_names_sweep_and_step(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("solver error: adjoint step ")
 
 
+# The snapshots of a simulate run that fails at forward step 1.
+LEVELS_0_AND_1 = sorted(
+    f"{name}_{k:06}.fld" for name in ("phi", "mu", "a", "n", "sigma") for k in (0, 1))
+
+
 def test_cli_simulate_solver_failure_keeps_the_levels_written(tmp_path, capsys):
     # Levels 0 and 1 were written during the sweep and stay on disk;
     # series.csv, written after the sweep, is not.
@@ -490,22 +499,42 @@ def test_cli_simulate_solver_failure_keeps_the_levels_written(tmp_path, capsys):
     assert main(["simulate", str(huge_control_cfg(tmp_path)), "--out", str(out)]) == 3
     assert capsys.readouterr().err.startswith(
         "solver error: forward step 1 failed: helmholtz CG: the rhs norm overflows")
-    assert sorted(p.name for p in out.iterdir()) == sorted(
-        f"{name}_{k:06}.fld" for name in ("phi", "mu", "a", "n", "sigma") for k in (0, 1))
+    assert sorted(p.name for p in out.iterdir()) == LEVELS_0_AND_1
 
 
-# A CSV in --out always comes from a completed run: each command removes the
-# CSVs it writes before it runs, so a failed or narrower run into the --out
-# of an earlier one leaves none of the earlier run's CSVs behind.
+# --out holds one run's files: once the config has loaded, main deletes the
+# files its command writes (cli.OUTPUTS), so a failed or shorter run into
+# the --out of an earlier one leaves none of the earlier run's files behind.
 
-def test_cli_simulate_failure_removes_an_earlier_series_csv(tmp_path):
+def simulated_out(tmp_path):
+    """The --out of a complete simulate run of configs/simulate.cfg."""
     out = tmp_path / "o"
     assert main(["simulate", str(CONFIG_DIR / "simulate.cfg"), "--out", str(out)]) == 0
+    return out
+
+
+def files_in(out):
+    return {p.name: p.read_bytes() for p in out.iterdir()}
+
+
+def test_cli_simulate_failure_removes_an_earlier_series_csv(tmp_path):
+    out = simulated_out(tmp_path)
     assert (out / "series.csv").exists()
     assert main(["simulate", str(huge_control_cfg(tmp_path)), "--out", str(out)]) == 3
     assert not (out / "series.csv").exists()
-    # Snapshots are overwritten in place: the earlier run's later levels stay.
-    assert len(list(out.glob("*.fld"))) == 5 * 33
+    # Only this run's snapshots, those of levels 0 and 1, remain.
+    assert sorted(p.name for p in out.iterdir()) == LEVELS_0_AND_1
+
+
+def test_cli_shorter_simulate_leaves_only_its_own_levels(tmp_path):
+    out = simulated_out(tmp_path)
+    text = (CONFIG_DIR / "simulate.cfg").read_text()
+    assert "\nNt = 32\n" in text
+    short = write_cfg(tmp_path, text.replace("\nNt = 32\n", "\nNt = 4\n"), "short.cfg")
+    assert main(["simulate", str(short), "--out", str(out)]) == 0
+    assert len(list(out.glob("*.fld"))) == 5 * 5
+    with open(out / "series.csv", newline="") as fh:
+        assert [row["step"] for row in csv.DictReader(fh)] == ["0", "1", "2", "3", "4"]
 
 
 def test_cli_optimize_failure_removes_an_earlier_optimize_csv(tmp_path):
@@ -514,6 +543,57 @@ def test_cli_optimize_failure_removes_an_earlier_optimize_csv(tmp_path):
     assert (out / "optimize.csv").exists()
     assert main(["optimize", str(overflowing_b2_cfg(tmp_path)), "--out", str(out)]) == 3
     assert not (out / "optimize.csv").exists()
+    assert not list(out.glob("*.fld"))
+
+
+def test_cli_config_error_leaves_an_earlier_run_untouched(tmp_path):
+    out = simulated_out(tmp_path)
+    before = files_in(out)
+    bad = write_cfg(tmp_path, MINIMAL.replace("sigma0 = constant 0.5", "sigma0 = constant 1.5"))
+    assert main(["simulate", str(bad), "--out", str(out)]) == 2
+    assert files_in(out) == before
+
+
+def test_cli_verify_keeps_a_simulate_runs_files(tmp_path):
+    out = simulated_out(tmp_path)
+    before = files_in(out)
+    assert main(["verify", str(CONFIG_DIR / "verify.cfg"), "--suite", "gradcheck",
+                 "--out", str(out)]) == 0
+    after = files_in(out)
+    assert after.pop("verify_report.csv")
+    assert after == before
+
+
+def test_cli_target_solve_failure_exits_3_before_deleting(tmp_path, capsys):
+    # targets = simulation solves for its targets while the config loads; a
+    # solver failure there is exit 3 like any other, and an earlier run's
+    # files stay, since the command never ran.
+    out = simulated_out(tmp_path)
+    before = files_in(out)
+    text = (CONFIG_DIR / "optimize_inverse_crime.cfg").read_text()
+    for old, new in (("u_max = 1.0", "u_max = 1e300"),
+                     ("u_true = cosine 0.6 0.3 1 1", "u_true = constant 1e300")):
+        assert f"\n{old}\n" in text
+        text = text.replace(f"\n{old}\n", f"\n{new}\n")
+    assert main(["optimize", str(write_cfg(tmp_path, text, "huge_u_true.cfg")),
+                 "--out", str(out)]) == 3
+    assert capsys.readouterr().err.startswith("solver error: forward step 1 failed: ")
+    assert files_in(out) == before
+
+
+def test_cli_main_deletes_what_cmd_simulate_overwrites(tmp_path):
+    # cmd_simulate overwrites snapshots in place and deletes nothing (the
+    # benchmark calls it directly into one directory); main clears --out.
+    out = tmp_path / "o"
+    out.mkdir()
+    planted = out / "phi_000099.fld"
+    write_field(planted, Grid(16, 16), np.zeros((16, 16)))
+    cfg = load_config(CONFIG_DIR / "simulate.cfg")
+    assert cmd_simulate(cfg, out, strict=False) == 0
+    assert planted.exists()
+    assert main(["simulate", str(CONFIG_DIR / "simulate.cfg"), "--out", str(out)]) == 0
+    assert not planted.exists()
+    assert len(list(out.glob("*.fld"))) == 5 * 33
 
 
 def test_cli_verify_gradcheck_removes_an_earlier_duality_csv(tmp_path):
