@@ -361,15 +361,9 @@ def load_config(path: str | Path, seed_override: int | None = None) -> RunConfig
     steps = (nt, gr.nx, gr.ny)
     u0 = Control(np.broadcast_to(field(sc, "u0", 0.0), steps), u_max)
 
-    u_true = None
+    u_true = phi_q = phi_omega = None
     if targets == "simulation":
         u_true = np.broadcast_to(np.clip(field(sc, "u_true", 0.0), 0.0, u_max), steps)
-        traj_true, _ = solve_forward(
-            gr, model, init, Control(u_true, u_max), T, nt,
-            s_stab=s_stab, flux_scheme=flux_scheme,
-        )
-        phi_q = traj_true.phi[1:].copy()
-        phi_omega = traj_true.phi[nt].copy()
     else:
         phi_q = np.broadcast_to(field(sc, "phi_q", 0.5), steps)
         phi_omega = field(sc, "phi_omega", 0.5)
@@ -380,6 +374,15 @@ def load_config(path: str | Path, seed_override: int | None = None) -> RunConfig
         u0.validate()
     except AdmissibilityError as exc:
         raise ConfigError(f"[control]: {exc}") from exc
+    if u_true is not None:
+        # Solved only once the control spec has passed: the solve would check
+        # u_max itself and end in AdmissibilityError, not a named config error.
+        traj_true, _ = solve_forward(
+            gr, model, init, Control(u_true, u_max), T, nt,
+            s_stab=s_stab, flux_scheme=flux_scheme,
+        )
+        cs.phi_q = traj_true.phi[1:].copy()
+        cs.phi_omega = traj_true.phi[nt].copy()
 
     so = sections["optimize"]
     opts = OptimizeOptions(

@@ -38,7 +38,9 @@ per-call work is kept to the arithmetic:
   (C_x f C_y^T, inverse C_x^T F C_y). Up to that size the BLAS products beat
   the FFT-based scipy.fft.dctn by 2-5x per call, which is mostly fixed call
   overhead on small arrays; from 128 up the O(n^3) products lose, so larger
-  grids call scipy.fft. The choice follows from the grid shape alone.
+  grids call scipy.fft. The choice follows from the field's shape alone, by
+  one size rule (_dense), and _dct_pair resolves it once per shape, so a
+  transform pair makes one cache lookup.
 - The Laplacian switches at the same DENSE_DCT_MAX, though its own
   crossover is lower. At or below it, it is two products with cached 1-D
   mirrored second-difference matrices, D_x f + f D_y; above it, the
@@ -53,7 +55,9 @@ per-call work is kept to the arithmetic:
   the Laplacian eigenvalues, the per-mode inverse of the phi/mu block for
   each (tau, s_stab), and 1/(alpha - lam) of each direct Helmholtz solve;
   the DCT and second-difference matrices are keyed on their size. The
-  singular-mode check of the block runs when its inverse is built.
+  singular-mode check of the block runs when its inverse is built. A Grid
+  computes its hash, spacings, shape and cell area once, so such a lookup
+  hashes no tuple and a kernel's hx reads a stored float.
 - The variable-coefficient CG calls no stencil in its loop. Its
   preconditioner M = alpha_bar*I - Lap is inverted exactly by DCT, so
   M z = r for every preconditioned residual z, and M p is carried by
@@ -61,7 +65,10 @@ per-call work is kept to the arithmetic:
   p <- z + beta_k*p. Then A p = q + (alpha - alpha_bar)*p is one
   multiply-add, and an iteration costs one DCT pair plus vector updates
   (Eisenstat's trick, SIAM J. Sci. Stat. Comput. 2, 1981); x, r, p and q
-  are updated in place through one scratch array.
+  are updated in place through one scratch array. alpha_bar, the per-mode
+  inverse and alpha - alpha_bar are formed only after the first stopping
+  test, which most warm-started calls pass: 1274 of optimize-64's 1632 at
+  seed 7.
 - A guess x0 for the CG costs one stencil call, for the initial residual
   b - alpha*x0 + Lap x0, as the cold start x0 = 0 does. The sweeps pass one
   of two guesses (Trajectory.extrapolate; Fischer, CMAME 163, 1998). On its
@@ -94,14 +101,17 @@ per-call work is kept to the arithmetic:
   and at each step's end: the config reader; InitialData.validate,
   Control.validate and ControlSpec.check_targets; solve_linearized's check
   of its direction h; and Trajectory.advance, which runs each forward,
-  tangent and adjoint step and checks its five outputs once, before the
-  next step reads them.
+  tangent and adjoint step and checks the level it wrote, all five fields
+  in one scan of the trajectory's array, before the next step reads it.
   A non-finite value made inside a step reaches an output through the
   transforms, so it is caught at that step's end. Its SolverError, like
-  every one raised inside a step, names the sweep and the step. One scan,
-  np.isfinite(f).all(), takes about 3 us at 16^2 and 23 us at 256^2.
+  every one raised inside a step, names the sweep and the step. The scan
+  of a level's five fields, np.isfinite(level).all(), takes about 3 us at
+  16^2 against 11 us for five one-field scans, and the same as those five
+  at 256^2 (two x86-64 cores); the field it names is looked up only after
+  it fails.
   Every other precondition is checked on every call: helmholtz_cg's
-  shapes and its field alpha, by min > 0 and a finite mean, which carry
+  shapes and its field alpha, by min > 0 and a finite sum, which carry
   any NaN or infinity; the scalars of helmholtz_direct and ch_block_solve, by
   math.isfinite, 0.07 us per call against 1.0 us for np.isfinite on a
   Python float (two x86-64 cores).
@@ -111,8 +121,9 @@ from __future__ import annotations
 
 import math
 import sys
+from collections.abc import Callable
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache, partial
 
 import numpy as np
 import scipy.fft as sfft
@@ -152,21 +163,31 @@ class Grid:
                 raise ValueError(f"side {name} = {side!r} over {n} cells gives a cell size "
                                  "whose square underflows or overflows")
 
-    @property
+    # Computed on first use and then read as plain attributes: the kernels
+    # read them on every call, and every lru_cache lookup keyed on the grid
+    # hashes it. The hash is the one the dataclass would generate.
+    @cached_property
     def hx(self) -> float:
         return self.lx / self.nx
 
-    @property
+    @cached_property
     def hy(self) -> float:
         return self.ly / self.ny
 
-    @property
+    @cached_property
     def shape(self) -> tuple[int, int]:
         return (self.nx, self.ny)
 
-    @property
+    @cached_property
     def cell_area(self) -> float:
         return self.hx * self.hy
+
+    @cached_property
+    def _hash(self) -> int:
+        return hash((self.nx, self.ny, self.lx, self.ly))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def cell_centers(self) -> tuple[np.ndarray, np.ndarray]:
         """Coordinate arrays (x, y), each of shape (nx, ny)."""
@@ -213,7 +234,7 @@ def laplacian(grid: Grid, f: np.ndarray) -> np.ndarray:
     """
     nx, ny = f.shape
     cx, cy = 1.0 / grid.hx**2, 1.0 / grid.hy**2
-    if max(nx, ny) <= DENSE_DCT_MAX:
+    if _dense(f.shape):
         lap = _second_difference_matrix(nx) @ f
         lap *= cx
         lap_y = f @ _second_difference_matrix(ny)
@@ -343,24 +364,39 @@ def _second_difference_matrix(n: int) -> np.ndarray:
     return _read_only(d)
 
 
+def _dense(shape: tuple[int, int]) -> bool:
+    """The size rule: a field whose sides are both at most DENSE_DCT_MAX is
+    transformed, and its Laplacian taken, by dense products."""
+    return max(shape) <= DENSE_DCT_MAX
+
+
 @lru_cache(maxsize=8)
 def _dct_matrix(n: int) -> np.ndarray:
     """Orthonormal DCT-II matrix C of size n: dct(x, norm='ortho') == C @ x."""
     return _read_only(sfft.dct(np.eye(n), type=2, norm="ortho", axis=0))
 
 
-def _dct2(f: np.ndarray) -> np.ndarray:
-    nx, ny = f.shape
-    if max(nx, ny) <= DENSE_DCT_MAX:
-        return _dct_matrix(nx) @ f @ _dct_matrix(ny).T
-    return sfft.dctn(f, type=2, norm="ortho")
+@lru_cache(maxsize=8)
+def _dct_pair(shape: tuple[int, int]) -> tuple[Callable, Callable]:
+    """The orthonormal 2-D DCT-II of fields of a shape, and its inverse.
 
+    Dense shapes take the products (C_x f) C_y^T and (C_x^T F) C_y with the
+    cached matrices, others scipy.fft, so one lookup per shape resolves both
+    transforms of a pair.
+    """
+    if not _dense(shape):
+        return (partial(sfft.dctn, type=2, norm="ortho"),
+                partial(sfft.idctn, type=2, norm="ortho"))
+    cx, cy = _dct_matrix(shape[0]), _dct_matrix(shape[1])
+    cx_t, cy_t = cx.T, cy.T
 
-def _idct2(fh: np.ndarray) -> np.ndarray:
-    nx, ny = fh.shape
-    if max(nx, ny) <= DENSE_DCT_MAX:
-        return _dct_matrix(nx).T @ fh @ _dct_matrix(ny)
-    return sfft.idctn(fh, type=2, norm="ortho")
+    def dct2(f: np.ndarray) -> np.ndarray:
+        return cx @ f @ cy_t
+
+    def idct2(fh: np.ndarray) -> np.ndarray:
+        return cx_t @ fh @ cy
+
+    return dct2, idct2
 
 
 @lru_cache(maxsize=32)
@@ -401,15 +437,14 @@ def helmholtz_cg(
     alpha = np.asarray(alpha, dtype=float)
     if alpha.shape != grid.shape:
         raise SolverError("helmholtz_cg requires alpha of the grid's shape")
-    # min > 0 rules out NaN and -inf; then the mean, which the preconditioner
-    # needs, is finite exactly when every value is.
-    alpha_bar = float(alpha.mean()) if float(alpha.min()) > 0 else math.nan
-    if not alpha_bar < math.inf:
+    # min > 0 rules out NaN and -inf; then the sum, whose mean the
+    # preconditioner needs, is finite exactly when every value is (or it
+    # overflows, as the mean would).
+    alpha_sum = float(alpha.sum()) if float(alpha.min()) > 0 else math.nan
+    if not alpha_sum < math.inf:
         raise SolverError("helmholtz_cg requires a finite alpha > 0 everywhere")
     if x0 is not None and np.shape(x0) != grid.shape:
         raise SolverError("the guess x0 must match the grid shape")
-    inv = 1.0 / (alpha_bar - lap_eigenvalues(grid))
-    delta = alpha - alpha_bar
     b_norm = math.sqrt(np.vdot(b, b))
     if b_norm == 0.0:
         return np.zeros_like(b)
@@ -430,6 +465,11 @@ def helmholtz_cg(
     r -= scratch
     if math.sqrt(np.vdot(r, r)) <= tol:
         return x
+    # The preconditioner, formed only for a start that fails the test;
+    # alpha_sum / size has the bits of alpha.mean().
+    alpha_bar = alpha_sum / alpha.size
+    inv = 1.0 / (alpha_bar - lap_eigenvalues(grid))
+    delta = alpha - alpha_bar
     q = r.copy()
     p = _precondition(r, inv)
     rz = float(np.vdot(r, p))
@@ -460,9 +500,10 @@ def helmholtz_cg(
 
 def _precondition(r: np.ndarray, inv: np.ndarray) -> np.ndarray:
     """M^{-1} r: one DCT pair with the per-mode inverse in between."""
-    rh = _dct2(r)
+    dct2, idct2 = _dct_pair(r.shape)
+    rh = dct2(r)
     rh *= inv
-    return _idct2(rh)
+    return idct2(rh)
 
 
 @lru_cache(maxsize=16)
@@ -507,8 +548,9 @@ def ch_block_solve(
     i11, i12, i21, i22 = _ch_block_inverse(grid, float(tau), float(s_stab))
     if transpose:
         i12, i21 = i21, i12
-    rp = _dct2(rhs_phi)
+    dct2, idct2 = _dct_pair(rhs_phi.shape)
+    rp = dct2(rhs_phi)
     if rhs_mu is None:
-        return _idct2(i11 * rp), _idct2(i21 * rp)
-    rm = _dct2(rhs_mu)
-    return _idct2(i11 * rp + i12 * rm), _idct2(i21 * rp + i22 * rm)
+        return idct2(i11 * rp), idct2(i21 * rp)
+    rm = dct2(rhs_mu)
+    return idct2(i11 * rp + i12 * rm), idct2(i21 * rp + i22 * rm)

@@ -144,9 +144,7 @@ def taylor_remainders(
             gr, spec, init, u_eps, float(base_traj.times[-1]), base_traj.nt,
             s_stab=base_traj.s_stab, flux_scheme=base_traj.flux_scheme,
         )
-        predicted = Trajectory(gr, base_traj.times, {
-            name: f + eps * df
-            for (name, f), df in zip(base_traj.fields.items(), lin.fields.values())
-        })
+        predicted = Trajectory(gr, base_traj.times, base_traj.names,
+                               base_traj.data + eps * lin.data)
         remainders.append(trajectory_distance(traj_eps, predicted))
     return remainders

@@ -28,9 +28,11 @@ phi -> n -> sigma -> a:
 
 The forward sweep steps in place on a Trajectory, which it stores in full
 because the linearized/adjoint replays need it: step k reads stored level k
-and writes level k + 1. Within a step, (a, sigma) reaches (phi, mu, n) only
-through the lagged source c_sigma*sigma, so the step is two chains that
-share no level they write:
+and writes level k + 1. A Trajectory holds its five fields in one
+(fields, Nt+1, nx, ny) array, so the check of a new level is one scan.
+Within a step, (a, sigma) reaches (phi, mu, n) only through the lagged
+source c_sigma*sigma, so the step is two chains that share no level they
+write:
 
 - phi/mu -> n reads phi, n and sigma at level k and writes phi, mu and n at
   level k + 1;
@@ -86,6 +88,7 @@ import os
 from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -198,38 +201,47 @@ class Control:
 class Trajectory:
     """A stored sweep on the uniform step grid t_k = k * tau.
 
-    fields maps each unknown's name to its (Nt+1, nx, ny) array, in the
-    order phi, mu, a, n, sigma for the forward sweep, psi, eta, alpha_lin,
-    nu, omega for the tangent sweep and p1, ..., p5 for the adjoint sweep.
-    Fields also read as attributes bound to the same arrays (traj.phi,
-    lin.psi, adj.p3), so write into them in place. A trajectory is its
-    sweep's only state: step k reads stored level k (k + 1 backward) and
-    writes the next level. s_stab and flux_scheme record the forward
-    scheme, which the replays reuse.
+    data holds every unknown at every stored level in one
+    (fields, Nt+1, nx, ny) array, the unknowns in the order of names: phi,
+    mu, a, n, sigma for the forward sweep, psi, eta, alpha_lin, nu, omega
+    for the tangent sweep and p1, ..., p5 for the adjoint sweep. fields maps
+    each name to its (Nt+1, nx, ny) slice of data, and the same slices read
+    as attributes (traj.phi, lin.psi, adj.p3), so write into them in place:
+    a field rebound to an array of its own would escape the step-end check,
+    which scans one level of data. A trajectory is its sweep's only state:
+    step k reads stored level k (k + 1 backward) and writes the next level.
+    s_stab and flux_scheme record the forward scheme, which the replays
+    reuse.
     """
 
     grid: Grid
     times: np.ndarray  # (Nt+1,)
-    fields: dict[str, np.ndarray]
+    names: tuple[str, ...]
+    data: np.ndarray  # (len(names), Nt+1, nx, ny)
     s_stab: float = 0.0
     flux_scheme: str = "centered"
 
     @classmethod
     def zeros(cls, grid: Grid, times: np.ndarray, names, **kwargs) -> Trajectory:
         """A trajectory whose named fields are all zero on every step."""
-        shape = (len(times), grid.nx, grid.ny)
-        return cls(grid, times, {name: np.zeros(shape) for name in names}, **kwargs)
+        names = tuple(names)
+        data = np.zeros((len(names), len(times), grid.nx, grid.ny))
+        return cls(grid, times, names, data, **kwargs)
 
     def __post_init__(self):
+        self.names = tuple(self.names)
+        if self.data.shape != (len(self.names), len(self.times), self.grid.nx, self.grid.ny):
+            raise ValueError("data must have shape (len(names), len(times), nx, ny)")
+        self.fields = dict(zip(self.names, self.data))
         # Bound as plain attributes: the sweeps read fields several times per
         # step, and a __getattr__ hook would run Python code on every read.
         vars(self).update(self.fields)
 
-    @property
+    @cached_property
     def nt(self) -> int:
         return len(self.times) - 1
 
-    @property
+    @cached_property
     def tau(self) -> float:
         return float(self.times[1] - self.times[0])
 
@@ -265,7 +277,7 @@ class Trajectory:
         """ValueError naming like unless it is None or has this trajectory's
         grid, step count and field names."""
         if like is not None and (like.grid != self.grid or like.nt != self.nt
-                                 or like.fields.keys() != self.fields.keys()):
+                                 or like.names != self.names):
             raise ValueError("like must have the grid, the step count and the fields of the solve")
 
     def advance(self, sweep: str, k: int, first, second, direction: int = 1) -> None:
@@ -282,8 +294,10 @@ class Trajectory:
         may hold its results where the serial order never ran it. The error
         is the one the serial order meets first: first's, else second's,
         else "non-finite <name>" for the first non-finite field of the new
-        level. A SolverError is raised again as
-        "<sweep> step k failed: <cause>"; any other error passes unchanged.
+        level, in the order of names. The check is one scan of the level
+        in data; the field is looked up only when it fails. A SolverError
+        is raised again as "<sweep> step k failed: <cause>"; any other
+        error passes unchanged.
         """
         level = k + 1 if direction > 0 else k
         try:
@@ -297,9 +311,10 @@ class Trajectory:
                 finally:
                     wait((later,))
                 later.result()
-            for name, f in self.fields.items():
-                if not np.isfinite(f[level]).all():
-                    raise SolverError(f"non-finite {name}")
+            new = self.data[:, level]
+            if not np.isfinite(new).all():
+                bad = next(n for n, f in zip(self.names, new) if not np.isfinite(f).all())
+                raise SolverError(f"non-finite {bad}")
         except SolverError as exc:
             raise SolverError(f"{sweep} step {k} failed: {exc}") from exc
 
@@ -338,8 +353,9 @@ def step(
     and step count (solve_forward checks it), traj's level k plus like's
     sigma increment over step k. That changes the work, not what is solved.
     The kernels scan nothing: a non-finite value in what the step reads
-    reaches an output or stops a solve, and advance checks the five new
-    fields once at the end and names the step in any SolverError.
+    reaches an output or stops a solve, and advance checks the new level,
+    its five fields in one scan, at the end and names the step in any
+    SolverError.
     on_level(traj, k), if given, runs at the head of the phi/mu -> n chain,
     on the calling thread; it may read levels up to k, which the step does
     not write, and while it runs on a large grid the worker runs sigma -> a.

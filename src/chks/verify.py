@@ -315,11 +315,21 @@ def energy_stability_worst_increase(gr: Grid, T: float, nt: int, seed: int) -> f
 
 def suite_lipschitz(cfg: RunConfig) -> list[CheckResult]:
     """Empirical Lipschitz ratio of the control-to-state map over ten control
-    pairs on each of two grids; the two maxima agree within a factor of 3."""
+    pairs on each of two grids; the two maxima agree within a factor of 3.
+
+    The grids are 16^2 and 32^2 on the config's domain. A domain on which
+    either grid fails Grid's cell-size check fails all three rows, each with
+    value nan and Grid's message as its note.
+    """
     model = _matrix_model("regular")
+    try:
+        grids = [Grid(nx, nx, cfg.grid.lx, cfg.grid.ly) for nx in (16, 32)]
+    except ValueError as exc:
+        return [CheckResult("lipschitz", check, math.nan, bound, False, str(exc))
+                for check, bound in (("max_ratio_16", math.inf), ("max_ratio_32", math.inf),
+                                     ("grid_refinement_factor", 3.0))]
     ratios = {}
-    for nx in (16, 32):
-        gr = Grid(nx, nx, cfg.grid.lx, cfg.grid.ly)
+    for gr in grids:
         rng = np.random.default_rng(cfg.seed + 60)
         init = _random_init(gr, rng, (0.2, 0.8), (0.3, 1.0), (-0.1, 0.1), (0.1, 0.9))
         worst = 0.0
@@ -330,7 +340,7 @@ def suite_lipschitz(cfg: RunConfig) -> list[CheckResult]:
             du = control_norm(gr, cfg.tau, u1.values - u2.values)
             if du > 0:
                 worst = max(worst, trajectory_distance(t1, t2) / du)
-        ratios[nx] = worst
+        ratios[gr.nx] = worst
     factor = max(ratios[16], ratios[32]) / min(ratios[16], ratios[32])
     finite = all(math.isfinite(v) for v in ratios.values())
     return [

@@ -127,10 +127,11 @@ def error_of(run):
 
 def poisoned(traj, **levels):
     """A copy of a trajectory with one cell of each named field replaced at a level."""
-    fields = {name: f.copy() for name, f in traj.fields.items()}
+    copy = Trajectory(traj.grid, traj.times, traj.names, traj.data.copy(), traj.s_stab,
+                      traj.flux_scheme)
     for name, (k, value) in levels.items():
-        fields[name][k, 7, 9] = value
-    return Trajectory(traj.grid, traj.times, fields, traj.s_stab, traj.flux_scheme)
+        copy.fields[name][k, 7, 9] = value
+    return copy
 
 
 # Each case names the sweep, what is injected at one step, and the error the
@@ -305,3 +306,32 @@ def test_simulate_writes_the_same_bytes_concurrent_and_serial(tmp_path, monkeypa
     assert [p.name for p in (tmp_path / "one").iterdir()] == ["phi_000002.fld"]
     assert ((tmp_path / "one" / "phi_000002.fld").read_bytes()
             == (tmp_path / "serial" / "phi_000002.fld").read_bytes())
+
+
+def test_sweep_fields_are_slices_of_the_array_advance_scans():
+    # advance checks a level with one scan of traj.data, so every field of
+    # each sweep must be its slice of data: a field rebound to an array of
+    # its own would escape the check.
+    cfg = load_config(CONFIG_DIR / "verify.cfg")
+    traj, _ = solve_forward(cfg.grid, cfg.model, cfg.init, cfg.u0, cfg.T, cfg.nt,
+                            s_stab=cfg.s_stab, flux_scheme=cfg.flux_scheme)
+    adj = solve_adjoint(traj, cfg.control_spec, cfg.model)
+    lin = solve_linearized(traj, cfg.model, adj.p3[1:])
+    level = 5
+    # Each sweep with the step that writes level 5, and its direction.
+    for sweep, name, k, direction in ((traj, "forward", 4, 1), (lin, "tangent", 4, 1),
+                                      (adj, "adjoint", 5, -1)):
+        assert len(sweep.names) == 5
+        assert list(sweep.fields) == list(sweep.names)
+        for i, field in enumerate(sweep.names):
+            f = sweep.fields[field]
+            assert getattr(sweep, field) is f
+            assert f.shape == sweep.data[i].shape
+            assert np.shares_memory(f, sweep.data[i]), (name, field)
+        # A NaN put into any one field of the level is named by advance.
+        for field in sweep.names:
+            copy = Trajectory(sweep.grid, sweep.times, sweep.names, sweep.data.copy())
+            copy.advance(name, k, lambda: None, lambda: None, direction)
+            getattr(copy, field)[level, 3, 4] = np.nan
+            with pytest.raises(SolverError, match=rf"^{name} step {k} failed: non-finite {field}$"):
+                copy.advance(name, k, lambda: None, lambda: None, direction)

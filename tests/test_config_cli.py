@@ -129,6 +129,18 @@ def test_negative_umax_rejected(tmp_path):
         load_config(write_cfg(tmp_path, bad))
 
 
+@pytest.mark.parametrize("command", ["simulate", "optimize", "verify"])
+def test_cli_negative_umax_with_simulation_targets_exits_2(tmp_path, capsys, command):
+    # targets = simulation solves for its targets while the config loads;
+    # the control spec is checked first, so a negative u_max is a config
+    # error of [control], as it is with targets = fields.
+    text = (CONFIG_DIR / "optimize_inverse_crime.cfg").read_text()
+    assert "\ntargets = simulation\n" in text and "\nu_max = 1.0\n" in text
+    path = write_cfg(tmp_path, text.replace("\nu_max = 1.0\n", "\nu_max = -1\n"))
+    assert main([command, str(path), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.startswith("config error: [control]: (6.4)")
+
+
 def test_cli_simulate_homogeneous_mean_phi_closed_form(tmp_path):
     # With zero proliferation and constant data, the mean_phi column of
     # series.csv follows the implicit-Euler decay (1 + m*tau)^-k exactly.
@@ -615,6 +627,27 @@ def test_cli_verify_duality_suite(tmp_path):
     report = (out / "verify_report.csv").read_text()
     assert "duality" in report
     assert (out / "duality.csv").exists()
+
+
+def test_cli_verify_lipschitz_on_a_domain_too_small_for_its_grids(tmp_path, capsys):
+    # The lipschitz suite builds 16^2 and 32^2 grids on the config's domain;
+    # a 2x2 grid of side 3e-154 loads, but 16 cells of that side have a
+    # cell size whose square underflows, so the suite's rows fail (exit 1).
+    text = (CONFIG_DIR / "verify.cfg").read_text()
+    for old, new in (("nx = 16", "nx = 2"), ("lx = 1.0", "lx = 3e-154")):
+        assert f"\n{old}\n" in text
+        text = text.replace(f"\n{old}\n", f"\n{new}\n")
+    out = tmp_path / "out"
+    assert main(["verify", str(write_cfg(tmp_path, text)), "--suite", "lipschitz",
+                 "--out", str(out)]) == 1
+    with open(out / "verify_report.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [row["check"] for row in rows] == ["max_ratio_16", "max_ratio_32",
+                                              "grid_refinement_factor"]
+    for row in rows:
+        assert row["passed"] == "0" and row["value"] == "nan"
+        assert row["note"].startswith("side lx = 3e-154 over 16 cells")
+    assert capsys.readouterr().out.count("[FAIL] lipschitz/") == 3
 
 
 @pytest.mark.parametrize("case", ["config_is_directory", "config_not_text", "unknown_suite",

@@ -120,7 +120,7 @@ def test_step_writes_only_the_next_level():
     u = Control(0.4 * np.ones((4, grid.nx, grid.ny)), 1.0)
     ref, _ = solve_forward(grid, spec, init, u, 0.2, 4)
     k = 1
-    traj = Trajectory(ref.grid, ref.times, {name: f.copy() for name, f in ref.fields.items()},
+    traj = Trajectory(ref.grid, ref.times, ref.names, ref.data.copy(),
                       s_stab=ref.s_stab, flux_scheme=ref.flux_scheme)
     for f in traj.fields.values():
         f[k + 1:] = np.nan
@@ -135,7 +135,7 @@ def test_trajectory_extrapolate_both_directions():
     grid = Grid(4, 3)
     rng = np.random.default_rng(3)
     x = rng.standard_normal((5, *grid.shape))
-    traj = Trajectory(grid, 0.1 * np.arange(5), {"x": x})
+    traj = Trajectory(grid, 0.1 * np.arange(5), ("x",), x[None])
     # First forward step: only level 0 is stored behind level 1.
     assert traj.extrapolate("x", 0).tobytes() == x[0].tobytes()
     # First backward step (k = nt - 1 writes level nt - 1 from level nt).
