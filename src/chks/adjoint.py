@@ -109,9 +109,10 @@ def solve_adjoint(
     count, such as the adjoint of a nearby control: each backward step's p5
     CG then starts from the new level k + 1 plus like's p5 increment over
     the same step (Trajectory.extrapolate), not from the extrapolation in
-    time. That changes the work, not what is solved. Any other like raises
-    ValueError.
+    time. That changes the work, not what is solved. Any other like, or a
+    base that does not hold every level, raises ValueError.
     """
+    base.check_every_level("base")
     gr = base.grid
     nt = base.nt
     tau = base.tau
@@ -216,7 +217,9 @@ def duality_residual(
     LHS = int_Q h p3, RHS = b1 int_Q (phi* - phi_Q) psi
                           + b2 int_Om (phi*(T) - phi_Om) psi(T),
     rectangle rule in time with p3 and psi paired at the step end levels
-    (tau * grid.inner over the stacked levels 1..Nt).
+    (tau * grid.inner over the stacked levels 1..Nt for the LHS, and level
+    by level for the running misfit, which would otherwise be a temporary
+    the size of one field of a trajectory).
     Returns |LHS - RHS| / (|LHS| + |RHS| + 1e-30).
     """
     gr = base.grid
@@ -226,5 +229,6 @@ def duality_residual(
     lhs = tau * g.inner(gr, h, adj.p3[1:])
     rhs = cost.b2 * g.inner(gr, base.phi[-1] - cost.phi_omega, lin.psi[-1])
     if cost.b1:
-        rhs += cost.b1 * tau * g.inner(gr, base.phi[1:] - cost.phi_q, lin.psi[1:])
+        rhs += cost.b1 * tau * sum(g.inner(gr, phi - phi_q, psi) for phi, phi_q, psi
+                                   in zip(base.phi[1:], cost.phi_q, lin.psi[1:]))
     return abs(lhs - rhs) / (abs(lhs) + abs(rhs) + 1e-30)

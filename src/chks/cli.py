@@ -55,15 +55,17 @@ def cmd_simulate(cfg: RunConfig, out: Path, strict: bool) -> int:
     energies = np.empty(cfg.nt + 1)
 
     # Runs inside the sweep (solve_forward's on_level), so a solver failure
-    # at step j leaves the snapshots of levels 0 .. j and no series.csv.
+    # at step j leaves the snapshots of levels 0 .. j and no series.csv. The
+    # solve streams: it holds three levels, and the hook reads level k only.
     def on_level(traj, k):
         energies[k] = energy(traj, k, cfg.model)
-        write_trajectory(out, traj.grid, {name: f[k:k + 1] for name, f in traj.fields.items()},
+        j = traj.slot(k)
+        write_trajectory(out, traj.grid, {name: f[j:j + 1] for name, f in traj.fields.items()},
                          start=k)
 
     traj, report = solve_forward(
         cfg.grid, cfg.model, cfg.init, cfg.u0, cfg.T, cfg.nt,
-        s_stab=cfg.s_stab, flux_scheme=cfg.flux_scheme, on_level=on_level,
+        s_stab=cfg.s_stab, flux_scheme=cfg.flux_scheme, on_level=on_level, stream=True,
     )
     write_csv(out / "series.csv", _series_rows(traj, report, energies))
     sigma_lo, sigma_hi = report.sigma_min.min(), report.sigma_max.max()

@@ -49,7 +49,11 @@ from .state import (
 
 
 def solve_linearized(base: Trajectory, spec: ModelSpec, h: np.ndarray) -> Trajectory:
-    """Solve the linearized system along direction h (shape (Nt, nx, ny))."""
+    """Solve the linearized system along direction h (shape (Nt, nx, ny)).
+
+    base must hold every level: ValueError otherwise.
+    """
+    base.check_every_level("base")
     gr = base.grid
     nt = base.nt
     if h.shape != (nt, gr.nx, gr.ny):
@@ -132,8 +136,9 @@ def taylor_remainders(
     """Remainders ||S(u + eps*h) - S(u) - eps*lin(h)|| for a sweep of eps.
 
     base_traj is S(u); the perturbed runs reuse its grid, step count, end
-    time and scheme. Perturbed controls must stay admissible; callers pick
-    u interior to the box and eps*h small enough.
+    time and scheme, and it must hold every level (ValueError otherwise).
+    Perturbed controls must stay admissible; callers pick u interior to the
+    box and eps*h small enough.
     """
     gr = base_traj.grid
     lin = solve_linearized(base_traj, spec, h)

@@ -26,10 +26,15 @@ phi -> n -> sigma -> a:
 4. a: implicit diffusion, explicit chemotaxis flux against the *new*
    sigma, explicit logistic term and control source.
 
-The forward sweep steps in place on a Trajectory, which it stores in full
-because the linearized/adjoint replays need it: step k reads stored level k
-and writes level k + 1. A Trajectory holds its five fields in one
-(fields, Nt+1, nx, ny) array, so the check of a new level is one scan.
+The forward sweep steps in place on a Trajectory: step k reads stored level
+k and writes level k + 1. It stores every level, because the
+linearized/adjoint replays need them, unless solve_forward streams: then
+the Trajectory is a ring of three levels, level k in slot k mod 3, and the
+sweep's memory does not grow with Nt (chks simulate, which writes each
+level as it comes, is the one caller). A Trajectory holds its five fields
+in one (fields, levels, nx, ny) array, so the check of a new level is one
+scan, and the step, the CG start, the check and the energy find level k
+through Trajectory.slot.
 Within a step, (a, sigma) reaches (phi, mu, n) only through the lagged
 source c_sigma*sigma, so the step is two chains that share no level they
 write:
@@ -43,15 +48,17 @@ write:
 That independence lets Trajectory.advance, which runs each step of all three
 sweeps and names it in any SolverError, run the two at once on large grids
 with every stored level bitwise that of the order above. solve_forward's
-report holds the per-level reductions (InvariantReport), computed from the
-stored levels after the sweep. The monitors of a nonlinear function, the
-mean-ODE residual (h(phi)) and the energy, run one level at a time and only
-when a caller asks for them: after the sweep, or during it through
+report holds the per-level reductions (InvariantReport): a stored solve
+reduces all its levels after the sweep, a streamed one level k just before
+the hook sees it, to the same bits. The monitors of a nonlinear function,
+the mean-ODE residual (h(phi)) and the energy, run one level at a time and
+only when a caller asks for them: after the sweep, or during it through
 solve_forward's on_level hook, which sees each level as soon as it is
-stored. Step k calls the hook for level k on the calling thread ahead of its
-phi/mu -> n chain, so on large grids the hook's work overlaps the worker's
-sigma -> a chain; it reads only levels up to k, which no chain of step k
-writes.
+stored. Step k calls the hook for level k, after a streamed solve's
+reductions of that level, on the calling thread ahead of its
+phi/mu -> n chain, so on large grids that work overlaps the worker's
+sigma -> a chain; it reads only levels up to k (level k only in a ring),
+which no chain of step k writes.
 
 Two chains at once
 ------------------
@@ -72,14 +79,16 @@ passing the interpreter lock between the threads. The two chains are not
 equal: at 256^2 a forward step's phi/mu -> n chain took 6.1-10.5 ms and its
 sigma -> a chain 10.2-17.5 ms, run one after the other (medians over 96
 steps, in four batches as the machine's speed drifted). The caller's thread
-thus had 4-7 ms to spare per step, and chks simulate spends it on the
-on_level hook: one level's energy (1.1-1.8 ms) and five snapshot writes
-(1.1-1.6 ms). scipy.fft's own workers=2, which splits one transform over
-two threads, stays out: 400 dctn calls at 256^2 took 0.40-0.45 s serial and
-0.30-0.73 s with workers=2, varying from batch to batch, against
-0.29-0.33 s for two threads that each transform their own array. It would
-share only the transforms, about half of a step, and on two cores it would
-compete with the worker.
+thus had 4-7 ms to spare per step, and chks simulate spends it on one
+level's report reductions (0.06-0.08 ms, against 3.3-3.7 ms for all 33
+levels of a stored trajectory after the sweep; minimum of 5 x 100 calls)
+and the on_level hook: one level's energy (1.1-1.8 ms) and five snapshot
+writes (1.1-1.6 ms). scipy.fft's own workers=2, which splits one
+transform over two threads, stays out: 400 dctn calls at 256^2 took
+0.40-0.45 s serial and 0.30-0.73 s with workers=2, varying from batch to
+batch, against 0.29-0.33 s for two threads that each transform their own
+array. It would share only the transforms, about half of a step, and on two
+cores it would compete with the worker.
 """
 
 from __future__ import annotations
@@ -105,6 +114,9 @@ from .potentials import (
 # Fewest cells at which Trajectory.advance runs a step's two chains at once;
 # see "Two chains at once" in the module docstring.
 CONCURRENT_MIN_CELLS = 144 * 144
+# Levels a ring holds: step k reads level k, and level k - 1 for the CG
+# start, and writes level k + 1.
+RING_LEVELS = 3
 
 _CHAIN_WORKER: ThreadPoolExecutor
 
@@ -199,19 +211,23 @@ class Control:
 
 @dataclass
 class Trajectory:
-    """A stored sweep on the uniform step grid t_k = k * tau.
+    """A sweep on the uniform step grid t_k = k * tau.
 
     data holds every unknown at every stored level in one
-    (fields, Nt+1, nx, ny) array, the unknowns in the order of names: phi,
+    (fields, slots, nx, ny) array, the unknowns in the order of names: phi,
     mu, a, n, sigma for the forward sweep, psi, eta, alpha_lin, nu, omega
-    for the tangent sweep and p1, ..., p5 for the adjoint sweep. fields maps
-    each name to its (Nt+1, nx, ny) slice of data, and the same slices read
-    as attributes (traj.phi, lin.psi, adj.p3), so write into them in place:
-    a field rebound to an array of its own would escape the step-end check,
-    which scans one level of data. A trajectory is its sweep's only state:
-    step k reads stored level k (k + 1 backward) and writes the next level.
-    s_stab and flux_scheme record the forward scheme, which the replays
-    reuse.
+    for the tangent sweep and p1, ..., p5 for the adjoint sweep. A stored
+    sweep has Nt+1 slots, level k in slot k. A ring, which only a streamed
+    forward solve makes (solve_forward's stream), has RING_LEVELS slots,
+    level k in slot k mod 3, so it holds the last three levels;
+    holds_every_level tells the two apart, and slot(k) is where level k
+    lives in either. fields maps each name to its (slots, nx, ny) slice of
+    data, and the same slices read as attributes (traj.phi, lin.psi,
+    adj.p3), so write into them in place: a field rebound to an array of
+    its own would escape the step-end check, which scans one level of data.
+    A trajectory is its sweep's only state: step k reads stored level k
+    (k + 1 backward) and writes the next level. s_stab and flux_scheme
+    record the forward scheme, which the replays reuse.
     """
 
     grid: Grid
@@ -222,16 +238,22 @@ class Trajectory:
     flux_scheme: str = "centered"
 
     @classmethod
-    def zeros(cls, grid: Grid, times: np.ndarray, names, **kwargs) -> Trajectory:
-        """A trajectory whose named fields are all zero on every step."""
+    def zeros(cls, grid: Grid, times: np.ndarray, names, ring: bool = False,
+              **kwargs) -> Trajectory:
+        """A trajectory whose named fields are all zero on every step; with
+        ring, one of RING_LEVELS slots, or of every level if there are fewer."""
         names = tuple(names)
-        data = np.zeros((len(names), len(times), grid.nx, grid.ny))
+        slots = min(RING_LEVELS, len(times)) if ring else len(times)
+        data = np.zeros((len(names), slots, grid.nx, grid.ny))
         return cls(grid, times, names, data, **kwargs)
 
     def __post_init__(self):
         self.names = tuple(self.names)
-        if self.data.shape != (len(self.names), len(self.times), self.grid.nx, self.grid.ny):
-            raise ValueError("data must have shape (len(names), len(times), nx, ny)")
+        slots = self.data.shape[1] if self.data.ndim == 4 else None
+        if (self.data.shape != (len(self.names), slots, self.grid.nx, self.grid.ny)
+                or slots not in (len(self.times), RING_LEVELS)):
+            raise ValueError("data must have shape (len(names), len(times) or 3, nx, ny)")
+        self.holds_every_level = slots == len(self.times)
         self.fields = dict(zip(self.names, self.data))
         # Bound as plain attributes: the sweeps read fields several times per
         # step, and a __getattr__ hook would run Python code on every read.
@@ -244,6 +266,16 @@ class Trajectory:
     @cached_property
     def tau(self) -> float:
         return float(self.times[1] - self.times[0])
+
+    def slot(self, k: int) -> int:
+        """The index along data's level axis of stored level k: k itself, or
+        k mod RING_LEVELS in a ring."""
+        return k if self.holds_every_level else k % RING_LEVELS
+
+    def check_every_level(self, role: str) -> None:
+        """ValueError naming role unless this trajectory holds every level."""
+        if not self.holds_every_level:
+            raise ValueError(f"{role} must hold every level, not a ring of {RING_LEVELS}")
 
     def extrapolate(
         self, name: str, k: int, direction: int = 1, like: Trajectory | None = None
@@ -266,19 +298,22 @@ class Trajectory:
         """
         j = k if direction > 0 else k + 1
         f = self.fields[name]
+        f_j = f[self.slot(j)]
         if like is not None:
             g_ref = like.fields[name]
-            return g_ref[j + direction] + (f[j] - g_ref[j])
+            return g_ref[j + direction] + (f_j - g_ref[j])
         if not 0 <= j - direction <= self.nt:
-            return f[j]
-        return 2.0 * f[j] - f[j - direction]
+            return f_j
+        return 2.0 * f_j - f[self.slot(j - direction)]
 
     def check_like(self, like: Trajectory | None) -> None:
-        """ValueError naming like unless it is None or has this trajectory's
-        grid, step count and field names."""
-        if like is not None and (like.grid != self.grid or like.nt != self.nt
-                                 or like.names != self.names):
+        """ValueError naming like unless it is None or holds every level and
+        has this trajectory's grid, step count and field names."""
+        if like is None:
+            return
+        if like.grid != self.grid or like.nt != self.nt or like.names != self.names:
             raise ValueError("like must have the grid, the step count and the fields of the solve")
+        like.check_every_level("like")
 
     def advance(self, sweep: str, k: int, first, second, direction: int = 1) -> None:
         """Run step k of a sweep, its two chains first() then second(), and
@@ -311,7 +346,7 @@ class Trajectory:
                 finally:
                     wait((later,))
                 later.result()
-            new = self.data[:, level]
+            new = self.data[:, self.slot(level)]
             if not np.isfinite(new).all():
                 bad = next(n for n, f in zip(self.names, new) if not np.isfinite(f).all())
                 raise SolverError(f"non-finite {bad}")
@@ -329,13 +364,36 @@ A_MIN_UPWIND = -1e-10
 @dataclass
 class InvariantReport:
     """Per-level monitors of a forward trajectory, each an (Nt+1,) array and
-    a column of series.csv. A check over the run takes its .min() or .max()."""
+    a column of series.csv. A check over the run takes its .min() or .max().
+
+    reduce fills the entries of a block of levels with one reduction per
+    column over the block: a stored solve reduces all its levels after the
+    sweep, a streamed one each level as the sweep reaches it. Each level's
+    entries are bitwise the same either way.
+    """
 
     mean_phi: np.ndarray
     sigma_min: np.ndarray
     sigma_max: np.ndarray
     a_min: np.ndarray
     clamp_events: np.ndarray  # PotentialSpec.clamp_counts(traj.phi)
+
+    @classmethod
+    def empty(cls, nt: int) -> InvariantReport:
+        """A report of nt + 1 levels whose entries reduce has yet to fill."""
+        return cls(*(np.empty(nt + 1) for _ in range(4)), np.empty(nt + 1, dtype=int))
+
+    def reduce(self, traj: Trajectory, start: int, stop: int, pot: PotentialSpec) -> None:
+        """Fill the entries of levels start .. stop - 1 from traj, which must
+        hold them in consecutive slots: every level of a stored sweep, or one
+        level of a ring."""
+        lo, hi = traj.slot(start), traj.slot(stop - 1) + 1
+        phi = traj.phi[lo:hi]
+        self.mean_phi[start:stop] = phi.mean(axis=(1, 2))
+        self.sigma_min[start:stop] = traj.sigma[lo:hi].min(axis=(1, 2))
+        self.sigma_max[start:stop] = traj.sigma[lo:hi].max(axis=(1, 2))
+        self.a_min[start:stop] = traj.a[lo:hi].min(axis=(1, 2))
+        self.clamp_events[start:stop] = pot.clamp_counts(phi)
 
 
 def step(
@@ -355,12 +413,16 @@ def step(
     The kernels scan nothing: a non-finite value in what the step reads
     reaches an output or stops a solve, and advance checks the new level,
     its five fields in one scan, at the end and names the step in any
-    SolverError.
+    SolverError. Levels are reached through traj.slot, so traj may be a
+    ring (see Trajectory).
     on_level(traj, k), if given, runs at the head of the phi/mu -> n chain,
-    on the calling thread; it may read levels up to k, which the step does
-    not write, and while it runs on a large grid the worker runs sigma -> a.
+    on the calling thread, and while it runs on a large grid the worker runs
+    sigma -> a. It may read levels up to k, which the step does not write;
+    in a ring, level k only, since level k + 1 goes into the slot of level
+    k - 2.
     """
     gr = traj.grid
+    old, new = traj.slot(k), traj.slot(k + 1)
     # Right-hand sides are updated in place on fresh arrays, such as the
     # results of h_value, f_prime, divergence and laplacian, in both chains.
 
@@ -371,7 +433,7 @@ def step(
         if traj.tau <= 0:
             raise SolverError("step requires tau > 0")
         inv_tau, s_stab = 1.0 / traj.tau, traj.s_stab
-        phi, n, sigma = traj.phi[k], traj.n[k], traj.sigma[k]
+        phi, n, sigma = traj.phi[old], traj.n[old], traj.sigma[old]
 
         # 1. phi/mu block. m is implicit via the effective step.
         tau_eff = 1.0 / (inv_tau + spec.m)
@@ -380,34 +442,34 @@ def step(
         rhs_phi -= spec.chi_phi * g.laplacian(gr, n)
         rhs_mu = spec.pot.f_prime(phi)
         np.subtract(s_stab * phi, rhs_mu, out=rhs_mu)
-        traj.phi[k + 1], traj.mu[k + 1] = g.ch_block_solve(gr, rhs_phi, rhs_mu, tau_eff, s_stab)
+        traj.phi[new], traj.mu[new] = g.ch_block_solve(gr, rhs_phi, rhs_mu, tau_eff, s_stab)
 
         # 2. n: implicit diffusion, explicit reactions, new phi.
         rhs_n = n * (inv_tau + spec.c_n)
-        rhs_n += (spec.chi_phi + spec.c_phi) * traj.phi[k + 1]
+        rhs_n += (spec.chi_phi + spec.c_phi) * traj.phi[new]
         rhs_n += spec.c_sigma * sigma + spec.c_0
-        traj.n[k + 1] = g.helmholtz_direct(gr, rhs_n, inv_tau)
+        traj.n[new] = g.helmholtz_direct(gr, rhs_n, inv_tau)
 
     def chemotaxis() -> None:
         """Steps 3 and 4: sigma and a at level k + 1 from a and sigma at levels up to k."""
         inv_tau = 1.0 / traj.tau
-        a, sigma = traj.a[k], traj.sigma[k]
+        a, sigma = traj.a[old], traj.sigma[old]
 
         # 3. sigma: monotone implicit reaction with frozen a >= 0.
         a_frozen = np.maximum(a, 0.0)
         rhs_sigma = sigma * inv_tau
         rhs_sigma += spec.chi_a * a_frozen + 1.0
-        traj.sigma[k + 1] = g.helmholtz_cg(
+        traj.sigma[new] = g.helmholtz_cg(
             gr, rhs_sigma, (inv_tau + 1.0) + a_frozen, traj.extrapolate("sigma", k, like=like)
         )
 
         # 4. a: implicit diffusion, explicit chemotaxis against new sigma;
         # a/tau + a - a^2 is formed as a*((1/tau + 1) - a).
-        rhs_a = g.divergence(gr, a, traj.sigma[k + 1], traj.flux_scheme)
+        rhs_a = g.divergence(gr, a, traj.sigma[new], traj.flux_scheme)
         rhs_a *= -spec.chi_a
         rhs_a += a * ((inv_tau + 1.0) - a)
         rhs_a += u_k
-        traj.a[k + 1] = g.helmholtz_direct(gr, rhs_a, inv_tau)
+        traj.a[new] = g.helmholtz_direct(gr, rhs_a, inv_tau)
 
     traj.advance("forward", k, phase_nutrient, chemotaxis)
 
@@ -424,23 +486,35 @@ def solve_forward(
     check_admissibility: bool = True,
     like: Trajectory | None = None,
     on_level: Callable[[Trajectory, int], None] | None = None,
+    *,
+    stream: bool = False,
 ) -> tuple[Trajectory, InvariantReport]:
     """Integrate the system on [0, T] with nt uniform steps.
 
     mu at step 0 is the diagnostic value -Lap(phi0) + F'(phi0); afterwards
     it is a solved unknown. Set check_admissibility=False to run
     deliberately degenerate data (used by the verification suites). like
-    is an optional forward trajectory on the same grid with nt steps, such
-    as the solve for a nearby control, whose sigma increments start each
-    step's CG (see step); any other like raises ValueError.
+    is an optional forward trajectory on the same grid with nt steps that
+    holds every level, such as the solve for a nearby control, whose sigma
+    increments start each step's CG (see step); any other like raises
+    ValueError.
 
     on_level(traj, k), if given, is called once for each stored level
     k = 0 .. nt, in order, and may read levels 0 .. k only: for k < nt
     inside step k, ahead of its phi/mu -> n chain (see step), and for nt
     after the last step. It must not write into traj, and an error it
     raises ends the solve. After a SolverError at step j it has seen levels
-    0 .. j. Returns the trajectory and its per-level monitors;
-    check_mean_ode and energy compute the others.
+    0 .. j.
+
+    With stream=True the trajectory is a ring of three levels (see
+    Trajectory), so memory does not grow with nt, and every level is
+    bitwise that of a stored solve. on_level may then read level k only:
+    step k writes level k + 1 into the slot of level k - 2. The report's
+    entries for level k are reduced ahead of on_level(traj, k); a stored
+    solve reduces all its levels after the sweep, to the same bits.
+    Returns the trajectory and its per-level monitors; check_mean_ode and
+    energy compute the others, check_mean_ode from a trajectory that holds
+    every level.
     """
     if nt < 1:
         raise ValueError("nt must be at least 1")
@@ -454,30 +528,33 @@ def solve_forward(
         s_stab = default_s_stab(spec.pot)
 
     traj = Trajectory.zeros(
-        gr, np.linspace(0.0, T, nt + 1), ("phi", "mu", "a", "n", "sigma"),
+        gr, np.linspace(0.0, T, nt + 1), ("phi", "mu", "a", "n", "sigma"), ring=stream,
         s_stab=s_stab, flux_scheme=flux_scheme,
     )
     traj.check_like(like)
+    # Level 0 is in slot 0 of a ring too.
     traj.phi[0], traj.a[0], traj.n[0] = init.phi0, init.a0, init.n0
     traj.sigma[0] = init.sigma0
     traj.mu[0] = -g.laplacian(gr, init.phi0) + spec.pot.f_prime(init.phi0)
-    for k in range(nt):
-        step(traj, k, u.values[k], spec, like, on_level)
-    if on_level is not None:
-        on_level(traj, nt)
+    report = InvariantReport.empty(nt)
+    hook = on_level
+    if stream:
+        def hook(traj: Trajectory, k: int) -> None:
+            report.reduce(traj, k, k + 1, spec.pot)
+            if on_level is not None:
+                on_level(traj, k)
 
-    report = InvariantReport(
-        mean_phi=traj.phi.mean(axis=(1, 2)),
-        sigma_min=traj.sigma.min(axis=(1, 2)),
-        sigma_max=traj.sigma.max(axis=(1, 2)),
-        a_min=traj.a.min(axis=(1, 2)),
-        clamp_events=spec.pot.clamp_counts(traj.phi),
-    )
+    for k in range(nt):
+        step(traj, k, u.values[k], spec, like, hook)
+    if hook is not None:
+        hook(traj, nt)
+    if not stream:
+        report.reduce(traj, 0, nt + 1, spec.pot)
     return traj, report
 
 
 def energy(traj: Trajectory, k: int, spec: ModelSpec) -> float:
-    """Free energy of stored level k of a forward trajectory.
+    """Free energy of stored level k of a forward trajectory, or of a ring.
 
     E = int a*(ln a - 1) - chi_phi int n*phi - chi_a int a*sigma
         + (1/2) int (|grad phi|^2 + |grad n|^2 + |grad sigma|^2) + int F(phi)
@@ -485,7 +562,8 @@ def energy(traj: Trajectory, k: int, spec: ModelSpec) -> float:
     The entropy term clamps a at 1e-14 from below.
     """
     gr = traj.grid
-    phi, a, n, sigma = traj.phi[k], traj.a[k], traj.n[k], traj.sigma[k]
+    j = traj.slot(k)
+    phi, a, n, sigma = traj.phi[j], traj.a[j], traj.n[j], traj.sigma[j]
     a_safe = np.maximum(a, 1e-14)
     area = gr.cell_area
     ent = area * float(np.sum(a_safe * (np.log(a_safe) - 1.0)))
@@ -516,6 +594,7 @@ def mean_ode_residuals(traj: Trajectory, spec: ModelSpec) -> np.ndarray:
     vanishes to round-off when h is constant (in particular h = 0 and
     h = m*r0).
     """
+    traj.check_every_level("traj")
     means = traj.phi.mean(axis=(1, 2))
     # h(phi) one level at a time: on the whole trajectory it raises
     # peak_rss_mb by 13% on a 256^2 forward run. Level 0's is never read.
@@ -537,6 +616,8 @@ def trajectory_distance(t1: Trajectory, t2: Trajectory) -> float:
     contributions; mesh-independent quadratures so values are comparable
     across grids.
     """
+    t1.check_every_level("t1")
+    t2.check_every_level("t2")
     gr = t1.grid
     total = 0.0
     for f1, f2 in zip(t1.fields.values(), t2.fields.values(), strict=True):
