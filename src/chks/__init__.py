@@ -33,7 +33,7 @@ from .state import (
     step,
     trajectory_distance,
 )
-from .linearized import solve_linearized
+from .linearized import solve_linearized, tangent_trajectory
 from .adjoint import ControlSpec, duality_residual, solve_adjoint
 from .control_opt import (
     OptimizeOptions,

@@ -209,10 +209,14 @@ def duality_residual(
     base: Trajectory,
     adj: Trajectory,
     h: np.ndarray,
-    lin: Trajectory,
+    psi: np.ndarray,
     cost: ControlSpec,
 ) -> float:
     """Relative gap of the adjoint/linearized duality identity.
+
+    psi is the tangent's psi at levels 0 .. Nt along h, one (Nt+1, nx, ny)
+    array as solve_linearized returns it; the cost reads phi only, so psi
+    is the one tangent unknown the identity pairs.
 
     LHS = int_Q h p3, RHS = b1 int_Q (phi* - phi_Q) psi
                           + b2 int_Om (phi*(T) - phi_Om) psi(T),
@@ -220,15 +224,18 @@ def duality_residual(
     (tau * grid.inner over the stacked levels 1..Nt for the LHS, and level
     by level for the running misfit, which would otherwise be a temporary
     the size of one field of a trajectory).
-    Returns |LHS - RHS| / (|LHS| + |RHS| + 1e-30).
+    Returns |LHS - RHS| / (|LHS| + |RHS| + 1e-30). ValueError unless adj
+    and psi are on base's time grid.
     """
     gr = base.grid
     tau = base.tau
-    if lin.nt != base.nt or adj.nt != base.nt:
+    if adj.nt != base.nt:
         raise ValueError("trajectories must share the time grid")
+    if psi.shape != (base.nt + 1, gr.nx, gr.ny):
+        raise ValueError("psi must have shape (nt + 1, nx, ny) on the base's time grid")
     lhs = tau * g.inner(gr, h, adj.p3[1:])
-    rhs = cost.b2 * g.inner(gr, base.phi[-1] - cost.phi_omega, lin.psi[-1])
+    rhs = cost.b2 * g.inner(gr, base.phi[-1] - cost.phi_omega, psi[-1])
     if cost.b1:
-        rhs += cost.b1 * tau * sum(g.inner(gr, phi - phi_q, psi) for phi, phi_q, psi
-                                   in zip(base.phi[1:], cost.phi_q, lin.psi[1:]))
+        rhs += cost.b1 * tau * sum(g.inner(gr, phi - phi_q, psi_k) for phi, phi_q, psi_k
+                                   in zip(base.phi[1:], cost.phi_q, psi[1:]))
     return abs(lhs - rhs) / (abs(lhs) + abs(rhs) + 1e-30)

@@ -16,9 +16,17 @@ implicit operators, same update ordering (psi -> nu -> omega -> alpha),
 with every coefficient frozen from the base trajectory at the level the
 forward step used for the corresponding term. That congruence is what
 makes the Taylor remainder of the forward map second order in the
-direction size. Like the forward sweep, step k reads stored level k of
-the returned Trajectory and writes level k + 1 in place; the returned
-Trajectory records the base's s_stab and flux scheme.
+direction size.
+
+The sweep steps in place on a ring of three levels (see Trajectory), level
+k in slot k mod 3: step k reads level k and writes level k + 1 into the
+slot of level k - 2. The tracking cost reads phi only, so the duality
+identity pairs its misfit with psi alone, the phi part of the tangent.
+solve_linearized thus keeps psi at every level, one (Nt+1, nx, ny) array,
+and the other four unknowns only in the ring, whatever Nt. Its on_level
+hook sees each level of the ring as it is finished; tangent_trajectory,
+which keeps every unknown at every level for the Taylor rows, is that hook
+copying each level out, so one sweep serves both.
 
 Like the forward step, a tangent step is two chains that share no level
 they write, which Trajectory.advance runs, naming the step in any error:
@@ -35,9 +43,12 @@ base trajectory it is given.
 
 from __future__ import annotations
 
+from collections.abc import Callable
+
 import numpy as np
 
 from . import grid as g
+from .grid import Grid
 from .state import (
     Control,
     InitialData,
@@ -47,11 +58,47 @@ from .state import (
     trajectory_distance,
 )
 
+TANGENT_FIELDS = ("psi", "eta", "alpha_lin", "nu", "omega")
 
-def solve_linearized(base: Trajectory, spec: ModelSpec, h: np.ndarray) -> Trajectory:
-    """Solve the linearized system along direction h (shape (Nt, nx, ny)).
 
-    base must hold every level: ValueError otherwise.
+class TangentPsi(np.ndarray):
+    """psi at levels 0 .. Nt, one (Nt+1, nx, ny) array, as solve_linearized
+    returns it. grid and nt name the sweep it came from, as a Trajectory's
+    do: the benchmark's tracer reads them off each sweep's result. An
+    index, arithmetic or a reduction on it gives a plain ndarray or scalar,
+    without them.
+    """
+
+    grid: Grid
+    nt: int
+
+    def __array_wrap__(self, obj, context=None, return_scalar=False):
+        obj = obj.view(np.ndarray)
+        return obj[()] if return_scalar else obj
+
+    def __getitem__(self, key):
+        return self.view(np.ndarray)[key]
+
+
+def solve_linearized(
+    base: Trajectory, spec: ModelSpec, h: np.ndarray,
+    on_level: Callable[[Trajectory, int], None] | None = None,
+) -> TangentPsi:
+    """Solve the linearized system along direction h (shape (Nt, nx, ny))
+    and return psi at every level, one (Nt+1, nx, ny) array whose level 0
+    is zero.
+
+    The sweep runs on a ring of three levels (see the module docstring).
+    Level k + 1 of psi is copied out of the ring once advance has checked
+    it. base must hold every level: ValueError otherwise.
+
+    on_level(ring, k), if given, is called once for each level
+    k = 0 .. Nt, in order, and may read level k of the ring only: for
+    k < Nt inside step k, on the calling thread ahead of its psi/eta -> nu
+    chain, and for Nt after the last step; step k writes level k + 1 into
+    the slot of level k - 2. on_level must not write into the ring, and an
+    error it raises ends the solve. After a SolverError at step j it has
+    seen levels 0 .. j.
     """
     base.check_every_level("base")
     gr = base.grid
@@ -64,10 +111,10 @@ def solve_linearized(base: Trajectory, spec: ModelSpec, h: np.ndarray) -> Trajec
     s_stab = base.s_stab
     scheme = base.flux_scheme
 
-    out = Trajectory.zeros(
-        gr, base.times, ("psi", "eta", "alpha_lin", "nu", "omega"),
-        s_stab=s_stab, flux_scheme=scheme,
-    )
+    ring = Trajectory.zeros(gr, base.times, TANGENT_FIELDS, ring=True,
+                            s_stab=s_stab, flux_scheme=scheme)
+    psi_levels = np.zeros((nt + 1, gr.nx, gr.ny)).view(TangentPsi)
+    psi_levels.grid, psi_levels.nt = gr, nt
     inv_tau = 1.0 / tau
     tau_eff = 1.0 / (inv_tau + spec.m)
     # Right-hand sides are updated in place on fresh arrays, such as the
@@ -75,10 +122,13 @@ def solve_linearized(base: Trajectory, spec: ModelSpec, h: np.ndarray) -> Trajec
     # levels were checked by the forward sweep and h on entry, and the five
     # outputs are checked at the end of each step.
 
-    def phase(k: int) -> None:
-        """psi, eta and nu at level k + 1 from psi, nu and omega at level k."""
+    def phase(k: int, old: int, new: int) -> None:
+        """psi, eta and nu at level k + 1 (slot new) from psi, nu and omega
+        at level k (slot old)."""
+        if on_level is not None:
+            on_level(ring, k)
         phi_k = base.phi[k]
-        psi, nu, omega = out.psi[k], out.nu[k], out.omega[k]
+        psi, nu, omega = ring.psi[old], ring.nu[old], ring.omega[old]
 
         # psi/eta block: derivative of the stabilized phase-field step.
         rhs_psi = spec.prolif.h_prime(phi_k)
@@ -88,41 +138,65 @@ def solve_linearized(base: Trajectory, spec: ModelSpec, h: np.ndarray) -> Trajec
         rhs_eta = spec.pot.f_second(phi_k)
         np.subtract(s_stab, rhs_eta, out=rhs_eta)
         rhs_eta *= psi
-        out.psi[k + 1], out.eta[k + 1] = g.ch_block_solve(gr, rhs_psi, rhs_eta, tau_eff, s_stab)
+        ring.psi[new], ring.eta[new] = g.ch_block_solve(gr, rhs_psi, rhs_eta, tau_eff, s_stab)
 
         # nu: new psi enters, the rest explicit.
         rhs_nu = nu * (inv_tau + spec.c_n)
-        rhs_nu += (spec.chi_phi + spec.c_phi) * out.psi[k + 1]
+        rhs_nu += (spec.chi_phi + spec.c_phi) * ring.psi[new]
         rhs_nu += spec.c_sigma * omega
-        out.nu[k + 1] = g.helmholtz_direct(gr, rhs_nu, inv_tau)
+        ring.nu[new] = g.helmholtz_direct(gr, rhs_nu, inv_tau)
 
-    def chemotaxis(k: int) -> None:
-        """omega and alpha at level k + 1 from omega and alpha at levels up to k."""
+    def chemotaxis(k: int, old: int, new: int) -> None:
+        """omega and alpha at level k + 1 (slot new) from omega and alpha at
+        levels up to k (level k in slot old)."""
         a_k = base.a[k]
         sigma_new = base.sigma[k + 1]
-        alpha, omega = out.alpha_lin[k], out.omega[k]
+        alpha, omega = ring.alpha_lin[old], ring.omega[old]
 
         # omega: same implicit operator as the forward sigma update, its CG
         # started from the extrapolation of the stored levels.
         rhs_omega = omega * inv_tau
         rhs_omega += (spec.chi_a - sigma_new) * alpha
-        out.omega[k + 1] = g.helmholtz_cg(
-            gr, rhs_omega, (inv_tau + 1.0) + a_k, out.extrapolate("omega", k)
+        ring.omega[new] = g.helmholtz_cg(
+            gr, rhs_omega, (inv_tau + 1.0) + a_k, ring.extrapolate("omega", k)
         )
 
         # alpha: linearized chemotaxis flux against the base, new omega, with
         # the upwind donor cells of the base sigma; alpha/tau + (1 - 2 a*)
         # alpha is formed as ((1/tau + 1) - 2 a*) alpha.
         rhs_alpha = g.divergence(gr, alpha, sigma_new, scheme)
-        rhs_alpha += g.divergence(gr, a_k, out.omega[k + 1], scheme, upwind_by=sigma_new)
+        rhs_alpha += g.divergence(gr, a_k, ring.omega[new], scheme, upwind_by=sigma_new)
         rhs_alpha *= -spec.chi_a
         rhs_alpha += ((inv_tau + 1.0) - 2.0 * a_k) * alpha
         rhs_alpha += h[k]
-        out.alpha_lin[k + 1] = g.helmholtz_direct(gr, rhs_alpha, inv_tau)
+        ring.alpha_lin[new] = g.helmholtz_direct(gr, rhs_alpha, inv_tau)
 
     for k in range(nt):
-        out.advance("tangent", k, lambda: phase(k), lambda: chemotaxis(k))
-    return out
+        old, new = ring.slot(k), ring.slot(k + 1)
+        ring.advance("tangent", k, lambda: phase(k, old, new), lambda: chemotaxis(k, old, new))
+        psi_levels[k + 1] = ring.psi[new]
+    if on_level is not None:
+        on_level(ring, nt)
+    return psi_levels
+
+
+def tangent_trajectory(base: Trajectory, spec: ModelSpec, h: np.ndarray) -> Trajectory:
+    """Every tangent unknown at every level along direction h, as a
+    Trajectory that records the base's s_stab and flux scheme.
+
+    This is solve_linearized with an on_level hook that copies each level
+    out of the ring, so its levels are bitwise the sweep's; taylor_remainders
+    and any check of eta, alpha_lin, nu or omega read it. base must hold
+    every level: ValueError otherwise.
+    """
+    lin = Trajectory.zeros(base.grid, base.times, TANGENT_FIELDS,
+                           s_stab=base.s_stab, flux_scheme=base.flux_scheme)
+
+    def keep(ring: Trajectory, k: int) -> None:
+        lin.data[:, k] = ring.data[:, ring.slot(k)]
+
+    solve_linearized(base, spec, h, keep)
+    return lin
 
 
 def taylor_remainders(
@@ -135,13 +209,15 @@ def taylor_remainders(
 ) -> list[float]:
     """Remainders ||S(u + eps*h) - S(u) - eps*lin(h)|| for a sweep of eps.
 
-    base_traj is S(u); the perturbed runs reuse its grid, step count, end
-    time and scheme, and it must hold every level (ValueError otherwise).
-    Perturbed controls must stay admissible; callers pick u interior to the
-    box and eps*h small enough.
+    base_traj is S(u), and lin(h) is every tangent unknown at every level
+    (tangent_trajectory), which trajectory_distance pairs with the forward
+    unknowns by position. The perturbed runs reuse base_traj's grid, step
+    count, end time and scheme, and it must hold every level (ValueError
+    otherwise). Perturbed controls must stay admissible; callers pick u
+    interior to the box and eps*h small enough.
     """
     gr = base_traj.grid
-    lin = solve_linearized(base_traj, spec, h)
+    lin = tangent_trajectory(base_traj, spec, h)
     remainders = []
     for eps in epsilons:
         u_eps = Control(u.values + eps * h, u.u_max)

@@ -217,11 +217,13 @@ class Trajectory:
     (fields, slots, nx, ny) array, the unknowns in the order of names: phi,
     mu, a, n, sigma for the forward sweep, psi, eta, alpha_lin, nu, omega
     for the tangent sweep and p1, ..., p5 for the adjoint sweep. A stored
-    sweep has Nt+1 slots, level k in slot k. A ring, which only a streamed
-    forward solve makes (solve_forward's stream), has RING_LEVELS slots,
-    level k in slot k mod 3, so it holds the last three levels;
-    holds_every_level tells the two apart, and slot(k) is where level k
-    lives in either. fields maps each name to its (slots, nx, ny) slice of
+    sweep has Nt+1 slots, level k in slot k. A ring, which a streamed
+    forward solve (solve_forward's stream) and every tangent sweep make, has
+    RING_LEVELS slots, level k in slot k mod 3, so it holds the last three
+    levels; holds_every_level tells the two apart, and slot(k) is where
+    level k lives in either. newest is the level advance checked last
+    (level 0 before the first step), which is how a ring knows which levels
+    it still holds. fields maps each name to its (slots, nx, ny) slice of
     data, and the same slices read as attributes (traj.phi, lin.psi,
     adj.p3), so write into them in place: a field rebound to an array of
     its own would escape the step-end check, which scans one level of data.
@@ -254,6 +256,7 @@ class Trajectory:
                 or slots not in (len(self.times), RING_LEVELS)):
             raise ValueError("data must have shape (len(names), len(times) or 3, nx, ny)")
         self.holds_every_level = slots == len(self.times)
+        self.newest = 0
         self.fields = dict(zip(self.names, self.data))
         # Bound as plain attributes: the sweeps read fields several times per
         # step, and a __getattr__ hook would run Python code on every read.
@@ -269,8 +272,18 @@ class Trajectory:
 
     def slot(self, k: int) -> int:
         """The index along data's level axis of stored level k: k itself, or
-        k mod RING_LEVELS in a ring."""
-        return k if self.holds_every_level else k % RING_LEVELS
+        k mod RING_LEVELS in a ring.
+
+        A ring holds level k only from two levels behind newest up to the
+        level after it, which the next step writes: ValueError for any
+        other k, whose slot holds another level.
+        """
+        if self.holds_every_level:
+            return k
+        if not self.newest - 2 <= k <= self.newest + 1:
+            raise ValueError(f"level {k} is not in the ring, which holds levels "
+                             f"{max(self.newest - 2, 0)} to {self.newest}")
+        return k % RING_LEVELS
 
     def check_every_level(self, role: str) -> None:
         """ValueError naming role unless this trajectory holds every level."""
@@ -317,7 +330,8 @@ class Trajectory:
 
     def advance(self, sweep: str, k: int, first, second, direction: int = 1) -> None:
         """Run step k of a sweep, its two chains first() then second(), and
-        check the level it wrote (k + 1 forward, k backward).
+        check the level it wrote (k + 1 forward, k backward), which becomes
+        newest once both chains are done.
 
         Neither chain may read what the other writes. Below
         CONCURRENT_MIN_CELLS cells they run one after the other; from there
@@ -347,6 +361,7 @@ class Trajectory:
                     wait((later,))
                 later.result()
             new = self.data[:, self.slot(level)]
+            self.newest = level
             if not np.isfinite(new).all():
                 bad = next(n for n, f in zip(self.names, new) if not np.isfinite(f).all())
                 raise SolverError(f"non-finite {bad}")

@@ -117,17 +117,17 @@ def test_duality_residual_matches_per_level_sums(problem):
                       phi_omega=cs.phi_omega, u_max=1.0)
     h = smooth_direction(grid, nt, 211)
     adj = solve_adjoint(base, csr, spec)
-    lin = solve_linearized(base, spec, h)
+    psi = solve_linearized(base, spec, h)
     # The adjoint trajectory records the scheme of the forward one.
     assert adj.flux_scheme == "upwind"
     assert adj.s_stab == base.s_stab > 0
     area = grid.cell_area
     lhs = sum(tau * area * np.sum(h[k] * adj.p3[k + 1]) for k in range(nt))
-    rhs = csr.b2 * area * np.sum((base.phi[nt] - csr.phi_omega) * lin.psi[nt])
-    rhs += csr.b1 * sum(tau * area * np.sum((base.phi[k + 1] - csr.phi_q[k]) * lin.psi[k + 1])
+    rhs = csr.b2 * area * np.sum((base.phi[nt] - csr.phi_omega) * psi[nt])
+    rhs += csr.b1 * sum(tau * area * np.sum((base.phi[k + 1] - csr.phi_q[k]) * psi[k + 1])
                         for k in range(nt))
     ref = abs(lhs - rhs) / (abs(lhs) + abs(rhs))
-    got = duality_residual(base, adj, h, lin, csr)
+    got = duality_residual(base, adj, h, psi, csr)
     assert ref > 1e-8  # a residual, not round-off, is compared
     # The residual is divided by |lhs| + |rhs|, so round-off in either side
     # moves it by about 1e-16 absolute, whatever the residual's size.
@@ -140,6 +140,17 @@ def test_duality_zero_direction_guard(problem):
     h = np.zeros((nt, grid.nx, grid.ny))
     lin = solve_linearized(traj, spec, h)
     assert duality_residual(traj, adj, h, lin, cs) == 0.0
+
+
+def test_duality_residual_rejects_psi_off_the_time_grid(problem):
+    grid, spec, init, u, traj, cs, T, nt = problem
+    adj = solve_adjoint(traj, cs, spec)
+    h = smooth_direction(grid, nt, 212)
+    psi = solve_linearized(traj, spec, h)
+    assert psi.shape == (nt + 1, grid.nx, grid.ny)
+    for bad in (psi[1:], psi[:, :-1], np.repeat(psi, 2, axis=0)):
+        with pytest.raises(ValueError, match="^psi must have shape"):
+            duality_residual(traj, adj, h, bad, cs)
 
 
 def test_p4_vanishes_with_zero_weights_and_zero_f14(problem):

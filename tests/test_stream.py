@@ -1,11 +1,14 @@
-"""A streamed forward solve: a ring of three levels, bitwise a stored solve.
+"""Sweeps on a ring of three levels, bitwise a stored solve.
 
 solve_forward(stream=True) keeps level k in slot k mod 3 and reduces the
-report one level at a time; chks simulate is its one caller. Everything
-that needs the whole history refuses a ring with a ValueError.
+report one level at a time; chks simulate is its one caller. The tangent
+sweep always runs on a ring and keeps psi alone at every level. A ring
+refuses a level it no longer holds, and everything that needs the whole
+history refuses a ring, each with a ValueError.
 """
 
 import threading
+import tracemalloc
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -18,7 +21,7 @@ from chks import state as state_mod
 from chks.adjoint import solve_adjoint
 from chks.config import load_config
 from chks.fields_io import write_csv, write_trajectory
-from chks.linearized import solve_linearized, taylor_remainders
+from chks.linearized import solve_linearized, tangent_trajectory, taylor_remainders
 from chks.state import (
     RING_LEVELS,
     Control,
@@ -175,6 +178,8 @@ GUARDS = {
     "solve_adjoint": (lambda s: solve_adjoint(s.ring, s.cfg.control_spec, s.cfg.model), "base"),
     "solve_linearized": (lambda s: solve_linearized(s.ring, s.cfg.model, s.cfg.u0.values),
                          "base"),
+    "tangent_trajectory": (lambda s: tangent_trajectory(s.ring, s.cfg.model, s.cfg.u0.values),
+                           "base"),
     "check_like": (lambda s: s.stored.check_like(s.ring), "like"),
     "solve_forward_like": (lambda s: solve_forward(*s.args, **s.kwargs, like=s.ring), "like"),
     "mean_ode_residuals": (lambda s: mean_ode_residuals(s.ring, s.cfg.model), "traj"),
@@ -191,3 +196,109 @@ def test_a_ring_is_refused_where_every_level_is_read(solves, use):
     run, role = GUARDS[use]
     with pytest.raises(ValueError, match=f"^{role} must hold every level, not a ring of 3$"):
         run(solves)
+
+
+def test_a_ring_refuses_a_level_it_no_longer_holds():
+    # After 32 steps the ring holds levels 30 to 32; level 0's slot holds
+    # level 30, whose energy the ring would otherwise return for level 0.
+    cfg = load_config(CONFIG_DIR / "simulate.cfg")
+    args, kwargs = forward_args(cfg)
+    ring, _ = solve_forward(*args, **kwargs, stream=True)
+    stored, _ = solve_forward(*args, **kwargs)
+    assert ring.newest == stored.newest == cfg.nt == 32
+    with pytest.raises(ValueError, match="^level 0 is not in the ring, which holds levels 30 to 32$"):
+        energy(ring, 0, cfg.model)
+    with pytest.raises(ValueError, match="^level 34 is not in the ring"):
+        ring.slot(34)
+    assert ring.slot(33) == 0  # the level a next step would write
+    assert energy(ring, 30, cfg.model) == energy(stored, 30, cfg.model)
+    # A stored trajectory holds every level wherever its sweep stands.
+    assert [stored.slot(k) for k in range(cfg.nt + 1)] == list(range(cfg.nt + 1))
+    assert energy(stored, 0, cfg.model) != energy(stored, 30, cfg.model)
+
+
+def _forward_with_hook(cfg, on_level):
+    args, kwargs = forward_args(cfg)
+    solve_forward(*args, **kwargs, on_level=on_level, stream=True)
+
+
+def _tangent_with_hook(cfg, on_level):
+    args, kwargs = forward_args(cfg)
+    base, _ = solve_forward(*args, **kwargs)
+    solve_linearized(base, cfg.model, cfg.u0.values, on_level)
+
+
+@pytest.mark.parametrize("sweep", [_forward_with_hook, _tangent_with_hook],
+                         ids=["forward", "tangent"])
+def test_a_hook_reading_three_levels_back_is_refused(sweep):
+    cfg = load_config(CONFIG_DIR / "verify.cfg")
+    seen = []
+
+    def on_level(ring, k):
+        seen.append(k)
+        if k >= 2:
+            ring.slot(k - 2)  # still in the ring until step k writes level k + 1
+        if k >= 3:
+            ring.slot(k - 3)
+
+    with pytest.raises(ValueError, match="^level 0 is not in the ring, which holds levels 1 to 3$"):
+        sweep(cfg, on_level)
+    assert seen == [0, 1, 2, 3]
+
+
+@pytest.mark.parametrize("chains", ["serial", "concurrent"])
+def test_tangent_hook_sees_each_level_once_in_order(monkeypatch, chains):
+    cfg = load_config(CONFIG_DIR / "verify.cfg")
+    args, kwargs = forward_args(cfg)
+    base, _ = solve_forward(*args, **kwargs)
+    h = np.random.default_rng(3).standard_normal((cfg.nt, cfg.grid.nx, cfg.grid.ny))
+    monkeypatch.setattr(state_mod, "CONCURRENT_MIN_CELLS",
+                        np.inf if chains == "serial" else 16 * 16)
+    assert cfg.grid.nx * cfg.grid.ny == 16 * 16
+    workers = set()
+    original = grid_mod.helmholtz_direct
+
+    def recorded(*args, **kwargs):
+        workers.add(threading.current_thread().name)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(grid_mod, "helmholtz_direct", recorded)
+    seen, threads = [], set()
+
+    def on_level(ring, k):
+        threads.add(threading.current_thread())
+        assert not ring.holds_every_level
+        assert ring.data.shape == (5, RING_LEVELS, cfg.grid.nx, cfg.grid.ny)
+        seen.append((k, ring.data[:, ring.slot(k)].copy()))
+
+    psi = solve_linearized(base, cfg.model, h, on_level)
+    assert any(name.startswith("chks-chain") for name in workers) == (chains == "concurrent")
+    assert threads == {threading.current_thread()}
+    assert [k for k, _ in seen] == list(range(cfg.nt + 1))
+    assert not seen[0][1].any()
+    assert psi.shape == (cfg.nt + 1, cfg.grid.nx, cfg.grid.ny)
+    for k, level in seen:
+        assert level[0].tobytes() == psi[k].tobytes(), k
+    # tangent_trajectory is the same sweep, every unknown kept.
+    lin = tangent_trajectory(base, cfg.model, h)
+    assert lin.holds_every_level and lin.names == ("psi", "eta", "alpha_lin", "nu", "omega")
+    for k, level in seen:
+        assert level.tobytes() == lin.data[:, k].tobytes(), k
+
+
+def test_tangent_sweep_holds_psi_and_a_ring_only():
+    # tracemalloc sees numpy's buffers. Beside the returned psi, the sweep
+    # holds a ring of 5 x 3 levels and one step's temporaries, about 0.9 of
+    # a psi array at 64^2 with 32 steps; every unknown at every level would
+    # be 5 psi arrays.
+    cfg = load_config(CONFIG_DIR.parent / "perfbench" / "configs" / "optimize-64.cfg")
+    args, kwargs = forward_args(cfg)
+    base, _ = solve_forward(*args, **kwargs)
+    tracemalloc.start()
+    try:
+        psi = solve_linearized(base, cfg.model, cfg.u0.values)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert psi.nbytes == (cfg.nt + 1) * cfg.grid.nx * cfg.grid.ny * 8
+    assert peak < 2.5 * psi.nbytes, f"peak {peak} B against a {psi.nbytes} B psi array"
