@@ -77,8 +77,8 @@ for factor in (1, 2):
                      phi_omega=phi_omega, u_max=1.0)
     trajf, _ = solve_forward(grid, model, init, uf, T, n)
     adj = solve_adjoint(trajf, cs, model)
-    psi = solve_linearized(trajf, model, hf)
-    print(f"   Nt = {n:3d}   residual = {duality_residual(trajf, adj, hf, psi, cs):.4e}")
+    lin = solve_linearized(trajf, model, hf)
+    print(f"   Nt = {n:3d}   residual = {duality_residual(trajf, adj, hf, lin, cs):.4e}")
 
 print("\n3) Reduced gradient vs central finite differences:")
 cs = ControlSpec(b1=1.0, b2=1.0, b3=1e-3, phi_q=phi_q, phi_omega=phi_omega, u_max=1.0)

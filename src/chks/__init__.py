@@ -22,6 +22,7 @@ from .potentials import (
     derive_constants,
 )
 from .state import (
+    FORWARD_FIELDS,
     Control,
     InitialData,
     InvariantReport,
@@ -33,7 +34,7 @@ from .state import (
     step,
     trajectory_distance,
 )
-from .linearized import solve_linearized, tangent_trajectory
+from .linearized import TANGENT_FIELDS, solve_linearized
 from .adjoint import ControlSpec, duality_residual, solve_adjoint
 from .control_opt import (
     OptimizeOptions,

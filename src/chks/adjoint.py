@@ -110,9 +110,10 @@ def solve_adjoint(
     CG then starts from the new level k + 1 plus like's p5 increment over
     the same step (Trajectory.extrapolate), not from the extrapolation in
     time. That changes the work, not what is solved. Any other like, or a
-    base that does not hold every level, raises ValueError.
+    base that does not hold phi, a and sigma at every level, raises
+    ValueError.
     """
-    base.check_every_level("base")
+    base.check_every_level("base", ("phi", "a", "sigma"))
     gr = base.grid
     nt = base.nt
     tau = base.tau
@@ -209,14 +210,14 @@ def duality_residual(
     base: Trajectory,
     adj: Trajectory,
     h: np.ndarray,
-    psi: np.ndarray,
+    lin: Trajectory,
     cost: ControlSpec,
 ) -> float:
     """Relative gap of the adjoint/linearized duality identity.
 
-    psi is the tangent's psi at levels 0 .. Nt along h, one (Nt+1, nx, ny)
-    array as solve_linearized returns it; the cost reads phi only, so psi
-    is the one tangent unknown the identity pairs.
+    lin is the tangent along h as solve_linearized returns it; the cost
+    reads phi only, so psi is the one tangent unknown the identity pairs,
+    and the one lin must keep.
 
     LHS = int_Q h p3, RHS = b1 int_Q (phi* - phi_Q) psi
                           + b2 int_Om (phi*(T) - phi_Om) psi(T),
@@ -224,15 +225,17 @@ def duality_residual(
     (tau * grid.inner over the stacked levels 1..Nt for the LHS, and level
     by level for the running misfit, which would otherwise be a temporary
     the size of one field of a trajectory).
-    Returns |LHS - RHS| / (|LHS| + |RHS| + 1e-30). ValueError unless adj
-    and psi are on base's time grid.
+    Returns |LHS - RHS| / (|LHS| + |RHS| + 1e-30). ValueError unless base
+    holds phi and lin psi at every level, naming base or lin, and unless
+    adj and lin are on base's grid and time grid.
     """
+    base.check_every_level("base", ("phi",))
+    lin.check_every_level("lin", ("psi",))
     gr = base.grid
     tau = base.tau
-    if adj.nt != base.nt:
-        raise ValueError("trajectories must share the time grid")
-    if psi.shape != (base.nt + 1, gr.nx, gr.ny):
-        raise ValueError("psi must have shape (nt + 1, nx, ny) on the base's time grid")
+    if not adj.grid == lin.grid == gr or not adj.nt == lin.nt == base.nt:
+        raise ValueError("adj and lin must be on the base's grid and time grid")
+    psi = lin.psi
     lhs = tau * g.inner(gr, h, adj.p3[1:])
     rhs = cost.b2 * g.inner(gr, base.phi[-1] - cost.phi_omega, psi[-1])
     if cost.b1:

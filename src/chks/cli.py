@@ -55,8 +55,9 @@ def cmd_simulate(cfg: RunConfig, out: Path, strict: bool) -> int:
     energies = np.empty(cfg.nt + 1)
 
     # Runs inside the sweep (solve_forward's on_level), so a solver failure
-    # at step j leaves the snapshots of levels 0 .. j and no series.csv. The
-    # solve streams: it holds three levels, and the hook reads level k only.
+    # at step j leaves the snapshots of levels 0 .. j and no series.csv.
+    # Nothing reads a level later, so the solve keeps none: it steps on a
+    # ring of three levels, and the hook reads level k only.
     def on_level(traj, k):
         energies[k] = energy(traj, k, cfg.model)
         j = traj.slot(k)
@@ -65,7 +66,7 @@ def cmd_simulate(cfg: RunConfig, out: Path, strict: bool) -> int:
 
     traj, report = solve_forward(
         cfg.grid, cfg.model, cfg.init, cfg.u0, cfg.T, cfg.nt,
-        s_stab=cfg.s_stab, flux_scheme=cfg.flux_scheme, on_level=on_level, stream=True,
+        s_stab=cfg.s_stab, flux_scheme=cfg.flux_scheme, on_level=on_level, keep=(),
     )
     write_csv(out / "series.csv", _series_rows(traj, report, energies))
     sigma_lo, sigma_hi = report.sigma_min.min(), report.sigma_max.max()

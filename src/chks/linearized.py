@@ -18,15 +18,13 @@ forward step used for the corresponding term. That congruence is what
 makes the Taylor remainder of the forward map second order in the
 direction size.
 
-The sweep steps in place on a ring of three levels (see Trajectory), level
-k in slot k mod 3: step k reads level k and writes level k + 1 into the
-slot of level k - 2. The tracking cost reads phi only, so the duality
-identity pairs its misfit with psi alone, the phi part of the tangent.
-solve_linearized thus keeps psi at every level, one (Nt+1, nx, ny) array,
-and the other four unknowns only in the ring, whatever Nt. Its on_level
-hook sees each level of the ring as it is finished; tangent_trajectory,
-which keeps every unknown at every level for the Taylor rows, is that hook
-copying each level out, so one sweep serves both.
+The sweep stores the unknowns its caller keeps (see Trajectory.zeros). The
+tracking cost reads phi only, so the duality identity pairs its misfit with
+psi alone, the phi part of the tangent: by default solve_linearized keeps
+psi at every level and steps on a ring of three levels, level k in slot
+k mod 3, which holds the other four unknowns whatever Nt. The Taylor rows,
+and any check of eta, alpha_lin, nu or omega, keep TANGENT_FIELDS, and the
+sweep then steps in place on one stored trajectory.
 
 Like the forward step, a tangent step is two chains that share no level
 they write, which Trajectory.advance runs, naming the step in any error:
@@ -43,13 +41,11 @@ base trajectory it is given.
 
 from __future__ import annotations
 
-from collections.abc import Callable
-
 import numpy as np
 
 from . import grid as g
-from .grid import Grid
 from .state import (
+    FORWARD_FIELDS,
     Control,
     InitialData,
     ModelSpec,
@@ -61,46 +57,21 @@ from .state import (
 TANGENT_FIELDS = ("psi", "eta", "alpha_lin", "nu", "omega")
 
 
-class TangentPsi(np.ndarray):
-    """psi at levels 0 .. Nt, one (Nt+1, nx, ny) array, as solve_linearized
-    returns it. grid and nt name the sweep it came from, as a Trajectory's
-    do: the benchmark's tracer reads them off each sweep's result. An
-    index, arithmetic or a reduction on it gives a plain ndarray or scalar,
-    without them.
-    """
-
-    grid: Grid
-    nt: int
-
-    def __array_wrap__(self, obj, context=None, return_scalar=False):
-        obj = obj.view(np.ndarray)
-        return obj[()] if return_scalar else obj
-
-    def __getitem__(self, key):
-        return self.view(np.ndarray)[key]
-
-
 def solve_linearized(
-    base: Trajectory, spec: ModelSpec, h: np.ndarray,
-    on_level: Callable[[Trajectory, int], None] | None = None,
-) -> TangentPsi:
+    base: Trajectory, spec: ModelSpec, h: np.ndarray, keep=("psi",)
+) -> Trajectory:
     """Solve the linearized system along direction h (shape (Nt, nx, ny))
-    and return psi at every level, one (Nt+1, nx, ny) array whose level 0
-    is zero.
+    and return the unknowns in keep at every level, level 0 zero, as a
+    Trajectory that records the base's s_stab and flux scheme.
 
-    The sweep runs on a ring of three levels (see the module docstring).
-    Level k + 1 of psi is copied out of the ring once advance has checked
-    it. base must hold every level: ValueError otherwise.
-
-    on_level(ring, k), if given, is called once for each level
-    k = 0 .. Nt, in order, and may read level k of the ring only: for
-    k < Nt inside step k, on the calling thread ahead of its psi/eta -> nu
-    chain, and for Nt after the last step; step k writes level k + 1 into
-    the slot of level k - 2. on_level must not write into the ring, and an
-    error it raises ends the solve. After a SolverError at step j it has
-    seen levels 0 .. j.
+    With every unknown in keep (TANGENT_FIELDS) the sweep steps in place on
+    the returned trajectory; with fewer it steps on a ring of three levels
+    (see the module docstring), and advance copies each level of keep out
+    of the ring once it has checked it. base must hold phi, a and sigma at
+    every level, and keep may name only tangent unknowns: ValueError
+    otherwise.
     """
-    base.check_every_level("base")
+    base.check_every_level("base", ("phi", "a", "sigma"))
     gr = base.grid
     nt = base.nt
     if h.shape != (nt, gr.nx, gr.ny):
@@ -111,10 +82,8 @@ def solve_linearized(
     s_stab = base.s_stab
     scheme = base.flux_scheme
 
-    ring = Trajectory.zeros(gr, base.times, TANGENT_FIELDS, ring=True,
-                            s_stab=s_stab, flux_scheme=scheme)
-    psi_levels = np.zeros((nt + 1, gr.nx, gr.ny)).view(TangentPsi)
-    psi_levels.grid, psi_levels.nt = gr, nt
+    lin = Trajectory.zeros(gr, base.times, TANGENT_FIELDS, keep,
+                           s_stab=s_stab, flux_scheme=scheme)
     inv_tau = 1.0 / tau
     tau_eff = 1.0 / (inv_tau + spec.m)
     # Right-hand sides are updated in place on fresh arrays, such as the
@@ -125,10 +94,8 @@ def solve_linearized(
     def phase(k: int, old: int, new: int) -> None:
         """psi, eta and nu at level k + 1 (slot new) from psi, nu and omega
         at level k (slot old)."""
-        if on_level is not None:
-            on_level(ring, k)
         phi_k = base.phi[k]
-        psi, nu, omega = ring.psi[old], ring.nu[old], ring.omega[old]
+        psi, nu, omega = lin.psi[old], lin.nu[old], lin.omega[old]
 
         # psi/eta block: derivative of the stabilized phase-field step.
         rhs_psi = spec.prolif.h_prime(phi_k)
@@ -138,65 +105,43 @@ def solve_linearized(
         rhs_eta = spec.pot.f_second(phi_k)
         np.subtract(s_stab, rhs_eta, out=rhs_eta)
         rhs_eta *= psi
-        ring.psi[new], ring.eta[new] = g.ch_block_solve(gr, rhs_psi, rhs_eta, tau_eff, s_stab)
+        lin.psi[new], lin.eta[new] = g.ch_block_solve(gr, rhs_psi, rhs_eta, tau_eff, s_stab)
 
         # nu: new psi enters, the rest explicit.
         rhs_nu = nu * (inv_tau + spec.c_n)
-        rhs_nu += (spec.chi_phi + spec.c_phi) * ring.psi[new]
+        rhs_nu += (spec.chi_phi + spec.c_phi) * lin.psi[new]
         rhs_nu += spec.c_sigma * omega
-        ring.nu[new] = g.helmholtz_direct(gr, rhs_nu, inv_tau)
+        lin.nu[new] = g.helmholtz_direct(gr, rhs_nu, inv_tau)
 
     def chemotaxis(k: int, old: int, new: int) -> None:
         """omega and alpha at level k + 1 (slot new) from omega and alpha at
         levels up to k (level k in slot old)."""
         a_k = base.a[k]
         sigma_new = base.sigma[k + 1]
-        alpha, omega = ring.alpha_lin[old], ring.omega[old]
+        alpha, omega = lin.alpha_lin[old], lin.omega[old]
 
         # omega: same implicit operator as the forward sigma update, its CG
         # started from the extrapolation of the stored levels.
         rhs_omega = omega * inv_tau
         rhs_omega += (spec.chi_a - sigma_new) * alpha
-        ring.omega[new] = g.helmholtz_cg(
-            gr, rhs_omega, (inv_tau + 1.0) + a_k, ring.extrapolate("omega", k)
+        lin.omega[new] = g.helmholtz_cg(
+            gr, rhs_omega, (inv_tau + 1.0) + a_k, lin.extrapolate("omega", k)
         )
 
         # alpha: linearized chemotaxis flux against the base, new omega, with
         # the upwind donor cells of the base sigma; alpha/tau + (1 - 2 a*)
         # alpha is formed as ((1/tau + 1) - 2 a*) alpha.
         rhs_alpha = g.divergence(gr, alpha, sigma_new, scheme)
-        rhs_alpha += g.divergence(gr, a_k, ring.omega[new], scheme, upwind_by=sigma_new)
+        rhs_alpha += g.divergence(gr, a_k, lin.omega[new], scheme, upwind_by=sigma_new)
         rhs_alpha *= -spec.chi_a
         rhs_alpha += ((inv_tau + 1.0) - 2.0 * a_k) * alpha
         rhs_alpha += h[k]
-        ring.alpha_lin[new] = g.helmholtz_direct(gr, rhs_alpha, inv_tau)
+        lin.alpha_lin[new] = g.helmholtz_direct(gr, rhs_alpha, inv_tau)
 
     for k in range(nt):
-        old, new = ring.slot(k), ring.slot(k + 1)
-        ring.advance("tangent", k, lambda: phase(k, old, new), lambda: chemotaxis(k, old, new))
-        psi_levels[k + 1] = ring.psi[new]
-    if on_level is not None:
-        on_level(ring, nt)
-    return psi_levels
-
-
-def tangent_trajectory(base: Trajectory, spec: ModelSpec, h: np.ndarray) -> Trajectory:
-    """Every tangent unknown at every level along direction h, as a
-    Trajectory that records the base's s_stab and flux scheme.
-
-    This is solve_linearized with an on_level hook that copies each level
-    out of the ring, so its levels are bitwise the sweep's; taylor_remainders
-    and any check of eta, alpha_lin, nu or omega read it. base must hold
-    every level: ValueError otherwise.
-    """
-    lin = Trajectory.zeros(base.grid, base.times, TANGENT_FIELDS,
-                           s_stab=base.s_stab, flux_scheme=base.flux_scheme)
-
-    def keep(ring: Trajectory, k: int) -> None:
-        lin.data[:, k] = ring.data[:, ring.slot(k)]
-
-    solve_linearized(base, spec, h, keep)
-    return lin
+        old, new = lin.slot(k), lin.slot(k + 1)
+        lin.advance("tangent", k, lambda: phase(k, old, new), lambda: chemotaxis(k, old, new))
+    return lin.kept
 
 
 def taylor_remainders(
@@ -209,15 +154,16 @@ def taylor_remainders(
 ) -> list[float]:
     """Remainders ||S(u + eps*h) - S(u) - eps*lin(h)|| for a sweep of eps.
 
-    base_traj is S(u), and lin(h) is every tangent unknown at every level
-    (tangent_trajectory), which trajectory_distance pairs with the forward
-    unknowns by position. The perturbed runs reuse base_traj's grid, step
-    count, end time and scheme, and it must hold every level (ValueError
-    otherwise). Perturbed controls must stay admissible; callers pick u
+    base_traj is S(u), and lin(h) is the tangent along h with every unknown
+    kept (TANGENT_FIELDS), whose unknowns pair with the forward ones by
+    position. The perturbed runs reuse base_traj's grid, step count, end
+    time and scheme, and it must hold every forward unknown at every level
+    (ValueError otherwise). Perturbed controls must stay admissible; callers pick u
     interior to the box and eps*h small enough.
     """
+    base_traj.check_every_level("base", FORWARD_FIELDS)
     gr = base_traj.grid
-    lin = tangent_trajectory(base_traj, spec, h)
+    lin = solve_linearized(base_traj, spec, h, TANGENT_FIELDS)
     remainders = []
     for eps in epsilons:
         u_eps = Control(u.values + eps * h, u.u_max)

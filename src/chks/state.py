@@ -27,14 +27,15 @@ phi -> n -> sigma -> a:
    sigma, explicit logistic term and control source.
 
 The forward sweep steps in place on a Trajectory: step k reads stored level
-k and writes level k + 1. It stores every level, because the
-linearized/adjoint replays need them, unless solve_forward streams: then
-the Trajectory is a ring of three levels, level k in slot k mod 3, and the
-sweep's memory does not grow with Nt (chks simulate, which writes each
-level as it comes, is the one caller). A Trajectory holds its five fields
-in one (fields, levels, nx, ny) array, so the check of a new level is one
-scan, and the step, the CG start, the check and the energy find level k
-through Trajectory.slot.
+k and writes level k + 1. What it stores is solve_forward's keep, the
+unknowns its caller reads at every level (see Trajectory.zeros). The
+linearized/adjoint replays read every unknown, so a plain solve keeps them
+all and steps on one stored trajectory. chks simulate, which writes each
+level as it comes, keeps none: the sweep then steps on a ring of three
+levels, level k in slot k mod 3, and its memory does not grow with Nt. A
+Trajectory holds its fields in one (fields, levels, nx, ny) array, so the
+check of a new level is one scan, and the step, the CG start, the check and
+the energy find level k through Trajectory.slot.
 Within a step, (a, sigma) reaches (phi, mu, n) only through the lagged
 source c_sigma*sigma, so the step is two chains that share no level they
 write:
@@ -48,13 +49,13 @@ write:
 That independence lets Trajectory.advance, which runs each step of all three
 sweeps and names it in any SolverError, run the two at once on large grids
 with every stored level bitwise that of the order above. solve_forward's
-report holds the per-level reductions (InvariantReport): a stored solve
-reduces all its levels after the sweep, a streamed one level k just before
-the hook sees it, to the same bits. The monitors of a nonlinear function,
-the mean-ODE residual (h(phi)) and the energy, run one level at a time and
-only when a caller asks for them: after the sweep, or during it through
-solve_forward's on_level hook, which sees each level as soon as it is
-stored. Step k calls the hook for level k, after a streamed solve's
+report holds the per-level reductions (InvariantReport): a sweep on a
+stored trajectory reduces all its levels after the sweep, one on a ring
+level k just before the hook sees it, to the same bits. The monitors of a
+nonlinear function, the mean-ODE residual (h(phi)) and the energy, run one
+level at a time and only when a caller asks for them: after the sweep, or
+during it through solve_forward's on_level hook, which sees each level as
+soon as it is stored. Step k calls the hook for level k, after a ring's
 reductions of that level, on the calling thread ahead of its
 phi/mu -> n chain, so on large grids that work overlaps the worker's
 sigma -> a chain; it reads only levels up to k (level k only in a ring),
@@ -67,28 +68,14 @@ step's later chain in the serial order on one persistent worker thread
 while the caller runs the earlier one; on smaller grids it runs them one
 after the other. pocketfft and numpy release the interpreter lock on such
 arrays, and each chain makes the same calls on the same inputs, so the
-results are bitwise those of the serial order. The crossover is measured
-in-process: sweep time concurrent over serial, per sweep, for the forward,
-adjoint and tangent sweeps of configs/verify.cfg (32 steps) on square
-grids, medians of 5-11 interleaved pairs, two x86-64 cores, BLAS on one
-thread: 2.5-2.8 at 32^2, 1.54-1.58 at 64^2, 1.02-1.21 at 96^2, 1.02-1.03 at
-112^2, 0.90-1.12 at 128^2, 0.79-0.90 at 144^2, 0.76-1.19 at 160^2
-(0.76-0.81 in a batch of 9 pairs), 0.80-0.90 at 176^2, 0.84-0.89 at 192^2
-and 0.66-0.79 at 256^2. Below the crossover a call is too short to pay for
-passing the interpreter lock between the threads. The two chains are not
-equal: at 256^2 a forward step's phi/mu -> n chain took 6.1-10.5 ms and its
-sigma -> a chain 10.2-17.5 ms, run one after the other (medians over 96
-steps, in four batches as the machine's speed drifted). The caller's thread
-thus had 4-7 ms to spare per step, and chks simulate spends it on one
-level's report reductions (0.06-0.08 ms, against 3.3-3.7 ms for all 33
-levels of a stored trajectory after the sweep; minimum of 5 x 100 calls)
-and the on_level hook: one level's energy (1.1-1.8 ms) and five snapshot
-writes (1.1-1.6 ms). scipy.fft's own workers=2, which splits one
-transform over two threads, stays out: 400 dctn calls at 256^2 took
-0.40-0.45 s serial and 0.30-0.73 s with workers=2, varying from batch to
-batch, against 0.29-0.33 s for two threads that each transform their own
-array. It would share only the transforms, about half of a step, and on two
-cores it would compete with the worker.
+results are bitwise those of the serial order. Below the crossover a call
+is too short to pay for passing the interpreter lock between the threads.
+The phi/mu -> n chain is the shorter one, so the caller's thread has time
+to spare in each step, which chks simulate spends on one level's report
+reductions and its on_level hook. scipy.fft's own workers=2, which splits
+one transform over two threads, stays out: it would share only the
+transforms, about half of a step, and on two cores it would compete with
+the worker. CHANGES.md records the measured crossover and timings.
 """
 
 from __future__ import annotations
@@ -117,6 +104,7 @@ CONCURRENT_MIN_CELLS = 144 * 144
 # Levels a ring holds: step k reads level k, and level k - 1 for the CG
 # start, and writes level k + 1.
 RING_LEVELS = 3
+FORWARD_FIELDS = ("phi", "mu", "a", "n", "sigma")
 
 _CHAIN_WORKER: ThreadPoolExecutor
 
@@ -215,18 +203,21 @@ class Trajectory:
 
     data holds every unknown at every stored level in one
     (fields, slots, nx, ny) array, the unknowns in the order of names: phi,
-    mu, a, n, sigma for the forward sweep, psi, eta, alpha_lin, nu, omega
-    for the tangent sweep and p1, ..., p5 for the adjoint sweep. A stored
-    sweep has Nt+1 slots, level k in slot k. A ring, which a streamed
-    forward solve (solve_forward's stream) and every tangent sweep make, has
-    RING_LEVELS slots, level k in slot k mod 3, so it holds the last three
-    levels; holds_every_level tells the two apart, and slot(k) is where
-    level k lives in either. newest is the level advance checked last
-    (level 0 before the first step), which is how a ring knows which levels
-    it still holds. fields maps each name to its (slots, nx, ny) slice of
-    data, and the same slices read as attributes (traj.phi, lin.psi,
-    adj.p3), so write into them in place: a field rebound to an array of
-    its own would escape the step-end check, which scans one level of data.
+    mu, a, n, sigma (FORWARD_FIELDS) for the forward sweep, psi, eta,
+    alpha_lin, nu, omega for the tangent sweep and p1, ..., p5 for the
+    adjoint sweep. A stored trajectory has Nt+1 slots, level k in slot k. A
+    ring has RING_LEVELS slots, level k in slot k mod 3, so it holds the
+    last three levels; holds_every_level tells the two apart, and slot(k)
+    is where level k lives in either. zeros makes a ring for a sweep whose
+    caller keeps fewer than all its unknowns; the ring's kept trajectory
+    stores those at every level, and advance copies each level into it once
+    checked. A stored trajectory is its own kept, and a sweep returns kept.
+    newest is the level advance checked last (level 0 before the first
+    step), which is how a ring knows which levels it still holds. fields
+    maps each name to its (slots, nx, ny) slice of data, and the same
+    slices read as attributes (traj.phi, lin.psi, adj.p3), so write into
+    them in place: a field rebound to an array of its own would escape the
+    step-end check, which scans one level of data.
     A trajectory is its sweep's only state: step k reads stored level k
     (k + 1 backward) and writes the next level. s_stab and flux_scheme
     record the forward scheme, which the replays reuse.
@@ -240,14 +231,28 @@ class Trajectory:
     flux_scheme: str = "centered"
 
     @classmethod
-    def zeros(cls, grid: Grid, times: np.ndarray, names, ring: bool = False,
-              **kwargs) -> Trajectory:
-        """A trajectory whose named fields are all zero on every step; with
-        ring, one of RING_LEVELS slots, or of every level if there are fewer."""
+    def zeros(cls, grid: Grid, times: np.ndarray, names, keep=None, **kwargs) -> Trajectory:
+        """An all-zero trajectory of the unknowns names for a sweep whose
+        caller reads the unknowns keep (all of names if None) at every level.
+
+        If keep names every unknown, or there are no more levels than
+        RING_LEVELS, it stores every level and is its own kept. Otherwise it
+        is a ring of RING_LEVELS slots, and its kept trajectory, with the
+        same grid, times and kwargs, stores the unknowns of keep, in the
+        order of names, at every level. ValueError for an entry of keep
+        that is not one of names.
+        """
         names = tuple(names)
-        slots = min(RING_LEVELS, len(times)) if ring else len(times)
-        data = np.zeros((len(names), slots, grid.nx, grid.ny))
-        return cls(grid, times, names, data, **kwargs)
+        keep = names if keep is None else tuple(keep)
+        for name in keep:
+            if name not in names:
+                raise ValueError(f"keep names {name!r}, not one of {', '.join(names)}")
+        ring = set(keep) != set(names) and len(times) > RING_LEVELS
+        data = np.zeros((len(names), RING_LEVELS if ring else len(times), grid.nx, grid.ny))
+        traj = cls(grid, times, names, data, **kwargs)
+        if ring:
+            traj._kept = cls.zeros(grid, times, [n for n in names if n in keep], **kwargs)
+        return traj
 
     def __post_init__(self):
         self.names = tuple(self.names)
@@ -257,10 +262,18 @@ class Trajectory:
             raise ValueError("data must have shape (len(names), len(times) or 3, nx, ny)")
         self.holds_every_level = slots == len(self.times)
         self.newest = 0
+        # None for a trajectory that is its own kept: a reference to itself
+        # would leave it to the cycle collector instead of freeing it.
+        self._kept: Trajectory | None = None
         self.fields = dict(zip(self.names, self.data))
         # Bound as plain attributes: the sweeps read fields several times per
         # step, and a __getattr__ hook would run Python code on every read.
         vars(self).update(self.fields)
+
+    @property
+    def kept(self) -> Trajectory:
+        """The trajectory that stores the kept unknowns at every level."""
+        return self if self._kept is None else self._kept
 
     @cached_property
     def nt(self) -> int:
@@ -285,10 +298,26 @@ class Trajectory:
                              f"{max(self.newest - 2, 0)} to {self.newest}")
         return k % RING_LEVELS
 
-    def check_every_level(self, role: str) -> None:
-        """ValueError naming role unless this trajectory holds every level."""
+    def check_every_level(self, role: str, names=()) -> None:
+        """ValueError naming role unless this trajectory holds every level,
+        and stores each unknown in names."""
         if not self.holds_every_level:
             raise ValueError(f"{role} must hold every level, not a ring of {RING_LEVELS}")
+        missing = [name for name in names if name not in self.fields]
+        if missing:
+            raise ValueError(f"{role} must hold {', '.join(missing)} at every level")
+
+    def keep_level(self, level: int) -> None:
+        """Copy the given level of a ring into its kept trajectory, where it
+        becomes newest; nothing for a trajectory that is its own kept.
+        advance calls this for each level it checks, and a sweep for the
+        level it writes before its first step."""
+        kept = self._kept
+        if kept is not None:
+            j = self.slot(level)
+            for name, f in kept.fields.items():
+                f[level] = self.fields[name][j]
+            kept.newest = level
 
     def extrapolate(
         self, name: str, k: int, direction: int = 1, like: Trajectory | None = None
@@ -331,7 +360,8 @@ class Trajectory:
     def advance(self, sweep: str, k: int, first, second, direction: int = 1) -> None:
         """Run step k of a sweep, its two chains first() then second(), and
         check the level it wrote (k + 1 forward, k backward), which becomes
-        newest once both chains are done.
+        newest once both chains are done and, once checked, is copied into
+        kept (keep_level).
 
         Neither chain may read what the other writes. Below
         CONCURRENT_MIN_CELLS cells they run one after the other; from there
@@ -367,6 +397,7 @@ class Trajectory:
                 raise SolverError(f"non-finite {bad}")
         except SolverError as exc:
             raise SolverError(f"{sweep} step {k} failed: {exc}") from exc
+        self.keep_level(level)
 
 
 # Bounds of the forward monitors, which chks simulate and the invariants
@@ -382,9 +413,9 @@ class InvariantReport:
     a column of series.csv. A check over the run takes its .min() or .max().
 
     reduce fills the entries of a block of levels with one reduction per
-    column over the block: a stored solve reduces all its levels after the
-    sweep, a streamed one each level as the sweep reaches it. Each level's
-    entries are bitwise the same either way.
+    column over the block: a sweep on a stored trajectory reduces all its
+    levels after the sweep, one on a ring each level as the sweep reaches
+    it. Each level's entries are bitwise the same either way.
     """
 
     mean_phi: np.ndarray
@@ -502,7 +533,7 @@ def solve_forward(
     like: Trajectory | None = None,
     on_level: Callable[[Trajectory, int], None] | None = None,
     *,
-    stream: bool = False,
+    keep=FORWARD_FIELDS,
 ) -> tuple[Trajectory, InvariantReport]:
     """Integrate the system on [0, T] with nt uniform steps.
 
@@ -521,15 +552,18 @@ def solve_forward(
     raises ends the solve. After a SolverError at step j it has seen levels
     0 .. j.
 
-    With stream=True the trajectory is a ring of three levels (see
-    Trajectory), so memory does not grow with nt, and every level is
-    bitwise that of a stored solve. on_level may then read level k only:
-    step k writes level k + 1 into the slot of level k - 2. The report's
-    entries for level k are reduced ahead of on_level(traj, k); a stored
-    solve reduces all its levels after the sweep, to the same bits.
-    Returns the trajectory and its per-level monitors; check_mean_ode and
-    energy compute the others, check_mean_ode from a trajectory that holds
-    every level.
+    keep names the unknowns the caller reads at every level, which the
+    returned trajectory stores (see Trajectory.zeros). With every unknown,
+    the default, the sweep steps in place on that trajectory. With fewer,
+    such as keep=(), it steps on a ring of three levels, so memory does not
+    grow with nt beyond what keep stores, and every level is bitwise that
+    of a stored solve; on_level then reads the ring, level k only, since
+    step k writes level k + 1 into the slot of level k - 2. A sweep on a
+    ring reduces the report's entries for level k ahead of on_level(traj,
+    k); one on a stored trajectory reduces all its levels after the sweep,
+    to the same bits. Returns the trajectory and its per-level monitors;
+    check_mean_ode and energy compute the others, check_mean_ode from a
+    trajectory that holds phi at every level.
     """
     if nt < 1:
         raise ValueError("nt must be at least 1")
@@ -542,18 +576,18 @@ def solve_forward(
     if s_stab is None:
         s_stab = default_s_stab(spec.pot)
 
-    traj = Trajectory.zeros(
-        gr, np.linspace(0.0, T, nt + 1), ("phi", "mu", "a", "n", "sigma"), ring=stream,
-        s_stab=s_stab, flux_scheme=flux_scheme,
-    )
+    traj = Trajectory.zeros(gr, np.linspace(0.0, T, nt + 1), FORWARD_FIELDS, keep,
+                            s_stab=s_stab, flux_scheme=flux_scheme)
     traj.check_like(like)
     # Level 0 is in slot 0 of a ring too.
     traj.phi[0], traj.a[0], traj.n[0] = init.phi0, init.a0, init.n0
     traj.sigma[0] = init.sigma0
     traj.mu[0] = -g.laplacian(gr, init.phi0) + spec.pot.f_prime(init.phi0)
+    traj.keep_level(0)
     report = InvariantReport.empty(nt)
     hook = on_level
-    if stream:
+    ring = not traj.holds_every_level
+    if ring:
         def hook(traj: Trajectory, k: int) -> None:
             report.reduce(traj, k, k + 1, spec.pot)
             if on_level is not None:
@@ -563,9 +597,9 @@ def solve_forward(
         step(traj, k, u.values[k], spec, like, hook)
     if hook is not None:
         hook(traj, nt)
-    if not stream:
+    if not ring:
         report.reduce(traj, 0, nt + 1, spec.pot)
-    return traj, report
+    return traj.kept, report
 
 
 def energy(traj: Trajectory, k: int, spec: ModelSpec) -> float:
@@ -609,7 +643,7 @@ def mean_ode_residuals(traj: Trajectory, spec: ModelSpec) -> np.ndarray:
     vanishes to round-off when h is constant (in particular h = 0 and
     h = m*r0).
     """
-    traj.check_every_level("traj")
+    traj.check_every_level("traj", ("phi",))
     means = traj.phi.mean(axis=(1, 2))
     # h(phi) one level at a time: on the whole trajectory it raises
     # peak_rss_mb by 13% on a 256^2 forward run. Level 0's is never read.
@@ -625,18 +659,19 @@ def check_mean_ode(traj: Trajectory, spec: ModelSpec) -> float:
 def trajectory_distance(t1: Trajectory, t2: Trajectory) -> float:
     """Combined norm of the difference of two trajectories.
 
-    Fields pair by position, not by name, so the norm of a tangent
-    trajectory is its distance from Trajectory.zeros. Sum over the five
-    components of sup-in-time L2 norms plus L2-in-time H1-seminorm
-    contributions; mesh-independent quadratures so values are comparable
-    across grids.
+    Both must hold the same unknowns at every level (ValueError naming t1
+    or t2 otherwise), which pair by name, so the norm of a tangent
+    trajectory is its distance from Trajectory.zeros with its names. Sum
+    over the components of sup-in-time L2 norms plus L2-in-time
+    H1-seminorm contributions; mesh-independent quadratures so values are
+    comparable across grids.
     """
-    t1.check_every_level("t1")
-    t2.check_every_level("t2")
+    t1.check_every_level("t1", t2.names)
+    t2.check_every_level("t2", t1.names)
     gr = t1.grid
     total = 0.0
-    for f1, f2 in zip(t1.fields.values(), t2.fields.values(), strict=True):
-        d = f1 - f2
+    for name, f1 in t1.fields.items():
+        d = f1 - t2.fields[name]
         l2_sq = gr.cell_area * np.einsum("kij,kij->k", d, d)
         # Per level: whole-trajectory face differences would be two more
         # temporaries the size of d.

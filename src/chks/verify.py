@@ -173,8 +173,8 @@ def suite_duality(cfg: RunConfig) -> list[CheckResult]:
         cs = replace(cfg.control_spec, phi_q=np.repeat(cfg.control_spec.phi_q, factor, axis=0))
         traj, _ = _forward(cfg, u)
         adj = solve_adjoint(traj, cs, cfg.model)
-        psi = solve_linearized(traj, cfg.model, h)
-        residuals[factor] = duality_residual(traj, adj, h, psi, cs)
+        lin = solve_linearized(traj, cfg.model, h)
+        residuals[factor] = duality_residual(traj, adj, h, lin, cs)
     res1, res2 = residuals[1], residuals[2]
     decrease = res1 / res2 if res2 > 0 else math.inf
     return [

@@ -117,7 +117,8 @@ def test_duality_residual_matches_per_level_sums(problem):
                       phi_omega=cs.phi_omega, u_max=1.0)
     h = smooth_direction(grid, nt, 211)
     adj = solve_adjoint(base, csr, spec)
-    psi = solve_linearized(base, spec, h)
+    lin = solve_linearized(base, spec, h)
+    psi = lin.psi
     # The adjoint trajectory records the scheme of the forward one.
     assert adj.flux_scheme == "upwind"
     assert adj.s_stab == base.s_stab > 0
@@ -127,7 +128,7 @@ def test_duality_residual_matches_per_level_sums(problem):
     rhs += csr.b1 * sum(tau * area * np.sum((base.phi[k + 1] - csr.phi_q[k]) * psi[k + 1])
                         for k in range(nt))
     ref = abs(lhs - rhs) / (abs(lhs) + abs(rhs))
-    got = duality_residual(base, adj, h, psi, csr)
+    got = duality_residual(base, adj, h, lin, csr)
     assert ref > 1e-8  # a residual, not round-off, is compared
     # The residual is divided by |lhs| + |rhs|, so round-off in either side
     # moves it by about 1e-16 absolute, whatever the residual's size.
@@ -146,11 +147,22 @@ def test_duality_residual_rejects_psi_off_the_time_grid(problem):
     grid, spec, init, u, traj, cs, T, nt = problem
     adj = solve_adjoint(traj, cs, spec)
     h = smooth_direction(grid, nt, 212)
-    psi = solve_linearized(traj, spec, h)
-    assert psi.shape == (nt + 1, grid.nx, grid.ny)
-    for bad in (psi[1:], psi[:, :-1], np.repeat(psi, 2, axis=0)):
-        with pytest.raises(ValueError, match="^psi must have shape"):
+    lin = solve_linearized(traj, spec, h)
+    assert lin.names == ("psi",) and lin.psi.shape == (nt + 1, grid.nx, grid.ny)
+    assert duality_residual(traj, adj, h, lin, cs) > 0
+    # A tangent on twice the steps, or on another grid, is off the base's grids.
+    coarse = Grid(8, 8)
+    traj2, _ = solve_forward(grid, spec, init, Control(np.repeat(u.values, 2, axis=0), 1.0),
+                             T, 2 * nt)
+    traj8, _ = solve_forward(coarse, spec, make_random_init(coarse, 3),
+                             Control(np.full((nt, 8, 8), 0.5), 1.0), T, nt)
+    for bad in (solve_linearized(traj2, spec, np.repeat(h, 2, axis=0)),
+                solve_linearized(traj8, spec, np.zeros((nt, 8, 8)))):
+        with pytest.raises(ValueError, match="^adj and lin must be on the base's grid and time grid$"):
             duality_residual(traj, adj, h, bad, cs)
+    # A tangent that does not keep psi cannot be paired.
+    with pytest.raises(ValueError, match="^lin must hold psi at every level$"):
+        duality_residual(traj, adj, h, solve_linearized(traj, spec, h, ("nu",)), cs)
 
 
 def test_p4_vanishes_with_zero_weights_and_zero_f14(problem):

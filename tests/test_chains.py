@@ -23,7 +23,7 @@ from chks.cli import cmd_simulate
 from chks.config import load_config
 from chks.fields_io import read_field, write_trajectory
 from chks.grid import Grid, SolverError
-from chks.linearized import solve_linearized, tangent_trajectory
+from chks.linearized import TANGENT_FIELDS, solve_linearized
 from chks.state import Control, InitialData, Trajectory, solve_forward, step
 
 from test_linearized import smooth_direction
@@ -89,7 +89,7 @@ class Problem:
         """Every field of the forward, adjoint and tangent sweeps."""
         traj = self.forward()
         adj = solve_adjoint(traj, self.cost, self.spec)
-        lin = tangent_trajectory(traj, self.spec, self.h)
+        lin = solve_linearized(traj, self.spec, self.h, TANGENT_FIELDS)
         return {**traj.fields, **adj.fields, **lin.fields}
 
 
@@ -316,7 +316,7 @@ def test_sweep_fields_are_slices_of_the_array_advance_scans():
     traj, _ = solve_forward(cfg.grid, cfg.model, cfg.init, cfg.u0, cfg.T, cfg.nt,
                             s_stab=cfg.s_stab, flux_scheme=cfg.flux_scheme)
     adj = solve_adjoint(traj, cfg.control_spec, cfg.model)
-    lin = tangent_trajectory(traj, cfg.model, adj.p3[1:])
+    lin = solve_linearized(traj, cfg.model, adj.p3[1:], TANGENT_FIELDS)
     level = 5
     # Each sweep with the step that writes level 5, and its direction.
     for sweep, name, k, direction in ((traj, "forward", 4, 1), (lin, "tangent", 4, 1),

@@ -1,14 +1,14 @@
 """Linearized solver: nullity, linearity, superposition, and the Taylor test.
 
-Tests that read eta, alpha_lin, nu or omega take every unknown at every
-level from tangent_trajectory; solve_linearized itself returns psi alone.
+Tests that read eta, alpha_lin, nu or omega keep every unknown
+(TANGENT_FIELDS); solve_linearized keeps psi alone by default.
 """
 
 import numpy as np
 import pytest
 
 from chks.grid import Grid
-from chks.linearized import solve_linearized, tangent_trajectory, taylor_remainders
+from chks.linearized import TANGENT_FIELDS, solve_linearized, taylor_remainders
 from chks.state import Control, Trajectory, solve_forward, trajectory_distance
 
 from test_state import base_model, make_random_init
@@ -41,7 +41,7 @@ def smooth_direction(grid, nt, seed):
 
 def test_zero_direction_gives_zero_trajectory(setup):
     grid, spec, init, u, traj, T, nt = setup
-    lin = tangent_trajectory(traj, spec, np.zeros((nt, grid.nx, grid.ny)))
+    lin = solve_linearized(traj, spec, np.zeros((nt, grid.nx, grid.ny)), TANGENT_FIELDS)
     for name in ("psi", "eta", "alpha_lin", "nu", "omega"):
         assert np.all(getattr(lin, name) == 0.0)
 
@@ -49,8 +49,8 @@ def test_zero_direction_gives_zero_trajectory(setup):
 def test_linearity_scaling(setup):
     grid, spec, init, u, traj, T, nt = setup
     h = smooth_direction(grid, nt, 101)
-    lin1 = tangent_trajectory(traj, spec, h)
-    lin2 = tangent_trajectory(traj, spec, 2.0 * h)
+    lin1 = solve_linearized(traj, spec, h, TANGENT_FIELDS)
+    lin2 = solve_linearized(traj, spec, 2.0 * h, TANGENT_FIELDS)
     for name in ("psi", "eta", "alpha_lin", "nu", "omega"):
         a, b = getattr(lin2, name), getattr(lin1, name)
         scale = np.abs(a).max() or 1.0
@@ -61,9 +61,9 @@ def test_superposition(setup):
     grid, spec, init, u, traj, T, nt = setup
     h1 = smooth_direction(grid, nt, 102)
     h2 = smooth_direction(grid, nt, 103)
-    lin_sum = tangent_trajectory(traj, spec, h1 + h2)
-    lin1 = tangent_trajectory(traj, spec, h1)
-    lin2 = tangent_trajectory(traj, spec, h2)
+    lin_sum = solve_linearized(traj, spec, h1 + h2, TANGENT_FIELDS)
+    lin1 = solve_linearized(traj, spec, h1, TANGENT_FIELDS)
+    lin2 = solve_linearized(traj, spec, h2, TANGENT_FIELDS)
     for name in ("psi", "eta", "alpha_lin", "nu", "omega"):
         combo = getattr(lin1, name) + getattr(lin2, name)
         target = getattr(lin_sum, name)
@@ -85,7 +85,7 @@ def test_taylor_remainder_second_order(setup):
 def test_taylor_componentwise_decay(setup):
     grid, spec, init, u, traj, T, nt = setup
     h = smooth_direction(grid, nt, 105)
-    lin = tangent_trajectory(traj, spec, h)
+    lin = solve_linearized(traj, spec, h, TANGENT_FIELDS)
     eps_pair = (1e-2, 5e-3)
     comp_rem = {name: [] for name in ("phi", "a", "n", "sigma")}
     for eps in eps_pair:
@@ -111,7 +111,7 @@ def test_upwind_scheme_linearization(setup):
     rem = taylor_remainders(traj_up, spec, init, u, h, [1e-2, 5e-3])
     assert np.log2(rem[0] / rem[1]) >= 1.4
     # The tangent trajectory records the scheme of the forward one.
-    lin = tangent_trajectory(traj_up, spec, h)
+    lin = solve_linearized(traj_up, spec, h)
     assert lin.flux_scheme == "upwind"
     assert lin.s_stab == traj_up.s_stab > 0
 
@@ -124,7 +124,7 @@ def test_shape_mismatch_rejected(setup):
 
 def test_linearized_norm_positive(setup):
     grid, spec, init, u, traj, T, nt = setup
-    lin = tangent_trajectory(traj, spec, smooth_direction(grid, nt, 107))
+    lin = solve_linearized(traj, spec, smooth_direction(grid, nt, 107), TANGENT_FIELDS)
     assert trajectory_distance(lin, Trajectory.zeros(grid, lin.times, lin.fields)) > 0
 
 

@@ -15,7 +15,7 @@ import pytest
 from chks.adjoint import duality_residual, solve_adjoint
 from chks.config import load_config
 from chks.control_opt import cost, optimize
-from chks.linearized import tangent_trajectory
+from chks.linearized import TANGENT_FIELDS, solve_linearized
 from chks.state import Control, solve_forward
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -69,10 +69,10 @@ def solve_all(cfg):
         traj, _ = solve_forward(cfg.grid, cfg.model, cfg.init, u, cfg.T, cfg.nt,
                                 s_stab=cfg.s_stab, flux_scheme=cfg.flux_scheme)
         adj = solve_adjoint(traj, cs, cfg.model)
-        lin = tangent_trajectory(traj, cfg.model, u.values)
+        lin = solve_linearized(traj, cfg.model, u.values, TANGENT_FIELDS)
         fields = {**traj.fields, **adj.fields, **lin.fields}
         out.update({f"{label}.{key}": f for key, f in fields.items()})
-        out[f"{label}.duality"] = duality_residual(traj, adj, u.values, lin.psi, cs)
+        out[f"{label}.duality"] = duality_residual(traj, adj, u.values, lin, cs)
         out[f"{label}.cost"] = cost(traj, u, cs)
     res = optimize(cfg.grid, cfg.model, cfg.init, cs, cfg.u0, cfg.T, cfg.nt,
                    dataclasses.replace(cfg.opts, max_iters=3))

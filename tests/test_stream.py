@@ -1,10 +1,13 @@
-"""Sweeps on a ring of three levels, bitwise a stored solve.
+"""What a sweep stores: the unknowns its caller keeps, bitwise a stored solve.
 
-solve_forward(stream=True) keeps level k in slot k mod 3 and reduces the
-report one level at a time; chks simulate is its one caller. The tangent
-sweep always runs on a ring and keeps psi alone at every level. A ring
-refuses a level it no longer holds, and everything that needs the whole
-history refuses a ring, each with a ValueError.
+A sweep given keep, the unknowns its caller reads at every level, steps in
+place on one stored trajectory when keep names every unknown, and otherwise
+on a ring of three levels, level k in slot k mod 3, whose kept trajectory
+stores the keep fields at every level. A forward sweep on a ring reduces
+its report one level at a time; chks simulate keeps nothing. A ring refuses
+a level it no longer holds, and everything that reads a whole history
+refuses a ring, or a trajectory without an unknown it reads, each with a
+ValueError that names its role.
 """
 
 import threading
@@ -18,11 +21,12 @@ import pytest
 from chks import cli
 from chks import grid as grid_mod
 from chks import state as state_mod
-from chks.adjoint import solve_adjoint
+from chks.adjoint import duality_residual, solve_adjoint
 from chks.config import load_config
 from chks.fields_io import write_csv, write_trajectory
-from chks.linearized import solve_linearized, tangent_trajectory, taylor_remainders
+from chks.linearized import TANGENT_FIELDS, solve_linearized, taylor_remainders
 from chks.state import (
+    FORWARD_FIELDS,
     RING_LEVELS,
     Control,
     Trajectory,
@@ -46,25 +50,27 @@ def forward_args(cfg, scheme=None, nt=None):
     return args, {"s_stab": cfg.s_stab, "flux_scheme": scheme or cfg.flux_scheme}
 
 
-def levels_seen(args, kwargs, stream):
-    """Solve, and keep a copy of every level as on_level sees it."""
-    seen = []
+def levels_seen(args, kwargs, keep):
+    """Solve, and keep a copy of every level as on_level sees it, and the
+    trajectory the sweep steps on."""
+    seen, stepped = [], []
 
     def on_level(traj, k):
+        if not stepped or stepped[-1] is not traj:
+            stepped.append(traj)
         seen.append(traj.data[:, traj.slot(k)].copy())
 
-    traj, report = solve_forward(*args, **kwargs, on_level=on_level, stream=stream)
-    return traj, report, seen
+    traj, report = solve_forward(*args, **kwargs, on_level=on_level, keep=keep)
+    (ring,) = stepped
+    return traj, report, seen, ring
 
 
-@pytest.mark.parametrize("chains", ["serial", "concurrent"])
-@pytest.mark.parametrize("scheme", ["centered", "upwind"])
-@pytest.mark.parametrize("config", ["verify.cfg", "simulate.cfg"])
-def test_ring_solve_matches_stored_solve_bitwise(monkeypatch, config, scheme, chains):
-    cfg = load_config(CONFIG_DIR / config)
+def record_threads(monkeypatch, chains, side):
+    """Run the chains serially or at once on a side x side grid, and return
+    the names of the threads that call helmholtz_direct."""
     # At 16x16 the chains run serially unless the threshold is lowered.
     monkeypatch.setattr(state_mod, "CONCURRENT_MIN_CELLS",
-                        np.inf if chains == "serial" else cfg.grid.nx * cfg.grid.ny)
+                        np.inf if chains == "serial" else side * side)
     threads = set()
     original = grid_mod.helmholtz_direct
 
@@ -73,39 +79,71 @@ def test_ring_solve_matches_stored_solve_bitwise(monkeypatch, config, scheme, ch
         return original(*args, **kwargs)
 
     monkeypatch.setattr(grid_mod, "helmholtz_direct", recorded)
-    args, kwargs = forward_args(cfg, scheme)
-    stored, stored_report, stored_seen = levels_seen(args, kwargs, stream=False)
-    ring, ring_report, ring_seen = levels_seen(args, kwargs, stream=True)
-    assert any(name.startswith("chks-chain") for name in threads) == (chains == "concurrent")
+    return threads
 
-    assert stored.holds_every_level and not ring.holds_every_level
-    assert ring.data.shape == (5, RING_LEVELS, cfg.grid.nx, cfg.grid.ny)
-    assert len(stored_seen) == len(ring_seen) == cfg.nt + 1
-    for k, (want, got) in enumerate(zip(stored_seen, ring_seen)):
-        assert want.tobytes() == stored.data[:, k].tobytes(), k
-        assert got.tobytes() == want.tobytes(), k
-    for name, column in vars(stored_report).items():
-        assert column.dtype == getattr(ring_report, name).dtype, name
-        assert column.tobytes() == getattr(ring_report, name).tobytes(), name
+
+@pytest.mark.parametrize("chains", ["serial", "concurrent"])
+@pytest.mark.parametrize("scheme", ["centered", "upwind"])
+@pytest.mark.parametrize("config", ["verify.cfg", "simulate.cfg"])
+def test_ring_solve_matches_stored_solve_bitwise(monkeypatch, config, scheme, chains):
+    cfg = load_config(CONFIG_DIR / config)
+    assert cfg.grid.nx * cfg.grid.ny == 16 * 16
+    threads = record_threads(monkeypatch, chains, 16)
+    args, kwargs = forward_args(cfg, scheme)
+    stored, stored_report, stored_seen, stepped = levels_seen(args, kwargs, FORWARD_FIELDS)
+    assert any(name.startswith("chks-chain") for name in threads) == (chains == "concurrent")
+    assert stepped is stored and stored.kept is stored
+    assert stored.holds_every_level and stored.names == FORWARD_FIELDS
+    assert len(stored_seen) == cfg.nt + 1
+    for k, level in enumerate(stored_seen):
+        assert level.tobytes() == stored.data[:, k].tobytes(), k
+
+    for keep in ((), ("sigma",)):
+        kept, report, seen, ring = levels_seen(args, kwargs, keep)
+        assert ring.kept is kept and ring.data.shape == (5, RING_LEVELS, cfg.grid.nx, cfg.grid.ny)
+        assert kept.holds_every_level and kept.names == keep and kept.newest == cfg.nt
+        assert kept.data.shape == (len(keep), cfg.nt + 1, cfg.grid.nx, cfg.grid.ny)
+        for name in keep:
+            assert kept.fields[name].tobytes() == stored.fields[name].tobytes(), name
+        assert len(seen) == cfg.nt + 1
+        for k, (want, got) in enumerate(zip(stored_seen, seen)):
+            assert got.tobytes() == want.tobytes(), (keep, k)
+        for name, column in vars(stored_report).items():
+            assert column.dtype == getattr(report, name).dtype, name
+            assert column.tobytes() == getattr(report, name).tobytes(), (keep, name)
 
 
 @pytest.mark.parametrize("nt", [32, 128])
 def test_ring_holds_three_levels_whatever_the_step_count(nt):
     cfg = load_config(CONFIG_DIR / "verify.cfg")
     args, kwargs = forward_args(cfg, nt=nt)
-    ring, _ = solve_forward(*args, **kwargs, stream=True)
+    kept, _, _, ring = levels_seen(args, kwargs, ())
     stored, _ = solve_forward(*args, **kwargs)
-    assert ring.nt == stored.nt == nt
+    assert ring.nt == kept.nt == stored.nt == nt
     assert ring.data.shape == (5, RING_LEVELS, cfg.grid.nx, cfg.grid.ny)
+    assert kept.data.nbytes == 0
     assert stored.data.shape == (5, nt + 1, cfg.grid.nx, cfg.grid.ny)
     # The last three levels are still there, each in its slot.
     for k in range(nt - 2, nt + 1):
         assert ring.slot(k) == k % 3
         assert ring.data[:, ring.slot(k)].tobytes() == stored.data[:, k].tobytes(), k
         assert energy(ring, k, cfg.model) == energy(stored, k, cfg.model)
-    # A one-step solve holds its two levels, which is every level.
+    # A one-step solve holds its two levels, which is every level: it is
+    # its own kept, with every unknown.
     args, kwargs = forward_args(cfg, nt=1)
-    assert solve_forward(*args, **kwargs, stream=True)[0].holds_every_level
+    one, _ = solve_forward(*args, **kwargs, keep=())
+    assert one.holds_every_level and one.kept is one and one.names == FORWARD_FIELDS
+
+
+def test_keep_names_only_the_sweeps_unknowns():
+    cfg = load_config(CONFIG_DIR / "verify.cfg")
+    args, kwargs = forward_args(cfg)
+    with pytest.raises(ValueError, match="^keep names 'psi', not one of phi, mu, a, n, sigma$"):
+        solve_forward(*args, **kwargs, keep=("phi", "psi"))
+    base, _ = solve_forward(*args, **kwargs)
+    with pytest.raises(ValueError,
+                       match="^keep names 'phi', not one of psi, eta, alpha_lin, nu, omega$"):
+        solve_linearized(base, cfg.model, cfg.u0.values, keep=("phi",))
 
 
 def test_trajectory_rejects_other_slot_counts():
@@ -133,17 +171,17 @@ def test_one_level_reductions_match_the_block_reductions(side):
 
 def test_cmd_simulate_writes_what_a_stored_solve_writes_level_by_level(tmp_path, monkeypatch):
     cfg = load_config(CONFIG_DIR / "simulate.cfg")
-    streamed = []
+    kept = []
     original = cli.solve_forward
 
     def recorded(*args, **kwargs):
         traj, report = original(*args, **kwargs)
-        streamed.append(not traj.holds_every_level)
+        kept.append((kwargs["keep"], traj.names))
         return traj, report
 
     monkeypatch.setattr(cli, "solve_forward", recorded)
     assert cli.cmd_simulate(cfg, tmp_path / "ring", strict=False) == 0
-    assert streamed == [True]
+    assert kept == [((), ())]
 
     stored_out = tmp_path / "stored"
     args, kwargs = forward_args(cfg)
@@ -164,38 +202,50 @@ def test_cmd_simulate_writes_what_a_stored_solve_writes_level_by_level(tmp_path,
 
 @pytest.fixture(scope="module")
 def solves():
-    """verify.cfg, its solve_forward arguments, and its ring and stored solves."""
+    """verify.cfg, its solve_forward arguments, and its solves: stored, one
+    keeping nothing, one keeping n alone and the ring a forward hook saw,
+    with the adjoint and tangent of the stored one."""
     cfg = load_config(CONFIG_DIR / "verify.cfg")
     args, kwargs = forward_args(cfg)
-    ring, _ = solve_forward(*args, **kwargs, stream=True)
     stored, _ = solve_forward(*args, **kwargs)
-    return SimpleNamespace(cfg=cfg, args=args, kwargs=kwargs, ring=ring, stored=stored)
+    none, _, _, ring = levels_seen(args, kwargs, ())
+    lacking, _ = solve_forward(*args, **kwargs, keep=("n",))
+    adj = solve_adjoint(stored, cfg.control_spec, cfg.model)
+    lin = solve_linearized(stored, cfg.model, cfg.u0.values)
+    return SimpleNamespace(cfg=cfg, args=args, kwargs=kwargs, stored=stored, none=none,
+                           lacking=lacking, ring=ring, adj=adj, lin=lin)
 
 
-# Each use of a trajectory that reads more than its last three levels, and
-# the role it names.
+# Each use of a trajectory that reads more than its last three levels, as a
+# function of the solves and the trajectory put in, and the role it names.
 GUARDS = {
-    "solve_adjoint": (lambda s: solve_adjoint(s.ring, s.cfg.control_spec, s.cfg.model), "base"),
-    "solve_linearized": (lambda s: solve_linearized(s.ring, s.cfg.model, s.cfg.u0.values),
+    "solve_adjoint": (lambda s, t: solve_adjoint(t, s.cfg.control_spec, s.cfg.model), "base"),
+    "solve_linearized": (lambda s, t: solve_linearized(t, s.cfg.model, s.cfg.u0.values),
                          "base"),
-    "tangent_trajectory": (lambda s: tangent_trajectory(s.ring, s.cfg.model, s.cfg.u0.values),
-                           "base"),
-    "check_like": (lambda s: s.stored.check_like(s.ring), "like"),
-    "solve_forward_like": (lambda s: solve_forward(*s.args, **s.kwargs, like=s.ring), "like"),
-    "mean_ode_residuals": (lambda s: mean_ode_residuals(s.ring, s.cfg.model), "traj"),
-    "check_mean_ode": (lambda s: check_mean_ode(s.ring, s.cfg.model), "traj"),
-    "trajectory_distance_first": (lambda s: trajectory_distance(s.ring, s.stored), "t1"),
-    "trajectory_distance_second": (lambda s: trajectory_distance(s.stored, s.ring), "t2"),
-    "taylor_remainders": (lambda s: taylor_remainders(s.ring, s.cfg.model, s.cfg.init, s.cfg.u0,
-                                                      s.cfg.u0.values, [1e-3]), "base"),
+    "duality_residual": (lambda s, t: duality_residual(t, s.adj, s.cfg.u0.values, s.lin,
+                                                       s.cfg.control_spec), "base"),
+    "check_like": (lambda s, t: s.stored.check_like(t), "like"),
+    "solve_forward_like": (lambda s, t: solve_forward(*s.args, **s.kwargs, like=t), "like"),
+    "mean_ode_residuals": (lambda s, t: mean_ode_residuals(t, s.cfg.model), "traj"),
+    "check_mean_ode": (lambda s, t: check_mean_ode(t, s.cfg.model), "traj"),
+    "trajectory_distance_first": (lambda s, t: trajectory_distance(t, s.stored), "t1"),
+    "trajectory_distance_second": (lambda s, t: trajectory_distance(s.stored, t), "t2"),
+    "taylor_remainders": (lambda s, t: taylor_remainders(t, s.cfg.model, s.cfg.init, s.cfg.u0,
+                                                         s.cfg.u0.values, [1e-3]), "base"),
 }
 
 
 @pytest.mark.parametrize("use", GUARDS)
 def test_a_ring_is_refused_where_every_level_is_read(solves, use):
     run, role = GUARDS[use]
+    run(solves, solves.stored)
+    # Every use reads phi, which neither a solve keeping nothing nor one
+    # keeping n alone stores.
+    for traj in (solves.none, solves.lacking):
+        with pytest.raises(ValueError, match=f"^{role} must "):
+            run(solves, traj)
     with pytest.raises(ValueError, match=f"^{role} must hold every level, not a ring of 3$"):
-        run(solves)
+        run(solves, solves.ring)
 
 
 def test_a_ring_refuses_a_level_it_no_longer_holds():
@@ -203,9 +253,9 @@ def test_a_ring_refuses_a_level_it_no_longer_holds():
     # level 30, whose energy the ring would otherwise return for level 0.
     cfg = load_config(CONFIG_DIR / "simulate.cfg")
     args, kwargs = forward_args(cfg)
-    ring, _ = solve_forward(*args, **kwargs, stream=True)
+    kept, _, _, ring = levels_seen(args, kwargs, ())
     stored, _ = solve_forward(*args, **kwargs)
-    assert ring.newest == stored.newest == cfg.nt == 32
+    assert ring.newest == kept.newest == stored.newest == cfg.nt == 32
     with pytest.raises(ValueError, match="^level 0 is not in the ring, which holds levels 30 to 32$"):
         energy(ring, 0, cfg.model)
     with pytest.raises(ValueError, match="^level 34 is not in the ring"):
@@ -217,21 +267,11 @@ def test_a_ring_refuses_a_level_it_no_longer_holds():
     assert energy(stored, 0, cfg.model) != energy(stored, 30, cfg.model)
 
 
-def _forward_with_hook(cfg, on_level):
-    args, kwargs = forward_args(cfg)
-    solve_forward(*args, **kwargs, on_level=on_level, stream=True)
-
-
-def _tangent_with_hook(cfg, on_level):
-    args, kwargs = forward_args(cfg)
-    base, _ = solve_forward(*args, **kwargs)
-    solve_linearized(base, cfg.model, cfg.u0.values, on_level)
-
-
-@pytest.mark.parametrize("sweep", [_forward_with_hook, _tangent_with_hook],
-                         ids=["forward", "tangent"])
-def test_a_hook_reading_three_levels_back_is_refused(sweep):
+@pytest.mark.parametrize("keep", [(), ("phi",)], ids=["forward", "forward_keeping_phi"])
+def test_a_hook_reading_three_levels_back_is_refused(keep):
+    # Whatever the ring's kept trajectory stores, the ring holds three levels.
     cfg = load_config(CONFIG_DIR / "verify.cfg")
+    args, kwargs = forward_args(cfg)
     seen = []
 
     def on_level(ring, k):
@@ -242,48 +282,31 @@ def test_a_hook_reading_three_levels_back_is_refused(sweep):
             ring.slot(k - 3)
 
     with pytest.raises(ValueError, match="^level 0 is not in the ring, which holds levels 1 to 3$"):
-        sweep(cfg, on_level)
+        solve_forward(*args, **kwargs, on_level=on_level, keep=keep)
     assert seen == [0, 1, 2, 3]
 
 
 @pytest.mark.parametrize("chains", ["serial", "concurrent"])
-def test_tangent_hook_sees_each_level_once_in_order(monkeypatch, chains):
+def test_tangent_ring_matches_stored_tangent_bitwise(monkeypatch, chains):
     cfg = load_config(CONFIG_DIR / "verify.cfg")
     args, kwargs = forward_args(cfg)
     base, _ = solve_forward(*args, **kwargs)
     h = np.random.default_rng(3).standard_normal((cfg.nt, cfg.grid.nx, cfg.grid.ny))
-    monkeypatch.setattr(state_mod, "CONCURRENT_MIN_CELLS",
-                        np.inf if chains == "serial" else 16 * 16)
     assert cfg.grid.nx * cfg.grid.ny == 16 * 16
-    workers = set()
-    original = grid_mod.helmholtz_direct
-
-    def recorded(*args, **kwargs):
-        workers.add(threading.current_thread().name)
-        return original(*args, **kwargs)
-
-    monkeypatch.setattr(grid_mod, "helmholtz_direct", recorded)
-    seen, threads = [], set()
-
-    def on_level(ring, k):
-        threads.add(threading.current_thread())
-        assert not ring.holds_every_level
-        assert ring.data.shape == (5, RING_LEVELS, cfg.grid.nx, cfg.grid.ny)
-        seen.append((k, ring.data[:, ring.slot(k)].copy()))
-
-    psi = solve_linearized(base, cfg.model, h, on_level)
-    assert any(name.startswith("chks-chain") for name in workers) == (chains == "concurrent")
-    assert threads == {threading.current_thread()}
-    assert [k for k, _ in seen] == list(range(cfg.nt + 1))
-    assert not seen[0][1].any()
-    assert psi.shape == (cfg.nt + 1, cfg.grid.nx, cfg.grid.ny)
-    for k, level in seen:
-        assert level[0].tobytes() == psi[k].tobytes(), k
-    # tangent_trajectory is the same sweep, every unknown kept.
-    lin = tangent_trajectory(base, cfg.model, h)
-    assert lin.holds_every_level and lin.names == ("psi", "eta", "alpha_lin", "nu", "omega")
-    for k, level in seen:
-        assert level.tobytes() == lin.data[:, k].tobytes(), k
+    threads = record_threads(monkeypatch, chains, 16)
+    stored = solve_linearized(base, cfg.model, h, TANGENT_FIELDS)
+    assert any(name.startswith("chks-chain") for name in threads) == (chains == "concurrent")
+    assert stored.holds_every_level and stored.kept is stored and stored.names == TANGENT_FIELDS
+    # Level 0 is zero; by the last level h has reached every unknown.
+    assert not stored.data[:, 0].any() and stored.data[:, -1].any(axis=(1, 2)).all()
+    for keep in ((), ("psi",), ("omega",)):
+        kept = solve_linearized(base, cfg.model, h, keep)
+        assert kept.holds_every_level and kept.names == keep and kept.newest == cfg.nt
+        assert kept.data.shape == (len(keep), cfg.nt + 1, cfg.grid.nx, cfg.grid.ny)
+        for name in keep:
+            assert kept.fields[name].tobytes() == stored.fields[name].tobytes(), name
+        assert (kept.grid, kept.s_stab, kept.flux_scheme) == (base.grid, base.s_stab,
+                                                              base.flux_scheme)
 
 
 def test_tangent_sweep_holds_psi_and_a_ring_only():
@@ -296,7 +319,7 @@ def test_tangent_sweep_holds_psi_and_a_ring_only():
     base, _ = solve_forward(*args, **kwargs)
     tracemalloc.start()
     try:
-        psi = solve_linearized(base, cfg.model, cfg.u0.values)
+        psi = solve_linearized(base, cfg.model, cfg.u0.values).psi
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
