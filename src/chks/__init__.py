@@ -35,7 +35,7 @@ from .state import (
     trajectory_distance,
 )
 from .linearized import TANGENT_FIELDS, solve_linearized
-from .adjoint import ControlSpec, duality_residual, solve_adjoint
+from .adjoint import ADJOINT_FIELDS, ControlSpec, duality_residual, solve_adjoint
 from .control_opt import (
     OptimizeOptions,
     OptimizeResult,

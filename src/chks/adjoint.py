@@ -25,11 +25,18 @@ identity
 
 holds with an O(tau) residual, which duality_residual quantifies.
 
-The sweep runs backward in place on the returned Trajectory, which
-records the base's s_stab and flux scheme: backward step k reads stored
-level k + 1 and writes level k. Its one exception is the first backward
-step, whose (p1, p2) input is the weakly imposed final condition (see
-solve_adjoint), while stored level Nt keeps p1(T).
+The sweep stores the unknowns its caller keeps (see Trajectory.zeros),
+and the returned trajectory records the base's s_stab and flux scheme.
+The control enters the state through the a equation alone, so the
+reduced gradient, the optimality condition u = P(-p3/b3) and the duality
+identity read p3 alone: by default solve_adjoint keeps p3 at every level
+and steps backward on a ring of three levels, level k in slot k mod 3,
+which holds the other four unknowns whatever Nt. optimize, whose warm
+start reads p5 and whose caller writes every unknown, keeps
+ADJOINT_FIELDS, and the sweep then steps in place on one stored
+trajectory. Backward step k reads level k + 1 and writes level k. Its one
+exception is the first backward step, whose (p1, p2) input is the weakly
+imposed final condition (see solve_adjoint), while level Nt keeps p1(T).
 
 A backward step is two chains that share no level they write, which
 Trajectory.advance runs, naming the step in any SolverError:
@@ -60,6 +67,8 @@ import numpy as np
 from . import grid as g
 from .potentials import AdmissibilityError
 from .state import ModelSpec, Trajectory
+
+ADJOINT_FIELDS = ("p1", "p2", "p3", "p4", "p5")
 
 
 @dataclass
@@ -101,17 +110,24 @@ class ControlSpec:
 
 
 def solve_adjoint(
-    base: Trajectory, cost: ControlSpec, spec: ModelSpec, like: Trajectory | None = None
+    base: Trajectory, cost: ControlSpec, spec: ModelSpec, like: Trajectory | None = None,
+    keep=("p3",),
 ) -> Trajectory:
-    """Backward sweep from step Nt to 0; see the module docstring.
+    """Backward sweep from step Nt to 0; see the module docstring. Returns
+    the unknowns in keep at every level as a Trajectory.
 
+    With every unknown in keep (ADJOINT_FIELDS) the sweep steps in place on
+    the returned trajectory; with fewer it steps on a ring of three levels,
+    and advance copies each level of keep out of the ring once it has
+    checked it. Every kept level is bitwise that of the stored solve.
     like is an optional adjoint trajectory on the base's grid with its step
-    count, such as the adjoint of a nearby control: each backward step's p5
-    CG then starts from the new level k + 1 plus like's p5 increment over
-    the same step (Trajectory.extrapolate), not from the extrapolation in
-    time. That changes the work, not what is solved. Any other like, or a
-    base that does not hold phi, a and sigma at every level, raises
-    ValueError.
+    count that holds every unknown at every level, such as the adjoint of a
+    nearby control: each backward step's p5 CG then starts from the new
+    level k + 1 plus like's p5 increment over the same step
+    (Trajectory.extrapolate), not from the extrapolation in time. That
+    changes the work, not what is solved. Any other like, a base that does
+    not hold phi, a and sigma at every level, or a keep that names anything
+    but adjoint unknowns raises ValueError.
     """
     base.check_every_level("base", ("phi", "a", "sigma"))
     gr = base.grid
@@ -120,15 +136,15 @@ def solve_adjoint(
     cost.validate()
     cost.check_targets(gr, nt)
 
-    adj = Trajectory.zeros(
-        gr, base.times, ("p1", "p2", "p3", "p4", "p5"),
-        s_stab=base.s_stab, flux_scheme=base.flux_scheme,
-    )
+    adj = Trajectory.zeros(gr, base.times, ADJOINT_FIELDS, keep,
+                           s_stab=base.s_stab, flux_scheme=base.flux_scheme, direction=-1)
     adj.check_like(like)
     # The kernels scan nothing: the forward sweep checked the base levels,
     # check_targets the targets, and each step checks its outputs.
     p1_final = cost.b2 * (base.phi[nt] - cost.phi_omega)
-    adj.p1[nt], adj.p2[nt] = p1_final, -g.laplacian(gr, p1_final)
+    last = adj.slot(nt)
+    adj.p1[last], adj.p2[last] = p1_final, -g.laplacian(gr, p1_final)
+    adj.keep_level(nt)
 
     inv_tau = 1.0 / tau
     tau_eff = 1.0 / (inv_tau + spec.m)
@@ -147,11 +163,12 @@ def solve_adjoint(
     # Right-hand sides are updated in place on fresh arrays, such as the
     # results of grad_dot, divergence and h_prime.
 
-    def transport(k: int) -> None:
-        """p3 and p5 at level k from p3, p4 and p5 at levels k + 1 and up."""
+    def transport(k: int, old: int, new: int) -> None:
+        """p3 and p5 at level k (slot new) from p3, p4 and p5 at levels k + 1
+        (slot old) and up."""
         a_k = base.a[k]
         sigma_new = base.sigma[k + 1]
-        p3, p4, p5 = adj.p3[k + 1], adj.p4[k + 1], adj.p5[k + 1]
+        p3, p4, p5 = adj.p3[old], adj.p4[old], adj.p5[old]
 
         # p3: transport source from centered face gradients, reaction
         # explicit; p3/tau + (1 - 2 a*) p3 is formed as ((1/tau + 1) - 2 a*) p3.
@@ -159,7 +176,7 @@ def solve_adjoint(
         rhs_p3 *= spec.chi_a
         rhs_p3 += ((inv_tau + 1.0) - 2.0 * a_k) * p3
         rhs_p3 -= (sigma_new - spec.chi_a) * p5
-        adj.p3[k] = g.helmholtz_direct(gr, rhs_p3, inv_tau)
+        adj.p3[new] = g.helmholtz_direct(gr, rhs_p3, inv_tau)
 
         # p5: same implicit operator family as the forward sigma update,
         # its CG started from the extrapolation of the stored levels, or
@@ -168,22 +185,23 @@ def solve_adjoint(
         # level-k sigma froze level k-1, so this choice staggers the
         # coefficient by one step and is the O(tau) gap the duality
         # residual measures.
-        rhs_p5 = g.divergence(gr, a_k, adj.p3[k])
+        rhs_p5 = g.divergence(gr, a_k, adj.p3[new])
         rhs_p5 *= -spec.chi_a
         rhs_p5 += p5 * inv_tau
         rhs_p5 += spec.c_sigma * p4
-        adj.p5[k] = g.helmholtz_cg(
-            gr, rhs_p5, (inv_tau + 1.0) + a_k, adj.extrapolate("p5", k, -1, like)
+        adj.p5[new] = g.helmholtz_cg(
+            gr, rhs_p5, (inv_tau + 1.0) + a_k, adj.extrapolate("p5", k, like)
         )
 
-    def phase(k: int, p1: np.ndarray, p2: np.ndarray) -> None:
-        """p4, p1 and p2 at level k from the (p1, p2) pair given and p4 at level k + 1."""
+    def phase(k: int, old: int, new: int, p1: np.ndarray, p2: np.ndarray) -> None:
+        """p4, p1 and p2 at level k (slot new) from the (p1, p2) pair given
+        and p4 at level k + 1 (slot old)."""
         # p4: nutrient adjoint with the phase coupling explicit. The second
         # row of the transposed block, -Lap p1 - p2 = 0, makes p2 = -Lap p1,
         # so -chi_phi Lap p1 is read as chi_phi p2 (equal up to round-off).
         rhs_p4 = spec.chi_phi * p2
-        rhs_p4 += (inv_tau + spec.c_n) * adj.p4[k + 1]
-        adj.p4[k] = g.helmholtz_direct(gr, rhs_p4, inv_tau)
+        rhs_p4 += (inv_tau + spec.c_n) * adj.p4[old]
+        adj.p4[new] = g.helmholtz_direct(gr, rhs_p4, inv_tau)
 
         # (p1, p2) block, transposed so that p2 = -Lap p1 holds exactly
         # and the stabilization terms mirror the forward s_stab*(phi+ - phi).
@@ -195,15 +213,18 @@ def solve_adjoint(
         rhs_p1 += inv_tau
         rhs_p1 *= p1
         rhs_p1 += (s_stab - spec.pot.f_second(phi_k)) * p2
-        rhs_p1 += (spec.chi_phi + spec.c_phi) * adj.p4[k]
+        rhs_p1 += (spec.chi_phi + spec.c_phi) * adj.p4[new]
         if cost.b1 and k >= 1:
             rhs_p1 += cost.b1 * (phi_k - cost.phi_q[k - 1])
-        adj.p1[k], adj.p2[k] = g.ch_block_solve(gr, rhs_p1, None, tau_eff, s_stab, transpose=True)
+        adj.p1[new], adj.p2[new] = g.ch_block_solve(gr, rhs_p1, None, tau_eff, s_stab,
+                                                    transpose=True)
 
     for k in range(nt - 1, -1, -1):
-        adj.advance("adjoint", k, lambda: transport(k), lambda: phase(k, p1, p2), -1)
-        p1, p2 = adj.p1[k], adj.p2[k]
-    return adj
+        old, new = adj.slot(k + 1), adj.slot(k)
+        adj.advance("adjoint", k, lambda: transport(k, old, new),
+                    lambda: phase(k, old, new, p1, p2))
+        p1, p2 = adj.p1[new], adj.p2[new]
+    return adj.kept
 
 
 def duality_residual(
@@ -226,10 +247,11 @@ def duality_residual(
     by level for the running misfit, which would otherwise be a temporary
     the size of one field of a trajectory).
     Returns |LHS - RHS| / (|LHS| + |RHS| + 1e-30). ValueError unless base
-    holds phi and lin psi at every level, naming base or lin, and unless
-    adj and lin are on base's grid and time grid.
+    holds phi, adj p3 and lin psi at every level, naming base, adj or lin,
+    and unless adj and lin are on base's grid and time grid.
     """
     base.check_every_level("base", ("phi",))
+    adj.check_every_level("adj", ("p3",))
     lin.check_every_level("lin", ("psi",))
     gr = base.grid
     tau = base.tau

@@ -38,7 +38,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import grid as g
-from .adjoint import ControlSpec, solve_adjoint
+from .adjoint import ADJOINT_FIELDS, ControlSpec, solve_adjoint
 from .grid import Grid
 from .state import Control, InitialData, ModelSpec, Trajectory, solve_forward
 
@@ -102,8 +102,10 @@ def reduced_gradient(adj: Trajectory, u: Control, b3: float) -> np.ndarray:
 
     The duality identity pairs the control slice on [t_k, t_{k+1}) with
     p3 at level k+1; using that level keeps the finite-difference gradient
-    check second order in the probe size.
+    check second order in the probe size. ValueError unless adj holds p3 at
+    every level.
     """
+    adj.check_every_level("adj", ("p3",))
     nt = u.values.shape[0]
     if adj.nt != nt:
         raise ValueError("adjoint and control time grids do not match")
@@ -111,7 +113,11 @@ def reduced_gradient(adj: Trajectory, u: Control, b3: float) -> np.ndarray:
 
 
 def stationarity_residual(u: Control, adj: Trajectory, cs: ControlSpec) -> float:
-    """L2(Q) norm of u - P(-p3/b3); zero iff the discrete optimality condition holds."""
+    """L2(Q) norm of u - P(-p3/b3); zero iff the discrete optimality condition holds.
+
+    ValueError unless adj holds p3 at every level.
+    """
+    adj.check_every_level("adj", ("p3",))
     target = project_admissible(-adj.p3[1:] / cs.b3, cs.u_max)
     return control_norm(adj.grid, adj.tau, u.values - target)
 
@@ -160,7 +166,9 @@ def optimize(
     step_size = 1.0 / cs.b3
     adj = None
     for it in range(opts.max_iters + 1):
-        adj = solve_adjoint(traj, cs, spec, like=adj)
+        # Every adjoint unknown is kept: the next solve's warm start (like)
+        # reads p5, and chks optimize writes all five as adj_* snapshots.
+        adj = solve_adjoint(traj, cs, spec, like=adj, keep=ADJOINT_FIELDS)
         stat = stationarity_residual(u, adj, cs)
         result.cost_history.append(j_cur)
         result.stationarity_history.append(stat)

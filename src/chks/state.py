@@ -32,7 +32,9 @@ unknowns its caller reads at every level (see Trajectory.zeros). The
 linearized/adjoint replays read every unknown, so a plain solve keeps them
 all and steps on one stored trajectory. chks simulate, which writes each
 level as it comes, keeps none: the sweep then steps on a ring of three
-levels, level k in slot k mod 3, and its memory does not grow with Nt. A
+levels, level k in slot k mod 3, and its memory does not grow with Nt. The
+tangent sweep, and the adjoint backward from level Nt, step on rings the
+same way. A
 Trajectory holds its fields in one (fields, levels, nx, ny) array, so the
 check of a new level is one scan, and the step, the CG start, the check and
 the energy find level k through Trajectory.slot.
@@ -101,8 +103,9 @@ from .potentials import (
 # Fewest cells at which Trajectory.advance runs a step's two chains at once;
 # see "Two chains at once" in the module docstring.
 CONCURRENT_MIN_CELLS = 144 * 144
-# Levels a ring holds: step k reads level k, and level k - 1 for the CG
-# start, and writes level k + 1.
+# Levels a ring holds: forward step k reads level k, and level k - 1 for
+# the CG start, and writes level k + 1; backward step k reads levels k + 1
+# and k + 2 and writes level k.
 RING_LEVELS = 3
 FORWARD_FIELDS = ("phi", "mu", "a", "n", "sigma")
 
@@ -207,13 +210,15 @@ class Trajectory:
     alpha_lin, nu, omega for the tangent sweep and p1, ..., p5 for the
     adjoint sweep. A stored trajectory has Nt+1 slots, level k in slot k. A
     ring has RING_LEVELS slots, level k in slot k mod 3, so it holds the
-    last three levels; holds_every_level tells the two apart, and slot(k)
-    is where level k lives in either. zeros makes a ring for a sweep whose
-    caller keeps fewer than all its unknowns; the ring's kept trajectory
-    stores those at every level, and advance copies each level into it once
-    checked. A stored trajectory is its own kept, and a sweep returns kept.
-    newest is the level advance checked last (level 0 before the first
-    step), which is how a ring knows which levels it still holds. fields
+    last three levels its sweep wrote; holds_every_level tells the two
+    apart, and slot(k) is where level k lives in either. zeros makes a ring
+    for a sweep whose caller keeps fewer than all its unknowns; the ring's
+    kept trajectory stores those at every level, and advance copies each
+    level into it once checked. A stored trajectory is its own kept, and a
+    sweep returns kept. direction is the way the sweep runs, 1 forward
+    (level 0 first) or -1 backward (level Nt first). newest is the level
+    advance checked last (the sweep's first level before its first step),
+    which is how a ring knows which levels it still holds. fields
     maps each name to its (slots, nx, ny) slice of data, and the same
     slices read as attributes (traj.phi, lin.psi, adj.p3), so write into
     them in place: a field rebound to an array of its own would escape the
@@ -229,6 +234,7 @@ class Trajectory:
     data: np.ndarray  # (len(names), Nt+1, nx, ny)
     s_stab: float = 0.0
     flux_scheme: str = "centered"
+    direction: int = 1
 
     @classmethod
     def zeros(cls, grid: Grid, times: np.ndarray, names, keep=None, **kwargs) -> Trajectory:
@@ -260,8 +266,10 @@ class Trajectory:
         if (self.data.shape != (len(self.names), slots, self.grid.nx, self.grid.ny)
                 or slots not in (len(self.times), RING_LEVELS)):
             raise ValueError("data must have shape (len(names), len(times) or 3, nx, ny)")
+        if self.direction not in (1, -1):
+            raise ValueError(f"direction must be 1 or -1, not {self.direction!r}")
         self.holds_every_level = slots == len(self.times)
-        self.newest = 0
+        self.newest = 0 if self.direction > 0 else len(self.times) - 1
         # None for a trajectory that is its own kept: a reference to itself
         # would leave it to the cycle collector instead of freeing it.
         self._kept: Trajectory | None = None
@@ -287,15 +295,18 @@ class Trajectory:
         """The index along data's level axis of stored level k: k itself, or
         k mod RING_LEVELS in a ring.
 
-        A ring holds level k only from two levels behind newest up to the
-        level after it, which the next step writes: ValueError for any
-        other k, whose slot holds another level.
+        A ring holds newest and the two levels its sweep wrote before it
+        (newest - 2 .. newest forward, newest .. newest + 2 backward), and
+        the next step writes newest + direction into the slot of the oldest.
+        ValueError for any other k, whose slot holds another level.
         """
         if self.holds_every_level:
             return k
-        if not self.newest - 2 <= k <= self.newest + 1:
+        lo, hi = ((self.newest - 2, self.newest) if self.direction > 0
+                  else (self.newest, self.newest + 2))
+        if not lo <= k <= hi and k != self.newest + self.direction:
             raise ValueError(f"level {k} is not in the ring, which holds levels "
-                             f"{max(self.newest - 2, 0)} to {self.newest}")
+                             f"{max(lo, 0)} to {min(hi, self.nt)}")
         return k % RING_LEVELS
 
     def check_every_level(self, role: str, names=()) -> None:
@@ -319,9 +330,7 @@ class Trajectory:
                 f[level] = self.fields[name][j]
             kept.newest = level
 
-    def extrapolate(
-        self, name: str, k: int, direction: int = 1, like: Trajectory | None = None
-    ) -> np.ndarray:
+    def extrapolate(self, name: str, k: int, like: Trajectory | None = None) -> np.ndarray:
         """CG start for the level of a field that step k writes.
 
         With j the level the step reads (k forward, k + 1 backward) and
@@ -336,8 +345,10 @@ class Trajectory:
           1998). It is formed as g_{j+d} + (f_j - g_j), so a sweep that
           repeats the reference's solve starts from its result bitwise.
 
-        Either start changes the CG's work, not what it solves.
+        Either start changes the CG's work, not what it solves. In a ring,
+        step k reads levels j and j - d, which slot accepts either way.
         """
+        direction = self.direction
         j = k if direction > 0 else k + 1
         f = self.fields[name]
         f_j = f[self.slot(j)]
@@ -357,7 +368,7 @@ class Trajectory:
             raise ValueError("like must have the grid, the step count and the fields of the solve")
         like.check_every_level("like")
 
-    def advance(self, sweep: str, k: int, first, second, direction: int = 1) -> None:
+    def advance(self, sweep: str, k: int, first, second) -> None:
         """Run step k of a sweep, its two chains first() then second(), and
         check the level it wrote (k + 1 forward, k backward), which becomes
         newest once both chains are done and, once checked, is copied into
@@ -378,7 +389,7 @@ class Trajectory:
         is raised again as "<sweep> step k failed: <cause>"; any other
         error passes unchanged.
         """
-        level = k + 1 if direction > 0 else k
+        level = k + 1 if self.direction > 0 else k
         try:
             if self.grid.nx * self.grid.ny < CONCURRENT_MIN_CELLS:
                 first()

@@ -7,6 +7,7 @@ import pytest
 
 from chks import grid as grid_mod
 from chks.adjoint import (
+    ADJOINT_FIELDS,
     ControlSpec,
     duality_residual,
     solve_adjoint,
@@ -48,7 +49,7 @@ def test_zero_weights_give_zero_adjoint(problem):
     grid, spec, init, u, traj, cs, T, nt = problem
     cs0 = ControlSpec(b1=0.0, b2=0.0, b3=1.0, phi_q=cs.phi_q, phi_omega=cs.phi_omega,
                       u_max=1.0)
-    adj = solve_adjoint(traj, cs0, spec)
+    adj = solve_adjoint(traj, cs0, spec, keep=ADJOINT_FIELDS)
     for i in range(1, 6):
         assert np.all(getattr(adj, f"p{i}") == 0.0)
 
@@ -59,14 +60,14 @@ def test_perfect_tracking_gives_zero_adjoint(problem):
         b1=1.0, b2=1.0, b3=1e-3,
         phi_q=traj.phi[1:].copy(), phi_omega=traj.phi[nt].copy(), u_max=1.0,
     )
-    adj = solve_adjoint(traj, cs_perfect, spec)
+    adj = solve_adjoint(traj, cs_perfect, spec, keep=ADJOINT_FIELDS)
     for i in range(1, 6):
         assert np.abs(getattr(adj, f"p{i}")).max() <= 1e-14
 
 
 def test_final_conditions_exact(problem):
     grid, spec, init, u, traj, cs, T, nt = problem
-    adj = solve_adjoint(traj, cs, spec)
+    adj = solve_adjoint(traj, cs, spec, keep=ADJOINT_FIELDS)
     np.testing.assert_array_equal(adj.p1[nt], cs.b2 * (traj.phi[nt] - cs.phi_omega))
     np.testing.assert_allclose(
         adj.p2[nt], -laplacian(grid, adj.p1[nt]), rtol=1e-13, atol=1e-15
@@ -79,8 +80,8 @@ def test_homogeneity_in_tracking_weights(problem):
     grid, spec, init, u, traj, cs, T, nt = problem
     cs2 = ControlSpec(b1=2 * cs.b1, b2=2 * cs.b2, b3=cs.b3, phi_q=cs.phi_q,
                       phi_omega=cs.phi_omega, u_max=1.0)
-    adj1 = solve_adjoint(traj, cs, spec)
-    adj2 = solve_adjoint(traj, cs2, spec)
+    adj1 = solve_adjoint(traj, cs, spec, keep=ADJOINT_FIELDS)
+    adj2 = solve_adjoint(traj, cs2, spec, keep=ADJOINT_FIELDS)
     for i in range(1, 6):
         a2 = getattr(adj2, f"p{i}")
         a1 = getattr(adj1, f"p{i}")
@@ -173,7 +174,7 @@ def test_p4_vanishes_with_zero_weights_and_zero_f14(problem):
     traj0, _ = solve_forward(grid, spec0, init, u0, T, nt)
     cs0 = ControlSpec(b1=0.0, b2=0.0, b3=1.0, phi_q=cs.phi_q, phi_omega=cs.phi_omega,
                       u_max=1.0)
-    adj = solve_adjoint(traj0, cs0, spec0)
+    adj = solve_adjoint(traj0, cs0, spec0, keep=ADJOINT_FIELDS)
     assert np.all(adj.p4 == 0.0)
 
 

@@ -18,7 +18,7 @@ import pytest
 
 from chks import grid as grid_mod
 from chks import state as state_mod
-from chks.adjoint import ControlSpec, solve_adjoint
+from chks.adjoint import ADJOINT_FIELDS, ControlSpec, solve_adjoint
 from chks.cli import cmd_simulate
 from chks.config import load_config
 from chks.fields_io import read_field, write_trajectory
@@ -88,7 +88,7 @@ class Problem:
     def sweeps(self):
         """Every field of the forward, adjoint and tangent sweeps."""
         traj = self.forward()
-        adj = solve_adjoint(traj, self.cost, self.spec)
+        adj = solve_adjoint(traj, self.cost, self.spec, keep=ADJOINT_FIELDS)
         lin = solve_linearized(traj, self.spec, self.h, TANGENT_FIELDS)
         return {**traj.fields, **adj.fields, **lin.fields}
 
@@ -315,12 +315,11 @@ def test_sweep_fields_are_slices_of_the_array_advance_scans():
     cfg = load_config(CONFIG_DIR / "verify.cfg")
     traj, _ = solve_forward(cfg.grid, cfg.model, cfg.init, cfg.u0, cfg.T, cfg.nt,
                             s_stab=cfg.s_stab, flux_scheme=cfg.flux_scheme)
-    adj = solve_adjoint(traj, cfg.control_spec, cfg.model)
+    adj = solve_adjoint(traj, cfg.control_spec, cfg.model, keep=ADJOINT_FIELDS)
     lin = solve_linearized(traj, cfg.model, adj.p3[1:], TANGENT_FIELDS)
     level = 5
-    # Each sweep with the step that writes level 5, and its direction.
-    for sweep, name, k, direction in ((traj, "forward", 4, 1), (lin, "tangent", 4, 1),
-                                      (adj, "adjoint", 5, -1)):
+    # Each sweep with the step that writes level 5.
+    for sweep, name, k in ((traj, "forward", 4), (lin, "tangent", 4), (adj, "adjoint", 5)):
         assert len(sweep.names) == 5
         assert list(sweep.fields) == list(sweep.names)
         for i, field in enumerate(sweep.names):
@@ -330,8 +329,9 @@ def test_sweep_fields_are_slices_of_the_array_advance_scans():
             assert np.shares_memory(f, sweep.data[i]), (name, field)
         # A NaN put into any one field of the level is named by advance.
         for field in sweep.names:
-            copy = Trajectory(sweep.grid, sweep.times, sweep.names, sweep.data.copy())
-            copy.advance(name, k, lambda: None, lambda: None, direction)
+            copy = Trajectory(sweep.grid, sweep.times, sweep.names, sweep.data.copy(),
+                              direction=sweep.direction)
+            copy.advance(name, k, lambda: None, lambda: None)
             getattr(copy, field)[level, 3, 4] = np.nan
             with pytest.raises(SolverError, match=rf"^{name} step {k} failed: non-finite {field}$"):
-                copy.advance(name, k, lambda: None, lambda: None, direction)
+                copy.advance(name, k, lambda: None, lambda: None)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from chks import grid as grid_mod
-from chks.adjoint import ControlSpec, solve_adjoint
+from chks.adjoint import ADJOINT_FIELDS, ControlSpec, solve_adjoint
 from chks.control_opt import (
     OptimizeOptions,
     control_norm,
@@ -264,11 +264,11 @@ def test_resolve_with_like_is_bitwise_and_preconditions_nothing(monkeypatch, sid
                      phi_omega=0.5 + 0.2 * np.cos(np.pi * x) * np.cos(np.pi * y))
     u = Control(np.clip(0.5 + 0.3 * smooth_direction(grid, nt, 310), 0, 1), 1.0)
     traj, _ = solve_forward(grid, spec, init, u, T, nt)
-    adj = solve_adjoint(traj, cs, spec)
+    adj = solve_adjoint(traj, cs, spec, keep=ADJOINT_FIELDS)
 
     calls = count_cg_preconditioner(monkeypatch)
     again, _ = solve_forward(grid, spec, init, u, T, nt, like=traj)
-    adj_again = solve_adjoint(traj, cs, spec, like=adj)
+    adj_again = solve_adjoint(traj, cs, spec, like=adj, keep=ADJOINT_FIELDS)
     assert not calls
     for new, old in ((again, traj), (adj_again, adj)):
         for name, f in old.fields.items():
@@ -282,7 +282,7 @@ def test_like_of_another_grid_step_count_or_sweep_rejected(problem):
     grid, spec, init, cs, T, nt = problem
     u = Control(0.4 * np.ones((nt, grid.nx, grid.ny)), 1.0)
     traj, _ = solve_forward(grid, spec, init, u, T, nt)
-    adj = solve_adjoint(traj, cs, spec)
+    adj = solve_adjoint(traj, cs, spec, keep=ADJOINT_FIELDS)
     sweeps = ((traj, adj, lambda like: solve_forward(grid, spec, init, u, T, nt, like=like)),
               (adj, traj, lambda like: solve_adjoint(traj, cs, spec, like=like)))
     for ref, other_sweep, sweep in sweeps:
@@ -305,7 +305,7 @@ def test_optimize_agrees_with_cold_solves(problem):
     res = optimize(grid, spec, init, cs, u0, T, nt, OptimizeOptions(tol_stat=0.0, max_iters=10))
     assert res.iterations == 10
     traj, _ = solve_forward(grid, spec, init, res.u_star, T, nt)
-    adj = solve_adjoint(traj, cs, spec)
+    adj = solve_adjoint(traj, cs, spec, keep=ADJOINT_FIELDS)
 
     def rel_max(warm, cold):
         return max(float(np.abs(warm.fields[n] - f).max() / np.abs(f).max())

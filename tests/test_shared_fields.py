@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from chks.adjoint import duality_residual, solve_adjoint
+from chks.adjoint import ADJOINT_FIELDS, duality_residual, solve_adjoint
 from chks.config import load_config
 from chks.control_opt import cost, optimize
 from chks.linearized import TANGENT_FIELDS, solve_linearized
@@ -68,7 +68,7 @@ def solve_all(cfg):
     for label, u in controls.items():
         traj, _ = solve_forward(cfg.grid, cfg.model, cfg.init, u, cfg.T, cfg.nt,
                                 s_stab=cfg.s_stab, flux_scheme=cfg.flux_scheme)
-        adj = solve_adjoint(traj, cs, cfg.model)
+        adj = solve_adjoint(traj, cs, cfg.model, keep=ADJOINT_FIELDS)
         lin = solve_linearized(traj, cfg.model, u.values, TANGENT_FIELDS)
         fields = {**traj.fields, **adj.fields, **lin.fields}
         out.update({f"{label}.{key}": f for key, f in fields.items()})

@@ -136,18 +136,21 @@ def test_trajectory_extrapolate_both_directions():
     rng = np.random.default_rng(3)
     x = rng.standard_normal((5, *grid.shape))
     traj = Trajectory(grid, 0.1 * np.arange(5), ("x",), x[None])
+    back = Trajectory(grid, traj.times, ("x",), x[None], direction=-1)
     # First forward step: only level 0 is stored behind level 1.
     assert traj.extrapolate("x", 0).tobytes() == x[0].tobytes()
     # First backward step (k = nt - 1 writes level nt - 1 from level nt).
-    assert traj.extrapolate("x", 3, -1).tobytes() == x[4].tobytes()
+    assert back.extrapolate("x", 3).tobytes() == x[4].tobytes()
     # In between, linear extrapolation of the two levels behind the new one.
     assert traj.extrapolate("x", 2).tobytes() == (2.0 * x[2] - x[1]).tobytes()
-    assert traj.extrapolate("x", 1, -1).tobytes() == (2.0 * x[2] - x[3]).tobytes()
+    assert back.extrapolate("x", 1).tobytes() == (2.0 * x[2] - x[3]).tobytes()
 
 
 def test_trajectory_advance_names_sweep_step_and_first_nonfinite_field():
     grid = Grid(4, 4)
     traj = Trajectory.zeros(grid, 0.1 * np.arange(5), ("x", "y", "z"))
+    # A backward sweep on the same levels.
+    back = Trajectory(grid, traj.times, traj.names, traj.data, direction=-1)
     traj.y[3, 1, 2] = np.nan
     traj.z[3, 0, 0] = np.inf
     calls = []
@@ -159,13 +162,13 @@ def test_trajectory_advance_names_sweep_step_and_first_nonfinite_field():
     with pytest.raises(SolverError, match=r"^forward step 2 failed: non-finite y$"):
         traj.advance("forward", 2, noop, noop)
     with pytest.raises(SolverError, match=r"^adjoint step 3 failed: non-finite y$"):
-        traj.advance("adjoint", 3, noop, noop, -1)
+        back.advance("adjoint", 3, noop, noop)
     traj.y[3] = 0.0
     with pytest.raises(SolverError, match=r"^tangent step 2 failed: non-finite z$"):
         traj.advance("tangent", 2, noop, noop)
     # The levels the other steps wrote are finite.
     traj.advance("forward", 1, noop, noop)
-    traj.advance("adjoint", 2, noop, noop, -1)
+    back.advance("adjoint", 2, noop, noop)
     assert len(calls) == 10
 
     # A chain's SolverError is named the same way, and its cause is kept.
@@ -173,7 +176,7 @@ def test_trajectory_advance_names_sweep_step_and_first_nonfinite_field():
         raise SolverError("helmholtz CG: the rhs norm is not finite")
 
     with pytest.raises(SolverError, match=r"^adjoint step 0 failed: helmholtz CG: ") as info:
-        traj.advance("adjoint", 0, noop, fails, -1)
+        back.advance("adjoint", 0, noop, fails)
     assert str(info.value.__cause__) == "helmholtz CG: the rhs norm is not finite"
 
 

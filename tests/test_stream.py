@@ -4,10 +4,11 @@ A sweep given keep, the unknowns its caller reads at every level, steps in
 place on one stored trajectory when keep names every unknown, and otherwise
 on a ring of three levels, level k in slot k mod 3, whose kept trajectory
 stores the keep fields at every level. A forward sweep on a ring reduces
-its report one level at a time; chks simulate keeps nothing. A ring refuses
-a level it no longer holds, and everything that reads a whole history
-refuses a ring, or a trajectory without an unknown it reads, each with a
-ValueError that names its role.
+its report one level at a time; chks simulate keeps nothing. The tangent
+sweep keeps psi by default, and the adjoint sweep, which runs backward from
+level Nt, p3. A ring refuses a level it no longer holds, and everything
+that reads a whole history refuses a ring, or a trajectory without an
+unknown it reads, each with a ValueError that names its role.
 """
 
 import threading
@@ -21,8 +22,9 @@ import pytest
 from chks import cli
 from chks import grid as grid_mod
 from chks import state as state_mod
-from chks.adjoint import duality_residual, solve_adjoint
+from chks.adjoint import ADJOINT_FIELDS, duality_residual, solve_adjoint
 from chks.config import load_config
+from chks.control_opt import reduced_gradient, stationarity_residual
 from chks.fields_io import write_csv, write_trajectory
 from chks.linearized import TANGENT_FIELDS, solve_linearized, taylor_remainders
 from chks.state import (
@@ -144,6 +146,8 @@ def test_keep_names_only_the_sweeps_unknowns():
     with pytest.raises(ValueError,
                        match="^keep names 'phi', not one of psi, eta, alpha_lin, nu, omega$"):
         solve_linearized(base, cfg.model, cfg.u0.values, keep=("phi",))
+    with pytest.raises(ValueError, match="^keep names 'psi', not one of p1, p2, p3, p4, p5$"):
+        solve_adjoint(base, cfg.control_spec, cfg.model, keep=("p3", "psi"))
 
 
 def test_trajectory_rejects_other_slot_counts():
@@ -325,3 +329,86 @@ def test_tangent_sweep_holds_psi_and_a_ring_only():
         tracemalloc.stop()
     assert psi.nbytes == (cfg.nt + 1) * cfg.grid.nx * cfg.grid.ny * 8
     assert peak < 2.5 * psi.nbytes, f"peak {peak} B against a {psi.nbytes} B psi array"
+
+
+@pytest.mark.parametrize("stored_like", [False, True], ids=["cold", "like"])
+@pytest.mark.parametrize("chains", ["serial", "concurrent"])
+@pytest.mark.parametrize("scheme", ["centered", "upwind"])
+def test_adjoint_ring_matches_stored_adjoint_bitwise(monkeypatch, scheme, chains, stored_like):
+    cfg = load_config(CONFIG_DIR / "verify.cfg")
+    args, kwargs = forward_args(cfg, scheme)
+    base, _ = solve_forward(*args, **kwargs)
+    like = None
+    if stored_like:
+        # The adjoint of a nearby control, as optimize passes it.
+        nearby = Control(0.9 * cfg.u0.values, cfg.u0.u_max)
+        near, _ = solve_forward(*args[:3], nearby, *args[4:], **kwargs)
+        like = solve_adjoint(near, cfg.control_spec, cfg.model, keep=ADJOINT_FIELDS)
+    assert cfg.grid.nx * cfg.grid.ny == 16 * 16
+    threads = record_threads(monkeypatch, chains, 16)
+    stored = solve_adjoint(base, cfg.control_spec, cfg.model, like, ADJOINT_FIELDS)
+    assert any(name.startswith("chks-chain") for name in threads) == (chains == "concurrent")
+    assert stored.holds_every_level and stored.kept is stored and stored.names == ADJOINT_FIELDS
+    # p3, p4 and p5 are zero at level Nt; by level 0 the misfit has reached
+    # every unknown.
+    assert not stored.data[2:, -1].any() and stored.data[:, 0].any(axis=(1, 2)).all()
+    for keep in ((), ("p3",), ("p5",), ADJOINT_FIELDS):
+        kept = solve_adjoint(base, cfg.control_spec, cfg.model, like, keep)
+        assert kept.holds_every_level and kept.names == keep and kept.newest == 0
+        assert kept.data.shape == (len(keep), cfg.nt + 1, cfg.grid.nx, cfg.grid.ny)
+        for name in keep:
+            assert kept.fields[name].tobytes() == stored.fields[name].tobytes(), (keep, name)
+        assert (kept.grid, kept.s_stab, kept.flux_scheme) == (base.grid, base.s_stab,
+                                                              base.flux_scheme)
+
+
+def test_adjoint_sweep_holds_p3_and_a_ring_only():
+    # tracemalloc sees numpy's buffers. Beside the returned p3, the sweep
+    # holds a ring of 5 x 3 levels, the final condition's (p1, p2) pair and
+    # one step's temporaries, about 1 p3 array at 64^2 with 32 steps; every
+    # unknown at every level would be 5 p3 arrays.
+    cfg = load_config(CONFIG_DIR.parent / "perfbench" / "configs" / "optimize-64.cfg")
+    args, kwargs = forward_args(cfg)
+    base, _ = solve_forward(*args, **kwargs)
+    tracemalloc.start()
+    try:
+        p3 = solve_adjoint(base, cfg.control_spec, cfg.model).p3
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert p3.nbytes == (cfg.nt + 1) * cfg.grid.nx * cfg.grid.ny * 8
+    assert peak < 2.5 * p3.nbytes, f"peak {peak} B against a {p3.nbytes} B p3 array"
+
+
+def test_a_backward_ring_refuses_a_level_it_no_longer_holds():
+    # A backward sweep starts at level Nt = 32; step k reads levels k + 1
+    # and k + 2 and writes level k into the slot of level k + 3.
+    grid = grid_mod.Grid(4, 4)
+    ring = Trajectory.zeros(grid, 0.1 * np.arange(33), ADJOINT_FIELDS, ("p3",), direction=-1)
+    assert not ring.holds_every_level and ring.newest == 32
+    # Before the first step the ring holds level Nt alone.
+    with pytest.raises(ValueError,
+                       match="^level 30 is not in the ring, which holds levels 32 to 32$"):
+        ring.slot(30)
+    assert ring.slot(31) == 1  # the level the first step writes
+    for k in range(31, 1, -1):
+        ring.advance("adjoint", k, lambda: None, lambda: None)
+    assert ring.newest == ring.kept.newest == 2
+    with pytest.raises(ValueError, match="^level 0 is not in the ring, which holds levels 2 to 4$"):
+        ring.slot(0)
+    with pytest.raises(ValueError, match="^level 5 is not in the ring, which holds levels 2 to 4$"):
+        ring.slot(5)
+    assert [ring.slot(k) for k in range(1, 5)] == [1, 2, 0, 1]
+
+
+def test_readers_of_p3_refuse_an_adjoint_without_it(solves):
+    cfg, stored = solves.cfg, solves.stored
+    u, h, cs = cfg.u0, cfg.u0.values, cfg.control_spec
+    readers = (lambda adj: reduced_gradient(adj, u, cs.b3),
+               lambda adj: stationarity_residual(u, adj, cs),
+               lambda adj: duality_residual(stored, adj, h, solves.lin, cs))
+    lacking = solve_adjoint(stored, cs, cfg.model, keep=("p5",))
+    for read in readers:
+        read(solves.adj)
+        with pytest.raises(ValueError, match="^adj must hold p3 at every level$"):
+            read(lacking)
