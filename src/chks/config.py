@@ -377,9 +377,10 @@ def load_config(path: str | Path, seed_override: int | None = None) -> RunConfig
     if u_true is not None:
         # Solved only once the control spec has passed: the solve would check
         # u_max itself and end in AdmissibilityError, not a named config error.
+        # The targets read phi alone, so the solve keeps phi alone.
         traj_true, _ = solve_forward(
             gr, model, init, Control(u_true, u_max), T, nt,
-            s_stab=s_stab, flux_scheme=flux_scheme,
+            s_stab=s_stab, flux_scheme=flux_scheme, keep=("phi",),
         )
         cs.phi_q = traj_true.phi[1:].copy()
         cs.phi_omega = traj_true.phi[nt].copy()

@@ -36,21 +36,16 @@ per-call work is kept to the arithmetic:
 - A 2-D transform on a grid whose sides are both at most DENSE_DCT_MAX (64)
   is two dense products with the cached orthonormal DCT-II matrices
   (C_x f C_y^T, inverse C_x^T F C_y). Up to that size the BLAS products beat
-  the FFT-based scipy.fft.dctn by 2-5x per call, which is mostly fixed call
-  overhead on small arrays; from 128 up the O(n^3) products lose, so larger
-  grids call scipy.fft. The choice follows from the field's shape alone, by
-  one size rule (_dense), and _dct_pair resolves it once per shape, so a
-  transform pair makes one cache lookup.
+  the FFT-based scipy.fft.dctn, whose cost there is mostly fixed call
+  overhead; larger grids, where the O(n^3) products lose, call scipy.fft.
+  The choice follows from the field's shape alone, by one size rule
+  (_dense), and _dct_pair resolves it once per shape, so a transform pair
+  makes one cache lookup.
 - The Laplacian switches at the same DENSE_DCT_MAX, though its own
   crossover is lower. At or below it, it is two products with cached 1-D
   mirrored second-difference matrices, D_x f + f D_y; above it, the
   interior-face differences that divergence and grad_dot use (below),
-  contiguous along both axes. The products win at 16^2 (10 us against
-  16 us for the face differences) and 32^2 (14 against 19 us), tie at 48^2
-  (24 us) and lose at 64^2 (38 against 27-31 us): minimum of 7 x 3000
-  calls, BLAS on one thread, two x86-64 cores. At 256^2 the face
-  differences took 250 us against 340 us with strided y slices, timed
-  with a finiteness scan of f that the kernel no longer makes.
+  contiguous along both axes.
 - Cached per grid (lru_cache keyed on the frozen Grid, read-only arrays):
   the Laplacian eigenvalues, the per-mode inverse of the phi/mu block for
   each (tau, s_stab), and 1/(alpha - lam) of each direct Helmholtz solve;
@@ -67,20 +62,16 @@ per-call work is kept to the arithmetic:
   (Eisenstat's trick, SIAM J. Sci. Stat. Comput. 2, 1981); x, r, p and q
   are updated in place through one scratch array. alpha_bar, the per-mode
   inverse and alpha - alpha_bar are formed only after the first stopping
-  test, which most warm-started calls pass: 1274 of optimize-64's 1632 at
-  seed 7.
+  test, which most warm-started calls pass.
 - A guess x0 for the CG costs one stencil call, for the initial residual
   b - alpha*x0 + Lap x0, as the cold start x0 = 0 does. The sweeps pass one
   of two guesses (Trajectory.extrapolate; Fischer, CMAME 163, 1998). On its
   own a sweep passes the linear extrapolation in time of its last two
-  stored levels, which cuts a forward sigma solve from about 3.66 to 2.75
-  DCT pairs. Given a reference sweep for a nearby control, as optimize
+  stored levels. Given a reference sweep for a nearby control, as optimize
   gives its line-search trials and adjoints, a sweep passes its own level
-  plus the reference's increment over the same step: on the optimize-64
-  benchmark workload at seed 7 the run's 1632 CG calls then take 663 DCT
-  pairs, where its 1856 calls took 5398 from the extrapolation in time.
-  A start that already
-  meets the stopping test, such as a repeated solve's, costs no transform.
+  plus the reference's increment over the same step, which saves more
+  transforms. A start that already meets the stopping test, such as a
+  repeated solve's, costs no transform.
   The stopping test and the iteration budget do not depend on the start.
 - divergence and grad_dot work on differences across interior faces
   only and build no face-flux arrays: each face value is added to the cell
@@ -105,16 +96,14 @@ per-call work is kept to the arithmetic:
   in one scan of the trajectory's array, before the next step reads it.
   A non-finite value made inside a step reaches an output through the
   transforms, so it is caught at that step's end. Its SolverError, like
-  every one raised inside a step, names the sweep and the step. The scan
-  of a level's five fields, np.isfinite(level).all(), takes about 3 us at
-  16^2 against 11 us for five one-field scans, and the same as those five
-  at 256^2 (two x86-64 cores); the field it names is looked up only after
-  it fails.
+  every one raised inside a step, names the sweep and the step. A level's
+  five fields are scanned at once, np.isfinite(level).all(), which costs
+  no more than five one-field scans; the field it names is looked up only
+  after it fails.
   Every other precondition is checked on every call: helmholtz_cg's
   shapes and its field alpha, by min > 0 and a finite sum, which carry
   any NaN or infinity; the scalars of helmholtz_direct and ch_block_solve, by
-  math.isfinite, 0.07 us per call against 1.0 us for np.isfinite on a
-  Python float (two x86-64 cores).
+  math.isfinite, which is cheaper than np.isfinite on a Python float.
 """
 
 from __future__ import annotations

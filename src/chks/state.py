@@ -60,8 +60,8 @@ during it through solve_forward's on_level hook, which sees each level as
 soon as it is stored. Step k calls the hook for level k, after a ring's
 reductions of that level, on the calling thread ahead of its
 phi/mu -> n chain, so on large grids that work overlaps the worker's
-sigma -> a chain; it reads only levels up to k (level k only in a ring),
-which no chain of step k writes.
+sigma -> a chain; it reads only levels up to k (levels k - 1 and k in a
+ring), which no chain of step k writes.
 
 Two chains at once
 ------------------
@@ -103,9 +103,8 @@ from .potentials import (
 # Fewest cells at which Trajectory.advance runs a step's two chains at once;
 # see "Two chains at once" in the module docstring.
 CONCURRENT_MIN_CELLS = 144 * 144
-# Levels a ring holds: forward step k reads level k, and level k - 1 for
-# the CG start, and writes level k + 1; backward step k reads levels k + 1
-# and k + 2 and writes level k.
+# Levels a ring holds: the two a step reads and the one it writes, levels
+# newest - 1 .. newest + 1 in either direction (Trajectory.slot).
 RING_LEVELS = 3
 FORWARD_FIELDS = ("phi", "mu", "a", "n", "sigma")
 
@@ -209,20 +208,19 @@ class Trajectory:
     mu, a, n, sigma (FORWARD_FIELDS) for the forward sweep, psi, eta,
     alpha_lin, nu, omega for the tangent sweep and p1, ..., p5 for the
     adjoint sweep. A stored trajectory has Nt+1 slots, level k in slot k. A
-    ring has RING_LEVELS slots, level k in slot k mod 3, so it holds the
-    last three levels its sweep wrote; holds_every_level tells the two
-    apart, and slot(k) is where level k lives in either. zeros makes a ring
-    for a sweep whose caller keeps fewer than all its unknowns; the ring's
+    ring has RING_LEVELS slots, level k in slot k mod 3, and holds the
+    levels newest - 1 .. newest + 1 (see slot); holds_every_level tells the
+    two apart, and slot(k) is where level k lives in either. zeros makes a
+    ring whenever the caller keeps fewer than all the unknowns; the ring's
     kept trajectory stores those at every level, and advance copies each
     level into it once checked. A stored trajectory is its own kept, and a
     sweep returns kept. direction is the way the sweep runs, 1 forward
     (level 0 first) or -1 backward (level Nt first). newest is the level
-    advance checked last (the sweep's first level before its first step),
-    which is how a ring knows which levels it still holds. fields
-    maps each name to its (slots, nx, ny) slice of data, and the same
-    slices read as attributes (traj.phi, lin.psi, adj.p3), so write into
-    them in place: a field rebound to an array of its own would escape the
-    step-end check, which scans one level of data.
+    advance checked last (the sweep's first level before its first step).
+    fields maps each name to its (slots, nx, ny) slice of data, and the
+    same slices read as attributes (traj.phi, lin.psi, adj.p3), so write
+    into them in place: a field rebound to an array of its own would escape
+    the step-end check, which scans one level of data.
     A trajectory is its sweep's only state: step k reads stored level k
     (k + 1 backward) and writes the next level. s_stab and flux_scheme
     record the forward scheme, which the replays reuse.
@@ -241,22 +239,24 @@ class Trajectory:
         """An all-zero trajectory of the unknowns names for a sweep whose
         caller reads the unknowns keep (all of names if None) at every level.
 
-        If keep names every unknown, or there are no more levels than
-        RING_LEVELS, it stores every level and is its own kept. Otherwise it
-        is a ring of RING_LEVELS slots, and its kept trajectory, with the
-        same grid, times and kwargs, stores the unknowns of keep, in the
-        order of names, at every level. ValueError for an entry of keep
-        that is not one of names.
+        If keep names every unknown, it stores every level and is its own
+        kept. Otherwise, whatever the step count, it is a ring of
+        RING_LEVELS slots, and its kept trajectory, with the same grid,
+        times and kwargs, stores the unknowns of keep, in the order of
+        names, at every level. ValueError for an entry of keep that is not
+        one of names.
         """
         names = tuple(names)
         keep = names if keep is None else tuple(keep)
         for name in keep:
             if name not in names:
                 raise ValueError(f"keep names {name!r}, not one of {', '.join(names)}")
-        ring = set(keep) != set(names) and len(times) > RING_LEVELS
+        ring = set(keep) != set(names)
         data = np.zeros((len(names), RING_LEVELS if ring else len(times), grid.nx, grid.ny))
         traj = cls(grid, times, names, data, **kwargs)
         if ring:
+            # At Nt = 2 the ring has as many slots as levels.
+            traj.holds_every_level = False
             traj._kept = cls.zeros(grid, times, [n for n in names if n in keep], **kwargs)
         return traj
 
@@ -295,18 +295,18 @@ class Trajectory:
         """The index along data's level axis of stored level k: k itself, or
         k mod RING_LEVELS in a ring.
 
-        A ring holds newest and the two levels its sweep wrote before it
-        (newest - 2 .. newest forward, newest .. newest + 2 backward), and
-        the next step writes newest + direction into the slot of the oldest.
-        ValueError for any other k, whose slot holds another level.
+        A ring, in either direction, holds levels newest - 1 .. newest + 1,
+        clipped to 0 .. Nt: the two the next step reads and the one it
+        writes (forward step k reads k - 1 and k and writes k + 1, backward
+        step k reads k + 1 and k + 2 and writes k). ValueError naming that
+        window for any other k, whose slot holds another level or is being
+        overwritten.
         """
         if self.holds_every_level:
             return k
-        lo, hi = ((self.newest - 2, self.newest) if self.direction > 0
-                  else (self.newest, self.newest + 2))
-        if not lo <= k <= hi and k != self.newest + self.direction:
-            raise ValueError(f"level {k} is not in the ring, which holds levels "
-                             f"{max(lo, 0)} to {min(hi, self.nt)}")
+        lo, hi = max(self.newest - 1, 0), min(self.newest + 1, self.nt)
+        if not lo <= k <= hi:
+            raise ValueError(f"level {k} is not in the ring, which holds levels {lo} to {hi}")
         return k % RING_LEVELS
 
     def check_every_level(self, role: str, names=()) -> None:
@@ -475,8 +475,8 @@ def step(
     on_level(traj, k), if given, runs at the head of the phi/mu -> n chain,
     on the calling thread, and while it runs on a large grid the worker runs
     sigma -> a. It may read levels up to k, which the step does not write;
-    in a ring, level k only, since level k + 1 goes into the slot of level
-    k - 2.
+    in a ring, levels k - 1 and k, since level k + 1 goes into the slot of
+    level k - 2.
     """
     gr = traj.grid
     old, new = traj.slot(k), traj.slot(k + 1)
@@ -566,15 +566,16 @@ def solve_forward(
     keep names the unknowns the caller reads at every level, which the
     returned trajectory stores (see Trajectory.zeros). With every unknown,
     the default, the sweep steps in place on that trajectory. With fewer,
-    such as keep=(), it steps on a ring of three levels, so memory does not
-    grow with nt beyond what keep stores, and every level is bitwise that
-    of a stored solve; on_level then reads the ring, level k only, since
-    step k writes level k + 1 into the slot of level k - 2. A sweep on a
-    ring reduces the report's entries for level k ahead of on_level(traj,
-    k); one on a stored trajectory reduces all its levels after the sweep,
-    to the same bits. Returns the trajectory and its per-level monitors;
-    check_mean_ode and energy compute the others, check_mean_ode from a
-    trajectory that holds phi at every level.
+    such as keep=(), it steps on a ring of three levels at any nt, so
+    memory does not grow with nt beyond what keep stores, and every level
+    is bitwise that of a stored solve; on_level then reads the ring,
+    levels k - 1 and k only, since step k writes level k + 1 into the slot
+    of level k - 2. A sweep on a ring reduces the report's entries for
+    level k ahead of on_level(traj, k); one on a stored trajectory reduces
+    all its levels after the sweep, to the same bits. Returns the
+    trajectory and its per-level monitors; check_mean_ode and energy
+    compute the others, check_mean_ode from a trajectory that holds phi at
+    every level.
     """
     if nt < 1:
         raise ValueError("nt must be at least 1")

@@ -8,13 +8,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from chks import config as config_mod
 from chks.cli import cmd_simulate, main
 from chks.config import ConfigError, generate_field, load_config
 from chks.control_opt import OptimizeOptions
 from chks.fields_io import read_field, write_field
 from chks.grid import Grid
 from chks.potentials import AdmissibilityError, ProliferationSpec
-from chks.state import ModelSpec, solve_forward
+from chks.state import FORWARD_FIELDS, Control, ModelSpec, solve_forward
 from chks.verify import _smooth_direction
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -139,6 +140,28 @@ def test_cli_negative_umax_with_simulation_targets_exits_2(tmp_path, capsys, com
     path = write_cfg(tmp_path, text.replace("\nu_max = 1.0\n", "\nu_max = -1\n"))
     assert main([command, str(path), "--out", str(tmp_path / "out")]) == 2
     assert capsys.readouterr().err.startswith("config error: [control]: (6.4)")
+
+
+def test_simulation_targets_keep_phi_alone_bitwise_a_keep_all_solve(monkeypatch):
+    # targets = simulation reads phi alone from its target solve, so that
+    # solve keeps phi alone, and its targets are bitwise those of a solve
+    # that keeps every unknown.
+    calls = []
+    original = config_mod.solve_forward
+
+    def recorded(*args, **kwargs):
+        traj, report = original(*args, **kwargs)
+        calls.append((kwargs["keep"], traj.names))
+        return traj, report
+
+    monkeypatch.setattr(config_mod, "solve_forward", recorded)
+    cfg = load_config(CONFIG_DIR / "optimize_inverse_crime.cfg")
+    assert calls == [(("phi",), ("phi",))]
+    stored, _ = solve_forward(cfg.grid, cfg.model, cfg.init, Control(cfg.u_true, cfg.u0.u_max),
+                              cfg.T, cfg.nt, s_stab=cfg.s_stab, flux_scheme=cfg.flux_scheme)
+    assert stored.names == FORWARD_FIELDS
+    assert cfg.control_spec.phi_q.tobytes() == stored.phi[1:].tobytes()
+    assert cfg.control_spec.phi_omega.tobytes() == stored.phi[cfg.nt].tobytes()
 
 
 def test_cli_simulate_homogeneous_mean_phi_closed_form(tmp_path):

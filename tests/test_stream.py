@@ -3,14 +3,16 @@
 A sweep given keep, the unknowns its caller reads at every level, steps in
 place on one stored trajectory when keep names every unknown, and otherwise
 on a ring of three levels, level k in slot k mod 3, whose kept trajectory
-stores the keep fields at every level. A forward sweep on a ring reduces
-its report one level at a time; chks simulate keeps nothing. The tangent
-sweep keeps psi by default, and the adjoint sweep, which runs backward from
-level Nt, p3. A ring refuses a level it no longer holds, and everything
-that reads a whole history refuses a ring, or a trajectory without an
-unknown it reads, each with a ValueError that names its role.
+stores the keep fields at every level, whatever the step count. A forward
+sweep on a ring reduces its report one level at a time; chks simulate
+keeps nothing. The tangent sweep keeps psi by default, and the adjoint
+sweep, which runs backward from level Nt, p3. A ring, in either direction,
+accepts only the levels newest - 1 .. newest + 1, and everything that reads
+a whole history refuses a ring, or a trajectory without an unknown it
+reads, each with a ValueError that names its role.
 """
 
+import dataclasses
 import threading
 import tracemalloc
 from pathlib import Path
@@ -125,16 +127,48 @@ def test_ring_holds_three_levels_whatever_the_step_count(nt):
     assert ring.data.shape == (5, RING_LEVELS, cfg.grid.nx, cfg.grid.ny)
     assert kept.data.nbytes == 0
     assert stored.data.shape == (5, nt + 1, cfg.grid.nx, cfg.grid.ny)
-    # The last three levels are still there, each in its slot.
-    for k in range(nt - 2, nt + 1):
+    # The last two levels are still there, each in its slot; the slot of
+    # level nt - 2 is the one a next step would write.
+    for k in range(nt - 1, nt + 1):
         assert ring.slot(k) == k % 3
         assert ring.data[:, ring.slot(k)].tobytes() == stored.data[:, k].tobytes(), k
         assert energy(ring, k, cfg.model) == energy(stored, k, cfg.model)
-    # A one-step solve holds its two levels, which is every level: it is
-    # its own kept, with every unknown.
+    with pytest.raises(ValueError, match=f"^level {nt - 2} is not in the ring, which holds "
+                                         f"levels {nt - 1} to {nt}$"):
+        ring.slot(nt - 2)
+    # A one-step solve steps on a ring too, and its kept trajectory, which
+    # is its own kept, stores no unknown.
     args, kwargs = forward_args(cfg, nt=1)
     one, _ = solve_forward(*args, **kwargs, keep=())
-    assert one.holds_every_level and one.kept is one and one.names == FORWARD_FIELDS
+    assert one.holds_every_level and one.kept is one and one.names == ()
+
+
+@pytest.mark.parametrize("nt", [1, 2, 3])
+def test_keep_decides_ring_or_stored_at_every_step_count(nt):
+    # A sweep of one or two steps has no more levels than a ring, and keeps
+    # what keep names all the same, bitwise a keep-all solve.
+    cfg = load_config(CONFIG_DIR / "verify.cfg")
+    args, kwargs = forward_args(cfg, nt=nt)
+    stored, stored_report = solve_forward(*args, **kwargs)
+    assert stored.holds_every_level and stored.names == FORWARD_FIELDS
+    for keep in ((), ("phi",)):
+        kept, report, _, ring = levels_seen(args, kwargs, keep)
+        assert not ring.holds_every_level and ring.kept is kept
+        assert kept.names == keep and kept.nt == nt and kept.newest == nt
+        for name in keep:
+            assert kept.fields[name].tobytes() == stored.fields[name].tobytes(), name
+        for name, column in vars(stored_report).items():
+            assert column.tobytes() == getattr(report, name).tobytes(), (keep, name)
+
+    h = np.random.default_rng(nt).standard_normal((nt, cfg.grid.nx, cfg.grid.ny))
+    lin = solve_linearized(stored, cfg.model, h)
+    assert lin.names == ("psi",) and lin.holds_every_level
+    assert lin.psi.tobytes() == solve_linearized(stored, cfg.model, h, TANGENT_FIELDS).psi.tobytes()
+    cs = dataclasses.replace(cfg.control_spec, phi_q=cfg.control_spec.phi_q[:nt])
+    adj = solve_adjoint(stored, cs, cfg.model)
+    assert adj.names == ("p3",) and adj.holds_every_level and adj.newest == 0
+    assert adj.p3.tobytes() == solve_adjoint(stored, cs, cfg.model,
+                                             keep=ADJOINT_FIELDS).p3.tobytes()
 
 
 def test_keep_names_only_the_sweeps_unknowns():
@@ -173,8 +207,14 @@ def test_one_level_reductions_match_the_block_reductions(side):
         assert block[k:k + 1].mean(axis=(1, 2))[0] == means[k], k
 
 
-def test_cmd_simulate_writes_what_a_stored_solve_writes_level_by_level(tmp_path, monkeypatch):
-    cfg = load_config(CONFIG_DIR / "simulate.cfg")
+@pytest.mark.parametrize("nt", [1, 2, 32])
+def test_cmd_simulate_writes_what_a_stored_solve_writes_level_by_level(tmp_path, monkeypatch, nt):
+    text = (CONFIG_DIR / "simulate.cfg").read_text()
+    assert "\nNt = 32\n" in text
+    path = tmp_path / "simulate.cfg"
+    path.write_text(text.replace("\nNt = 32\n", f"\nNt = {nt}\n"))
+    cfg = load_config(path)
+    assert cfg.nt == nt
     kept = []
     original = cli.solve_forward
 
@@ -253,22 +293,24 @@ def test_a_ring_is_refused_where_every_level_is_read(solves, use):
 
 
 def test_a_ring_refuses_a_level_it_no_longer_holds():
-    # After 32 steps the ring holds levels 30 to 32; level 0's slot holds
-    # level 30, whose energy the ring would otherwise return for level 0.
+    # After 32 steps the ring holds levels 31 and 32, and no level 33 is
+    # left to write; level 0's slot holds level 30, whose energy the ring
+    # would otherwise return for level 0.
     cfg = load_config(CONFIG_DIR / "simulate.cfg")
     args, kwargs = forward_args(cfg)
     kept, _, _, ring = levels_seen(args, kwargs, ())
     stored, _ = solve_forward(*args, **kwargs)
     assert ring.newest == kept.newest == stored.newest == cfg.nt == 32
-    with pytest.raises(ValueError, match="^level 0 is not in the ring, which holds levels 30 to 32$"):
+    with pytest.raises(ValueError, match="^level 0 is not in the ring, which holds levels 31 to 32$"):
         energy(ring, 0, cfg.model)
-    with pytest.raises(ValueError, match="^level 34 is not in the ring"):
-        ring.slot(34)
-    assert ring.slot(33) == 0  # the level a next step would write
-    assert energy(ring, 30, cfg.model) == energy(stored, 30, cfg.model)
+    for k in (30, 33, 34):
+        with pytest.raises(ValueError, match=f"^level {k} is not in the ring, which holds levels "
+                                             "31 to 32$"):
+            ring.slot(k)
+    assert energy(ring, 31, cfg.model) == energy(stored, 31, cfg.model)
     # A stored trajectory holds every level wherever its sweep stands.
     assert [stored.slot(k) for k in range(cfg.nt + 1)] == list(range(cfg.nt + 1))
-    assert energy(stored, 0, cfg.model) != energy(stored, 30, cfg.model)
+    assert energy(stored, 0, cfg.model) != energy(stored, 31, cfg.model)
 
 
 @pytest.mark.parametrize("keep", [(), ("phi",)], ids=["forward", "forward_keeping_phi"])
@@ -280,14 +322,64 @@ def test_a_hook_reading_three_levels_back_is_refused(keep):
 
     def on_level(ring, k):
         seen.append(k)
+        if k >= 1:
+            ring.slot(k - 1)  # step k reads it for its CG start
         if k >= 2:
-            ring.slot(k - 2)  # still in the ring until step k writes level k + 1
-        if k >= 3:
-            ring.slot(k - 3)
+            ring.slot(k - 2)  # step k writes level k + 1 into its slot
 
     with pytest.raises(ValueError, match="^level 0 is not in the ring, which holds levels 1 to 3$"):
         solve_forward(*args, **kwargs, on_level=on_level, keep=keep)
-    assert seen == [0, 1, 2, 3]
+    assert seen == [0, 1, 2]
+
+
+def test_the_window_holds_while_the_chains_run_at_once(monkeypatch):
+    # With CONCURRENT_MIN_CELLS lowered to 16^2 the worker writes level
+    # k + 1 into the slot of level k - 2 while the forward hook of step k
+    # runs, so the hook may read levels k - 1 and k and no older one.
+    cfg = load_config(CONFIG_DIR / "simulate.cfg")
+    args, kwargs = forward_args(cfg)
+    nt = cfg.nt
+    threads = record_threads(monkeypatch, "concurrent", 16)
+    stored, _ = solve_forward(*args, **kwargs)
+    refused, behind = {}, {}
+
+    def on_level(ring, k):
+        if k >= 1:
+            behind[k - 1] = ring.data[:, ring.slot(k - 1)].copy()
+        if k >= 2:
+            try:
+                ring.slot(k - 2)
+            except ValueError as exc:
+                refused[k] = str(exc)
+
+    solve_forward(*args, **kwargs, on_level=on_level, keep=())
+    assert any(name.startswith("chks-chain") for name in threads)
+    assert refused == {k: f"level {k - 2} is not in the ring, which holds levels {k - 1} to "
+                          f"{min(k + 1, nt)}" for k in range(2, nt + 1)}
+    assert sorted(behind) == list(range(nt))
+    for k, level in behind.items():
+        assert level.tobytes() == stored.data[:, k].tobytes(), k
+
+    # A backward step k reads levels k + 1 and k + 2 and writes level k;
+    # level k + 3, the newest + 2 of its ring, is refused on the worker too.
+    grid = grid_mod.Grid(16, 16)
+    ring = Trajectory.zeros(grid, 0.1 * np.arange(9), ADJOINT_FIELDS, ("p3",), direction=-1)
+    refused.clear()
+
+    def second(k):
+        threads.add(threading.current_thread().name + "/backward")
+        for level in range(k, min(k + 2, 8) + 1):
+            ring.slot(level)
+        try:
+            ring.slot(k + 3)
+        except ValueError as exc:
+            refused[k] = str(exc)
+
+    for k in range(7, -1, -1):
+        ring.advance("adjoint", k, lambda: None, lambda: second(k))
+    assert any(name.startswith("chks-chain") and name.endswith("/backward") for name in threads)
+    assert refused == {k: f"level {k + 3} is not in the ring, which holds levels {k} to "
+                          f"{min(k + 2, 8)}" for k in range(8)}
 
 
 @pytest.mark.parametrize("chains", ["serial", "concurrent"])
@@ -386,19 +478,20 @@ def test_a_backward_ring_refuses_a_level_it_no_longer_holds():
     grid = grid_mod.Grid(4, 4)
     ring = Trajectory.zeros(grid, 0.1 * np.arange(33), ADJOINT_FIELDS, ("p3",), direction=-1)
     assert not ring.holds_every_level and ring.newest == 32
-    # Before the first step the ring holds level Nt alone.
+    # Before the first step the ring holds level Nt and the one the first
+    # step writes.
     with pytest.raises(ValueError,
-                       match="^level 30 is not in the ring, which holds levels 32 to 32$"):
+                       match="^level 30 is not in the ring, which holds levels 31 to 32$"):
         ring.slot(30)
     assert ring.slot(31) == 1  # the level the first step writes
     for k in range(31, 1, -1):
         ring.advance("adjoint", k, lambda: None, lambda: None)
     assert ring.newest == ring.kept.newest == 2
-    with pytest.raises(ValueError, match="^level 0 is not in the ring, which holds levels 2 to 4$"):
-        ring.slot(0)
-    with pytest.raises(ValueError, match="^level 5 is not in the ring, which holds levels 2 to 4$"):
-        ring.slot(5)
-    assert [ring.slot(k) for k in range(1, 5)] == [1, 2, 0, 1]
+    for k in (0, 4, 5):
+        with pytest.raises(ValueError,
+                           match=f"^level {k} is not in the ring, which holds levels 1 to 3$"):
+            ring.slot(k)
+    assert [ring.slot(k) for k in range(1, 4)] == [1, 2, 0]
 
 
 def test_readers_of_p3_refuse_an_adjoint_without_it(solves):
