@@ -34,23 +34,18 @@ and steps backward on a ring of three levels, level k in slot k mod 3,
 which holds the other four unknowns whatever Nt. optimize, whose warm
 start reads p5 and whose caller writes every unknown, keeps
 ADJOINT_FIELDS, and the sweep then steps in place on one stored
-trajectory. Backward step k reads level k + 1 and writes level k. Its one
-exception is the first backward step, whose (p1, p2) input is the weakly
-imposed final condition (see solve_adjoint), while level Nt keeps p1(T).
+trajectory.
 
-A backward step is two chains that share no level they write, which
-Trajectory.advance runs, naming the step in any SolverError:
+A backward step is two chains (k, old, new) that share no level they
+write, which Trajectory.advance runs, naming the step in any SolverError:
 
 - p3 -> p5 reads the base a at level k and sigma at level k + 1, and p3,
-  p4 and p5 at level k + 1 (p5 also at k + 2, or a reference adjoint's
-  p5 at levels k and k + 1, for the CG start), and
-  writes p3 and p5 at level k;
-- p4 -> p1/p2 reads the base phi at level k, phi_Q, the (p1, p2) pair
-  of level k + 1 and p4 at level k + 1, and writes p4, p1 and p2 at
-  level k.
-
-p4 is the one unknown both read, at the level before the one p4 -> p1/p2
-writes.
+  p4 and p5 at old (p5 also one level behind, or a reference adjoint's p5
+  increment over the step, for the CG start), and writes p3 and p5 at new;
+- p4 -> p1/p2 reads the base phi at level k, phi_Q, and p1, p2 and p4 at
+  old (p4 at old is the one unknown both chains read), and writes p4, p1
+  and p2 at new. The first backward step reads the weakly imposed final
+  (p1, p2) instead (see solve_adjoint), while level Nt keeps p1(T).
 
 The advective term grad(sigma*).grad(p3) is evaluated with centered face
 gradients and averaged back to cell centers (grid.grad_dot), and
@@ -159,13 +154,12 @@ def solve_adjoint(
     rhs_final = p1_final / tau
     if cost.b1:
         rhs_final = rhs_final + cost.b1 * (base.phi[nt] - cost.phi_q[nt - 1])
-    p1, p2 = g.ch_block_solve(gr, rhs_final, None, tau_eff, s_stab, transpose=True)
+    weak = g.ch_block_solve(gr, rhs_final, None, tau_eff, s_stab, transpose=True)
     # Right-hand sides are updated in place on fresh arrays, such as the
     # results of grad_dot, divergence and h_prime.
 
     def transport(k: int, old: int, new: int) -> None:
-        """p3 and p5 at level k (slot new) from p3, p4 and p5 at levels k + 1
-        (slot old) and up."""
+        """p3 and p5 at new from p3, p4 and p5 at old and behind."""
         a_k = base.a[k]
         sigma_new = base.sigma[k + 1]
         p3, p4, p5 = adj.p3[old], adj.p4[old], adj.p5[old]
@@ -193,9 +187,10 @@ def solve_adjoint(
             gr, rhs_p5, (inv_tau + 1.0) + a_k, adj.extrapolate("p5", k, like)
         )
 
-    def phase(k: int, old: int, new: int, p1: np.ndarray, p2: np.ndarray) -> None:
-        """p4, p1 and p2 at level k (slot new) from the (p1, p2) pair given
-        and p4 at level k + 1 (slot old)."""
+    def phase(k: int, old: int, new: int) -> None:
+        """p4, p1 and p2 at new from p1, p2 and p4 at old, or at the first
+        backward step from the weak pair and p4 at old."""
+        p1, p2 = weak if k == nt - 1 else (adj.p1[old], adj.p2[old])
         # p4: nutrient adjoint with the phase coupling explicit. The second
         # row of the transposed block, -Lap p1 - p2 = 0, makes p2 = -Lap p1,
         # so -chi_phi Lap p1 is read as chi_phi p2 (equal up to round-off).
@@ -220,10 +215,7 @@ def solve_adjoint(
                                                     transpose=True)
 
     for k in range(nt - 1, -1, -1):
-        old, new = adj.slot(k + 1), adj.slot(k)
-        adj.advance("adjoint", k, lambda: transport(k, old, new),
-                    lambda: phase(k, old, new, p1, p2))
-        p1, p2 = adj.p1[new], adj.p2[new]
+        adj.advance("adjoint", k, transport, phase)
     return adj.kept
 
 

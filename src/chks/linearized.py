@@ -26,14 +26,15 @@ k mod 3, which holds the other four unknowns whatever Nt. The Taylor rows,
 and any check of eta, alpha_lin, nu or omega, keep TANGENT_FIELDS, and the
 sweep then steps in place on one stored trajectory.
 
-Like the forward step, a tangent step is two chains that share no level
-they write, which Trajectory.advance runs, naming the step in any error:
+Like the forward step, a tangent step is two chains (k, old, new) that
+share no level they write, which Trajectory.advance runs, naming the step
+in any error:
 
 - psi/eta -> nu reads the base phi at level k and psi, nu and omega at
-  level k, and writes psi, eta and nu at level k + 1;
+  old, and writes psi, eta and nu at new;
 - omega -> alpha reads the base a at level k and sigma at level k + 1,
-  omega and alpha at level k (omega also at k - 1, for the CG start) and
-  h[k], and writes omega and alpha at level k + 1.
+  omega and alpha at old (omega also one level behind, for the CG start)
+  and h[k], and writes omega and alpha at new.
 
 taylor_remainders reads the grid, the step count and the end time from the
 base trajectory it is given.
@@ -92,8 +93,7 @@ def solve_linearized(
     # outputs are checked at the end of each step.
 
     def phase(k: int, old: int, new: int) -> None:
-        """psi, eta and nu at level k + 1 (slot new) from psi, nu and omega
-        at level k (slot old)."""
+        """psi, eta and nu at new from psi, nu and omega at old."""
         phi_k = base.phi[k]
         psi, nu, omega = lin.psi[old], lin.nu[old], lin.omega[old]
 
@@ -114,8 +114,7 @@ def solve_linearized(
         lin.nu[new] = g.helmholtz_direct(gr, rhs_nu, inv_tau)
 
     def chemotaxis(k: int, old: int, new: int) -> None:
-        """omega and alpha at level k + 1 (slot new) from omega and alpha at
-        levels up to k (level k in slot old)."""
+        """omega and alpha at new from omega and alpha at old and behind."""
         a_k = base.a[k]
         sigma_new = base.sigma[k + 1]
         alpha, omega = lin.alpha_lin[old], lin.omega[old]
@@ -139,8 +138,7 @@ def solve_linearized(
         lin.alpha_lin[new] = g.helmholtz_direct(gr, rhs_alpha, inv_tau)
 
     for k in range(nt):
-        old, new = lin.slot(k), lin.slot(k + 1)
-        lin.advance("tangent", k, lambda: phase(k, old, new), lambda: chemotaxis(k, old, new))
+        lin.advance("tangent", k, phase, chemotaxis)
     return lin.kept
 
 

@@ -26,27 +26,23 @@ phi -> n -> sigma -> a:
 4. a: implicit diffusion, explicit chemotaxis flux against the *new*
    sigma, explicit logistic term and control source.
 
-The forward sweep steps in place on a Trajectory: step k reads stored level
-k and writes level k + 1. What it stores is solve_forward's keep, the
-unknowns its caller reads at every level (see Trajectory.zeros). The
-linearized/adjoint replays read every unknown, so a plain solve keeps them
-all and steps on one stored trajectory. chks simulate, which writes each
-level as it comes, keeps none: the sweep then steps on a ring of three
-levels, level k in slot k mod 3, and its memory does not grow with Nt. The
-tangent sweep, and the adjoint backward from level Nt, step on rings the
-same way. A
-Trajectory holds its fields in one (fields, levels, nx, ny) array, so the
-check of a new level is one scan, and the step, the CG start, the check and
-the energy find level k through Trajectory.slot.
+The forward sweep steps in place on a Trajectory. What it stores is
+solve_forward's keep, the unknowns its caller reads at every level (see
+Trajectory.zeros). The linearized/adjoint replays read every unknown, so a
+plain solve keeps them all and steps on one stored trajectory. chks
+simulate, which writes each level as it comes, keeps none: the sweep then
+steps on a ring of three levels, level k in slot k mod 3, and its memory
+does not grow with Nt. The tangent sweep, and the adjoint backward from
+level Nt, step on rings the same way. A Trajectory holds its fields in one
+(fields, levels, nx, ny) array, so the check of a new level is one scan.
 Within a step, (a, sigma) reaches (phi, mu, n) only through the lagged
-source c_sigma*sigma, so the step is two chains that share no level they
-write:
+source c_sigma*sigma, so the step is two chains (k, old, new) that share
+no level they write (old and new are slots; see Trajectory.advance):
 
-- phi/mu -> n reads phi, n and sigma at level k and writes phi, mu and n at
-  level k + 1;
-- sigma -> a reads a and sigma at level k (and, for the CG start, sigma at
-  level k - 1 or a reference trajectory's sigma at levels k and k + 1) and
-  writes sigma and a at level k + 1.
+- phi/mu -> n reads phi, n and sigma at old and writes phi, mu and n at new;
+- sigma -> a reads a and sigma at old (and, for the CG start, sigma one
+  level behind or a reference trajectory's sigma increment over the step)
+  and writes sigma and a at new.
 
 That independence lets Trajectory.advance, which runs each step of all three
 sweeps and names it in any SolverError, run the two at once on large grids
@@ -221,9 +217,8 @@ class Trajectory:
     same slices read as attributes (traj.phi, lin.psi, adj.p3), so write
     into them in place: a field rebound to an array of its own would escape
     the step-end check, which scans one level of data.
-    A trajectory is its sweep's only state: step k reads stored level k
-    (k + 1 backward) and writes the next level. s_stab and flux_scheme
-    record the forward scheme, which the replays reuse.
+    A trajectory is its sweep's only state, stepped by advance. s_stab and
+    flux_scheme record the forward scheme, which the replays reuse.
     """
 
     grid: Grid
@@ -296,11 +291,10 @@ class Trajectory:
         k mod RING_LEVELS in a ring.
 
         A ring, in either direction, holds levels newest - 1 .. newest + 1,
-        clipped to 0 .. Nt: the two the next step reads and the one it
-        writes (forward step k reads k - 1 and k and writes k + 1, backward
-        step k reads k + 1 and k + 2 and writes k). ValueError naming that
-        window for any other k, whose slot holds another level or is being
-        overwritten.
+        clipped to 0 .. Nt: the level the next step reads (see advance),
+        the one behind it, which its CG start reads, and the one it writes.
+        ValueError naming that window for any other k, whose slot holds
+        another level or is being overwritten.
         """
         if self.holds_every_level:
             return k
@@ -333,8 +327,8 @@ class Trajectory:
     def extrapolate(self, name: str, k: int, like: Trajectory | None = None) -> np.ndarray:
         """CG start for the level of a field that step k writes.
 
-        With j the level the step reads (k forward, k + 1 backward) and
-        d = direction, there are two starts:
+        With j the level step k reads (see advance) and d = direction,
+        there are two starts:
 
         - Without like, the extrapolation in time 2 f_j - f_{j - d} of the
           two stored levels behind the new one, or f_j itself at the
@@ -349,7 +343,7 @@ class Trajectory:
         step k reads levels j and j - d, which slot accepts either way.
         """
         direction = self.direction
-        j = k if direction > 0 else k + 1
+        j = self._step_levels(k)[0]
         f = self.fields[name]
         f_j = f[self.slot(j)]
         if like is not None:
@@ -368,11 +362,18 @@ class Trajectory:
             raise ValueError("like must have the grid, the step count and the fields of the solve")
         like.check_every_level("like")
 
+    def _step_levels(self, k: int) -> tuple[int, int]:
+        """The level step k reads and the level it writes (see advance)."""
+        return (k, k + 1) if self.direction > 0 else (k + 1, k)
+
     def advance(self, sweep: str, k: int, first, second) -> None:
-        """Run step k of a sweep, its two chains first() then second(), and
-        check the level it wrote (k + 1 forward, k backward), which becomes
-        newest once both chains are done and, once checked, is copied into
-        kept (keep_level).
+        """Run step k of a sweep and check the level it wrote.
+
+        Step k reads level k and writes level k + 1 forward, and reads
+        k + 1 and writes k backward. With old and new the slots of those two
+        levels, advance runs the step's chains first(k, old, new) and
+        second(k, old, new). The level written becomes newest once both are
+        done and, once checked, is copied into kept (keep_level).
 
         Neither chain may read what the other writes. Below
         CONCURRENT_MIN_CELLS cells they run one after the other; from there
@@ -385,28 +386,30 @@ class Trajectory:
         is the one the serial order meets first: first's, else second's,
         else "non-finite <name>" for the first non-finite field of the new
         level, in the order of names. The check is one scan of the level
-        in data; the field is looked up only when it fails. A SolverError
-        is raised again as "<sweep> step k failed: <cause>"; any other
-        error passes unchanged.
+        in data; the field is looked up only when it fails. A SolverError,
+        a FloatingPointError or a RuntimeWarning raised as an error (as
+        under error::RuntimeWarning) is raised again as SolverError
+        "<sweep> step k failed: <cause>"; any other error passes unchanged.
         """
-        level = k + 1 if self.direction > 0 else k
+        read, level = self._step_levels(k)
+        old, new = self.slot(read), self.slot(level)
         try:
             if self.grid.nx * self.grid.ny < CONCURRENT_MIN_CELLS:
-                first()
-                second()
+                first(k, old, new)
+                second(k, old, new)
             else:
-                later = _CHAIN_WORKER.submit(second)
+                later = _CHAIN_WORKER.submit(second, k, old, new)
                 try:
-                    first()
+                    first(k, old, new)
                 finally:
                     wait((later,))
                 later.result()
-            new = self.data[:, self.slot(level)]
+            written = self.data[:, new]
             self.newest = level
-            if not np.isfinite(new).all():
-                bad = next(n for n, f in zip(self.names, new) if not np.isfinite(f).all())
+            if not np.isfinite(written).all():
+                bad = next(n for n, f in zip(self.names, written) if not np.isfinite(f).all())
                 raise SolverError(f"non-finite {bad}")
-        except SolverError as exc:
+        except (SolverError, FloatingPointError, RuntimeWarning) as exc:
             raise SolverError(f"{sweep} step {k} failed: {exc}") from exc
         self.keep_level(level)
 
@@ -469,9 +472,8 @@ def step(
     sigma increment over step k. That changes the work, not what is solved.
     The kernels scan nothing: a non-finite value in what the step reads
     reaches an output or stops a solve, and advance checks the new level,
-    its five fields in one scan, at the end and names the step in any
-    SolverError. Levels are reached through traj.slot, so traj may be a
-    ring (see Trajectory).
+    its five fields in one scan, and names the step in any SolverError.
+    traj may be a ring (see Trajectory).
     on_level(traj, k), if given, runs at the head of the phi/mu -> n chain,
     on the calling thread, and while it runs on a large grid the worker runs
     sigma -> a. It may read levels up to k, which the step does not write;
@@ -479,12 +481,11 @@ def step(
     level k - 2.
     """
     gr = traj.grid
-    old, new = traj.slot(k), traj.slot(k + 1)
     # Right-hand sides are updated in place on fresh arrays, such as the
     # results of h_value, f_prime, divergence and laplacian, in both chains.
 
-    def phase_nutrient() -> None:
-        """Steps 1 and 2: phi, mu and n at level k + 1 from phi, n and sigma at level k."""
+    def phase_nutrient(k: int, old: int, new: int) -> None:
+        """Steps 1 and 2: phi, mu and n at new from phi, n and sigma at old."""
         if on_level is not None:
             on_level(traj, k)
         if traj.tau <= 0:
@@ -507,8 +508,8 @@ def step(
         rhs_n += spec.c_sigma * sigma + spec.c_0
         traj.n[new] = g.helmholtz_direct(gr, rhs_n, inv_tau)
 
-    def chemotaxis() -> None:
-        """Steps 3 and 4: sigma and a at level k + 1 from a and sigma at levels up to k."""
+    def chemotaxis(k: int, old: int, new: int) -> None:
+        """Steps 3 and 4: sigma and a at new from a and sigma at old and behind."""
         inv_tau = 1.0 / traj.tau
         a, sigma = traj.a[old], traj.sigma[old]
 

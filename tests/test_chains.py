@@ -331,7 +331,7 @@ def test_sweep_fields_are_slices_of_the_array_advance_scans():
         for field in sweep.names:
             copy = Trajectory(sweep.grid, sweep.times, sweep.names, sweep.data.copy(),
                               direction=sweep.direction)
-            copy.advance(name, k, lambda: None, lambda: None)
+            copy.advance(name, k, lambda *_: None, lambda *_: None)
             getattr(copy, field)[level, 3, 4] = np.nan
             with pytest.raises(SolverError, match=rf"^{name} step {k} failed: non-finite {field}$"):
-                copy.advance(name, k, lambda: None, lambda: None)
+                copy.advance(name, k, lambda *_: None, lambda *_: None)

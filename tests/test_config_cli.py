@@ -537,6 +537,23 @@ def test_cli_simulate_solver_failure_keeps_the_levels_written(tmp_path, capsys):
     assert sorted(p.name for p in out.iterdir()) == LEVELS_0_AND_1
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("old, new, operation", [("lx = 1.0", "lx = 1e-12", "exp"),
+                                                 ("c_phi = 0.1", "c_phi = 1e300", "multiply"),
+                                                 ("T = 0.5", "T = 1e300", "multiply")])
+def test_cli_simulate_overflow_in_a_step_is_that_steps_solver_error(tmp_path, capsys, old, new,
+                                                                    operation):
+    # Under error::RuntimeWarning an overflow in a step's arithmetic raises
+    # RuntimeWarning, which advance names as the step's SolverError: exit 3,
+    # not a traceback and not the status of a failed monitor.
+    text = (CONFIG_DIR / "simulate.cfg").read_text()
+    assert f"\n{old}\n" in text
+    cfg = write_cfg(tmp_path, text.replace(f"\n{old}\n", f"\n{new}\n"))
+    assert main(["simulate", str(cfg), "--out", str(tmp_path / "o")]) == 3
+    assert capsys.readouterr().err == (
+        f"solver error: forward step 1 failed: overflow encountered in {operation}\n")
+
+
 # --out holds one run's files: once the config has loaded, main deletes the
 # files its command writes (cli.OUTPUTS), so a failed or shorter run into
 # the --out of an earlier one leaves none of the earlier run's files behind.
@@ -649,7 +666,28 @@ def test_cli_verify_duality_suite(tmp_path):
     assert rc == 0
     report = (out / "verify_report.csv").read_text()
     assert "duality" in report
+    assert "vanish" not in report
     assert (out / "duality.csv").exists()
+
+
+def test_cli_verify_duality_fails_every_row_when_nothing_is_paired(tmp_path, capsys):
+    # With Nt = 1, p3 and psi vanish at every level the identity pairs on
+    # both step grids, Nt = 1 and 2: residuals of 0 show nothing, so every
+    # row fails (exit 1) and says why.
+    text = (CONFIG_DIR / "verify.cfg").read_text()
+    assert "\nNt = 32\n" in text
+    out = tmp_path / "out"
+    assert main(["verify", str(write_cfg(tmp_path, text.replace("\nNt = 32\n", "\nNt = 1\n"))),
+                 "--suite", "duality", "--out", str(out)]) == 1
+    with open(out / "verify_report.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [row["check"] for row in rows] == ["residual_nt_1", "residual_nt_2",
+                                              "tau_halving_decrease"]
+    assert [row["passed"] for row in rows] == ["0", "0", "0"]
+    for row in rows[:2]:
+        assert row["note"].endswith("; p3 and psi vanish at every level the identity pairs")
+    assert rows[2]["note"].endswith("; a residual row pairs nothing")
+    assert capsys.readouterr().out.count("[FAIL] duality/") == 3
 
 
 def test_cli_verify_lipschitz_on_a_domain_too_small_for_its_grids(tmp_path, capsys):

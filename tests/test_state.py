@@ -155,7 +155,7 @@ def test_trajectory_advance_names_sweep_step_and_first_nonfinite_field():
     traj.z[3, 0, 0] = np.inf
     calls = []
 
-    def noop():
+    def noop(k, old, new):
         calls.append(None)
 
     # Step 2 forward and step 3 backward both write level 3.
@@ -172,7 +172,7 @@ def test_trajectory_advance_names_sweep_step_and_first_nonfinite_field():
     assert len(calls) == 10
 
     # A chain's SolverError is named the same way, and its cause is kept.
-    def fails():
+    def fails(k, old, new):
         raise SolverError("helmholtz CG: the rhs norm is not finite")
 
     with pytest.raises(SolverError, match=r"^adjoint step 0 failed: helmholtz CG: ") as info:
@@ -543,13 +543,16 @@ def test_model_spec_rejections():
 
 def test_forward_step_end_catches_unchecked_nan():
     # With admissibility off nothing scans the initial data on entry; a NaN
-    # in any field reaches the step's outputs or stops a solve, and the
-    # error names the step. NaN only: an infinity would raise through the
-    # RuntimeWarning filter in the arithmetic first.
+    # or an infinity in any field reaches the step's outputs, stops a solve
+    # or raises through the RuntimeWarning filter in the step's arithmetic,
+    # and the error names the step. phi0 is tested with NaN only: an
+    # infinite phi0 fails in level 0's diagnostic mu, which no step computes.
     grid = Grid(8, 8)
     u = Control(np.zeros((4, grid.nx, grid.ny)), 1.0)
-    for name in ("phi0", "a0", "n0", "sigma0"):
+    for name, bad in [("phi0", np.nan),
+                      *((name, bad) for name in ("a0", "n0", "sigma0")
+                        for bad in (np.nan, np.inf, -np.inf))]:
         init = make_random_init(grid, 5)
-        getattr(init, name)[3, 4] = np.nan
+        getattr(init, name)[3, 4] = bad
         with pytest.raises(SolverError, match="^forward step 0 failed"):
             solve_forward(grid, base_model(), init, u, 0.1, 4, check_admissibility=False)

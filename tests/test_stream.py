@@ -366,7 +366,7 @@ def test_the_window_holds_while_the_chains_run_at_once(monkeypatch):
     ring = Trajectory.zeros(grid, 0.1 * np.arange(9), ADJOINT_FIELDS, ("p3",), direction=-1)
     refused.clear()
 
-    def second(k):
+    def second(k, old, new):
         threads.add(threading.current_thread().name + "/backward")
         for level in range(k, min(k + 2, 8) + 1):
             ring.slot(level)
@@ -376,10 +376,46 @@ def test_the_window_holds_while_the_chains_run_at_once(monkeypatch):
             refused[k] = str(exc)
 
     for k in range(7, -1, -1):
-        ring.advance("adjoint", k, lambda: None, lambda: second(k))
+        ring.advance("adjoint", k, lambda *_: None, second)
     assert any(name.startswith("chks-chain") and name.endswith("/backward") for name in threads)
     assert refused == {k: f"level {k + 3} is not in the ring, which holds levels {k} to "
                           f"{min(k + 2, 8)}" for k in range(8)}
+
+
+@pytest.mark.parametrize("chains", ["serial", "concurrent"])
+@pytest.mark.parametrize("keep", [ADJOINT_FIELDS, ("p3",)], ids=["stored", "ring"])
+@pytest.mark.parametrize("direction", [1, -1])
+def test_advance_hands_both_chains_the_slots_of_the_levels_read_and_written(
+        monkeypatch, chains, keep, direction):
+    # Forward, step k reads level k and writes k + 1; backward, it reads
+    # k + 1 and writes k. Each chain gets (k, slot read, slot written), the
+    # second on the worker thread when the chains run at once.
+    monkeypatch.setattr(state_mod, "CONCURRENT_MIN_CELLS",
+                        np.inf if chains == "serial" else 16 * 16)
+    nt = 7
+    traj = Trajectory.zeros(grid_mod.Grid(16, 16), 0.1 * np.arange(nt + 1), ADJOINT_FIELDS, keep,
+                            direction=direction)
+    calls = {"first": [], "second": []}
+
+    def chain(name):
+        def run(k, old, new):
+            calls[name].append((k, old, new, threading.current_thread()))
+        return run
+
+    steps = range(nt) if direction > 0 else range(nt - 1, -1, -1)
+    for k in steps:
+        traj.advance("sweep", k, chain("first"), chain("second"))
+    slot = (lambda level: level % 3) if keep == ("p3",) else (lambda level: level)
+    expected = [(k, slot(k), slot(k + 1)) if direction > 0 else (k, slot(k + 1), slot(k))
+                for k in steps]
+    for name in ("first", "second"):
+        assert [call[:3] for call in calls[name]] == expected, name
+    assert {call[3] for call in calls["first"]} == {threading.current_thread()}
+    (second_thread,) = {call[3] for call in calls["second"]}
+    if chains == "concurrent":
+        assert second_thread.name.startswith("chks-chain")
+    else:
+        assert second_thread is threading.current_thread()
 
 
 @pytest.mark.parametrize("chains", ["serial", "concurrent"])
@@ -485,7 +521,7 @@ def test_a_backward_ring_refuses_a_level_it_no_longer_holds():
         ring.slot(30)
     assert ring.slot(31) == 1  # the level the first step writes
     for k in range(31, 1, -1):
-        ring.advance("adjoint", k, lambda: None, lambda: None)
+        ring.advance("adjoint", k, lambda *_: None, lambda *_: None)
     assert ring.newest == ring.kept.newest == 2
     for k in (0, 4, 5):
         with pytest.raises(ValueError,
