@@ -11,6 +11,7 @@ Run:  python demos/01_forward_simulation.py
 import numpy as np
 
 from chks import (
+    FORWARD_FIELDS,
     Control,
     Grid,
     InitialData,
@@ -52,7 +53,9 @@ u_values = np.zeros((nt, grid.nx, grid.ny))
 u_values[: nt // 2] = 0.4
 control = Control(u_values, u_max=1.0)
 
-traj, report = solve_forward(grid, model, init, control, T, nt)
+# energy reads every unknown, so the solve keeps them all at every level;
+# a plain solve keeps phi, a and sigma, what the derivative sweeps read.
+traj, report = solve_forward(grid, model, init, control, T, nt, keep=FORWARD_FIELDS)
 
 # The report holds per-level monitors; the ranges are their extremes.
 print("forward run complete")

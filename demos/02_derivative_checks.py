@@ -16,6 +16,7 @@ Run:  python demos/02_derivative_checks.py
 import numpy as np
 
 from chks import (
+    FORWARD_FIELDS,
     Control,
     ControlSpec,
     Grid,
@@ -50,7 +51,8 @@ T, nt = 0.5, 32
 tau = T / nt
 
 u = Control(0.5 * np.ones((nt, grid.nx, grid.ny)), u_max=1.0)
-traj, _ = solve_forward(grid, model, init, u, T, nt)
+# The Taylor test compares every forward unknown, so this solve keeps them all.
+traj, _ = solve_forward(grid, model, init, u, T, nt, keep=FORWARD_FIELDS)
 
 # A smooth direction, coherent in time, with a nonzero spatial mean so
 # the probed functionals are well away from zero.

@@ -6,6 +6,7 @@ from .grid import (
     SolverError,
     ch_block_solve,
     divergence,
+    divergence_transpose,
     grad_dot,
     helmholtz_cg,
     helmholtz_direct,
@@ -23,6 +24,7 @@ from .potentials import (
 )
 from .state import (
     FORWARD_FIELDS,
+    REPLAY_FIELDS,
     Control,
     InitialData,
     InvariantReport,

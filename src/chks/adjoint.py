@@ -61,7 +61,7 @@ import numpy as np
 
 from . import grid as g
 from .potentials import AdmissibilityError
-from .state import ModelSpec, Trajectory
+from .state import REPLAY_FIELDS, ModelSpec, Trajectory
 
 ADJOINT_FIELDS = ("p1", "p2", "p3", "p4", "p5")
 
@@ -116,7 +116,7 @@ def solve_adjoint(
     and advance copies each level of keep out of the ring once it has
     checked it. Every kept level is bitwise that of the stored solve.
     like is an optional adjoint trajectory on the base's grid with its step
-    count that holds every unknown at every level, such as the adjoint of a
+    count that holds p5 at every level, such as the adjoint of a
     nearby control: each backward step's p5 CG then starts from the new
     level k + 1 plus like's p5 increment over the same step
     (Trajectory.extrapolate), not from the extrapolation in time. That
@@ -124,7 +124,7 @@ def solve_adjoint(
     not hold phi, a and sigma at every level, or a keep that names anything
     but adjoint unknowns raises ValueError.
     """
-    base.check_every_level("base", ("phi", "a", "sigma"))
+    base.check_every_level("base", REPLAY_FIELDS)
     gr = base.grid
     nt = base.nt
     tau = base.tau
@@ -133,7 +133,7 @@ def solve_adjoint(
 
     adj = Trajectory.zeros(gr, base.times, ADJOINT_FIELDS, keep,
                            s_stab=base.s_stab, flux_scheme=base.flux_scheme, direction=-1)
-    adj.check_like(like)
+    adj.check_like(like, "p5")
     # The kernels scan nothing: the forward sweep checked the base levels,
     # check_targets the targets, and each step checks its outputs.
     p1_final = cost.b2 * (base.phi[nt] - cost.phi_omega)

@@ -40,7 +40,7 @@ import numpy as np
 from . import grid as g
 from .adjoint import ADJOINT_FIELDS, ControlSpec, solve_adjoint
 from .grid import Grid
-from .state import Control, InitialData, ModelSpec, Trajectory, solve_forward
+from .state import FORWARD_FIELDS, Control, InitialData, ModelSpec, Trajectory, solve_forward
 
 # Step reductions the line search tries before it gives up, and the
 # sufficient-decrease factor of its Armijo test.
@@ -154,10 +154,12 @@ def optimize(
 
     result = OptimizeResult(u_star=u)
 
+    # Every forward unknown is kept: chks optimize writes all five as
+    # snapshots of the last accepted trajectory.
     def forward(uc: Control, like: Trajectory | None = None) -> Trajectory:
         traj, _ = solve_forward(
             gr, spec, init, uc, T, nt, s_stab=opts.s_stab, flux_scheme=opts.flux_scheme,
-            like=like,
+            like=like, keep=FORWARD_FIELDS,
         )
         return traj
 

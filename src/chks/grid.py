@@ -11,6 +11,9 @@ Operators
 - laplacian(grid, f):          5-point stencil with mirror ghosts.
 - divergence(grid, c, f, ...): conservative div(c_face grad f), c_face the
                                centered mean or the upwind donor cell.
+- divergence_transpose(grid, sigma, w, scheme):
+                               the transpose in c of divergence(grid, c,
+                               sigma, scheme).
 - grad_dot(grid, p, w):        cell average of the face products
                                grad(p).grad(w).
 - helmholtz_direct(...):       (alpha*I - Lap) x = b for a scalar alpha,
@@ -277,6 +280,43 @@ def divergence(
             coef *= 1.0 / h**2
         face *= coef
     return _to_cells(bx, by, ny, np.subtract)
+
+
+def divergence_transpose(
+    grid: Grid, sigma: np.ndarray, w: np.ndarray, scheme: str = "centered"
+) -> np.ndarray:
+    """D1^T w: the transpose in c of divergence(grid, c, sigma, scheme).
+
+    <divergence(grid, c, sigma, scheme), w> = <c, divergence_transpose(grid,
+    sigma, w, scheme)> for every c and w. Each interior face carries the
+    product -(sigma_hi - sigma_lo)*(w_hi - w_lo)/h^2. The centered scheme
+    gives half of it to each side, which is -grad_dot(sigma, w); the upwind
+    scheme gives it whole to the donor cell, the low cell where
+    sigma_hi > sigma_lo and else the high one, divergence's one rule. No
+    sweep calls it yet: its caller is to be the exact discrete adjoint of
+    the tangent step (ROADMAP item 1(b)), at the chemotaxis term.
+    """
+    if scheme not in FLUX_SCHEMES:
+        raise ValueError(f"unknown chemotaxis flux scheme: {scheme!r}")
+    if scheme == "centered":
+        out = grad_dot(grid, sigma, w)
+        return np.negative(out, out=out)
+    nx, ny = sigma.shape
+    out = np.zeros((nx, ny))
+    flat = out.reshape(-1)
+    for (s_lo, s_hi), (w_lo, w_hi), (lo, hi), h in zip(
+        _face_pairs(sigma), _face_pairs(w), ((out[:-1], out[1:]), (flat[:-1], flat[1:])),
+        (grid.hx, grid.hy),
+    ):
+        face = s_hi - s_lo
+        face *= w_hi - w_lo
+        face *= -1.0 / h**2
+        if face.ndim == 1:
+            face[ny - 1::ny] = 0.0  # pairs that straddle two rows
+        donor_lo = s_hi > s_lo
+        lo += np.where(donor_lo, face, 0.0)
+        hi += np.where(donor_lo, 0.0, face)
+    return out
 
 
 def grad_dot(grid: Grid, p: np.ndarray, w: np.ndarray) -> np.ndarray:

@@ -47,6 +47,7 @@ import numpy as np
 from . import grid as g
 from .state import (
     FORWARD_FIELDS,
+    REPLAY_FIELDS,
     Control,
     InitialData,
     ModelSpec,
@@ -72,7 +73,7 @@ def solve_linearized(
     every level, and keep may name only tangent unknowns: ValueError
     otherwise.
     """
-    base.check_every_level("base", ("phi", "a", "sigma"))
+    base.check_every_level("base", REPLAY_FIELDS)
     gr = base.grid
     nt = base.nt
     if h.shape != (nt, gr.nx, gr.ny):
@@ -155,9 +156,10 @@ def taylor_remainders(
     base_traj is S(u), and lin(h) is the tangent along h with every unknown
     kept (TANGENT_FIELDS), whose unknowns pair with the forward ones by
     position. The perturbed runs reuse base_traj's grid, step count, end
-    time and scheme, and it must hold every forward unknown at every level
-    (ValueError otherwise). Perturbed controls must stay admissible; callers pick u
-    interior to the box and eps*h small enough.
+    time and scheme and, like base_traj, keep every forward unknown: it must
+    hold FORWARD_FIELDS at every level, which a plain solve_forward does not
+    keep (ValueError otherwise). Perturbed controls must stay admissible;
+    callers pick u interior to the box and eps*h small enough.
     """
     base_traj.check_every_level("base", FORWARD_FIELDS)
     gr = base_traj.grid
@@ -167,7 +169,7 @@ def taylor_remainders(
         u_eps = Control(u.values + eps * h, u.u_max)
         traj_eps, _ = solve_forward(
             gr, spec, init, u_eps, float(base_traj.times[-1]), base_traj.nt,
-            s_stab=base_traj.s_stab, flux_scheme=base_traj.flux_scheme,
+            s_stab=base_traj.s_stab, flux_scheme=base_traj.flux_scheme, keep=FORWARD_FIELDS,
         )
         predicted = Trajectory(gr, base_traj.times, base_traj.names,
                                base_traj.data + eps * lin.data)

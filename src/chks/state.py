@@ -28,13 +28,15 @@ phi -> n -> sigma -> a:
 
 The forward sweep steps in place on a Trajectory. What it stores is
 solve_forward's keep, the unknowns its caller reads at every level (see
-Trajectory.zeros). The linearized/adjoint replays read every unknown, so a
-plain solve keeps them all and steps on one stored trajectory. chks
-simulate, which writes each level as it comes, keeps none: the sweep then
-steps on a ring of three levels, level k in slot k mod 3, and its memory
-does not grow with Nt. The tangent sweep, and the adjoint backward from
-level Nt, step on rings the same way. A Trajectory holds its fields in one
-(fields, levels, nx, ny) array, so the check of a new level is one scan.
+Trajectory.zeros). The linearized/adjoint replays, the tracking cost and the
+report read phi, a and sigma alone (REPLAY_FIELDS), so a plain solve keeps
+those and steps on a ring of three levels, level k in slot k mod 3, which
+holds mu and n whatever Nt; a caller that reads mu or n at every level keeps
+FORWARD_FIELDS, and the sweep then steps in place on one stored trajectory.
+chks simulate, which writes each level as it comes, keeps none, so its
+memory does not grow with Nt. The tangent sweep, and the adjoint backward
+from level Nt, step on rings the same way. A Trajectory holds its fields in
+one (fields, levels, nx, ny) array, so the check of a new level is one scan.
 Within a step, (a, sigma) reaches (phi, mu, n) only through the lagged
 source c_sigma*sigma, so the step is two chains (k, old, new) that share
 no level they write (old and new are slots; see Trajectory.advance):
@@ -47,17 +49,17 @@ no level they write (old and new are slots; see Trajectory.advance):
 That independence lets Trajectory.advance, which runs each step of all three
 sweeps and names it in any SolverError, run the two at once on large grids
 with every stored level bitwise that of the order above. solve_forward's
-report holds the per-level reductions (InvariantReport): a sweep on a
-stored trajectory reduces all its levels after the sweep, one on a ring
-level k just before the hook sees it, to the same bits. The monitors of a
-nonlinear function, the mean-ODE residual (h(phi)) and the energy, run one
-level at a time and only when a caller asks for them: after the sweep, or
-during it through solve_forward's on_level hook, which sees each level as
-soon as it is stored. Step k calls the hook for level k, after a ring's
-reductions of that level, on the calling thread ahead of its
-phi/mu -> n chain, so on large grids that work overlaps the worker's
-sigma -> a chain; it reads only levels up to k (levels k - 1 and k in a
-ring), which no chain of step k writes.
+report holds the per-level reductions (InvariantReport): a sweep that
+stores phi, a and sigma at every level reduces them all after the sweep;
+one that does not reduces level k just before the hook sees it, to the
+same bits. The monitors of a nonlinear function, the mean-ODE residual
+(h(phi)) and the energy, run one level at a time and only when a caller
+asks for them: after the sweep, or during it through solve_forward's
+on_level hook, which sees each level as soon as it is stored. Step k calls
+the hook for level k, after any reductions of that level, on the calling
+thread ahead of its phi/mu -> n chain, so on large grids that work
+overlaps the worker's sigma -> a chain; it reads only levels up to k
+(levels k - 1 and k in a ring), which no chain of step k writes.
 
 Two chains at once
 ------------------
@@ -103,6 +105,12 @@ CONCURRENT_MIN_CELLS = 144 * 144
 # newest - 1 .. newest + 1 in either direction (Trajectory.slot).
 RING_LEVELS = 3
 FORWARD_FIELDS = ("phi", "mu", "a", "n", "sigma")
+# The forward unknowns that the tangent and adjoint replays, the tracking
+# cost and the InvariantReport read: what a plain solve_forward keeps.
+REPLAY_FIELDS = ("phi", "a", "sigma")
+# The errors of a step's arithmetic that advance names the step in: a
+# RuntimeWarning counts when raised as an error (error::RuntimeWarning).
+_STEP_ERRORS = (SolverError, FloatingPointError, RuntimeWarning)
 
 _CHAIN_WORKER: ThreadPoolExecutor
 
@@ -353,14 +361,15 @@ class Trajectory:
             return f_j
         return 2.0 * f_j - f[self.slot(j - direction)]
 
-    def check_like(self, like: Trajectory | None) -> None:
-        """ValueError naming like unless it is None or holds every level and
-        has this trajectory's grid, step count and field names."""
+    def check_like(self, like: Trajectory | None, name: str) -> None:
+        """ValueError naming like unless it is None, or has this trajectory's
+        grid and step count and holds name, the field whose increments
+        extrapolate reads, at every level."""
         if like is None:
             return
-        if like.grid != self.grid or like.nt != self.nt or like.names != self.names:
-            raise ValueError("like must have the grid, the step count and the fields of the solve")
-        like.check_every_level("like")
+        if like.grid != self.grid or like.nt != self.nt:
+            raise ValueError("like must have the grid and the step count of the solve")
+        like.check_every_level("like", (name,))
 
     def _step_levels(self, k: int) -> tuple[int, int]:
         """The level step k reads and the level it writes (see advance)."""
@@ -409,7 +418,7 @@ class Trajectory:
             if not np.isfinite(written).all():
                 bad = next(n for n, f in zip(self.names, written) if not np.isfinite(f).all())
                 raise SolverError(f"non-finite {bad}")
-        except (SolverError, FloatingPointError, RuntimeWarning) as exc:
+        except _STEP_ERRORS as exc:
             raise SolverError(f"{sweep} step {k} failed: {exc}") from exc
         self.keep_level(level)
 
@@ -427,9 +436,10 @@ class InvariantReport:
     a column of series.csv. A check over the run takes its .min() or .max().
 
     reduce fills the entries of a block of levels with one reduction per
-    column over the block: a sweep on a stored trajectory reduces all its
-    levels after the sweep, one on a ring each level as the sweep reaches
-    it. Each level's entries are bitwise the same either way.
+    column over the block: a sweep that stores phi, a and sigma at every
+    level reduces all its levels after the sweep, one that does not, such
+    as chks simulate's, each level of its ring as the sweep reaches it.
+    Each level's entries are bitwise the same either way.
     """
 
     mean_phi: np.ndarray
@@ -545,17 +555,19 @@ def solve_forward(
     like: Trajectory | None = None,
     on_level: Callable[[Trajectory, int], None] | None = None,
     *,
-    keep=FORWARD_FIELDS,
+    keep=REPLAY_FIELDS,
 ) -> tuple[Trajectory, InvariantReport]:
     """Integrate the system on [0, T] with nt uniform steps.
 
     mu at step 0 is the diagnostic value -Lap(phi0) + F'(phi0); afterwards
-    it is a solved unknown. Set check_admissibility=False to run
-    deliberately degenerate data (used by the verification suites). like
+    it is a solved unknown. An error of its arithmetic that advance would
+    name a step in is raised again as SolverError "forward level 0 failed:
+    <cause>". Set check_admissibility=False to run deliberately degenerate
+    data (used by the verification suites). like
     is an optional forward trajectory on the same grid with nt steps that
-    holds every level, such as the solve for a nearby control, whose sigma
-    increments start each step's CG (see step); any other like raises
-    ValueError.
+    holds sigma at every level, such as the solve for a nearby control,
+    whose sigma increments start each step's CG (see step); any other like
+    raises ValueError.
 
     on_level(traj, k), if given, is called once for each stored level
     k = 0 .. nt, in order, and may read levels 0 .. k only: for k < nt
@@ -565,15 +577,19 @@ def solve_forward(
     0 .. j.
 
     keep names the unknowns the caller reads at every level, which the
-    returned trajectory stores (see Trajectory.zeros). With every unknown,
-    the default, the sweep steps in place on that trajectory. With fewer,
-    such as keep=(), it steps on a ring of three levels at any nt, so
-    memory does not grow with nt beyond what keep stores, and every level
-    is bitwise that of a stored solve; on_level then reads the ring,
-    levels k - 1 and k only, since step k writes level k + 1 into the slot
-    of level k - 2. A sweep on a ring reduces the report's entries for
-    level k ahead of on_level(traj, k); one on a stored trajectory reduces
-    all its levels after the sweep, to the same bits. Returns the
+    returned trajectory stores (see Trajectory.zeros). The default,
+    REPLAY_FIELDS, is phi, a and sigma, all that solve_linearized,
+    solve_adjoint, the tracking cost and check_mean_ode read; a caller that
+    reads mu or n at every level, as taylor_remainders and
+    trajectory_distance do, keeps FORWARD_FIELDS, and the sweep then steps
+    in place on the returned trajectory. With fewer unknowns it steps on a
+    ring of three levels at any nt, so memory does not grow with nt beyond
+    what keep stores, and every level is bitwise that of a stored solve;
+    on_level then reads the ring, levels k - 1 and k only, since step k
+    writes level k + 1 into the slot of level k - 2. When keep holds phi, a
+    and sigma the report is reduced over all levels after the sweep;
+    otherwise, as for chks simulate's keep=(), the entries for level k are
+    reduced ahead of on_level(traj, k), to the same bits. Returns the
     trajectory and its per-level monitors; check_mean_ode and energy
     compute the others, check_mean_ode from a trajectory that holds phi at
     every level.
@@ -591,16 +607,19 @@ def solve_forward(
 
     traj = Trajectory.zeros(gr, np.linspace(0.0, T, nt + 1), FORWARD_FIELDS, keep,
                             s_stab=s_stab, flux_scheme=flux_scheme)
-    traj.check_like(like)
+    traj.check_like(like, "sigma")
     # Level 0 is in slot 0 of a ring too.
     traj.phi[0], traj.a[0], traj.n[0] = init.phi0, init.a0, init.n0
     traj.sigma[0] = init.sigma0
-    traj.mu[0] = -g.laplacian(gr, init.phi0) + spec.pot.f_prime(init.phi0)
+    try:
+        traj.mu[0] = -g.laplacian(gr, init.phi0) + spec.pot.f_prime(init.phi0)
+    except _STEP_ERRORS as exc:
+        raise SolverError(f"forward level 0 failed: {exc}") from exc
     traj.keep_level(0)
     report = InvariantReport.empty(nt)
     hook = on_level
-    ring = not traj.holds_every_level
-    if ring:
+    block = set(REPLAY_FIELDS) <= set(traj.kept.names)
+    if not block:
         def hook(traj: Trajectory, k: int) -> None:
             report.reduce(traj, k, k + 1, spec.pot)
             if on_level is not None:
@@ -610,8 +629,8 @@ def solve_forward(
         step(traj, k, u.values[k], spec, like, hook)
     if hook is not None:
         hook(traj, nt)
-    if not ring:
-        report.reduce(traj, 0, nt + 1, spec.pot)
+    if block:
+        report.reduce(traj.kept, 0, nt + 1, spec.pot)
     return traj.kept, report
 
 

@@ -29,6 +29,7 @@ from .linearized import solve_linearized, taylor_remainders
 from .potentials import PotentialSpec, ProliferationSpec
 from .state import (
     A_MIN_UPWIND,
+    FORWARD_FIELDS,
     SIGMA_RANGE,
     Control,
     InitialData,
@@ -91,10 +92,11 @@ def _interior_control(cfg: RunConfig, rng: np.random.Generator) -> Control:
     return Control(base + wig, umax)
 
 
-def _forward(cfg: RunConfig, u: Control):
-    """cfg's forward problem under u, on as many steps as u has."""
+def _forward(cfg: RunConfig, u: Control, **kwargs):
+    """cfg's forward problem under u, on as many steps as u has; kwargs go to
+    solve_forward."""
     return solve_forward(cfg.grid, cfg.model, cfg.init, u, cfg.T, len(u.values),
-                         s_stab=cfg.s_stab, flux_scheme=cfg.flux_scheme)
+                         s_stab=cfg.s_stab, flux_scheme=cfg.flux_scheme, **kwargs)
 
 
 def suite_gradcheck(cfg: RunConfig) -> list[CheckResult]:
@@ -135,7 +137,7 @@ def suite_taylor(cfg: RunConfig) -> list[CheckResult]:
     margin = max(epsilons)
     umax = cfg.control_spec.u_max
     u = Control(np.clip(u.values, 1.5 * margin, umax - 1.5 * margin), umax)
-    traj, _ = _forward(cfg, u)
+    traj, _ = _forward(cfg, u, keep=FORWARD_FIELDS)
     rem = taylor_remainders(traj, cfg.model, cfg.init, u, h, list(epsilons))
     results = []
     for i in range(len(epsilons) - 1):
@@ -345,7 +347,8 @@ def suite_lipschitz(cfg: RunConfig) -> list[CheckResult]:
         for _ in range(10):
             u1, u2 = (Control(np.clip(0.5 + 0.4 * _smooth_direction(gr, cfg.nt, rng), 0, 1), 1.0)
                       for _ in range(2))
-            t1, t2 = (solve_forward(gr, model, init, u, cfg.T, cfg.nt)[0] for u in (u1, u2))
+            t1, t2 = (solve_forward(gr, model, init, u, cfg.T, cfg.nt, keep=FORWARD_FIELDS)[0]
+                      for u in (u1, u2))
             du = control_norm(gr, cfg.tau, u1.values - u2.values)
             if du > 0:
                 worst = max(worst, trajectory_distance(t1, t2) / du)

@@ -19,7 +19,7 @@ from chks.control_opt import (
 )
 from chks.grid import Grid
 from chks.potentials import PotentialSpec, ProliferationSpec
-from chks.state import Control, InitialData, ModelSpec, solve_forward
+from chks.state import FORWARD_FIELDS, Control, InitialData, ModelSpec, solve_forward
 from chks.verify import (
     suite_duality,
     suite_gradcheck,
@@ -184,7 +184,7 @@ def test_criterion_08_homogeneous_ode_equivalence():
         sigma0=np.full(gr.shape, sigma0),
     )
     u = Control(np.zeros((nt, gr.nx, gr.ny)), 1.0)
-    traj, _ = solve_forward(gr, spec, init, u, T, nt)
+    traj, _ = solve_forward(gr, spec, init, u, T, nt, keep=FORWARD_FIELDS)
 
     def rhs(t, y):
         phi, a, n, sigma = y

@@ -34,7 +34,7 @@ import pytest
 
 from chks import grid as g
 from chks.config import load_config
-from chks.state import solve_forward
+from chks.state import FORWARD_FIELDS, solve_forward
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 EPS = np.finfo(float).eps
@@ -63,7 +63,7 @@ def run(request):
     # c_0 is nonzero in both configs, so its term is tested.
     assert cfg.model.c_0 != 0
     traj, _ = solve_forward(cfg.grid, cfg.model, cfg.init, cfg.u0, cfg.T, cfg.nt,
-                            s_stab=cfg.s_stab, flux_scheme=scheme)
+                            s_stab=cfg.s_stab, flux_scheme=scheme, keep=FORWARD_FIELDS)
     return cfg, traj
 
 

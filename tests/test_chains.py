@@ -24,7 +24,7 @@ from chks.config import load_config
 from chks.fields_io import read_field, write_trajectory
 from chks.grid import Grid, SolverError
 from chks.linearized import TANGENT_FIELDS, solve_linearized
-from chks.state import Control, InitialData, Trajectory, solve_forward, step
+from chks.state import FORWARD_FIELDS, Control, InitialData, Trajectory, solve_forward, step
 
 from test_linearized import smooth_direction
 from test_state import base_model, make_random_init
@@ -82,7 +82,8 @@ class Problem:
             else:
                 getattr(init, name)[7, 9] = value
         traj, _ = solve_forward(self.grid, self.spec, init, u, T, NT,
-                                flux_scheme=self.scheme, check_admissibility=False)
+                                flux_scheme=self.scheme, check_admissibility=False,
+                                keep=FORWARD_FIELDS)
         return traj
 
     def sweeps(self):
@@ -257,14 +258,14 @@ def _problem_forward_args():
                          ids=["verify-16", "concurrent-144"])
 def test_on_level_sees_each_finished_level_once_in_order(forward_args):
     args, kwargs = forward_args()
-    plain, plain_report = solve_forward(*args, **kwargs)
+    plain, plain_report = solve_forward(*args, **kwargs, keep=FORWARD_FIELDS)
     seen, threads = [], set()
 
     def on_level(traj, k):
         threads.add(threading.current_thread())
         seen.append((k, {name: f[:k + 1].copy() for name, f in traj.fields.items()}))
 
-    traj, report = solve_forward(*args, **kwargs, on_level=on_level)
+    traj, report = solve_forward(*args, **kwargs, on_level=on_level, keep=FORWARD_FIELDS)
     assert [k for k, _ in seen] == list(range(traj.nt + 1))
     assert threads == {threading.current_thread()}
     for k, levels in seen:
@@ -314,7 +315,7 @@ def test_sweep_fields_are_slices_of_the_array_advance_scans():
     # its own would escape the check.
     cfg = load_config(CONFIG_DIR / "verify.cfg")
     traj, _ = solve_forward(cfg.grid, cfg.model, cfg.init, cfg.u0, cfg.T, cfg.nt,
-                            s_stab=cfg.s_stab, flux_scheme=cfg.flux_scheme)
+                            s_stab=cfg.s_stab, flux_scheme=cfg.flux_scheme, keep=FORWARD_FIELDS)
     adj = solve_adjoint(traj, cfg.control_spec, cfg.model, keep=ADJOINT_FIELDS)
     lin = solve_linearized(traj, cfg.model, adj.p3[1:], TANGENT_FIELDS)
     level = 5

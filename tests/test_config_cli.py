@@ -158,7 +158,8 @@ def test_simulation_targets_keep_phi_alone_bitwise_a_keep_all_solve(monkeypatch)
     cfg = load_config(CONFIG_DIR / "optimize_inverse_crime.cfg")
     assert calls == [(("phi",), ("phi",))]
     stored, _ = solve_forward(cfg.grid, cfg.model, cfg.init, Control(cfg.u_true, cfg.u0.u_max),
-                              cfg.T, cfg.nt, s_stab=cfg.s_stab, flux_scheme=cfg.flux_scheme)
+                              cfg.T, cfg.nt, s_stab=cfg.s_stab, flux_scheme=cfg.flux_scheme,
+                              keep=FORWARD_FIELDS)
     assert stored.names == FORWARD_FIELDS
     assert cfg.control_spec.phi_q.tobytes() == stored.phi[1:].tobytes()
     assert cfg.control_spec.phi_omega.tobytes() == stored.phi[cfg.nt].tobytes()

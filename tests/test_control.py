@@ -17,7 +17,7 @@ from chks.control_opt import (
     stationarity_residual,
 )
 from chks.grid import Grid
-from chks.state import CONCURRENT_MIN_CELLS, Control, Trajectory, solve_forward
+from chks.state import CONCURRENT_MIN_CELLS, FORWARD_FIELDS, Control, Trajectory, solve_forward
 
 from test_adjoint import coupled_model
 from test_state import make_random_init
@@ -263,11 +263,11 @@ def test_resolve_with_like_is_bitwise_and_preconditions_nothing(monkeypatch, sid
     cs = ControlSpec(b1=1.0, b2=1.0, b3=1e-3, phi_q=np.full((nt, side, side), 0.5),
                      phi_omega=0.5 + 0.2 * np.cos(np.pi * x) * np.cos(np.pi * y))
     u = Control(np.clip(0.5 + 0.3 * smooth_direction(grid, nt, 310), 0, 1), 1.0)
-    traj, _ = solve_forward(grid, spec, init, u, T, nt)
+    traj, _ = solve_forward(grid, spec, init, u, T, nt, keep=FORWARD_FIELDS)
     adj = solve_adjoint(traj, cs, spec, keep=ADJOINT_FIELDS)
 
     calls = count_cg_preconditioner(monkeypatch)
-    again, _ = solve_forward(grid, spec, init, u, T, nt, like=traj)
+    again, _ = solve_forward(grid, spec, init, u, T, nt, like=traj, keep=FORWARD_FIELDS)
     adj_again = solve_adjoint(traj, cs, spec, like=adj, keep=ADJOINT_FIELDS)
     assert not calls
     for new, old in ((again, traj), (adj_again, adj)):
@@ -283,14 +283,19 @@ def test_like_of_another_grid_step_count_or_sweep_rejected(problem):
     u = Control(0.4 * np.ones((nt, grid.nx, grid.ny)), 1.0)
     traj, _ = solve_forward(grid, spec, init, u, T, nt)
     adj = solve_adjoint(traj, cs, spec, keep=ADJOINT_FIELDS)
-    sweeps = ((traj, adj, lambda like: solve_forward(grid, spec, init, u, T, nt, like=like)),
-              (adj, traj, lambda like: solve_adjoint(traj, cs, spec, like=like)))
-    for ref, other_sweep, sweep in sweeps:
+    # A like of the other sweep lacks the field whose increments start the
+    # CG: sigma for the forward, p5 for the adjoint.
+    sweeps = ((traj, adj, "sigma", lambda like: solve_forward(grid, spec, init, u, T, nt,
+                                                              like=like)),
+              (adj, traj, "p5", lambda like: solve_adjoint(traj, cs, spec, like=like)))
+    for ref, other_sweep, name, sweep in sweeps:
         for like in (Trajectory.zeros(grid, ref.times[::2], ref.fields),
-                     Trajectory.zeros(Grid(16, 8), ref.times, ref.fields),
-                     other_sweep):
-            with pytest.raises(ValueError, match="^like must have the grid, the step count and"):
+                     Trajectory.zeros(Grid(16, 8), ref.times, ref.fields)):
+            with pytest.raises(ValueError,
+                               match="^like must have the grid and the step count of the solve$"):
                 sweep(like)
+        with pytest.raises(ValueError, match=f"^like must hold {name} at every level$"):
+            sweep(other_sweep)
 
 
 def test_optimize_agrees_with_cold_solves(problem):
@@ -304,7 +309,7 @@ def test_optimize_agrees_with_cold_solves(problem):
     u0 = Control(np.clip(0.5 + 0.3 * smooth_direction(grid, nt, 310), 0, 1), 1.0)
     res = optimize(grid, spec, init, cs, u0, T, nt, OptimizeOptions(tol_stat=0.0, max_iters=10))
     assert res.iterations == 10
-    traj, _ = solve_forward(grid, spec, init, res.u_star, T, nt)
+    traj, _ = solve_forward(grid, spec, init, res.u_star, T, nt, keep=FORWARD_FIELDS)
     adj = solve_adjoint(traj, cs, spec, keep=ADJOINT_FIELDS)
 
     def rel_max(warm, cold):

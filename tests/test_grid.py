@@ -12,6 +12,7 @@ from chks.grid import (
     SolverError,
     ch_block_solve,
     divergence,
+    divergence_transpose,
     grad_dot,
     helmholtz_cg,
     helmholtz_direct,
@@ -427,6 +428,46 @@ def test_divergence_cell_sum_vanishes_property(scheme, nx, ny, lx, ly, seed):
     c, f = np.abs(rng.standard_normal(grid.shape)), rng.standard_normal(grid.shape)
     div = divergence(grid, c, f, scheme)
     assert abs(div.sum()) <= 1e-13 * np.abs(div).max()
+
+
+@settings(max_examples=80, deadline=None)
+@given(scheme=st.sampled_from(["centered", "upwind"]), levels=st.sampled_from([0, 3]),
+       **fields_2d)
+@example(scheme="upwind", levels=3, nx=5, ny=3, lx=1.0, ly=2.5, seed=1)
+@example(scheme="upwind", levels=0, nx=1, ny=7, lx=1.0, ly=1.0, seed=2)
+def test_divergence_transpose_property(scheme, levels, nx, ny, lx, ly, seed):
+    # <divergence(c, sigma, s), w> = <c, D1^T w>: D1^T is the transpose in c.
+    # levels = 3 rounds sigma to a few integers, so many faces tie; a tied
+    # face carries no product, whichever cell divergence takes as its donor.
+    grid = Grid(nx, ny, lx, ly)
+    rng = np.random.default_rng(seed)
+    c, sigma, w = (rng.standard_normal(grid.shape) for _ in range(3))
+    if levels:
+        sigma = np.round(sigma * (levels - 1) / 4)
+    div = divergence(grid, c, sigma, scheme)
+    d1t = divergence_transpose(grid, sigma, w, scheme)
+    lhs, rhs = inner(grid, div, w), inner(grid, c, d1t)
+    # Relative to the Cauchy-Schwarz bounds of both sides.
+    scale = norm_l2(grid, div) * norm_l2(grid, w) + norm_l2(grid, c) * norm_l2(grid, d1t)
+    assert abs(lhs - rhs) <= 1e-13 * scale
+
+
+def test_divergence_transpose_gives_upwind_faces_to_the_donor():
+    # A 3x1 strip, h = 1, sigma rising then flat: the face (0, 1) rises, so
+    # its product -1*(w1 - w0) goes to cell 0; the tied face (1, 2) carries
+    # no product. The centered scheme splits the first face's product.
+    grid = Grid(3, 1, 3.0, 1.0)
+    sigma = np.array([[0.0], [1.0], [1.0]])
+    w = np.array([[2.0], [5.0], [-4.0]])
+    np.testing.assert_array_equal(divergence_transpose(grid, sigma, w, "upwind"),
+                                  [[-3.0], [0.0], [0.0]])
+    np.testing.assert_array_equal(divergence_transpose(grid, sigma, w),
+                                  [[-1.5], [-1.5], [0.0]])
+    # Falling sigma makes the high cell the donor, and flips the product.
+    np.testing.assert_array_equal(divergence_transpose(grid, -sigma, w, "upwind"),
+                                  [[0.0], [3.0], [0.0]])
+    with pytest.raises(ValueError, match="unknown chemotaxis flux scheme"):
+        divergence_transpose(grid, sigma, w, "donor")
 
 
 def test_eigenvalues_match_operator():

@@ -9,7 +9,7 @@ import pytest
 
 from chks.grid import Grid
 from chks.linearized import TANGENT_FIELDS, solve_linearized, taylor_remainders
-from chks.state import Control, Trajectory, solve_forward, trajectory_distance
+from chks.state import FORWARD_FIELDS, Control, Trajectory, solve_forward, trajectory_distance
 
 from test_state import base_model, make_random_init
 
@@ -22,7 +22,7 @@ def setup():
     nt, T = 32, 0.5
     u = Control(np.clip(0.5 + 0.2 * np.cos(np.arange(nt) / 3.0), 0, 1)[:, None, None]
                 * np.ones((nt, grid.nx, grid.ny)), 1.0)
-    traj, _ = solve_forward(grid, spec, init, u, T, nt)
+    traj, _ = solve_forward(grid, spec, init, u, T, nt, keep=FORWARD_FIELDS)
     return grid, spec, init, u, traj, T, nt
 
 
@@ -90,7 +90,7 @@ def test_taylor_componentwise_decay(setup):
     comp_rem = {name: [] for name in ("phi", "a", "n", "sigma")}
     for eps in eps_pair:
         traj_eps, _ = solve_forward(
-            grid, spec, init, Control(u.values + eps * h, u.u_max), T, nt
+            grid, spec, init, Control(u.values + eps * h, u.u_max), T, nt, keep=FORWARD_FIELDS
         )
         comp_rem["phi"].append(np.abs(traj_eps.phi - traj.phi - eps * lin.psi).max())
         comp_rem["a"].append(np.abs(traj_eps.a - traj.a - eps * lin.alpha_lin).max())
@@ -106,7 +106,8 @@ def test_taylor_componentwise_decay(setup):
 def test_upwind_scheme_linearization(setup):
     # The donor-frozen derivative of the upwind flux also passes a Taylor test.
     grid, spec, init, u, traj, T, nt = setup
-    traj_up, _ = solve_forward(grid, spec, init, u, T, nt, flux_scheme="upwind")
+    traj_up, _ = solve_forward(grid, spec, init, u, T, nt, flux_scheme="upwind",
+                               keep=FORWARD_FIELDS)
     h = smooth_direction(grid, nt, 106)
     rem = taylor_remainders(traj_up, spec, init, u, h, [1e-2, 5e-3])
     assert np.log2(rem[0] / rem[1]) >= 1.4

@@ -16,7 +16,7 @@ from chks.adjoint import ADJOINT_FIELDS, duality_residual, solve_adjoint
 from chks.config import load_config
 from chks.control_opt import cost, optimize
 from chks.linearized import TANGENT_FIELDS, solve_linearized
-from chks.state import Control, solve_forward
+from chks.state import FORWARD_FIELDS, Control, solve_forward
 
 ROOT = Path(__file__).resolve().parent.parent
 CONFIGS = ["verify.cfg", "optimize_inverse_crime.cfg"]  # targets = fields, simulation
@@ -67,7 +67,8 @@ def solve_all(cfg):
     cs = cfg.control_spec
     for label, u in controls.items():
         traj, _ = solve_forward(cfg.grid, cfg.model, cfg.init, u, cfg.T, cfg.nt,
-                                s_stab=cfg.s_stab, flux_scheme=cfg.flux_scheme)
+                                s_stab=cfg.s_stab, flux_scheme=cfg.flux_scheme,
+                                keep=FORWARD_FIELDS)
         adj = solve_adjoint(traj, cs, cfg.model, keep=ADJOINT_FIELDS)
         lin = solve_linearized(traj, cfg.model, u.values, TANGENT_FIELDS)
         fields = {**traj.fields, **adj.fields, **lin.fields}

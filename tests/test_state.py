@@ -9,6 +9,7 @@ from scipy.integrate import solve_ivp
 from chks.grid import Grid, SolverError
 from chks.potentials import AdmissibilityError, PotentialSpec, ProliferationSpec
 from chks.state import (
+    FORWARD_FIELDS,
     SIGMA_RANGE,
     Control,
     InitialData,
@@ -31,9 +32,6 @@ def base_model(**kw):
     )
     defaults.update(kw)
     return ModelSpec(**defaults)
-
-
-FORWARD_FIELDS = ("phi", "mu", "a", "n", "sigma")
 
 
 def homogeneous_trajectory(grid, phi, a, n, sigma, spec, tau, nt=1, s_stab=0.5):
@@ -118,7 +116,7 @@ def test_step_writes_only_the_next_level():
     spec = base_model()
     init = make_random_init(grid, 6)
     u = Control(0.4 * np.ones((4, grid.nx, grid.ny)), 1.0)
-    ref, _ = solve_forward(grid, spec, init, u, 0.2, 4)
+    ref, _ = solve_forward(grid, spec, init, u, 0.2, 4, keep=FORWARD_FIELDS)
     k = 1
     traj = Trajectory(ref.grid, ref.times, ref.names, ref.data.copy(),
                       s_stab=ref.s_stab, flux_scheme=ref.flux_scheme)
@@ -204,7 +202,7 @@ def test_forward_homogeneous_matches_adaptive_ode_reference():
         sigma0=np.full(grid.shape, sigma0),
     )
     u = Control(np.zeros((nt, grid.nx, grid.ny)), 1.0)
-    traj, _ = solve_forward(grid, spec, init, u, T, nt)
+    traj, _ = solve_forward(grid, spec, init, u, T, nt, keep=FORWARD_FIELDS)
 
     def rhs(t, y):
         phi, a, n, sigma = y
@@ -413,8 +411,8 @@ def test_determinism_bitwise():
     spec = base_model()
     init = make_random_init(grid, 21)
     u = Control(0.4 * np.ones((16, grid.nx, grid.ny)), 1.0)
-    t1, _ = solve_forward(grid, spec, init, u, 0.25, 16)
-    t2, _ = solve_forward(grid, spec, init, u, 0.25, 16)
+    t1, _ = solve_forward(grid, spec, init, u, 0.25, 16, keep=FORWARD_FIELDS)
+    t2, _ = solve_forward(grid, spec, init, u, 0.25, 16, keep=FORWARD_FIELDS)
     for name in ("phi", "mu", "a", "n", "sigma"):
         assert getattr(t1, name).tobytes() == getattr(t2, name).tobytes()
 
@@ -424,7 +422,7 @@ def test_mu0_is_diagnostic_formula():
     spec = base_model()
     init = make_random_init(grid, 22)
     u = Control(np.zeros((4, grid.nx, grid.ny)), 1.0)
-    traj, _ = solve_forward(grid, spec, init, u, 0.1, 4)
+    traj, _ = solve_forward(grid, spec, init, u, 0.1, 4, keep=FORWARD_FIELDS)
     from chks.grid import laplacian
 
     np.testing.assert_allclose(
@@ -545,8 +543,9 @@ def test_forward_step_end_catches_unchecked_nan():
     # With admissibility off nothing scans the initial data on entry; a NaN
     # or an infinity in any field reaches the step's outputs, stops a solve
     # or raises through the RuntimeWarning filter in the step's arithmetic,
-    # and the error names the step. phi0 is tested with NaN only: an
-    # infinite phi0 fails in level 0's diagnostic mu, which no step computes.
+    # and the error names the step. An infinite phi0 fails earlier, under
+    # that filter, in level 0's diagnostic mu, which no step computes: that
+    # error names level 0.
     grid = Grid(8, 8)
     u = Control(np.zeros((4, grid.nx, grid.ny)), 1.0)
     for name, bad in [("phi0", np.nan),
@@ -556,3 +555,9 @@ def test_forward_step_end_catches_unchecked_nan():
         getattr(init, name)[3, 4] = bad
         with pytest.raises(SolverError, match="^forward step 0 failed"):
             solve_forward(grid, base_model(), init, u, 0.1, 4, check_admissibility=False)
+    for bad in (np.inf, -np.inf):
+        init = make_random_init(grid, 5)
+        init.phi0[3, 4] = bad
+        with pytest.raises(SolverError, match="^forward level 0 failed: invalid value") as info:
+            solve_forward(grid, base_model(), init, u, 0.1, 4, check_admissibility=False)
+        assert isinstance(info.value.__cause__, RuntimeWarning)

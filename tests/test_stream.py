@@ -3,9 +3,11 @@
 A sweep given keep, the unknowns its caller reads at every level, steps in
 place on one stored trajectory when keep names every unknown, and otherwise
 on a ring of three levels, level k in slot k mod 3, whose kept trajectory
-stores the keep fields at every level, whatever the step count. A forward
-sweep on a ring reduces its report one level at a time; chks simulate
-keeps nothing. The tangent sweep keeps psi by default, and the adjoint
+stores the keep fields at every level, whatever the step count. The
+forward sweep keeps phi, a and sigma by default (REPLAY_FIELDS), what its
+readers read, and reduces its report from them after the sweep; chks
+simulate keeps nothing, and its sweep reduces the report one level at a
+time. The tangent sweep keeps psi by default, and the adjoint
 sweep, which runs backward from level Nt, p3. A ring, in either direction,
 accepts only the levels newest - 1 .. newest + 1, and everything that reads
 a whole history refuses a ring, or a trajectory without an unknown it
@@ -26,11 +28,12 @@ from chks import grid as grid_mod
 from chks import state as state_mod
 from chks.adjoint import ADJOINT_FIELDS, duality_residual, solve_adjoint
 from chks.config import load_config
-from chks.control_opt import reduced_gradient, stationarity_residual
+from chks.control_opt import cost, reduced_gradient, stationarity_residual
 from chks.fields_io import write_csv, write_trajectory
 from chks.linearized import TANGENT_FIELDS, solve_linearized, taylor_remainders
 from chks.state import (
     FORWARD_FIELDS,
+    REPLAY_FIELDS,
     RING_LEVELS,
     Control,
     Trajectory,
@@ -102,7 +105,9 @@ def test_ring_solve_matches_stored_solve_bitwise(monkeypatch, config, scheme, ch
     for k, level in enumerate(stored_seen):
         assert level.tobytes() == stored.data[:, k].tobytes(), k
 
-    for keep in ((), ("sigma",)):
+    # REPLAY_FIELDS is a plain solve's keep, whose report is reduced from the
+    # kept phi, a and sigma after the sweep; the others reduce it level by level.
+    for keep in ((), ("sigma",), REPLAY_FIELDS):
         kept, report, seen, ring = levels_seen(args, kwargs, keep)
         assert ring.kept is kept and ring.data.shape == (5, RING_LEVELS, cfg.grid.nx, cfg.grid.ny)
         assert kept.holds_every_level and kept.names == keep and kept.newest == cfg.nt
@@ -122,7 +127,7 @@ def test_ring_holds_three_levels_whatever_the_step_count(nt):
     cfg = load_config(CONFIG_DIR / "verify.cfg")
     args, kwargs = forward_args(cfg, nt=nt)
     kept, _, _, ring = levels_seen(args, kwargs, ())
-    stored, _ = solve_forward(*args, **kwargs)
+    stored, _ = solve_forward(*args, **kwargs, keep=FORWARD_FIELDS)
     assert ring.nt == kept.nt == stored.nt == nt
     assert ring.data.shape == (5, RING_LEVELS, cfg.grid.nx, cfg.grid.ny)
     assert kept.data.nbytes == 0
@@ -149,7 +154,7 @@ def test_keep_decides_ring_or_stored_at_every_step_count(nt):
     # what keep names all the same, bitwise a keep-all solve.
     cfg = load_config(CONFIG_DIR / "verify.cfg")
     args, kwargs = forward_args(cfg, nt=nt)
-    stored, stored_report = solve_forward(*args, **kwargs)
+    stored, stored_report = solve_forward(*args, **kwargs, keep=FORWARD_FIELDS)
     assert stored.holds_every_level and stored.names == FORWARD_FIELDS
     for keep in ((), ("phi",)):
         kept, report, _, ring = levels_seen(args, kwargs, keep)
@@ -229,7 +234,7 @@ def test_cmd_simulate_writes_what_a_stored_solve_writes_level_by_level(tmp_path,
 
     stored_out = tmp_path / "stored"
     args, kwargs = forward_args(cfg)
-    traj, report = original(*args, **kwargs)
+    traj, report = original(*args, **kwargs, keep=FORWARD_FIELDS)
     energies = [energy(traj, k, cfg.model) for k in range(traj.nt + 1)]
     for k in range(traj.nt + 1):
         write_trajectory(stored_out, traj.grid,
@@ -251,7 +256,7 @@ def solves():
     with the adjoint and tangent of the stored one."""
     cfg = load_config(CONFIG_DIR / "verify.cfg")
     args, kwargs = forward_args(cfg)
-    stored, _ = solve_forward(*args, **kwargs)
+    stored, _ = solve_forward(*args, **kwargs, keep=FORWARD_FIELDS)
     none, _, _, ring = levels_seen(args, kwargs, ())
     lacking, _ = solve_forward(*args, **kwargs, keep=("n",))
     adj = solve_adjoint(stored, cfg.control_spec, cfg.model)
@@ -268,7 +273,7 @@ GUARDS = {
                          "base"),
     "duality_residual": (lambda s, t: duality_residual(t, s.adj, s.cfg.u0.values, s.lin,
                                                        s.cfg.control_spec), "base"),
-    "check_like": (lambda s, t: s.stored.check_like(t), "like"),
+    "check_like": (lambda s, t: s.stored.check_like(t, "sigma"), "like"),
     "solve_forward_like": (lambda s, t: solve_forward(*s.args, **s.kwargs, like=t), "like"),
     "mean_ode_residuals": (lambda s, t: mean_ode_residuals(t, s.cfg.model), "traj"),
     "check_mean_ode": (lambda s, t: check_mean_ode(t, s.cfg.model), "traj"),
@@ -292,6 +297,51 @@ def test_a_ring_is_refused_where_every_level_is_read(solves, use):
         run(solves, solves.ring)
 
 
+def test_a_default_forward_serves_every_reader_of_phi_a_and_sigma(solves):
+    # A plain solve keeps phi, a and sigma: the replays, the duality
+    # residual, the cost and the mean-ODE check read nothing else, and each
+    # gives the bits it gives on a solve that keeps every unknown.
+    cfg, stored = solves.cfg, solves.stored
+    default, _ = solve_forward(*solves.args, **solves.kwargs)
+    assert default.names == REPLAY_FIELDS and default.holds_every_level
+    for name in REPLAY_FIELDS:
+        assert default.fields[name].tobytes() == stored.fields[name].tobytes(), name
+    h, cs = cfg.u0.values, cfg.control_spec
+    lin = solve_linearized(default, cfg.model, h)
+    adj = solve_adjoint(default, cs, cfg.model)
+    assert lin.psi.tobytes() == solves.lin.psi.tobytes()
+    assert adj.p3.tobytes() == solves.adj.p3.tobytes()
+    assert duality_residual(default, adj, h, lin, cs) == duality_residual(
+        stored, solves.adj, h, solves.lin, cs)
+    assert cost(default, cfg.u0, cs) == cost(stored, cfg.u0, cs)
+    assert check_mean_ode(default, cfg.model) == check_mean_ode(stored, cfg.model)
+    # The readers of mu and n refuse it and name what it lacks.
+    with pytest.raises(ValueError, match="^base must hold mu, n at every level$"):
+        taylor_remainders(default, cfg.model, cfg.init, cfg.u0, h, [1e-3])
+    with pytest.raises(ValueError, match="^t1 must hold mu, n at every level$"):
+        trajectory_distance(default, stored)
+    with pytest.raises(ValueError, match="^t2 must hold mu, n at every level$"):
+        trajectory_distance(stored, default)
+
+
+def test_a_default_forward_serves_as_like():
+    # like's CG starts read its sigma alone, so a plain solve, which keeps
+    # phi, a and sigma, is as good a like as one that keeps every unknown.
+    cfg = load_config(CONFIG_DIR / "verify.cfg")
+    args, kwargs = forward_args(cfg)
+    nearby = (*args[:3], Control(0.9 * cfg.u0.values, cfg.u0.u_max), *args[4:])
+    like_default, _ = solve_forward(*nearby, **kwargs)
+    like_stored, _ = solve_forward(*nearby, **kwargs, keep=FORWARD_FIELDS)
+    cold, _ = solve_forward(*args, **kwargs)
+    warm, _ = solve_forward(*args, **kwargs, like=like_default)
+    assert warm.names == REPLAY_FIELDS
+    assert warm.sigma.tobytes() == solve_forward(*args, **kwargs,
+                                                 like=like_stored)[0].sigma.tobytes()
+    # The start changes the CG's work, so only the tolerance ties it to a
+    # cold solve.
+    np.testing.assert_allclose(warm.sigma, cold.sigma, rtol=1e-8, atol=1e-10)
+
+
 def test_a_ring_refuses_a_level_it_no_longer_holds():
     # After 32 steps the ring holds levels 31 and 32, and no level 33 is
     # left to write; level 0's slot holds level 30, whose energy the ring
@@ -299,7 +349,7 @@ def test_a_ring_refuses_a_level_it_no_longer_holds():
     cfg = load_config(CONFIG_DIR / "simulate.cfg")
     args, kwargs = forward_args(cfg)
     kept, _, _, ring = levels_seen(args, kwargs, ())
-    stored, _ = solve_forward(*args, **kwargs)
+    stored, _ = solve_forward(*args, **kwargs, keep=FORWARD_FIELDS)
     assert ring.newest == kept.newest == stored.newest == cfg.nt == 32
     with pytest.raises(ValueError, match="^level 0 is not in the ring, which holds levels 31 to 32$"):
         energy(ring, 0, cfg.model)
@@ -340,7 +390,7 @@ def test_the_window_holds_while_the_chains_run_at_once(monkeypatch):
     args, kwargs = forward_args(cfg)
     nt = cfg.nt
     threads = record_threads(monkeypatch, "concurrent", 16)
-    stored, _ = solve_forward(*args, **kwargs)
+    stored, _ = solve_forward(*args, **kwargs, keep=FORWARD_FIELDS)
     refused, behind = {}, {}
 
     def on_level(ring, k):
@@ -439,6 +489,34 @@ def test_tangent_ring_matches_stored_tangent_bitwise(monkeypatch, chains):
             assert kept.fields[name].tobytes() == stored.fields[name].tobytes(), name
         assert (kept.grid, kept.s_stab, kept.flux_scheme) == (base.grid, base.s_stab,
                                                               base.flux_scheme)
+
+
+def test_forward_sweep_holds_phi_a_sigma_and_a_ring_only(tmp_path):
+    # tracemalloc sees numpy's buffers. A plain solve stores phi, a and sigma
+    # at every level, 3 field trajectories of (Nt + 1) nx ny doubles; beside
+    # them it holds a ring of 5 x 3 levels and one step's temporaries, the
+    # sigma CG's vectors among them, under the 1.5 field trajectories the
+    # tangent and adjoint tests allow their one kept array. A fourth stored
+    # unknown would break the bound; every unknown at every level would be 5.
+    text = (CONFIG_DIR / "verify.cfg").read_text()
+    for old, new in (("nx = 16", "nx = 64"), ("ny = 16", "ny = 64")):
+        assert f"\n{old}\n" in text
+        text = text.replace(f"\n{old}\n", f"\n{new}\n")
+    path = tmp_path / "verify-64.cfg"
+    path.write_text(text)
+    cfg = load_config(path)
+    assert (cfg.grid.nx, cfg.grid.ny, cfg.nt) == (64, 64, 32)
+    args, kwargs = forward_args(cfg)
+    solve_forward(*args, **kwargs, keep=())  # fills the grid's caches outside the trace
+    tracemalloc.start()
+    try:
+        traj, _ = solve_forward(*args, **kwargs)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    field = (cfg.nt + 1) * cfg.grid.nx * cfg.grid.ny * 8
+    assert traj.names == REPLAY_FIELDS and traj.data.nbytes == 3 * field
+    assert peak < 4.5 * field, f"peak {peak} B against a {field} B field trajectory"
 
 
 def test_tangent_sweep_holds_psi_and_a_ring_only():
