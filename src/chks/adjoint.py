@@ -25,19 +25,18 @@ identity
 
 holds with an O(tau) residual, which duality_residual quantifies.
 
-The sweep stores the unknowns its caller keeps (see Trajectory.zeros),
-and the returned trajectory records the base's s_stab and flux scheme.
-The control enters the state through the a equation alone, so the
-reduced gradient, the optimality condition u = P(-p3/b3) and the duality
-identity read p3 alone: by default solve_adjoint keeps p3 at every level
-and steps backward on a ring of three levels, level k in slot k mod 3,
-which holds the other four unknowns whatever Nt. optimize, whose warm
+The sweep stores the unknowns its caller keeps at every level and steps
+the others backward on a ring of three levels (see Trajectory.zeros), and
+the returned trajectory records the base's s_stab and flux scheme. The
+control enters the state through the a equation alone, so the reduced
+gradient, the optimality condition u = P(-p3/b3) and the duality identity
+read p3 alone: by default solve_adjoint keeps p3. optimize, whose warm
 start reads p5 and whose caller writes every unknown, keeps
-ADJOINT_FIELDS, and the sweep then steps in place on one stored
-trajectory.
+ADJOINT_FIELDS.
 
 A backward step is two chains (k, old, new) that share no level they
-write, which Trajectory.advance runs, naming the step in any SolverError:
+write, which Trajectory.advance runs, naming the step in any SolverError;
+old and new are the views of the levels read and written:
 
 - p3 -> p5 reads the base a at level k and sigma at level k + 1, and p3,
   p4 and p5 at old (p5 also one level behind, or a reference adjoint's p5
@@ -111,18 +110,15 @@ def solve_adjoint(
     """Backward sweep from step Nt to 0; see the module docstring. Returns
     the unknowns in keep at every level as a Trajectory.
 
-    With every unknown in keep (ADJOINT_FIELDS) the sweep steps in place on
-    the returned trajectory; with fewer it steps on a ring of three levels,
-    and advance copies each level of keep out of the ring once it has
-    checked it. Every kept level is bitwise that of the stored solve.
-    like is an optional adjoint trajectory on the base's grid with its step
-    count that holds p5 at every level, such as the adjoint of a
-    nearby control: each backward step's p5 CG then starts from the new
-    level k + 1 plus like's p5 increment over the same step
-    (Trajectory.extrapolate), not from the extrapolation in time. That
-    changes the work, not what is solved. Any other like, a base that does
-    not hold phi, a and sigma at every level, or a keep that names anything
-    but adjoint unknowns raises ValueError.
+    The other unknowns step on a ring of three levels, and every kept
+    level is bitwise that of a keep-all solve. like is an optional adjoint
+    trajectory on the base's grid with its step count that holds p5 at
+    every level, such as the adjoint of a nearby control: each backward
+    step's p5 CG then starts from the new level k + 1 plus like's p5
+    increment over the same step (Trajectory.extrapolate), not from the
+    extrapolation in time. That changes the work, not what is solved. Any
+    other like, a base that does not hold phi, a and sigma at every level,
+    or a keep that names anything but adjoint unknowns raises ValueError.
     """
     base.check_every_level("base", REPLAY_FIELDS)
     gr = base.grid
@@ -137,9 +133,8 @@ def solve_adjoint(
     # The kernels scan nothing: the forward sweep checked the base levels,
     # check_targets the targets, and each step checks its outputs.
     p1_final = cost.b2 * (base.phi[nt] - cost.phi_omega)
-    last = adj.slot(nt)
-    adj.p1[last], adj.p2[last] = p1_final, -g.laplacian(gr, p1_final)
-    adj.keep_level(nt)
+    end = adj.level(nt)
+    end.p1[...], end.p2[...] = p1_final, -g.laplacian(gr, p1_final)
 
     inv_tau = 1.0 / tau
     tau_eff = 1.0 / (inv_tau + spec.m)
@@ -158,11 +153,11 @@ def solve_adjoint(
     # Right-hand sides are updated in place on fresh arrays, such as the
     # results of grad_dot, divergence and h_prime.
 
-    def transport(k: int, old: int, new: int) -> None:
+    def transport(k: int, old, new) -> None:
         """p3 and p5 at new from p3, p4 and p5 at old and behind."""
         a_k = base.a[k]
         sigma_new = base.sigma[k + 1]
-        p3, p4, p5 = adj.p3[old], adj.p4[old], adj.p5[old]
+        p3, p4, p5 = old.p3, old.p4, old.p5
 
         # p3: transport source from centered face gradients, reaction
         # explicit; p3/tau + (1 - 2 a*) p3 is formed as ((1/tau + 1) - 2 a*) p3.
@@ -170,7 +165,7 @@ def solve_adjoint(
         rhs_p3 *= spec.chi_a
         rhs_p3 += ((inv_tau + 1.0) - 2.0 * a_k) * p3
         rhs_p3 -= (sigma_new - spec.chi_a) * p5
-        adj.p3[new] = g.helmholtz_direct(gr, rhs_p3, inv_tau)
+        new.p3[...] = g.helmholtz_direct(gr, rhs_p3, inv_tau)
 
         # p5: same implicit operator family as the forward sigma update,
         # its CG started from the extrapolation of the stored levels, or
@@ -179,24 +174,24 @@ def solve_adjoint(
         # level-k sigma froze level k-1, so this choice staggers the
         # coefficient by one step and is the O(tau) gap the duality
         # residual measures.
-        rhs_p5 = g.divergence(gr, a_k, adj.p3[new])
+        rhs_p5 = g.divergence(gr, a_k, new.p3)
         rhs_p5 *= -spec.chi_a
         rhs_p5 += p5 * inv_tau
         rhs_p5 += spec.c_sigma * p4
-        adj.p5[new] = g.helmholtz_cg(
+        new.p5[...] = g.helmholtz_cg(
             gr, rhs_p5, (inv_tau + 1.0) + a_k, adj.extrapolate("p5", k, like)
         )
 
-    def phase(k: int, old: int, new: int) -> None:
+    def phase(k: int, old, new) -> None:
         """p4, p1 and p2 at new from p1, p2 and p4 at old, or at the first
         backward step from the weak pair and p4 at old."""
-        p1, p2 = weak if k == nt - 1 else (adj.p1[old], adj.p2[old])
+        p1, p2 = weak if k == nt - 1 else (old.p1, old.p2)
         # p4: nutrient adjoint with the phase coupling explicit. The second
         # row of the transposed block, -Lap p1 - p2 = 0, makes p2 = -Lap p1,
         # so -chi_phi Lap p1 is read as chi_phi p2 (equal up to round-off).
         rhs_p4 = spec.chi_phi * p2
-        rhs_p4 += (inv_tau + spec.c_n) * adj.p4[old]
-        adj.p4[new] = g.helmholtz_direct(gr, rhs_p4, inv_tau)
+        rhs_p4 += (inv_tau + spec.c_n) * old.p4
+        new.p4[...] = g.helmholtz_direct(gr, rhs_p4, inv_tau)
 
         # (p1, p2) block, transposed so that p2 = -Lap p1 holds exactly
         # and the stabilization terms mirror the forward s_stab*(phi+ - phi).
@@ -208,15 +203,15 @@ def solve_adjoint(
         rhs_p1 += inv_tau
         rhs_p1 *= p1
         rhs_p1 += (s_stab - spec.pot.f_second(phi_k)) * p2
-        rhs_p1 += (spec.chi_phi + spec.c_phi) * adj.p4[new]
+        rhs_p1 += (spec.chi_phi + spec.c_phi) * new.p4
         if cost.b1 and k >= 1:
             rhs_p1 += cost.b1 * (phi_k - cost.phi_q[k - 1])
-        adj.p1[new], adj.p2[new] = g.ch_block_solve(gr, rhs_p1, None, tau_eff, s_stab,
+        new.p1[...], new.p2[...] = g.ch_block_solve(gr, rhs_p1, None, tau_eff, s_stab,
                                                     transpose=True)
 
     for k in range(nt - 1, -1, -1):
         adj.advance("adjoint", k, transport, phase)
-    return adj.kept
+    return adj.finish()
 
 
 def duality_residual(

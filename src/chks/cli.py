@@ -60,9 +60,8 @@ def cmd_simulate(cfg: RunConfig, out: Path, strict: bool) -> int:
     # ring of three levels, and the hook reads level k only.
     def on_level(traj, k):
         energies[k] = energy(traj, k, cfg.model)
-        j = traj.slot(k)
-        write_trajectory(out, traj.grid, {name: f[j:j + 1] for name, f in traj.fields.items()},
-                         start=k)
+        level = vars(traj.level(k))
+        write_trajectory(out, traj.grid, {name: f[None] for name, f in level.items()}, start=k)
 
     traj, report = solve_forward(
         cfg.grid, cfg.model, cfg.init, cfg.u0, cfg.T, cfg.nt,

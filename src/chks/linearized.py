@@ -18,17 +18,16 @@ forward step used for the corresponding term. That congruence is what
 makes the Taylor remainder of the forward map second order in the
 direction size.
 
-The sweep stores the unknowns its caller keeps (see Trajectory.zeros). The
-tracking cost reads phi only, so the duality identity pairs its misfit with
-psi alone, the phi part of the tangent: by default solve_linearized keeps
-psi at every level and steps on a ring of three levels, level k in slot
-k mod 3, which holds the other four unknowns whatever Nt. The Taylor rows,
-and any check of eta, alpha_lin, nu or omega, keep TANGENT_FIELDS, and the
-sweep then steps in place on one stored trajectory.
+The sweep stores the unknowns its caller keeps at every level and steps
+the others on a ring of three levels (see Trajectory.zeros). The tracking
+cost reads phi only, so the duality identity pairs its misfit with psi
+alone, the phi part of the tangent: by default solve_linearized keeps psi.
+The Taylor rows, and any check of eta, alpha_lin, nu or omega, keep
+TANGENT_FIELDS.
 
 Like the forward step, a tangent step is two chains (k, old, new) that
 share no level they write, which Trajectory.advance runs, naming the step
-in any error:
+in any error; old and new are the views of the levels read and written:
 
 - psi/eta -> nu reads the base phi at level k and psi, nu and omega at
   old, and writes psi, eta and nu at new;
@@ -66,12 +65,9 @@ def solve_linearized(
     and return the unknowns in keep at every level, level 0 zero, as a
     Trajectory that records the base's s_stab and flux scheme.
 
-    With every unknown in keep (TANGENT_FIELDS) the sweep steps in place on
-    the returned trajectory; with fewer it steps on a ring of three levels
-    (see the module docstring), and advance copies each level of keep out
-    of the ring once it has checked it. base must hold phi, a and sigma at
-    every level, and keep may name only tangent unknowns: ValueError
-    otherwise.
+    The other unknowns step on a ring of three levels (see the module
+    docstring). base must hold phi, a and sigma at every level, and keep
+    may name only tangent unknowns: ValueError otherwise.
     """
     base.check_every_level("base", REPLAY_FIELDS)
     gr = base.grid
@@ -93,10 +89,10 @@ def solve_linearized(
     # levels were checked by the forward sweep and h on entry, and the five
     # outputs are checked at the end of each step.
 
-    def phase(k: int, old: int, new: int) -> None:
+    def phase(k: int, old, new) -> None:
         """psi, eta and nu at new from psi, nu and omega at old."""
         phi_k = base.phi[k]
-        psi, nu, omega = lin.psi[old], lin.nu[old], lin.omega[old]
+        psi, nu, omega = old.psi, old.nu, old.omega
 
         # psi/eta block: derivative of the stabilized phase-field step.
         rhs_psi = spec.prolif.h_prime(phi_k)
@@ -106,25 +102,25 @@ def solve_linearized(
         rhs_eta = spec.pot.f_second(phi_k)
         np.subtract(s_stab, rhs_eta, out=rhs_eta)
         rhs_eta *= psi
-        lin.psi[new], lin.eta[new] = g.ch_block_solve(gr, rhs_psi, rhs_eta, tau_eff, s_stab)
+        new.psi[...], new.eta[...] = g.ch_block_solve(gr, rhs_psi, rhs_eta, tau_eff, s_stab)
 
         # nu: new psi enters, the rest explicit.
         rhs_nu = nu * (inv_tau + spec.c_n)
-        rhs_nu += (spec.chi_phi + spec.c_phi) * lin.psi[new]
+        rhs_nu += (spec.chi_phi + spec.c_phi) * new.psi
         rhs_nu += spec.c_sigma * omega
-        lin.nu[new] = g.helmholtz_direct(gr, rhs_nu, inv_tau)
+        new.nu[...] = g.helmholtz_direct(gr, rhs_nu, inv_tau)
 
-    def chemotaxis(k: int, old: int, new: int) -> None:
+    def chemotaxis(k: int, old, new) -> None:
         """omega and alpha at new from omega and alpha at old and behind."""
         a_k = base.a[k]
         sigma_new = base.sigma[k + 1]
-        alpha, omega = lin.alpha_lin[old], lin.omega[old]
+        alpha, omega = old.alpha_lin, old.omega
 
         # omega: same implicit operator as the forward sigma update, its CG
         # started from the extrapolation of the stored levels.
         rhs_omega = omega * inv_tau
         rhs_omega += (spec.chi_a - sigma_new) * alpha
-        lin.omega[new] = g.helmholtz_cg(
+        new.omega[...] = g.helmholtz_cg(
             gr, rhs_omega, (inv_tau + 1.0) + a_k, lin.extrapolate("omega", k)
         )
 
@@ -132,15 +128,15 @@ def solve_linearized(
         # the upwind donor cells of the base sigma; alpha/tau + (1 - 2 a*)
         # alpha is formed as ((1/tau + 1) - 2 a*) alpha.
         rhs_alpha = g.divergence(gr, alpha, sigma_new, scheme)
-        rhs_alpha += g.divergence(gr, a_k, lin.omega[new], scheme, upwind_by=sigma_new)
+        rhs_alpha += g.divergence(gr, a_k, new.omega, scheme, upwind_by=sigma_new)
         rhs_alpha *= -spec.chi_a
         rhs_alpha += ((inv_tau + 1.0) - 2.0 * a_k) * alpha
         rhs_alpha += h[k]
-        lin.alpha_lin[new] = g.helmholtz_direct(gr, rhs_alpha, inv_tau)
+        new.alpha_lin[...] = g.helmholtz_direct(gr, rhs_alpha, inv_tau)
 
     for k in range(nt):
         lin.advance("tangent", k, phase, chemotaxis)
-    return lin.kept
+    return lin.finish()
 
 
 def taylor_remainders(

@@ -26,20 +26,20 @@ phi -> n -> sigma -> a:
 4. a: implicit diffusion, explicit chemotaxis flux against the *new*
    sigma, explicit logistic term and control source.
 
-The forward sweep steps in place on a Trajectory. What it stores is
-solve_forward's keep, the unknowns its caller reads at every level (see
-Trajectory.zeros). The linearized/adjoint replays, the tracking cost and the
-report read phi, a and sigma alone (REPLAY_FIELDS), so a plain solve keeps
-those and steps on a ring of three levels, level k in slot k mod 3, which
-holds mu and n whatever Nt; a caller that reads mu or n at every level keeps
-FORWARD_FIELDS, and the sweep then steps in place on one stored trajectory.
-chks simulate, which writes each level as it comes, keeps none, so its
-memory does not grow with Nt. The tangent sweep, and the adjoint backward
-from level Nt, step on rings the same way. A Trajectory holds its fields in
-one (fields, levels, nx, ny) array, so the check of a new level is one scan.
-Within a step, (a, sigma) reaches (phi, mu, n) only through the lagged
-source c_sigma*sigma, so the step is two chains (k, old, new) that share
-no level they write (old and new are slots; see Trajectory.advance):
+The forward sweep steps in place on a Trajectory, which stores
+solve_forward's keep, the unknowns its caller reads, at every level and
+steps the others on a ring of three levels, level k in slot k mod 3,
+whatever Nt (see Trajectory.zeros). The linearized/adjoint replays, the
+tracking cost and the report read phi, a and sigma alone (REPLAY_FIELDS),
+so a plain solve keeps those and puts mu and n on the ring; a caller that
+reads mu or n at every level keeps FORWARD_FIELDS. chks simulate, which
+writes each level as it comes, keeps none, so its memory does not grow
+with Nt. The tangent sweep, and the adjoint backward from level Nt, store
+and ring their unknowns the same way; in every sweep each unknown has one
+array, which the step writes once per level. Within a step, (a, sigma)
+reaches (phi, mu, n) only through the lagged source c_sigma*sigma, so the
+step is two chains (k, old, new) that share no level they write (old and
+new are the views of levels k and k + 1; see Trajectory.advance):
 
 - phi/mu -> n reads phi, n and sigma at old and writes phi, mu and n at new;
 - sigma -> a reads a and sigma at old (and, for the CG start, sigma one
@@ -48,7 +48,7 @@ no level they write (old and new are slots; see Trajectory.advance):
 
 That independence lets Trajectory.advance, which runs each step of all three
 sweeps and names it in any SolverError, run the two at once on large grids
-with every stored level bitwise that of the order above. solve_forward's
+with every level bitwise that of the order above. solve_forward's
 report holds the per-level reductions (InvariantReport): a sweep that
 stores phi, a and sigma at every level reduces them all after the sweep;
 one that does not reduces level k just before the hook sees it, to the
@@ -59,7 +59,8 @@ on_level hook, which sees each level as soon as it is stored. Step k calls
 the hook for level k, after any reductions of that level, on the calling
 thread ahead of its phi/mu -> n chain, so on large grids that work
 overlaps the worker's sigma -> a chain; it reads only levels up to k
-(levels k - 1 and k in a ring), which no chain of step k writes.
+(k - 1 and k while the ring holds an unknown), which no chain of step k
+writes.
 
 Two chains at once
 ------------------
@@ -85,6 +86,7 @@ from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 from functools import cached_property
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -207,24 +209,21 @@ class Control:
 class Trajectory:
     """A sweep on the uniform step grid t_k = k * tau.
 
-    data holds every unknown at every stored level in one
-    (fields, slots, nx, ny) array, the unknowns in the order of names: phi,
-    mu, a, n, sigma (FORWARD_FIELDS) for the forward sweep, psi, eta,
-    alpha_lin, nu, omega for the tangent sweep and p1, ..., p5 for the
-    adjoint sweep. A stored trajectory has Nt+1 slots, level k in slot k. A
-    ring has RING_LEVELS slots, level k in slot k mod 3, and holds the
-    levels newest - 1 .. newest + 1 (see slot); holds_every_level tells the
-    two apart, and slot(k) is where level k lives in either. zeros makes a
-    ring whenever the caller keeps fewer than all the unknowns; the ring's
-    kept trajectory stores those at every level, and advance copies each
-    level into it once checked. A stored trajectory is its own kept, and a
-    sweep returns kept. direction is the way the sweep runs, 1 forward
-    (level 0 first) or -1 backward (level Nt first). newest is the level
-    advance checked last (the sweep's first level before its first step).
-    fields maps each name to its (slots, nx, ny) slice of data, and the
-    same slices read as attributes (traj.phi, lin.psi, adj.p3), so write
-    into them in place: a field rebound to an array of its own would escape
-    the step-end check, which scans one level of data.
+    The unknowns are phi, mu, a, n, sigma (FORWARD_FIELDS) for the forward
+    sweep, psi, eta, alpha_lin, nu, omega for the tangent sweep and p1, ...,
+    p5 for the adjoint sweep. data stores those of names, in their order,
+    at every level in one (fields, Nt+1, nx, ny) array. zeros puts the
+    others, ring_names, on the ring, one (fields, RING_LEVELS, nx, ny)
+    array, level k in slot k mod 3, while the sweep runs; finish frees it.
+    level(k) is the views of every unknown at level k, through which a step
+    reads one level and writes the next in place. direction is the way the
+    sweep runs, 1 forward (level 0 first) or -1 backward (level Nt first).
+    newest is the level advance checked last (the sweep's first level
+    before its first step). fields maps each stored name to its
+    (Nt+1, nx, ny) slice of data, and the same slices read as attributes
+    (traj.phi, lin.psi, adj.p3). Write into the views in place: an unknown
+    rebound to an array of its own would escape the step-end check, which
+    scans one level of data and one slot of ring.
     A trajectory is its sweep's only state, stepped by advance. s_stab and
     flux_scheme record the forward scheme, which the replays reuse.
     """
@@ -242,49 +241,48 @@ class Trajectory:
         """An all-zero trajectory of the unknowns names for a sweep whose
         caller reads the unknowns keep (all of names if None) at every level.
 
-        If keep names every unknown, it stores every level and is its own
-        kept. Otherwise, whatever the step count, it is a ring of
-        RING_LEVELS slots, and its kept trajectory, with the same grid,
-        times and kwargs, stores the unknowns of keep, in the order of
-        names, at every level. ValueError for an entry of keep that is not
-        one of names.
+        It stores the unknowns of keep, in the order of names, and puts the
+        others on the ring: keep=names gives an empty ring, keep=() an empty
+        data, and both run the same code. ValueError for an entry of keep
+        that is not one of names.
         """
         names = tuple(names)
         keep = names if keep is None else tuple(keep)
         for name in keep:
             if name not in names:
                 raise ValueError(f"keep names {name!r}, not one of {', '.join(names)}")
-        ring = set(keep) != set(names)
-        data = np.zeros((len(names), RING_LEVELS if ring else len(times), grid.nx, grid.ny))
-        traj = cls(grid, times, names, data, **kwargs)
-        if ring:
-            # At Nt = 2 the ring has as many slots as levels.
-            traj.holds_every_level = False
-            traj._kept = cls.zeros(grid, times, [n for n in names if n in keep], **kwargs)
+        stored = tuple(name for name in names if name in keep)
+        traj = cls(grid, times, stored, np.zeros((len(stored), len(times), grid.nx, grid.ny)),
+                   **kwargs)
+        traj._set_ring(tuple(name for name in names if name not in keep))
         return traj
 
     def __post_init__(self):
         self.names = tuple(self.names)
-        slots = self.data.shape[1] if self.data.ndim == 4 else None
-        if (self.data.shape != (len(self.names), slots, self.grid.nx, self.grid.ny)
-                or slots not in (len(self.times), RING_LEVELS)):
-            raise ValueError("data must have shape (len(names), len(times) or 3, nx, ny)")
+        if self.data.shape != (len(self.names), len(self.times), self.grid.nx, self.grid.ny):
+            raise ValueError("data must have shape (len(names), len(times), nx, ny)")
         if self.direction not in (1, -1):
             raise ValueError(f"direction must be 1 or -1, not {self.direction!r}")
-        self.holds_every_level = slots == len(self.times)
         self.newest = 0 if self.direction > 0 else len(self.times) - 1
-        # None for a trajectory that is its own kept: a reference to itself
-        # would leave it to the cycle collector instead of freeing it.
-        self._kept: Trajectory | None = None
         self.fields = dict(zip(self.names, self.data))
         # Bound as plain attributes: the sweeps read fields several times per
         # step, and a __getattr__ hook would run Python code on every read.
         vars(self).update(self.fields)
+        self._set_ring(())
 
-    @property
-    def kept(self) -> Trajectory:
-        """The trajectory that stores the kept unknowns at every level."""
-        return self if self._kept is None else self._kept
+    def _set_ring(self, names: tuple[str, ...]) -> None:
+        """Put the unknowns names, none for (), on an all-zero ring."""
+        self.ring_names = names
+        self.ring = np.zeros((len(names), RING_LEVELS, self.grid.nx, self.grid.ny))
+        # Each slot's views by name, made once: level runs at least twice a step.
+        self._slots = [dict(zip(names, self.ring[:, j])) for j in range(RING_LEVELS)]
+
+    def finish(self) -> Trajectory:
+        """End the sweep: free the ring, so the trajectory holds the unknowns
+        it stores at every level and nothing else, also while its caller
+        runs the next sweep. Returns the trajectory."""
+        self._set_ring(())
+        return self
 
     @cached_property
     def nt(self) -> int:
@@ -295,42 +293,39 @@ class Trajectory:
         return float(self.times[1] - self.times[0])
 
     def slot(self, k: int) -> int:
-        """The index along data's level axis of stored level k: k itself, or
-        k mod RING_LEVELS in a ring.
+        """The slot of level k in the ring, k mod RING_LEVELS.
 
-        A ring, in either direction, holds levels newest - 1 .. newest + 1,
+        The ring, in either direction, holds levels newest - 1 .. newest + 1,
         clipped to 0 .. Nt: the level the next step reads (see advance),
         the one behind it, which its CG start reads, and the one it writes.
         ValueError naming that window for any other k, whose slot holds
         another level or is being overwritten.
         """
-        if self.holds_every_level:
-            return k
         lo, hi = max(self.newest - 1, 0), min(self.newest + 1, self.nt)
         if not lo <= k <= hi:
             raise ValueError(f"level {k} is not in the ring, which holds levels {lo} to {hi}")
         return k % RING_LEVELS
 
-    def check_every_level(self, role: str, names=()) -> None:
-        """ValueError naming role unless this trajectory holds every level,
-        and stores each unknown in names."""
-        if not self.holds_every_level:
-            raise ValueError(f"{role} must hold every level, not a ring of {RING_LEVELS}")
+    def level(self, k: int) -> SimpleNamespace:
+        """The views of every unknown at level k as attributes (level.phi),
+        the stored unknowns first, then the ring's. While the ring holds any
+        unknown, only for the levels slot accepts (ValueError otherwise)."""
+        ring = self._slots[self.slot(k)] if self.ring_names else {}
+        return SimpleNamespace(**{name: f[k] for name, f in self.fields.items()}, **ring)
+
+    def _view(self, name: str, k: int) -> np.ndarray:
+        """The view of the unknown name at level k, as level(k) has it, at
+        a fraction of level's cost: the CG start reads one field."""
+        if name in self.fields:
+            return self.fields[name][k]
+        return self._slots[self.slot(k)][name]
+
+    def check_every_level(self, role: str, names) -> None:
+        """ValueError naming role unless this trajectory stores each unknown
+        in names at every level."""
         missing = [name for name in names if name not in self.fields]
         if missing:
             raise ValueError(f"{role} must hold {', '.join(missing)} at every level")
-
-    def keep_level(self, level: int) -> None:
-        """Copy the given level of a ring into its kept trajectory, where it
-        becomes newest; nothing for a trajectory that is its own kept.
-        advance calls this for each level it checks, and a sweep for the
-        level it writes before its first step."""
-        kept = self._kept
-        if kept is not None:
-            j = self.slot(level)
-            for name, f in kept.fields.items():
-                f[level] = self.fields[name][j]
-            kept.newest = level
 
     def extrapolate(self, name: str, k: int, like: Trajectory | None = None) -> np.ndarray:
         """CG start for the level of a field that step k writes.
@@ -339,8 +334,8 @@ class Trajectory:
         there are two starts:
 
         - Without like, the extrapolation in time 2 f_j - f_{j - d} of the
-          two stored levels behind the new one, or f_j itself at the
-          sweep's first step.
+          two levels behind the new one, or f_j itself at the sweep's first
+          step.
         - With like, a reference sweep of the same grid and step count
           whose field g is like.fields[name], the start f_j + (g_{j+d} - g_j):
           the reference's increment over the same step (Fischer, CMAME 163,
@@ -352,14 +347,13 @@ class Trajectory:
         """
         direction = self.direction
         j = self._step_levels(k)[0]
-        f = self.fields[name]
-        f_j = f[self.slot(j)]
+        f_j = self._view(name, j)
         if like is not None:
             g_ref = like.fields[name]
             return g_ref[j + direction] + (f_j - g_ref[j])
         if not 0 <= j - direction <= self.nt:
             return f_j
-        return 2.0 * f_j - f[self.slot(j - direction)]
+        return 2.0 * f_j - self._view(name, j - direction)
 
     def check_like(self, like: Trajectory | None, name: str) -> None:
         """ValueError naming like unless it is None, or has this trajectory's
@@ -379,29 +373,30 @@ class Trajectory:
         """Run step k of a sweep and check the level it wrote.
 
         Step k reads level k and writes level k + 1 forward, and reads
-        k + 1 and writes k backward. With old and new the slots of those two
-        levels, advance runs the step's chains first(k, old, new) and
-        second(k, old, new). The level written becomes newest once both are
-        done and, once checked, is copied into kept (keep_level).
+        k + 1 and writes k backward. With old and new the views of those two
+        levels (see level), advance runs the step's chains
+        first(k, old, new) and second(k, old, new), which write new in
+        place. The level written becomes newest once both are done.
 
         Neither chain may read what the other writes. Below
         CONCURRENT_MIN_CELLS cells they run one after the other; from there
         the worker thread runs second while the caller runs first. Each
         chain makes the same calls on the same inputs either way, so every
-        stored level is bitwise that of the serial order. Both chains have
+        level is bitwise that of the serial order. Both chains have
         finished before the check, and before any error leaves, so no write
-        lands later; after an error, though, the levels that second writes
+        lands later; after an error, though, the level that second writes
         may hold its results where the serial order never ran it. The error
         is the one the serial order meets first: first's, else second's,
-        else "non-finite <name>" for the first non-finite field of the new
-        level, in the order of names. The check is one scan of the level
-        in data; the field is looked up only when it fails. A SolverError,
-        a FloatingPointError or a RuntimeWarning raised as an error (as
-        under error::RuntimeWarning) is raised again as SolverError
-        "<sweep> step k failed: <cause>"; any other error passes unchanged.
+        else "non-finite <name>" for the first non-finite field of new. The
+        check is one scan of the level in data and one of its slot in ring,
+        each skipped when empty; the field is looked up only when it fails.
+        A SolverError, a FloatingPointError or a RuntimeWarning raised as an
+        error (as under error::RuntimeWarning) is raised again as
+        SolverError "<sweep> step k failed: <cause>"; any other error
+        passes unchanged.
         """
         read, level = self._step_levels(k)
-        old, new = self.slot(read), self.slot(level)
+        old, new = self.level(read), self.level(level)
         try:
             if self.grid.nx * self.grid.ny < CONCURRENT_MIN_CELLS:
                 first(k, old, new)
@@ -413,14 +408,13 @@ class Trajectory:
                 finally:
                     wait((later,))
                 later.result()
-            written = self.data[:, new]
             self.newest = level
-            if not np.isfinite(written).all():
-                bad = next(n for n, f in zip(self.names, written) if not np.isfinite(f).all())
-                raise SolverError(f"non-finite {bad}")
+            for block in (self.data[:, level], self.ring[:, level % RING_LEVELS]):
+                if len(block) and not np.isfinite(block).all():
+                    bad = next(n for n, f in vars(new).items() if not np.isfinite(f).all())
+                    raise SolverError(f"non-finite {bad}")
         except _STEP_ERRORS as exc:
             raise SolverError(f"{sweep} step {k} failed: {exc}") from exc
-        self.keep_level(level)
 
 
 # Bounds of the forward monitors, which chks simulate and the invariants
@@ -436,10 +430,10 @@ class InvariantReport:
     a column of series.csv. A check over the run takes its .min() or .max().
 
     reduce fills the entries of a block of levels with one reduction per
-    column over the block: a sweep that stores phi, a and sigma at every
-    level reduces all its levels after the sweep, one that does not, such
-    as chks simulate's, each level of its ring as the sweep reaches it.
-    Each level's entries are bitwise the same either way.
+    column over the block: a sweep that stores phi, a and sigma reduces all
+    its levels from data after the sweep, one that does not, such as chks
+    simulate's, each level from its views as the sweep reaches it. Each
+    level's entries are bitwise the same either way.
     """
 
     mean_phi: np.ndarray
@@ -453,16 +447,14 @@ class InvariantReport:
         """A report of nt + 1 levels whose entries reduce has yet to fill."""
         return cls(*(np.empty(nt + 1) for _ in range(4)), np.empty(nt + 1, dtype=int))
 
-    def reduce(self, traj: Trajectory, start: int, stop: int, pot: PotentialSpec) -> None:
-        """Fill the entries of levels start .. stop - 1 from traj, which must
-        hold them in consecutive slots: every level of a stored sweep, or one
-        level of a ring."""
-        lo, hi = traj.slot(start), traj.slot(stop - 1) + 1
-        phi = traj.phi[lo:hi]
+    def reduce(self, start: int, phi, a, sigma, pot: PotentialSpec) -> None:
+        """Fill the entries of levels start, start + 1, ... from phi, a and
+        sigma, each a (levels, nx, ny) block of consecutive levels."""
+        stop = start + len(phi)
         self.mean_phi[start:stop] = phi.mean(axis=(1, 2))
-        self.sigma_min[start:stop] = traj.sigma[lo:hi].min(axis=(1, 2))
-        self.sigma_max[start:stop] = traj.sigma[lo:hi].max(axis=(1, 2))
-        self.a_min[start:stop] = traj.a[lo:hi].min(axis=(1, 2))
+        self.sigma_min[start:stop] = sigma.min(axis=(1, 2))
+        self.sigma_max[start:stop] = sigma.max(axis=(1, 2))
+        self.a_min[start:stop] = a.min(axis=(1, 2))
         self.clamp_events[start:stop] = pot.clamp_counts(phi)
 
 
@@ -470,7 +462,7 @@ def step(
     traj: Trajectory, k: int, u_k: np.ndarray, spec: ModelSpec,
     like: Trajectory | None = None, on_level: Callable[[Trajectory, int], None] | None = None,
 ) -> None:
-    """Advance the forward sweep one IMEX step, from stored level k to k + 1.
+    """Advance the forward sweep one IMEX step, from level k to k + 1.
 
     See the module docstring for the scheme; the grid, tau, s_stab and the
     flux scheme are the trajectory's. The step is two chains that share no
@@ -481,27 +473,27 @@ def step(
     and step count (solve_forward checks it), traj's level k plus like's
     sigma increment over step k. That changes the work, not what is solved.
     The kernels scan nothing: a non-finite value in what the step reads
-    reaches an output or stops a solve, and advance checks the new level,
-    its five fields in one scan, and names the step in any SolverError.
-    traj may be a ring (see Trajectory).
+    reaches an output or stops a solve, and advance checks the new level
+    and names the step in any SolverError. Each chain reads level k's views
+    old and writes level k + 1's views new in place (see Trajectory.level).
     on_level(traj, k), if given, runs at the head of the phi/mu -> n chain,
     on the calling thread, and while it runs on a large grid the worker runs
     sigma -> a. It may read levels up to k, which the step does not write;
-    in a ring, levels k - 1 and k, since level k + 1 goes into the slot of
+    with a ring, levels k - 1 and k, since level k + 1 goes into the slot of
     level k - 2.
     """
     gr = traj.grid
     # Right-hand sides are updated in place on fresh arrays, such as the
     # results of h_value, f_prime, divergence and laplacian, in both chains.
 
-    def phase_nutrient(k: int, old: int, new: int) -> None:
+    def phase_nutrient(k: int, old, new) -> None:
         """Steps 1 and 2: phi, mu and n at new from phi, n and sigma at old."""
         if on_level is not None:
             on_level(traj, k)
         if traj.tau <= 0:
             raise SolverError("step requires tau > 0")
         inv_tau, s_stab = 1.0 / traj.tau, traj.s_stab
-        phi, n, sigma = traj.phi[old], traj.n[old], traj.sigma[old]
+        phi, n, sigma = old.phi, old.n, old.sigma
 
         # 1. phi/mu block. m is implicit via the effective step.
         tau_eff = 1.0 / (inv_tau + spec.m)
@@ -510,34 +502,34 @@ def step(
         rhs_phi -= spec.chi_phi * g.laplacian(gr, n)
         rhs_mu = spec.pot.f_prime(phi)
         np.subtract(s_stab * phi, rhs_mu, out=rhs_mu)
-        traj.phi[new], traj.mu[new] = g.ch_block_solve(gr, rhs_phi, rhs_mu, tau_eff, s_stab)
+        new.phi[...], new.mu[...] = g.ch_block_solve(gr, rhs_phi, rhs_mu, tau_eff, s_stab)
 
         # 2. n: implicit diffusion, explicit reactions, new phi.
         rhs_n = n * (inv_tau + spec.c_n)
-        rhs_n += (spec.chi_phi + spec.c_phi) * traj.phi[new]
+        rhs_n += (spec.chi_phi + spec.c_phi) * new.phi
         rhs_n += spec.c_sigma * sigma + spec.c_0
-        traj.n[new] = g.helmholtz_direct(gr, rhs_n, inv_tau)
+        new.n[...] = g.helmholtz_direct(gr, rhs_n, inv_tau)
 
-    def chemotaxis(k: int, old: int, new: int) -> None:
+    def chemotaxis(k: int, old, new) -> None:
         """Steps 3 and 4: sigma and a at new from a and sigma at old and behind."""
         inv_tau = 1.0 / traj.tau
-        a, sigma = traj.a[old], traj.sigma[old]
+        a, sigma = old.a, old.sigma
 
         # 3. sigma: monotone implicit reaction with frozen a >= 0.
         a_frozen = np.maximum(a, 0.0)
         rhs_sigma = sigma * inv_tau
         rhs_sigma += spec.chi_a * a_frozen + 1.0
-        traj.sigma[new] = g.helmholtz_cg(
+        new.sigma[...] = g.helmholtz_cg(
             gr, rhs_sigma, (inv_tau + 1.0) + a_frozen, traj.extrapolate("sigma", k, like=like)
         )
 
         # 4. a: implicit diffusion, explicit chemotaxis against new sigma;
         # a/tau + a - a^2 is formed as a*((1/tau + 1) - a).
-        rhs_a = g.divergence(gr, a, traj.sigma[new], traj.flux_scheme)
+        rhs_a = g.divergence(gr, a, new.sigma, traj.flux_scheme)
         rhs_a *= -spec.chi_a
         rhs_a += a * ((inv_tau + 1.0) - a)
         rhs_a += u_k
-        traj.a[new] = g.helmholtz_direct(gr, rhs_a, inv_tau)
+        new.a[...] = g.helmholtz_direct(gr, rhs_a, inv_tau)
 
     traj.advance("forward", k, phase_nutrient, chemotaxis)
 
@@ -569,7 +561,7 @@ def solve_forward(
     whose sigma increments start each step's CG (see step); any other like
     raises ValueError.
 
-    on_level(traj, k), if given, is called once for each stored level
+    on_level(traj, k), if given, is called once for each level
     k = 0 .. nt, in order, and may read levels 0 .. k only: for k < nt
     inside step k, ahead of its phi/mu -> n chain (see step), and for nt
     after the last step. It must not write into traj, and an error it
@@ -581,18 +573,17 @@ def solve_forward(
     REPLAY_FIELDS, is phi, a and sigma, all that solve_linearized,
     solve_adjoint, the tracking cost and check_mean_ode read; a caller that
     reads mu or n at every level, as taylor_remainders and
-    trajectory_distance do, keeps FORWARD_FIELDS, and the sweep then steps
-    in place on the returned trajectory. With fewer unknowns it steps on a
-    ring of three levels at any nt, so memory does not grow with nt beyond
-    what keep stores, and every level is bitwise that of a stored solve;
-    on_level then reads the ring, levels k - 1 and k only, since step k
-    writes level k + 1 into the slot of level k - 2. When keep holds phi, a
-    and sigma the report is reduced over all levels after the sweep;
-    otherwise, as for chks simulate's keep=(), the entries for level k are
-    reduced ahead of on_level(traj, k), to the same bits. Returns the
-    trajectory and its per-level monitors; check_mean_ode and energy
-    compute the others, check_mean_ode from a trajectory that holds phi at
-    every level.
+    trajectory_distance do, keeps FORWARD_FIELDS. The others step on a ring
+    of three levels at any nt, so memory does not grow with nt beyond what
+    keep stores, and every level is bitwise that of a keep-all solve; while
+    the ring holds an unknown, on_level reads levels k - 1 and k only, since
+    step k writes level k + 1 into the slot of level k - 2. When keep holds
+    phi, a and sigma the report is reduced from them over all levels after
+    the sweep; otherwise, as for chks simulate's keep=(), the entries for
+    level k are reduced ahead of on_level(traj, k), to the same bits.
+    Returns the trajectory and its per-level monitors; check_mean_ode and
+    energy compute the others, check_mean_ode from a trajectory that holds
+    phi at every level.
     """
     if nt < 1:
         raise ValueError("nt must be at least 1")
@@ -608,20 +599,20 @@ def solve_forward(
     traj = Trajectory.zeros(gr, np.linspace(0.0, T, nt + 1), FORWARD_FIELDS, keep,
                             s_stab=s_stab, flux_scheme=flux_scheme)
     traj.check_like(like, "sigma")
-    # Level 0 is in slot 0 of a ring too.
-    traj.phi[0], traj.a[0], traj.n[0] = init.phi0, init.a0, init.n0
-    traj.sigma[0] = init.sigma0
+    first = traj.level(0)
+    first.phi[...], first.a[...], first.n[...] = init.phi0, init.a0, init.n0
+    first.sigma[...] = init.sigma0
     try:
-        traj.mu[0] = -g.laplacian(gr, init.phi0) + spec.pot.f_prime(init.phi0)
+        first.mu[...] = -g.laplacian(gr, init.phi0) + spec.pot.f_prime(init.phi0)
     except _STEP_ERRORS as exc:
         raise SolverError(f"forward level 0 failed: {exc}") from exc
-    traj.keep_level(0)
     report = InvariantReport.empty(nt)
     hook = on_level
-    block = set(REPLAY_FIELDS) <= set(traj.kept.names)
+    block = set(REPLAY_FIELDS) <= set(traj.names)
     if not block:
         def hook(traj: Trajectory, k: int) -> None:
-            report.reduce(traj, k, k + 1, spec.pot)
+            level = traj.level(k)
+            report.reduce(k, level.phi[None], level.a[None], level.sigma[None], spec.pot)
             if on_level is not None:
                 on_level(traj, k)
 
@@ -630,21 +621,25 @@ def solve_forward(
     if hook is not None:
         hook(traj, nt)
     if block:
-        report.reduce(traj.kept, 0, nt + 1, spec.pot)
-    return traj.kept, report
+        report.reduce(0, traj.phi, traj.a, traj.sigma, spec.pot)
+    return traj.finish(), report
 
 
 def energy(traj: Trajectory, k: int, spec: ModelSpec) -> float:
-    """Free energy of stored level k of a forward trajectory, or of a ring.
+    """Free energy of level k of a forward trajectory (see Trajectory.level).
 
     E = int a*(ln a - 1) - chi_phi int n*phi - chi_a int a*sigma
         + (1/2) int (|grad phi|^2 + |grad n|^2 + |grad sigma|^2) + int F(phi)
 
-    The entropy term clamps a at 1e-14 from below.
+    The entropy term clamps a at 1e-14 from below. ValueError naming the
+    unknowns of phi, a, n and sigma that traj does not hold.
     """
     gr = traj.grid
-    j = traj.slot(k)
-    phi, a, n, sigma = traj.phi[j], traj.a[j], traj.n[j], traj.sigma[j]
+    level = traj.level(k)
+    missing = [name for name in ("phi", "a", "n", "sigma") if name not in vars(level)]
+    if missing:
+        raise ValueError(f"traj must hold {', '.join(missing)}")
+    phi, a, n, sigma = level.phi, level.a, level.n, level.sigma
     a_safe = np.maximum(a, 1e-14)
     area = gr.cell_area
     ent = area * float(np.sum(a_safe * (np.log(a_safe) - 1.0)))

@@ -120,6 +120,21 @@ def test_concurrent_chains_match_serial_bitwise(monkeypatch, scheme):
         assert rerun[name].tobytes() == concurrent[name].tobytes(), name
 
 
+def test_default_keeps_match_keep_all_bitwise_at_the_crossover():
+    # At this size the plain solves write their stored unknowns and their
+    # ring from two threads at once; each stored level is the keep-all one.
+    problem = Problem()
+    stored = problem.sweeps()
+    traj, _ = solve_forward(problem.grid, problem.spec, problem.init, problem.u, T, NT,
+                            flux_scheme=problem.scheme)
+    adj = solve_adjoint(traj, problem.cost, problem.spec)
+    lin = solve_linearized(traj, problem.spec, problem.h)
+    assert (traj.names, adj.names, lin.names) == (("phi", "a", "sigma"), ("p3",), ("psi",))
+    for sweep in (traj, adj, lin):
+        for name, f in sweep.fields.items():
+            assert f.tobytes() == stored[name].tobytes(), name
+
+
 def error_of(run):
     with pytest.raises(Exception) as info:
         run()

@@ -1,17 +1,17 @@
-"""What a sweep stores: the unknowns its caller keeps, bitwise a stored solve.
+"""What a sweep stores: the unknowns its caller keeps, bitwise a keep-all solve.
 
-A sweep given keep, the unknowns its caller reads at every level, steps in
-place on one stored trajectory when keep names every unknown, and otherwise
-on a ring of three levels, level k in slot k mod 3, whose kept trajectory
-stores the keep fields at every level, whatever the step count. The
-forward sweep keeps phi, a and sigma by default (REPLAY_FIELDS), what its
-readers read, and reduces its report from them after the sweep; chks
+A sweep given keep, the unknowns its caller reads at every level, stores
+those at every level and steps the others on a ring of three levels, level
+k in slot k mod 3, whatever the step count; each unknown has one array,
+which the step writes in place, and the ring is freed when the sweep ends.
+The forward sweep keeps phi, a and sigma by default (REPLAY_FIELDS), what
+its readers read, and reduces its report from them after the sweep; chks
 simulate keeps nothing, and its sweep reduces the report one level at a
-time. The tangent sweep keeps psi by default, and the adjoint
-sweep, which runs backward from level Nt, p3. A ring, in either direction,
-accepts only the levels newest - 1 .. newest + 1, and everything that reads
-a whole history refuses a ring, or a trajectory without an unknown it
-reads, each with a ValueError that names its role.
+time. The tangent sweep keeps psi by default, and the adjoint sweep, which
+runs backward from level Nt, p3. While the ring holds an unknown, in either
+direction, a level is read only within newest - 1 .. newest + 1, and
+everything that reads a whole history refuses a trajectory without an
+unknown it reads at every level, with a ValueError that names its role.
 """
 
 import dataclasses
@@ -58,18 +58,28 @@ def forward_args(cfg, scheme=None, nt=None):
 
 
 def levels_seen(args, kwargs, keep):
-    """Solve, and keep a copy of every level as on_level sees it, and the
-    trajectory the sweep steps on."""
-    seen, stepped = [], []
+    """Solve, and keep a copy of every level as on_level sees it, its
+    unknowns in the order of FORWARD_FIELDS, and the names on the ring of
+    the trajectory the sweep steps on, which is the one it returns."""
+    seen, stepped = [], set()
 
     def on_level(traj, k):
-        if not stepped or stepped[-1] is not traj:
-            stepped.append(traj)
-        seen.append(traj.data[:, traj.slot(k)].copy())
+        stepped.add((id(traj), traj.ring_names, traj.ring.shape))
+        level = traj.level(k)
+        seen.append(np.stack([getattr(level, name) for name in FORWARD_FIELDS]))
 
     traj, report = solve_forward(*args, **kwargs, on_level=on_level, keep=keep)
-    (ring,) = stepped
-    return traj, report, seen, ring
+    ((returned, ring_names, shape),) = stepped
+    assert returned == id(traj)
+    assert shape == (len(ring_names), RING_LEVELS, traj.grid.nx, traj.grid.ny)
+    # The sweep over, its ring is freed.
+    assert traj.ring_names == () and traj.ring.size == 0
+    return traj, report, seen, ring_names
+
+
+def stacked(level):
+    """A copy of a level's views, stacked in the order level gives them."""
+    return np.stack(list(vars(level).values()))
 
 
 def record_threads(monkeypatch, chains, side):
@@ -97,10 +107,9 @@ def test_ring_solve_matches_stored_solve_bitwise(monkeypatch, config, scheme, ch
     assert cfg.grid.nx * cfg.grid.ny == 16 * 16
     threads = record_threads(monkeypatch, chains, 16)
     args, kwargs = forward_args(cfg, scheme)
-    stored, stored_report, stored_seen, stepped = levels_seen(args, kwargs, FORWARD_FIELDS)
+    stored, stored_report, stored_seen, ring_names = levels_seen(args, kwargs, FORWARD_FIELDS)
     assert any(name.startswith("chks-chain") for name in threads) == (chains == "concurrent")
-    assert stepped is stored and stored.kept is stored
-    assert stored.holds_every_level and stored.names == FORWARD_FIELDS
+    assert ring_names == () and stored.names == FORWARD_FIELDS
     assert len(stored_seen) == cfg.nt + 1
     for k, level in enumerate(stored_seen):
         assert level.tobytes() == stored.data[:, k].tobytes(), k
@@ -108,9 +117,9 @@ def test_ring_solve_matches_stored_solve_bitwise(monkeypatch, config, scheme, ch
     # REPLAY_FIELDS is a plain solve's keep, whose report is reduced from the
     # kept phi, a and sigma after the sweep; the others reduce it level by level.
     for keep in ((), ("sigma",), REPLAY_FIELDS):
-        kept, report, seen, ring = levels_seen(args, kwargs, keep)
-        assert ring.kept is kept and ring.data.shape == (5, RING_LEVELS, cfg.grid.nx, cfg.grid.ny)
-        assert kept.holds_every_level and kept.names == keep and kept.newest == cfg.nt
+        kept, report, seen, ring_names = levels_seen(args, kwargs, keep)
+        assert ring_names == tuple(name for name in FORWARD_FIELDS if name not in keep)
+        assert kept.names == keep and kept.newest == cfg.nt
         assert kept.data.shape == (len(keep), cfg.nt + 1, cfg.grid.nx, cfg.grid.ny)
         for name in keep:
             assert kept.fields[name].tobytes() == stored.fields[name].tobytes(), name
@@ -126,26 +135,32 @@ def test_ring_solve_matches_stored_solve_bitwise(monkeypatch, config, scheme, ch
 def test_ring_holds_three_levels_whatever_the_step_count(nt):
     cfg = load_config(CONFIG_DIR / "verify.cfg")
     args, kwargs = forward_args(cfg, nt=nt)
-    kept, _, _, ring = levels_seen(args, kwargs, ())
     stored, _ = solve_forward(*args, **kwargs, keep=FORWARD_FIELDS)
-    assert ring.nt == kept.nt == stored.nt == nt
-    assert ring.data.shape == (5, RING_LEVELS, cfg.grid.nx, cfg.grid.ny)
-    assert kept.data.nbytes == 0
     assert stored.data.shape == (5, nt + 1, cfg.grid.nx, cfg.grid.ny)
-    # The last two levels are still there, each in its slot; the slot of
-    # level nt - 2 is the one a next step would write.
-    for k in range(nt - 1, nt + 1):
-        assert ring.slot(k) == k % 3
-        assert ring.data[:, ring.slot(k)].tobytes() == stored.data[:, k].tobytes(), k
-        assert energy(ring, k, cfg.model) == energy(stored, k, cfg.model)
-    with pytest.raises(ValueError, match=f"^level {nt - 2} is not in the ring, which holds "
-                                         f"levels {nt - 1} to {nt}$"):
-        ring.slot(nt - 2)
-    # A one-step solve steps on a ring too, and its kept trajectory, which
-    # is its own kept, stores no unknown.
+    last = []
+
+    def on_level(ring, k):
+        assert ring.ring.shape == (5, RING_LEVELS, cfg.grid.nx, cfg.grid.ny)
+        assert ring.data.nbytes == 0
+        if k < nt:
+            return
+        # At the last level, the last two levels are still there, each in its
+        # slot; the slot of level nt - 2 is the one a next step would write.
+        for j in range(nt - 1, nt + 1):
+            assert ring.slot(j) == j % 3
+            assert stacked(ring.level(j)).tobytes() == stored.data[:, j].tobytes(), j
+            assert energy(ring, j, cfg.model) == energy(stored, j, cfg.model)
+        with pytest.raises(ValueError, match=f"^level {nt - 2} is not in the ring, which holds "
+                                             f"levels {nt - 1} to {nt}$"):
+            ring.level(nt - 2)
+        last.append(k)
+
+    kept, _ = solve_forward(*args, **kwargs, on_level=on_level, keep=())
+    assert last == [nt] and kept.nt == nt and kept.names == () and kept.data.nbytes == 0
+    # A one-step solve steps on a ring too, and stores no unknown.
     args, kwargs = forward_args(cfg, nt=1)
     one, _ = solve_forward(*args, **kwargs, keep=())
-    assert one.holds_every_level and one.kept is one and one.names == ()
+    assert one.names == () and one.data.nbytes == 0
 
 
 @pytest.mark.parametrize("nt", [1, 2, 3])
@@ -155,10 +170,10 @@ def test_keep_decides_ring_or_stored_at_every_step_count(nt):
     cfg = load_config(CONFIG_DIR / "verify.cfg")
     args, kwargs = forward_args(cfg, nt=nt)
     stored, stored_report = solve_forward(*args, **kwargs, keep=FORWARD_FIELDS)
-    assert stored.holds_every_level and stored.names == FORWARD_FIELDS
+    assert stored.names == FORWARD_FIELDS
     for keep in ((), ("phi",)):
-        kept, report, _, ring = levels_seen(args, kwargs, keep)
-        assert not ring.holds_every_level and ring.kept is kept
+        kept, report, _, ring_names = levels_seen(args, kwargs, keep)
+        assert ring_names == tuple(name for name in FORWARD_FIELDS if name not in keep)
         assert kept.names == keep and kept.nt == nt and kept.newest == nt
         for name in keep:
             assert kept.fields[name].tobytes() == stored.fields[name].tobytes(), name
@@ -167,11 +182,11 @@ def test_keep_decides_ring_or_stored_at_every_step_count(nt):
 
     h = np.random.default_rng(nt).standard_normal((nt, cfg.grid.nx, cfg.grid.ny))
     lin = solve_linearized(stored, cfg.model, h)
-    assert lin.names == ("psi",) and lin.holds_every_level
+    assert lin.names == ("psi",) and lin.data.shape[1] == nt + 1
     assert lin.psi.tobytes() == solve_linearized(stored, cfg.model, h, TANGENT_FIELDS).psi.tobytes()
     cs = dataclasses.replace(cfg.control_spec, phi_q=cfg.control_spec.phi_q[:nt])
     adj = solve_adjoint(stored, cs, cfg.model)
-    assert adj.names == ("p3",) and adj.holds_every_level and adj.newest == 0
+    assert adj.names == ("p3",) and adj.data.shape[1] == nt + 1 and adj.newest == 0
     assert adj.p3.tobytes() == solve_adjoint(stored, cs, cfg.model,
                                              keep=ADJOINT_FIELDS).p3.tobytes()
 
@@ -190,11 +205,11 @@ def test_keep_names_only_the_sweeps_unknowns():
 
 
 def test_trajectory_rejects_other_slot_counts():
+    # data stores every level; only zeros puts unknowns on a ring.
     grid = grid_mod.Grid(4, 4)
     times = 0.1 * np.arange(6)
-    for slots in (6, RING_LEVELS):
-        Trajectory(grid, times, ("x",), np.zeros((1, slots, 4, 4)))
-    for slots in (2, 4, 7):
+    assert Trajectory(grid, times, ("x",), np.zeros((1, 6, 4, 4))).ring_names == ()
+    for slots in (2, RING_LEVELS, 4, 7):
         with pytest.raises(ValueError, match="data must have shape"):
             Trajectory(grid, times, ("x",), np.zeros((1, slots, 4, 4)))
 
@@ -252,12 +267,14 @@ def test_cmd_simulate_writes_what_a_stored_solve_writes_level_by_level(tmp_path,
 @pytest.fixture(scope="module")
 def solves():
     """verify.cfg, its solve_forward arguments, and its solves: stored, one
-    keeping nothing, one keeping n alone and the ring a forward hook saw,
-    with the adjoint and tangent of the stored one."""
+    keeping nothing, one keeping n alone and a forward trajectory whose ring
+    holds every unknown, as a sweep keeping nothing steps on, with the
+    adjoint and tangent of the stored one."""
     cfg = load_config(CONFIG_DIR / "verify.cfg")
     args, kwargs = forward_args(cfg)
     stored, _ = solve_forward(*args, **kwargs, keep=FORWARD_FIELDS)
-    none, _, _, ring = levels_seen(args, kwargs, ())
+    none, _ = solve_forward(*args, **kwargs, keep=())
+    ring = Trajectory.zeros(cfg.grid, stored.times, FORWARD_FIELDS, ())
     lacking, _ = solve_forward(*args, **kwargs, keep=("n",))
     adj = solve_adjoint(stored, cfg.control_spec, cfg.model)
     lin = solve_linearized(stored, cfg.model, cfg.u0.values)
@@ -288,13 +305,12 @@ GUARDS = {
 def test_a_ring_is_refused_where_every_level_is_read(solves, use):
     run, role = GUARDS[use]
     run(solves, solves.stored)
-    # Every use reads phi, which neither a solve keeping nothing nor one
-    # keeping n alone stores.
-    for traj in (solves.none, solves.lacking):
-        with pytest.raises(ValueError, match=f"^{role} must "):
+    # Every use reads phi or sigma, which neither a solve keeping nothing,
+    # nor one keeping n alone, nor a ring stores at every level.
+    for traj in (solves.none, solves.lacking, solves.ring):
+        with pytest.raises(ValueError, match=f"^{role} must hold [a-z, ]*(phi|sigma)[a-z, ]* "
+                                             "at every level$"):
             run(solves, traj)
-    with pytest.raises(ValueError, match=f"^{role} must hold every level, not a ring of 3$"):
-        run(solves, solves.ring)
 
 
 def test_a_default_forward_serves_every_reader_of_phi_a_and_sigma(solves):
@@ -303,7 +319,7 @@ def test_a_default_forward_serves_every_reader_of_phi_a_and_sigma(solves):
     # gives the bits it gives on a solve that keeps every unknown.
     cfg, stored = solves.cfg, solves.stored
     default, _ = solve_forward(*solves.args, **solves.kwargs)
-    assert default.names == REPLAY_FIELDS and default.holds_every_level
+    assert default.names == REPLAY_FIELDS and default.data.shape[1] == cfg.nt + 1
     for name in REPLAY_FIELDS:
         assert default.fields[name].tobytes() == stored.fields[name].tobytes(), name
     h, cs = cfg.u0.values, cfg.control_spec
@@ -348,24 +364,74 @@ def test_a_ring_refuses_a_level_it_no_longer_holds():
     # would otherwise return for level 0.
     cfg = load_config(CONFIG_DIR / "simulate.cfg")
     args, kwargs = forward_args(cfg)
-    kept, _, _, ring = levels_seen(args, kwargs, ())
     stored, _ = solve_forward(*args, **kwargs, keep=FORWARD_FIELDS)
-    assert ring.newest == kept.newest == stored.newest == cfg.nt == 32
-    with pytest.raises(ValueError, match="^level 0 is not in the ring, which holds levels 31 to 32$"):
-        energy(ring, 0, cfg.model)
-    for k in (30, 33, 34):
-        with pytest.raises(ValueError, match=f"^level {k} is not in the ring, which holds levels "
-                                             "31 to 32$"):
-            ring.slot(k)
-    assert energy(ring, 31, cfg.model) == energy(stored, 31, cfg.model)
-    # A stored trajectory holds every level wherever its sweep stands.
-    assert [stored.slot(k) for k in range(cfg.nt + 1)] == list(range(cfg.nt + 1))
+    last = []
+
+    def on_level(ring, k):
+        if k < cfg.nt:
+            return
+        assert ring.newest == cfg.nt == 32
+        with pytest.raises(ValueError,
+                           match="^level 0 is not in the ring, which holds levels 31 to 32$"):
+            energy(ring, 0, cfg.model)
+        for j in (30, 33, 34):
+            with pytest.raises(ValueError, match=f"^level {j} is not in the ring, which holds "
+                                                 "levels 31 to 32$"):
+                ring.level(j)
+        assert energy(ring, 31, cfg.model) == energy(stored, 31, cfg.model)
+        last.append(k)
+
+    solve_forward(*args, **kwargs, on_level=on_level, keep=())
+    assert last == [cfg.nt] and stored.newest == cfg.nt
+    # A trajectory without a ring holds every level wherever its sweep stands.
+    for k in range(cfg.nt + 1):
+        assert stacked(stored.level(k)).tobytes() == stored.data[:, k].tobytes(), k
     assert energy(stored, 0, cfg.model) != energy(stored, 31, cfg.model)
+
+
+def test_energy_names_the_unknowns_a_trajectory_lacks():
+    # energy reads phi, a, n and sigma; a plain solve stores no n, and once
+    # a sweep that keeps nothing ends, its trajectory holds no unknown.
+    cfg = load_config(CONFIG_DIR / "verify.cfg")
+    args, kwargs = forward_args(cfg)
+    default, _ = solve_forward(*args, **kwargs)
+    none, _ = solve_forward(*args, **kwargs, keep=())
+    for k in (0, cfg.nt):
+        with pytest.raises(ValueError, match="^traj must hold n$"):
+            energy(default, k, cfg.model)
+        with pytest.raises(ValueError, match="^traj must hold phi, a, n, sigma$"):
+            energy(none, k, cfg.model)
+    keep = ("phi", "a", "n", "sigma")
+    stored, _ = solve_forward(*args, **kwargs, keep=keep)
+    assert energy(stored, cfg.nt, cfg.model) == energy(
+        solve_forward(*args, **kwargs, keep=FORWARD_FIELDS)[0], cfg.nt, cfg.model)
+
+
+def test_a_default_forward_writes_phi_a_and_sigma_once():
+    # The hook's views of phi, a and sigma are the returned arrays' levels:
+    # the sweep writes each level of those once, in place, and puts only mu
+    # and n on its ring.
+    cfg = load_config(CONFIG_DIR / "verify.cfg")
+    args, kwargs = forward_args(cfg)
+    seen = []
+
+    def on_level(traj, k):
+        assert traj.ring_names == ("mu", "n")
+        assert traj.ring.shape == (2, RING_LEVELS, cfg.grid.nx, cfg.grid.ny)
+        seen.append((k, traj.level(k)))
+
+    traj, _ = solve_forward(*args, **kwargs, on_level=on_level)
+    assert [k for k, _ in seen] == list(range(cfg.nt + 1))
+    for k, level in seen:
+        for name in REPLAY_FIELDS:
+            assert np.shares_memory(getattr(level, name), traj.fields[name][k]), (k, name)
+        for name in ("mu", "n"):
+            assert not np.shares_memory(getattr(level, name), traj.data), (k, name)
 
 
 @pytest.mark.parametrize("keep", [(), ("phi",)], ids=["forward", "forward_keeping_phi"])
 def test_a_hook_reading_three_levels_back_is_refused(keep):
-    # Whatever the ring's kept trajectory stores, the ring holds three levels.
+    # Whatever the trajectory stores, its ring holds three levels.
     cfg = load_config(CONFIG_DIR / "verify.cfg")
     args, kwargs = forward_args(cfg)
     seen = []
@@ -373,9 +439,9 @@ def test_a_hook_reading_three_levels_back_is_refused(keep):
     def on_level(ring, k):
         seen.append(k)
         if k >= 1:
-            ring.slot(k - 1)  # step k reads it for its CG start
+            ring.level(k - 1)  # step k reads it for its CG start
         if k >= 2:
-            ring.slot(k - 2)  # step k writes level k + 1 into its slot
+            ring.level(k - 2)  # step k writes level k + 1 into its slot
 
     with pytest.raises(ValueError, match="^level 0 is not in the ring, which holds levels 1 to 3$"):
         solve_forward(*args, **kwargs, on_level=on_level, keep=keep)
@@ -395,10 +461,10 @@ def test_the_window_holds_while_the_chains_run_at_once(monkeypatch):
 
     def on_level(ring, k):
         if k >= 1:
-            behind[k - 1] = ring.data[:, ring.slot(k - 1)].copy()
+            behind[k - 1] = stacked(ring.level(k - 1))
         if k >= 2:
             try:
-                ring.slot(k - 2)
+                ring.level(k - 2)
             except ValueError as exc:
                 refused[k] = str(exc)
 
@@ -419,9 +485,9 @@ def test_the_window_holds_while_the_chains_run_at_once(monkeypatch):
     def second(k, old, new):
         threads.add(threading.current_thread().name + "/backward")
         for level in range(k, min(k + 2, 8) + 1):
-            ring.slot(level)
+            ring.level(level)
         try:
-            ring.slot(k + 3)
+            ring.level(k + 3)
         except ValueError as exc:
             refused[k] = str(exc)
 
@@ -438,8 +504,10 @@ def test_the_window_holds_while_the_chains_run_at_once(monkeypatch):
 def test_advance_hands_both_chains_the_slots_of_the_levels_read_and_written(
         monkeypatch, chains, keep, direction):
     # Forward, step k reads level k and writes k + 1; backward, it reads
-    # k + 1 and writes k. Each chain gets (k, slot read, slot written), the
-    # second on the worker thread when the chains run at once.
+    # k + 1 and writes k. Each chain gets (k, old, new), the views of every
+    # unknown at the level read and the level written: for a stored unknown
+    # its level in data, for one on the ring the slot of that level. The
+    # second chain runs on the worker thread when the chains run at once.
     monkeypatch.setattr(state_mod, "CONCURRENT_MIN_CELLS",
                         np.inf if chains == "serial" else 16 * 16)
     nt = 7
@@ -447,17 +515,31 @@ def test_advance_hands_both_chains_the_slots_of_the_levels_read_and_written(
                             direction=direction)
     calls = {"first": [], "second": []}
 
+    def where(views):
+        """Each view's block and its index along the level axis."""
+        located = []
+        for name, view in vars(views).items():
+            block = traj.fields[name] if name in traj.names else (
+                traj.ring[traj.ring_names.index(name)])
+            (index,) = [j for j, f in enumerate(block) if np.shares_memory(view, f)]
+            located.append((name, len(block), index))
+        return located
+
     def chain(name):
         def run(k, old, new):
-            calls[name].append((k, old, new, threading.current_thread()))
+            calls[name].append((k, where(old), where(new), threading.current_thread()))
         return run
 
     steps = range(nt) if direction > 0 else range(nt - 1, -1, -1)
     for k in steps:
         traj.advance("sweep", k, chain("first"), chain("second"))
-    slot = (lambda level: level % 3) if keep == ("p3",) else (lambda level: level)
-    expected = [(k, slot(k), slot(k + 1)) if direction > 0 else (k, slot(k + 1), slot(k))
-                for k in steps]
+    assert traj.ring_names == tuple(name for name in ADJOINT_FIELDS if name not in keep)
+
+    def at(level):
+        return [(name, nt + 1, level) if name in keep else (name, RING_LEVELS, level % 3)
+                for name in (*keep, *traj.ring_names)]
+
+    expected = [(k, at(k), at(k + 1)) if direction > 0 else (k, at(k + 1), at(k)) for k in steps]
     for name in ("first", "second"):
         assert [call[:3] for call in calls[name]] == expected, name
     assert {call[3] for call in calls["first"]} == {threading.current_thread()}
@@ -478,12 +560,12 @@ def test_tangent_ring_matches_stored_tangent_bitwise(monkeypatch, chains):
     threads = record_threads(monkeypatch, chains, 16)
     stored = solve_linearized(base, cfg.model, h, TANGENT_FIELDS)
     assert any(name.startswith("chks-chain") for name in threads) == (chains == "concurrent")
-    assert stored.holds_every_level and stored.kept is stored and stored.names == TANGENT_FIELDS
+    assert stored.names == TANGENT_FIELDS and stored.ring.size == 0
     # Level 0 is zero; by the last level h has reached every unknown.
     assert not stored.data[:, 0].any() and stored.data[:, -1].any(axis=(1, 2)).all()
     for keep in ((), ("psi",), ("omega",)):
         kept = solve_linearized(base, cfg.model, h, keep)
-        assert kept.holds_every_level and kept.names == keep and kept.newest == cfg.nt
+        assert kept.names == keep and kept.newest == cfg.nt and kept.ring.size == 0
         assert kept.data.shape == (len(keep), cfg.nt + 1, cfg.grid.nx, cfg.grid.ny)
         for name in keep:
             assert kept.fields[name].tobytes() == stored.fields[name].tobytes(), name
@@ -494,10 +576,11 @@ def test_tangent_ring_matches_stored_tangent_bitwise(monkeypatch, chains):
 def test_forward_sweep_holds_phi_a_sigma_and_a_ring_only(tmp_path):
     # tracemalloc sees numpy's buffers. A plain solve stores phi, a and sigma
     # at every level, 3 field trajectories of (Nt + 1) nx ny doubles; beside
-    # them it holds a ring of 5 x 3 levels and one step's temporaries, the
-    # sigma CG's vectors among them, under the 1.5 field trajectories the
-    # tangent and adjoint tests allow their one kept array. A fourth stored
-    # unknown would break the bound; every unknown at every level would be 5.
+    # them it holds a ring of mu and n, 2 x 3 levels, and one step's
+    # temporaries, the sigma CG's vectors among them, under the 1.5 field
+    # trajectories the tangent and adjoint tests allow their one kept array.
+    # A fourth stored unknown would break the bound; every unknown at every
+    # level would be 5.
     text = (CONFIG_DIR / "verify.cfg").read_text()
     for old, new in (("nx = 16", "nx = 64"), ("ny = 16", "ny = 64")):
         assert f"\n{old}\n" in text
@@ -521,7 +604,7 @@ def test_forward_sweep_holds_phi_a_sigma_and_a_ring_only(tmp_path):
 
 def test_tangent_sweep_holds_psi_and_a_ring_only():
     # tracemalloc sees numpy's buffers. Beside the returned psi, the sweep
-    # holds a ring of 5 x 3 levels and one step's temporaries, about 0.9 of
+    # holds a ring of 4 x 3 levels and one step's temporaries, about 0.9 of
     # a psi array at 64^2 with 32 steps; every unknown at every level would
     # be 5 psi arrays.
     cfg = load_config(CONFIG_DIR.parent / "perfbench" / "configs" / "optimize-64.cfg")
@@ -554,13 +637,13 @@ def test_adjoint_ring_matches_stored_adjoint_bitwise(monkeypatch, scheme, chains
     threads = record_threads(monkeypatch, chains, 16)
     stored = solve_adjoint(base, cfg.control_spec, cfg.model, like, ADJOINT_FIELDS)
     assert any(name.startswith("chks-chain") for name in threads) == (chains == "concurrent")
-    assert stored.holds_every_level and stored.kept is stored and stored.names == ADJOINT_FIELDS
+    assert stored.names == ADJOINT_FIELDS and stored.ring.size == 0
     # p3, p4 and p5 are zero at level Nt; by level 0 the misfit has reached
     # every unknown.
     assert not stored.data[2:, -1].any() and stored.data[:, 0].any(axis=(1, 2)).all()
     for keep in ((), ("p3",), ("p5",), ADJOINT_FIELDS):
         kept = solve_adjoint(base, cfg.control_spec, cfg.model, like, keep)
-        assert kept.holds_every_level and kept.names == keep and kept.newest == 0
+        assert kept.names == keep and kept.newest == 0 and kept.ring.size == 0
         assert kept.data.shape == (len(keep), cfg.nt + 1, cfg.grid.nx, cfg.grid.ny)
         for name in keep:
             assert kept.fields[name].tobytes() == stored.fields[name].tobytes(), (keep, name)
@@ -570,7 +653,7 @@ def test_adjoint_ring_matches_stored_adjoint_bitwise(monkeypatch, scheme, chains
 
 def test_adjoint_sweep_holds_p3_and_a_ring_only():
     # tracemalloc sees numpy's buffers. Beside the returned p3, the sweep
-    # holds a ring of 5 x 3 levels, the final condition's (p1, p2) pair and
+    # holds a ring of 4 x 3 levels, the final condition's (p1, p2) pair and
     # one step's temporaries, about 1 p3 array at 64^2 with 32 steps; every
     # unknown at every level would be 5 p3 arrays.
     cfg = load_config(CONFIG_DIR.parent / "perfbench" / "configs" / "optimize-64.cfg")
@@ -591,20 +674,20 @@ def test_a_backward_ring_refuses_a_level_it_no_longer_holds():
     # and k + 2 and writes level k into the slot of level k + 3.
     grid = grid_mod.Grid(4, 4)
     ring = Trajectory.zeros(grid, 0.1 * np.arange(33), ADJOINT_FIELDS, ("p3",), direction=-1)
-    assert not ring.holds_every_level and ring.newest == 32
+    assert ring.ring_names == ("p1", "p2", "p4", "p5") and ring.newest == 32
     # Before the first step the ring holds level Nt and the one the first
     # step writes.
     with pytest.raises(ValueError,
                        match="^level 30 is not in the ring, which holds levels 31 to 32$"):
-        ring.slot(30)
+        ring.level(30)
     assert ring.slot(31) == 1  # the level the first step writes
     for k in range(31, 1, -1):
         ring.advance("adjoint", k, lambda *_: None, lambda *_: None)
-    assert ring.newest == ring.kept.newest == 2
+    assert ring.newest == 2
     for k in (0, 4, 5):
         with pytest.raises(ValueError,
                            match=f"^level {k} is not in the ring, which holds levels 1 to 3$"):
-            ring.slot(k)
+            ring.level(k)
     assert [ring.slot(k) for k in range(1, 4)] == [1, 2, 0]
 
 
