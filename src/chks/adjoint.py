@@ -168,7 +168,7 @@ def solve_adjoint(
         new.p3[...] = g.helmholtz_direct(gr, rhs_p3, inv_tau)
 
         # p5: same implicit operator family as the forward sigma update,
-        # its CG started from the extrapolation of the stored levels, or
+        # its CG started from the extrapolation of the levels behind, or
         # from like's increment over this step.
         # a* is frozen at level k here; the forward step that produced the
         # level-k sigma froze level k-1, so this choice staggers the

@@ -70,7 +70,7 @@ per-call work is kept to the arithmetic:
   b - alpha*x0 + Lap x0, as the cold start x0 = 0 does. The sweeps pass one
   of two guesses (Trajectory.extrapolate; Fischer, CMAME 163, 1998). On its
   own a sweep passes the linear extrapolation in time of its last two
-  stored levels. Given a reference sweep for a nearby control, as optimize
+  levels. Given a reference sweep for a nearby control, as optimize
   gives its line-search trials and adjoints, a sweep passes its own level
   plus the reference's increment over the same step, which saves more
   transforms. A start that already meets the stopping test, such as a

@@ -117,7 +117,7 @@ def solve_linearized(
         alpha, omega = old.alpha_lin, old.omega
 
         # omega: same implicit operator as the forward sigma update, its CG
-        # started from the extrapolation of the stored levels.
+        # started from the extrapolation of the levels behind.
         rhs_omega = omega * inv_tau
         rhs_omega += (spec.chi_a - sigma_new) * alpha
         new.omega[...] = g.helmholtz_cg(
