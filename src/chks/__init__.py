@@ -37,7 +37,14 @@ from .state import (
     trajectory_distance,
 )
 from .linearized import TANGENT_FIELDS, solve_linearized
-from .adjoint import ADJOINT_FIELDS, ControlSpec, duality_residual, solve_adjoint
+from .adjoint import (
+    ADJOINT_FIELDS,
+    EXACT_ADJOINT_FIELDS,
+    ControlSpec,
+    duality_residual,
+    solve_adjoint,
+    solve_exact_adjoint,
+)
 from .control_opt import (
     OptimizeOptions,
     OptimizeResult,

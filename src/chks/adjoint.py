@@ -30,9 +30,13 @@ the others backward on a ring of three levels (see Trajectory.zeros), and
 the returned trajectory records the base's s_stab and flux scheme. The
 control enters the state through the a equation alone, so the reduced
 gradient, the optimality condition u = P(-p3/b3) and the duality identity
-read p3 alone: by default solve_adjoint keeps p3. optimize, whose warm
-start reads p5 and whose caller writes every unknown, keeps
-ADJOINT_FIELDS.
+read p3 alone: by default solve_adjoint keeps p3. optimize keeps p3 and
+p5, which its next adjoint's warm start reads; chks optimize, which writes
+every unknown, re-solves the final adjoint keeping ADJOINT_FIELDS.
+
+solve_exact_adjoint is the other adjoint: the exact transpose of the
+tangent step (see its docstring), whose dot-product identity with
+solve_linearized holds to the CG tolerance. optimize does not call it yet.
 
 A backward step is two chains (k, old, new) that share no level they
 write, which Trajectory.advance runs, naming the step in any SolverError;
@@ -59,10 +63,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import grid as g
+from .linearized import TANGENT_FIELDS
 from .potentials import AdmissibilityError
 from .state import REPLAY_FIELDS, ModelSpec, Trajectory
 
 ADJOINT_FIELDS = ("p1", "p2", "p3", "p4", "p5")
+# The unknowns of the exact adjoint (solve_exact_adjoint): the adjoints of
+# the tangent's psi, nu and alpha_lin, the two chains' parts of omega's,
+# and the alpha and omega solves' results.
+EXACT_ADJOINT_FIELDS = ("lam_psi", "lam_nu", "lam_omega_n", "lam_alpha", "lam_omega_a",
+                        "mu_a", "mu_omega")
 
 
 @dataclass
@@ -212,6 +222,146 @@ def solve_adjoint(
     for k in range(nt - 1, -1, -1):
         adj.advance("adjoint", k, transport, phase)
     return adj.finish()
+
+
+def solve_exact_adjoint(
+    base: Trajectory, spec: ModelSpec, sources: dict[str, np.ndarray], keep=("mu_a",)
+) -> Trajectory:
+    """The exact discrete adjoint: the transpose of solve_linearized's map.
+
+    sources maps tangent unknowns (TANGENT_FIELDS) to (Nt, nx, ny) arrays,
+    slice k - 1 the source on level k = 1 .. Nt; an unknown left out has
+    none. The sweep runs backward from level Nt on the base's grid, step
+    count, s_stab and flux scheme, and returns the unknowns in keep
+    (EXACT_ADJOINT_FIELDS) at every level as a Trajectory; the others step
+    on a ring of three levels. By default it keeps mu_a, whose level k is
+    gradient slice k (k = 0 .. Nt - 1; level Nt is zero): with x_k the
+    tangent along h at level k,
+
+        sum_k <mu_a[k], h[k]> = sum_{k=1..Nt} sum_f <sources[f][k - 1], x_k.f>
+
+    up to the CG tolerance of the omega solves, for every h. The gradient
+    of a cost with misfit sources in the L2(Q) pairing is mu_a[k] / tau.
+
+    With lam the adjoint at level k + 1 of the tangent's (psi, eta, nu,
+    alpha_lin, omega), every later step and the source already added in,
+    H = 1/tau - Lap and A_k = (1/tau + 1 + a_k) - Lap, backward step k is
+    two chains (k, old, new), old the views of level k + 1 and new those of
+    level k, which transpose the tangent's two chains:
+
+    - alpha -> omega, from the base a at level k and sigma at level k + 1:
+      mu_a = H^-1 lam_alpha; mu_omega = A_k^-1 (lam_omega - chi_a
+      div(a_k grad mu_a)), the divergence with the base sigma's donor
+      cells, which is symmetric in its second argument;
+      lam_alpha = -chi_a D1^T mu_a + ((1/tau + 1) - 2 a_k) mu_a
+      + (chi_a - sigma_{k+1}) mu_omega, D1^T from
+      grid.divergence_transpose; this chain's part of lam_omega is
+      mu_omega / tau. mu_omega's CG starts from the extrapolation of the
+      levels behind.
+    - nu -> psi/eta, from the base phi at level k: mu_nu = H^-1 lam_nu;
+      (mu_psi, mu_eta) is the transposed phi/mu block solved for
+      (lam_psi + (chi_phi + c_phi) mu_nu, lam_eta); lam_psi =
+      (h'(phi_k) + 1/tau) mu_psi + (s_stab - F''(phi_k)) mu_eta; lam_nu =
+      (1/tau + c_n) mu_nu - chi_phi Lap mu_psi, where the block's second
+      row, -Lap mu_psi - mu_eta = lam_eta, gives -Lap mu_psi as
+      mu_eta + lam_eta, as solve_adjoint reads p2; this chain's part of
+      lam_omega is c_sigma mu_nu.
+
+    No step of the tangent reads eta, so lam_eta is its source alone. The
+    two parts of lam_omega are stored apart, lam_omega_a (with omega's
+    source) and lam_omega_n, and summed where the alpha -> omega chain reads
+    them, so that neither chain writes what the other reads and the
+    step-end check of advance sees every unknown of the level.
+
+    It transposes the tangent, not the forward map. The forward sigma step
+    freezes max(a, 0) where the tangent freezes a_k; the two agree wherever
+    a > 0, which acceptance criterion 11 keeps, and no dot-product test can
+    see where they differ.
+
+    base must hold phi, a and sigma at every level; a source named other
+    than a tangent unknown, of another shape or with a non-finite value, or
+    a keep that names anything but EXACT_ADJOINT_FIELDS, raises ValueError.
+    """
+    base.check_every_level("base", REPLAY_FIELDS)
+    gr = base.grid
+    nt = base.nt
+    for name, src in sources.items():
+        if name not in TANGENT_FIELDS:
+            raise ValueError(f"source on {name!r}, not one of {', '.join(TANGENT_FIELDS)}")
+        if src.shape != (nt, gr.nx, gr.ny):
+            raise ValueError(f"source on {name} must have shape (nt, nx, ny)")
+        if not -np.inf < src.min() <= src.max() < np.inf:
+            raise ValueError(f"source on {name} contains non-finite values")
+    src_psi, src_eta, src_alpha, src_nu, src_omega = (
+        sources.get(name) for name in TANGENT_FIELDS)
+    inv_tau = 1.0 / base.tau
+    tau_eff = 1.0 / (inv_tau + spec.m)
+    s_stab = base.s_stab
+    scheme = base.flux_scheme
+
+    lam = Trajectory.zeros(gr, base.times, EXACT_ADJOINT_FIELDS, keep,
+                           s_stab=s_stab, flux_scheme=scheme, direction=-1)
+    end = lam.level(nt)
+    for field, src in ((end.lam_psi, src_psi), (end.lam_alpha, src_alpha),
+                       (end.lam_nu, src_nu), (end.lam_omega_a, src_omega)):
+        if src is not None:
+            field[...] = src[nt - 1]
+
+    def add_source(out: np.ndarray, src: np.ndarray | None, k: int) -> np.ndarray:
+        """out plus the source on level k, if any; level 0 carries none."""
+        if src is not None and k >= 1:
+            out += src[k - 1]
+        return out
+
+    def transport(k: int, old, new) -> None:
+        """mu_a, mu_omega, lam_alpha and lam_omega_a at new from lam_alpha
+        and both parts of lam_omega at old, and mu_omega behind."""
+        a_k = base.a[k]
+        sigma_new = base.sigma[k + 1]
+        mu_a = new.mu_a
+        mu_a[...] = g.helmholtz_direct(gr, old.lam_alpha, inv_tau)
+
+        rhs_omega = g.divergence(gr, a_k, mu_a, scheme, upwind_by=sigma_new)
+        rhs_omega *= -spec.chi_a
+        rhs_omega += old.lam_omega_a
+        rhs_omega += old.lam_omega_n
+        new.mu_omega[...] = g.helmholtz_cg(
+            gr, rhs_omega, (inv_tau + 1.0) + a_k, lam.extrapolate("mu_omega", k)
+        )
+
+        lam_alpha = g.divergence_transpose(gr, sigma_new, mu_a, scheme)
+        lam_alpha *= -spec.chi_a
+        lam_alpha += ((inv_tau + 1.0) - 2.0 * a_k) * mu_a
+        lam_alpha += (spec.chi_a - sigma_new) * new.mu_omega
+        new.lam_alpha[...] = add_source(lam_alpha, src_alpha, k)
+        new.lam_omega_a[...] = add_source(new.mu_omega * inv_tau, src_omega, k)
+
+    def phase(k: int, old, new) -> None:
+        """lam_psi, lam_nu and lam_omega_n at new from lam_psi and lam_nu at
+        old and the source on eta at level k + 1."""
+        phi_k = base.phi[k]
+        mu_nu = g.helmholtz_direct(gr, old.lam_nu, inv_tau)
+        lam_eta = None if src_eta is None else src_eta[k]
+        rhs_psi = (spec.chi_phi + spec.c_phi) * mu_nu
+        rhs_psi += old.lam_psi
+        mu_psi, mu_eta = g.ch_block_solve(gr, rhs_psi, lam_eta, tau_eff, s_stab, transpose=True)
+
+        lam_psi = spec.prolif.h_prime(phi_k)
+        lam_psi += inv_tau
+        lam_psi *= mu_psi
+        lam_psi += (s_stab - spec.pot.f_second(phi_k)) * mu_eta
+        new.lam_psi[...] = add_source(lam_psi, src_psi, k)
+
+        if lam_eta is not None:
+            mu_eta += lam_eta  # -Lap mu_psi
+        lam_nu = (inv_tau + spec.c_n) * mu_nu
+        lam_nu += spec.chi_phi * mu_eta
+        new.lam_nu[...] = add_source(lam_nu, src_nu, k)
+        new.lam_omega_n[...] = spec.c_sigma * mu_nu
+
+    for k in range(nt - 1, -1, -1):
+        lam.advance("exact adjoint", k, transport, phase)
+    return lam.finish()
 
 
 def duality_residual(

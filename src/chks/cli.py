@@ -21,11 +21,12 @@ from pathlib import Path
 
 import numpy as np
 
+from .adjoint import ADJOINT_FIELDS, solve_adjoint
 from .config import ConfigError, RunConfig, load_config
 from .control_opt import optimize
 from .fields_io import write_csv, write_trajectory
 from .grid import SolverError
-from .state import A_MIN_UPWIND, SIGMA_RANGE, energy, solve_forward
+from .state import A_MIN_UPWIND, FORWARD_FIELDS, SIGMA_RANGE, energy, solve_forward
 from .verify import SUITES, run_suites
 
 # The files each command writes into --out, as globs. simulate and optimize
@@ -101,8 +102,19 @@ def cmd_optimize(cfg: RunConfig, out: Path) -> int:
     ]
     write_csv(out / "optimize.csv", rows)
     write_trajectory(out, cfg.grid, {"control": result.u_star.values})
-    write_trajectory(out, cfg.grid, result.trajectory.fields)
-    write_trajectory(out, cfg.grid, result.adjoint.fields, prefix="adj_")
+    # optimize keeps phi, a and sigma and the adjoint's p3 and p5, what its
+    # loop reads; the snapshots hold every unknown. So the final control is
+    # solved once more with every unknown kept, each CG started from the
+    # loop's own answer (like), which makes every level bitwise the loop's.
+    loop_traj = result.trajectory
+    traj, _ = solve_forward(
+        cfg.grid, cfg.model, cfg.init, result.u_star, cfg.T, cfg.nt, s_stab=loop_traj.s_stab,
+        flux_scheme=loop_traj.flux_scheme, like=loop_traj, keep=FORWARD_FIELDS,
+    )
+    write_trajectory(out, cfg.grid, traj.fields)
+    adj = solve_adjoint(traj, cfg.control_spec, cfg.model, like=result.adjoint,
+                        keep=ADJOINT_FIELDS)
+    write_trajectory(out, cfg.grid, adj.fields, prefix="adj_")
     print(
         f"optimize: {result.iterations} iterations, cost {result.cost_history[-1]:.6e}, "
         f"stationarity {result.stationarity_history[-1]:.3e}, converged={result.converged}"

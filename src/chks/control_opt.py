@@ -29,6 +29,18 @@ of each CG is unchanged, so each solve agrees with the same solve without
 like to the CG tolerance, not bitwise: optimize's results depend on the
 history of its solves. That history is fixed by the inputs, so a rerun
 gives the same bytes.
+
+optimize stores only what its loop reads. Each forward solve keeps
+REPLAY_FIELDS (phi, a and sigma): all that cost, solve_adjoint and the
+next trial's CG start read. Each adjoint keeps p3, which the gradient and
+the stationarity residual read, and p5, which the next adjoint's CG start
+reads. The loop so holds at most 11 field trajectories where keeping
+every unknown held 20: two forwards and two adjoints while an adjoint
+solves, and the accepted forward, a rejected trial, the next trial and the
+adjoint while the line search backtracks. A caller that reads the other unknowns re-solves the final
+control with like set to the result's trajectories, as chks optimize
+does: each CG then starts from the loop's own answer, passes its stopping
+test at once, and every kept level is bitwise the loop's.
 """
 
 from __future__ import annotations
@@ -38,9 +50,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import grid as g
-from .adjoint import ADJOINT_FIELDS, ControlSpec, solve_adjoint
+from .adjoint import ControlSpec, solve_adjoint
 from .grid import Grid
-from .state import FORWARD_FIELDS, Control, InitialData, ModelSpec, Trajectory, solve_forward
+from .state import REPLAY_FIELDS, Control, InitialData, ModelSpec, Trajectory, solve_forward
 
 # Step reductions the line search tries before it gives up, and the
 # sufficient-decrease factor of its Armijo test.
@@ -59,6 +71,11 @@ class OptimizeOptions:
 
 @dataclass
 class OptimizeResult:
+    """What optimize returns: the last iterate u_star, the per-iteration
+    histories, and the last state and adjoint, which hold only what the
+    loop reads: trajectory phi, a and sigma, adjoint p3 and p5, at every
+    level (see the module docstring)."""
+
     u_star: Control
     cost_history: list[float] = field(default_factory=list)
     stationarity_history: list[float] = field(default_factory=list)
@@ -143,7 +160,9 @@ def optimize(
     never increase J. Each trial starts its CG solves from the accepted
     trajectory's increments and each adjoint from the previous adjoint's
     (see the module docstring); the first forward and adjoint solves start
-    from the extrapolation in time.
+    from the extrapolation in time. Every forward keeps phi, a and sigma
+    and every adjoint p3 and p5, and so do result.trajectory and
+    result.adjoint.
     """
     opts = opts or OptimizeOptions()
     if opts.max_iters < 0:
@@ -154,12 +173,12 @@ def optimize(
 
     result = OptimizeResult(u_star=u)
 
-    # Every forward unknown is kept: chks optimize writes all five as
-    # snapshots of the last accepted trajectory.
+    # A forward keeps what cost, the adjoint and the next trial's CG start
+    # read: phi, a and sigma.
     def forward(uc: Control, like: Trajectory | None = None) -> Trajectory:
         traj, _ = solve_forward(
             gr, spec, init, uc, T, nt, s_stab=opts.s_stab, flux_scheme=opts.flux_scheme,
-            like=like, keep=FORWARD_FIELDS,
+            like=like, keep=REPLAY_FIELDS,
         )
         return traj
 
@@ -168,9 +187,9 @@ def optimize(
     step_size = 1.0 / cs.b3
     adj = None
     for it in range(opts.max_iters + 1):
-        # Every adjoint unknown is kept: the next solve's warm start (like)
-        # reads p5, and chks optimize writes all five as adj_* snapshots.
-        adj = solve_adjoint(traj, cs, spec, like=adj, keep=ADJOINT_FIELDS)
+        # An adjoint keeps p3, which the gradient and the stationarity
+        # residual read, and p5, which the next adjoint's CG start reads.
+        adj = solve_adjoint(traj, cs, spec, like=adj, keep=("p3", "p5"))
         stat = stationarity_residual(u, adj, cs)
         result.cost_history.append(j_cur)
         result.stationarity_history.append(stat)

@@ -292,9 +292,9 @@ def divergence_transpose(
     product -(sigma_hi - sigma_lo)*(w_hi - w_lo)/h^2. The centered scheme
     gives half of it to each side, which is -grad_dot(sigma, w); the upwind
     scheme gives it whole to the donor cell, the low cell where
-    sigma_hi > sigma_lo and else the high one, divergence's one rule. No
-    sweep calls it yet: its caller is to be the exact discrete adjoint of
-    the tangent step (ROADMAP item 1(b)), at the chemotaxis term.
+    sigma_hi > sigma_lo and else the high one, divergence's one rule. The
+    exact discrete adjoint of the tangent step (adjoint.solve_exact_adjoint)
+    calls it at the chemotaxis term.
     """
     if scheme not in FLUX_SCHEMES:
         raise ValueError(f"unknown chemotaxis flux scheme: {scheme!r}")

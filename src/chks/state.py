@@ -107,8 +107,9 @@ CONCURRENT_MIN_CELLS = 144 * 144
 # newest - 1 .. newest + 1 in either direction (Trajectory.slot).
 RING_LEVELS = 3
 FORWARD_FIELDS = ("phi", "mu", "a", "n", "sigma")
-# The forward unknowns that the tangent and adjoint replays, the tracking
-# cost and the InvariantReport read: what a plain solve_forward keeps.
+# The forward unknowns that the tangent and adjoint replays (the exact
+# adjoint's too), the tracking cost and the InvariantReport read: what a
+# plain solve_forward keeps, and what each forward solve of optimize keeps.
 REPLAY_FIELDS = ("phi", "a", "sigma")
 # The errors of a step's arithmetic that advance names the step in: a
 # RuntimeWarning counts when raised as an error (error::RuntimeWarning).
@@ -309,8 +310,11 @@ class Trajectory:
     def level(self, k: int) -> SimpleNamespace:
         """The views of every unknown at level k as attributes (level.phi),
         the stored unknowns first, then the ring's. While the ring holds any
-        unknown, only for the levels slot accepts (ValueError otherwise)."""
+        unknown, only for the levels slot accepts, and otherwise for levels
+        0 .. Nt: ValueError for any other k, a negative one included."""
         ring = self._slots[self.slot(k)] if self.ring_names else {}
+        if not 0 <= k <= self.nt:
+            raise ValueError(f"level {k} is not one of the levels 0 to {self.nt}")
         return SimpleNamespace(**{name: f[k] for name, f in self.fields.items()}, **ring)
 
     def _view(self, name: str, k: int) -> np.ndarray:

@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from chks import cli as cli_mod
 from chks import config as config_mod
 from chks.cli import cmd_simulate, main
 from chks.config import ConfigError, generate_field, load_config
@@ -496,6 +497,30 @@ def test_cli_optimize_trivial(tmp_path):
     # final control is zero
     _, u_last = read_field(out / "control_000031.fld")
     assert np.abs(u_last).max() <= 1e-8
+
+
+@pytest.mark.parametrize("config", ["trivial_optimum.cfg", "optimize_inverse_crime.cfg"])
+def test_cli_optimize_snapshots_are_the_loops_kept_fields(tmp_path, monkeypatch, config):
+    # optimize keeps phi, a and sigma and the adjoint's p3 and p5; chks
+    # optimize re-solves the final control to write every unknown, and those
+    # five snapshots are bitwise the loop's own levels.
+    results, original = [], cli_mod.optimize
+
+    def recorded(*args, **kwargs):
+        results.append(original(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(cli_mod, "optimize", recorded)
+    out = tmp_path / "opt"
+    assert main(["optimize", str(CONFIG_DIR / config), "--out", str(out)]) == 0
+    (result,) = results
+    assert result.trajectory.names == ("phi", "a", "sigma")
+    assert result.adjoint.names == ("p3", "p5")
+    for prefix, traj in (("", result.trajectory), ("adj_", result.adjoint)):
+        for name, f in traj.fields.items():
+            for k in range(traj.nt + 1):
+                _, snapshot = read_field(out / f"{prefix}{name}_{k:06}.fld")
+                assert snapshot.tobytes() == f[k].tobytes(), (prefix + name, k)
 
 
 def overflowing_b2_cfg(tmp_path):

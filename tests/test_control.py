@@ -17,7 +17,14 @@ from chks.control_opt import (
     stationarity_residual,
 )
 from chks.grid import Grid
-from chks.state import CONCURRENT_MIN_CELLS, FORWARD_FIELDS, Control, Trajectory, solve_forward
+from chks.state import (
+    CONCURRENT_MIN_CELLS,
+    FORWARD_FIELDS,
+    REPLAY_FIELDS,
+    Control,
+    Trajectory,
+    solve_forward,
+)
 
 from test_adjoint import coupled_model
 from test_state import make_random_init
@@ -307,10 +314,12 @@ def test_optimize_agrees_with_cold_solves(problem):
     # about ten times the largest of these.
     grid, spec, init, cs, T, nt = problem
     u0 = Control(np.clip(0.5 + 0.3 * smooth_direction(grid, nt, 310), 0, 1), 1.0)
+    # optimize keeps the unknowns its loop reads, which the cold solves keep too.
     res = optimize(grid, spec, init, cs, u0, T, nt, OptimizeOptions(tol_stat=0.0, max_iters=10))
     assert res.iterations == 10
-    traj, _ = solve_forward(grid, spec, init, res.u_star, T, nt, keep=FORWARD_FIELDS)
-    adj = solve_adjoint(traj, cs, spec, keep=ADJOINT_FIELDS)
+    assert res.trajectory.names == REPLAY_FIELDS and res.adjoint.names == ("p3", "p5")
+    traj, _ = solve_forward(grid, spec, init, res.u_star, T, nt)
+    adj = solve_adjoint(traj, cs, spec, keep=res.adjoint.names)
 
     def rel_max(warm, cold):
         return max(float(np.abs(warm.fields[n] - f).max() / np.abs(f).max())
