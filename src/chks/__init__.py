@@ -39,7 +39,6 @@ from .state import (
 from .linearized import TANGENT_FIELDS, solve_linearized
 from .adjoint import (
     ADJOINT_FIELDS,
-    EXACT_ADJOINT_FIELDS,
     ControlSpec,
     duality_residual,
     solve_adjoint,

@@ -32,7 +32,8 @@ control enters the state through the a equation alone, so the reduced
 gradient, the optimality condition u = P(-p3/b3) and the duality identity
 read p3 alone: by default solve_adjoint keeps p3. optimize keeps p3 and
 p5, which its next adjoint's warm start reads; chks optimize, which writes
-every unknown, re-solves the final adjoint keeping ADJOINT_FIELDS.
+every unknown, re-solves the final adjoint on optimize's trajectory,
+keeping ADJOINT_FIELDS.
 
 solve_exact_adjoint is the other adjoint: the exact transpose of the
 tangent step (see its docstring), whose dot-product identity with
@@ -225,18 +226,17 @@ def solve_adjoint(
 
 
 def solve_exact_adjoint(
-    base: Trajectory, spec: ModelSpec, sources: dict[str, np.ndarray], keep=("mu_a",)
+    base: Trajectory, spec: ModelSpec, sources: dict[str, np.ndarray]
 ) -> Trajectory:
     """The exact discrete adjoint: the transpose of solve_linearized's map.
 
     sources maps tangent unknowns (TANGENT_FIELDS) to (Nt, nx, ny) arrays,
     slice k - 1 the source on level k = 1 .. Nt; an unknown left out has
     none. The sweep runs backward from level Nt on the base's grid, step
-    count, s_stab and flux scheme, and returns the unknowns in keep
-    (EXACT_ADJOINT_FIELDS) at every level as a Trajectory; the others step
-    on a ring of three levels. By default it keeps mu_a, whose level k is
-    gradient slice k (k = 0 .. Nt - 1; level Nt is zero): with x_k the
-    tangent along h at level k,
+    count, s_stab and flux scheme, and returns mu_a at every level as a
+    Trajectory; the other unknowns (EXACT_ADJOINT_FIELDS) step on a ring of
+    three levels. Level k of mu_a is gradient slice k (k = 0 .. Nt - 1;
+    level Nt is zero): with x_k the tangent along h at level k,
 
         sum_k <mu_a[k], h[k]> = sum_{k=1..Nt} sum_f <sources[f][k - 1], x_k.f>
 
@@ -279,8 +279,8 @@ def solve_exact_adjoint(
     see where they differ.
 
     base must hold phi, a and sigma at every level; a source named other
-    than a tangent unknown, of another shape or with a non-finite value, or
-    a keep that names anything but EXACT_ADJOINT_FIELDS, raises ValueError.
+    than a tangent unknown, of another shape or with a non-finite value
+    raises ValueError.
     """
     base.check_every_level("base", REPLAY_FIELDS)
     gr = base.grid
@@ -299,7 +299,7 @@ def solve_exact_adjoint(
     s_stab = base.s_stab
     scheme = base.flux_scheme
 
-    lam = Trajectory.zeros(gr, base.times, EXACT_ADJOINT_FIELDS, keep,
+    lam = Trajectory.zeros(gr, base.times, EXACT_ADJOINT_FIELDS, ("mu_a",),
                            s_stab=s_stab, flux_scheme=scheme, direction=-1)
     end = lam.level(nt)
     for field, src in ((end.lam_psi, src_psi), (end.lam_alpha, src_alpha),

@@ -103,16 +103,19 @@ def cmd_optimize(cfg: RunConfig, out: Path) -> int:
     write_csv(out / "optimize.csv", rows)
     write_trajectory(out, cfg.grid, {"control": result.u_star.values})
     # optimize keeps phi, a and sigma and the adjoint's p3 and p5, what its
-    # loop reads; the snapshots hold every unknown. So the final control is
-    # solved once more with every unknown kept, each CG started from the
-    # loop's own answer (like), which makes every level bitwise the loop's.
+    # loop reads; the snapshots hold every unknown. So the final control and
+    # its adjoint are solved once more with every unknown kept, each CG
+    # started from the loop's own answer (like): each level agrees with the
+    # loop's to the CG tolerance. The adjoint replays the loop's trajectory,
+    # which holds all it reads, so the forward re-solve is dropped first.
     loop_traj = result.trajectory
     traj, _ = solve_forward(
         cfg.grid, cfg.model, cfg.init, result.u_star, cfg.T, cfg.nt, s_stab=loop_traj.s_stab,
         flux_scheme=loop_traj.flux_scheme, like=loop_traj, keep=FORWARD_FIELDS,
     )
     write_trajectory(out, cfg.grid, traj.fields)
-    adj = solve_adjoint(traj, cfg.control_spec, cfg.model, like=result.adjoint,
+    del traj
+    adj = solve_adjoint(loop_traj, cfg.control_spec, cfg.model, like=result.adjoint,
                         keep=ADJOINT_FIELDS)
     write_trajectory(out, cfg.grid, adj.fields, prefix="adj_")
     print(

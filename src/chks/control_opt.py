@@ -37,10 +37,10 @@ the stationarity residual read, and p5, which the next adjoint's CG start
 reads. The loop so holds at most 11 field trajectories where keeping
 every unknown held 20: two forwards and two adjoints while an adjoint
 solves, and the accepted forward, a rejected trial, the next trial and the
-adjoint while the line search backtracks. A caller that reads the other unknowns re-solves the final
-control with like set to the result's trajectories, as chks optimize
-does: each CG then starts from the loop's own answer, passes its stopping
-test at once, and every kept level is bitwise the loop's.
+adjoint while the line search backtracks. A caller that reads the other
+unknowns re-solves the final control with like set to the result's
+trajectories, as chks optimize does: each CG then starts from the loop's
+own answer, and every level agrees with the loop's to the CG tolerance.
 """
 
 from __future__ import annotations

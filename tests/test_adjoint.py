@@ -8,7 +8,6 @@ import pytest
 from chks import grid as grid_mod
 from chks.adjoint import (
     ADJOINT_FIELDS,
-    EXACT_ADJOINT_FIELDS,
     ControlSpec,
     duality_residual,
     solve_adjoint,
@@ -301,7 +300,7 @@ def test_exact_adjoint_is_the_transpose_of_the_tangent(scheme, side):
     assert abs(lhs - rhs) <= 1e-12 * scale
 
 
-def test_exact_adjoint_rejects_bad_sources_and_keeps(problem):
+def test_exact_adjoint_rejects_bad_sources(problem):
     grid, spec, init, u, traj, cs, T, nt = problem
     good = np.ones((nt, grid.nx, grid.ny))
     bad_value = good.copy()
@@ -313,8 +312,6 @@ def test_exact_adjoint_rejects_bad_sources_and_keeps(problem):
     ):
         with pytest.raises(ValueError, match=message):
             solve_exact_adjoint(traj, spec, sources)
-    with pytest.raises(ValueError, match="^keep names 'p3'"):
-        solve_exact_adjoint(traj, spec, {"psi": good}, keep=("p3",))
-    # Without a source the adjoint is zero; keep decides what it stores.
-    exact = solve_exact_adjoint(traj, spec, {}, keep=EXACT_ADJOINT_FIELDS)
-    assert exact.names == EXACT_ADJOINT_FIELDS and not exact.data.any()
+    # Without a source the adjoint is zero.
+    exact = solve_exact_adjoint(traj, spec, {})
+    assert exact.names == ("mu_a",) and not exact.data.any()

@@ -707,6 +707,34 @@ def test_optimize_holds_what_its_loop_reads():
     assert peak <= 20 * field, f"peak {peak} B against a {field} B field trajectory"
 
 
+def test_cli_optimize_resolve_holds_ten_field_trajectories(tmp_path, monkeypatch):
+    # After the loop, chks optimize re-solves the final control keeping every
+    # unknown, writes it and drops it; the adjoint re-solve then replays the
+    # loop's trajectory. Beside the result's five field trajectories it so
+    # holds five more at a time, and the peak from the loop's end on counts
+    # ten: 11.6 measured with the temporaries of one sweep, and 16.6 where
+    # the adjoint replayed the forward re-solve.
+    cfg = load_config(CONFIG_DIR / "verify.cfg")
+    cfg = dataclasses.replace(cfg, opts=dataclasses.replace(cfg.opts, tol_stat=0.0,
+                                                            max_iters=3))
+
+    def optimize_then_reset_peak(*args):
+        result = optimize(*args)
+        tracemalloc.reset_peak()
+        return result
+
+    monkeypatch.setattr(cli, "optimize", optimize_then_reset_peak)
+    cli.cmd_optimize(cfg, tmp_path)  # fills the grid's caches outside the trace
+    tracemalloc.start()
+    try:
+        cli.cmd_optimize(cfg, tmp_path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    field = (cfg.nt + 1) * cfg.grid.nx * cfg.grid.ny * 8
+    assert peak <= 13 * field, f"peak {peak} B against a {field} B field trajectory"
+
+
 def test_a_backward_ring_refuses_a_level_it_no_longer_holds():
     # A backward sweep starts at level Nt = 32; step k reads levels k + 1
     # and k + 2 and writes level k into the slot of level k + 3.
