@@ -5,6 +5,7 @@ import sys
 import numpy as np
 import pytest
 
+from chks import control_opt
 from chks import grid as grid_mod
 from chks.adjoint import ADJOINT_FIELDS, ControlSpec, solve_adjoint
 from chks.control_opt import (
@@ -13,6 +14,7 @@ from chks.control_opt import (
     cost,
     optimize,
     project_admissible,
+    projected_step,
     reduced_gradient,
     stationarity_residual,
 )
@@ -225,6 +227,69 @@ def test_optimize_zero_budget_returns_initial(problem):
     np.testing.assert_array_equal(res.u_star.values, u0.values)
     assert len(res.stationarity_history) == 1
     assert res.trajectory is not None and res.adjoint is not None
+
+
+def test_optimize_line_search_failure_returns_the_last_accepted_state(problem, monkeypatch):
+    # An infinite sufficient-decrease factor rejects every trial, so the first
+    # line search fails and the result holds the initial state and adjoint.
+    grid, spec, init, cs, T, nt = problem
+    monkeypatch.setattr(control_opt, "ARMIJO_C", float("inf"))
+    monkeypatch.setattr(control_opt, "MAX_BACKTRACKS", 2)
+    u0 = Control(np.clip(0.5 + 0.3 * smooth_direction(grid, nt, 310), 0, 1), 1.0)
+    res = optimize(grid, spec, init, cs, u0, T, nt, OptimizeOptions(tol_stat=0.0, max_iters=5))
+    assert res.message == "line search failed after max backtracks"
+    assert not res.converged and res.iterations == 0 and res.step_sizes == []
+    assert res.u_star.values.tobytes() == u0.values.tobytes()
+    assert cost(res.trajectory, res.u_star, cs) == res.cost_history[-1]
+    adj = solve_adjoint(res.trajectory, cs, spec, keep=("p3", "p5"))
+    assert res.adjoint.p3.tobytes() == adj.p3.tobytes()
+
+
+def test_optimize_line_search_failure_after_accepted_steps(problem, monkeypatch):
+    # At b3 = 1e-5 and backtrack = 0.1 the line searches of this problem take
+    # 0, 0, 0 and 2 backtracks. Without backtracks the fourth fails, and the
+    # result is bitwise that of a budget of three iterations.
+    grid, spec, init, cs, T, nt = problem
+    cs5 = ControlSpec(cs.b1, cs.b2, 1e-5, cs.phi_q, cs.phi_omega, cs.u_max)
+    u0 = Control(np.clip(0.5 + 0.3 * smooth_direction(grid, nt, 310), 0, 1), 1.0)
+
+    def run(max_iters):
+        return optimize(grid, spec, init, cs5, u0, T, nt,
+                        OptimizeOptions(tol_stat=0.0, max_iters=max_iters, backtrack=0.1))
+
+    budget = run(3)
+    monkeypatch.setattr(control_opt, "MAX_BACKTRACKS", 0)
+    res = run(5)
+    assert res.message == "line search failed after max backtracks"
+    assert res.iterations == 3 and res.backtrack_counts == budget.backtrack_counts == [0, 0, 0]
+    assert res.cost_history == budget.cost_history
+    assert res.stationarity_history == budget.stationarity_history
+    for got, want in ((res.u_star.values, budget.u_star.values),
+                      (res.trajectory.data, budget.trajectory.data),
+                      (res.adjoint.data, budget.adjoint.data)):
+        assert got.tobytes() == want.tobytes()
+    assert cost(res.trajectory, res.u_star, cs5) == res.cost_history[-1]
+
+
+@pytest.mark.parametrize("field_bound", [False, True], ids=["scalar-u_max", "field-u_max"])
+def test_projected_step_is_the_projected_gradient_step_bitwise(problem, field_bound):
+    grid, spec, init, cs, T, nt = problem
+    rng = np.random.default_rng(41)
+    u_max = rng.uniform(0.5, 1.5, grid.shape) if field_bound else 1.0
+    values = rng.uniform(0.0, 1.0, (nt, grid.nx, grid.ny)) * u_max
+    u = Control(values.copy(), u_max)
+    adj = Trajectory.zeros(grid, np.linspace(0.0, T, nt + 1), ADJOINT_FIELDS, ("p3",),
+                           direction=-1)
+    adj.p3[...] = rng.standard_normal(adj.p3.shape)
+    p3 = adj.p3.copy()
+    upper = np.broadcast_to(u_max, values.shape)
+    for s in (0.3, 1.0, 7.0):
+        step = projected_step(adj, u, cs.b3, s, u_max)
+        want = project_admissible(u.values - s * reduced_gradient(adj, u, cs.b3), u_max)
+        assert step.tobytes() == want.tobytes()
+        assert np.any(step == 0.0) and np.any(step == upper)
+        assert np.any((step > 0.0) & (step < upper))
+    assert u.values.tobytes() == values.tobytes() and adj.p3.tobytes() == p3.tobytes()
 
 
 def test_optimize_rejects_negative_budget(problem):

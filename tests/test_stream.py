@@ -686,14 +686,18 @@ def test_adjoint_sweep_holds_p3_and_a_ring_only():
 
 def test_optimize_holds_what_its_loop_reads():
     # tracemalloc sees numpy's buffers. Each forward of optimize keeps phi, a
-    # and sigma and each adjoint p3 and p5, so while an adjoint solves the
-    # loop holds two forwards and two adjoints, 10 field trajectories of
-    # (Nt + 1) nx ny doubles where keeping every unknown held 20. Beside
-    # them it holds the gradient, the control and the rings and temporaries
-    # of one sweep: 15.0 measured, and 25.0 with every unknown kept.
+    # and sigma and each adjoint p3 and p5, and the loop drops each of them
+    # once nothing reads it: while an adjoint solves it holds the accepted
+    # forward and two adjoints, 7 field trajectories of (Nt + 1) nx ny
+    # doubles, and while the line search runs the accepted forward, the
+    # adjoint and one trial, 8. Beside them it holds the control and the
+    # rings and temporaries of one sweep: 12.0 measured. Holding the previous
+    # state, a rejected trial or the gradient as well reads 13.8 to 15.0.
+    # b3 = 1e-5 and backtrack = 0.1 make the line search backtrack.
     cfg = load_config(CONFIG_DIR / "verify.cfg")
-    opts = dataclasses.replace(cfg.opts, tol_stat=0.0, max_iters=3)
-    args = (cfg.grid, cfg.model, cfg.init, cfg.control_spec, cfg.u0, cfg.T, cfg.nt, opts)
+    cs = dataclasses.replace(cfg.control_spec, b3=1e-5)
+    opts = dataclasses.replace(cfg.opts, tol_stat=0.0, max_iters=4, backtrack=0.1)
+    args = (cfg.grid, cfg.model, cfg.init, cs, cfg.u0, cfg.T, cfg.nt, opts)
     optimize(*args)  # fills the grid's caches outside the trace
     tracemalloc.start()
     try:
@@ -701,10 +705,10 @@ def test_optimize_holds_what_its_loop_reads():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert result.iterations == 3
+    assert result.iterations == 4 and sum(result.backtrack_counts) > 0
     assert result.trajectory.names == REPLAY_FIELDS and result.adjoint.names == ("p3", "p5")
     field = (cfg.nt + 1) * cfg.grid.nx * cfg.grid.ny * 8
-    assert peak <= 20 * field, f"peak {peak} B against a {field} B field trajectory"
+    assert peak <= 13 * field, f"peak {peak} B against a {field} B field trajectory"
 
 
 def test_cli_optimize_resolve_holds_ten_field_trajectories(tmp_path, monkeypatch):
@@ -768,3 +772,16 @@ def test_readers_of_p3_refuse_an_adjoint_without_it(solves):
         read(solves.adj)
         with pytest.raises(ValueError, match="^adj must hold p3 at every level$"):
             read(lacking)
+
+
+def test_readers_of_p3_refuse_an_adjoint_of_another_time_grid(solves):
+    # Without the check, the one-step adjoint's p3 broadcasts against the
+    # 32-step control and stationarity_residual returns a number.
+    cfg, u, cs = solves.cfg, solves.cfg.u0, solves.cfg.control_spec
+    short = Trajectory.zeros(cfg.grid, solves.adj.times[:2], ADJOINT_FIELDS, ("p3",),
+                             direction=-1)
+    for read in (lambda adj: reduced_gradient(adj, u, cs.b3),
+                 lambda adj: stationarity_residual(u, adj, cs)):
+        read(solves.adj)
+        with pytest.raises(ValueError, match="^adjoint and control time grids do not match$"):
+            read(short)
