@@ -24,7 +24,7 @@ from . import grid as g
 from .adjoint import duality_residual, solve_adjoint
 from .config import RunConfig, cosine_series, generate_field
 from .control_opt import control_norm, cost, reduced_gradient
-from .grid import Grid
+from .grid import FLUX_SCHEMES, Grid
 from .linearized import solve_linearized, taylor_remainders
 from .potentials import PotentialSpec, ProliferationSpec
 from .state import (
@@ -34,6 +34,7 @@ from .state import (
     Control,
     InitialData,
     ModelSpec,
+    Trajectory,
     check_mean_ode,
     energy_phi_part,
     mean_ode_residuals,
@@ -222,7 +223,8 @@ def _matrix_case(cfg: RunConfig, pot_kind: str, run_seed: int):
 
 
 def suite_invariants(cfg: RunConfig) -> list[CheckResult]:
-    """Structural monitors: sigma range, positivity of a, mean ODE, energy."""
+    """Structural monitors: sigma range, positivity of a, mean ODE, the
+    mean balances of n, sigma and a, energy."""
     gr = cfg.grid
 
     # sigma maximum principle and a-positivity across the matrix.
@@ -295,12 +297,95 @@ def suite_invariants(cfg: RunConfig) -> list[CheckResult]:
     results.append(CheckResult("invariants", "mean_ode_tau_halving_ratio", ratio, 1.6,
                                1.6 <= ratio <= 2.4, "l1 in time; target 2.0 +/- 20%"))
 
+    # Mean balances of n, sigma and a on the config's own problem, whose c_0
+    # the n identity sees, under both flux schemes.
+    balances = [mean_balance_ratios(
+        solve_forward(gr, cfg.model, cfg.init, cfg.u0, cfg.T, cfg.nt, s_stab=cfg.s_stab,
+                      flux_scheme=scheme, keep=FORWARD_FIELDS)[0], cfg.model, cfg.u0)
+        for scheme in FLUX_SCHEMES]
+    for law in balances[0]:
+        results.append(_at_most("invariants", f"{law}_mean_balance",
+                                float(np.max([b[law] for b in balances])), 1.0,
+                                "max over the steps of |gap| / a-priori bound, both schemes"))
+
     # Decoupled phase-field energy stability at the default stabilization.
     for i, run_seed in enumerate((cfg.seed + 50, cfg.seed + 51, cfg.seed + 52)):
         worst = energy_stability_worst_increase(gr, cfg.T, cfg.nt, run_seed)
         results.append(_at_most("invariants", f"decoupled_energy_increase_seed{i}", worst, 1e-11,
                                 "max one-step increase of the phase energy"))
     return results
+
+
+def mean_balance_ratios(traj: Trajectory, spec: ModelSpec, u: Control) -> dict[str, float]:
+    """Largest |gap| / bound over the steps of the mean identities of n, sigma and a.
+
+    With homogeneous Neumann conditions the discrete Laplacian and the
+    conservative chemotaxis divergence sum to zero over the cells, so
+    averaging each implicit update of the forward traj, solved under u with
+    every unknown kept, over the grid (M, the spatial mean) leaves, for step
+    k -> k + 1:
+
+        n:     M(n_{k+1})/tau = (1/tau + c_n) M(n_k) + (chi_phi + c_phi) M(phi_{k+1})
+                                + c_sigma M(sigma_k) + c_0
+        sigma: M((1/tau + 1 + a+_k) sigma_{k+1}) = M(sigma_k)/tau + chi_a M(a+_k) + 1
+        a:     M(a_{k+1})/tau = M(a_k ((1/tau + 1) - a_k)) + M(u_k)
+
+    with a+ = max(a, 0). Every source term of the three updates appears
+    here, so dropping or mis-lagging one breaks an identity by that term's
+    mean. The n and a updates are direct solves, so their identities hold
+    to round-off; sigma's CG stops at a relative residual of
+    CG_RELATIVE_TOL, which bounds its identity instead.
+
+    Bounds, a priori. For a sum of terms t_i, the round-off bound is
+    8 log2(N) eps * sum(max |t_i|) over the N cells: forming a right-hand
+    side costs a few roundings per cell, each of the DCT pair and each mean
+    a pairwise sum over the N cells, log2(N) roundings deep. For sigma,
+    |M(r)| <= ||r||_2 / sqrt(N) <= CG_RELATIVE_TOL ||b||_2 / sqrt(N) for the
+    CG residual r and right-hand side b, plus the same round-off bound. The
+    divergence enters the a bound through the largest face flux it sums,
+    each cell's divergence a difference of four of them.
+
+    The keys are "nutrient", "signal" and "vasculature"; a ratio above 1
+    breaks its identity. A zero bound (one cell) admits only a zero gap.
+    """
+    traj.check_every_level("traj", ("phi", "a", "n", "sigma"))
+    gr, inv_tau = traj.grid, 1.0 / traj.tau
+    cells = gr.nx * gr.ny
+    eps = np.finfo(float).eps
+
+    def roundoff(*terms) -> float:
+        return 8 * math.log2(cells) * eps * sum(float(np.abs(t).max()) for t in terms)
+
+    def max_face_flux(c, f) -> float:
+        return float(np.abs(c).max()) * max(float(np.abs(np.diff(f, axis=0)).max()) / gr.hx**2,
+                                            float(np.abs(np.diff(f, axis=1)).max()) / gr.hy**2)
+
+    ratios = {"nutrient": [], "signal": [], "vasculature": []}
+
+    def record(law, gap, bound):
+        ratios[law].append(abs(gap) / bound if bound > 0 else 0.0 if gap == 0 else math.inf)
+
+    for k in range(traj.nt):
+        terms = (traj.n[k + 1] * inv_tau, (inv_tau + spec.c_n) * traj.n[k],
+                 (spec.chi_phi + spec.c_phi) * traj.phi[k + 1], spec.c_sigma * traj.sigma[k],
+                 np.float64(spec.c_0))
+        gap = terms[0].mean() - (terms[1].mean() + terms[2].mean() + terms[3].mean() + spec.c_0)
+        record("nutrient", gap, roundoff(*terms))
+
+        a_plus = np.maximum(traj.a[k], 0.0)
+        b = traj.sigma[k] * inv_tau + spec.chi_a * a_plus + 1.0
+        implicit = ((inv_tau + 1.0) + a_plus) * traj.sigma[k + 1]
+        gap = implicit.mean() - (traj.sigma[k].mean() * inv_tau + spec.chi_a * a_plus.mean() + 1.0)
+        record("signal", gap, g.CG_RELATIVE_TOL * float(np.linalg.norm(b)) / math.sqrt(cells)
+               + roundoff(implicit, b, g.laplacian(gr, traj.sigma[k + 1])))
+
+        a = traj.a[k]
+        logistic = a * ((inv_tau + 1.0) - a)
+        gap = (traj.a[k + 1] * inv_tau).mean() - (logistic.mean() + u.values[k].mean())
+        flux = 4 * spec.chi_a * max_face_flux(a, traj.sigma[k + 1])
+        record("vasculature", gap,
+               roundoff(traj.a[k + 1] * inv_tau, logistic, u.values[k], np.float64(flux)))
+    return {law: float(np.max(r)) for law, r in ratios.items()}
 
 
 def energy_stability_worst_increase(gr: Grid, T: float, nt: int, seed: int) -> float:

@@ -1,5 +1,7 @@
 """Discrete operator contracts: stencils, conservation, adjointness, solvers."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.fft as sfft
@@ -545,7 +547,7 @@ def test_dct_pair_matches_scipy_on_both_sides_of_dense_threshold(shape, monkeypa
     fh = dct2(f)
     ref = sfft.dctn(f, type=2, norm="ortho")
     assert np.abs(fh - ref).max() <= 1e-13 * np.abs(ref).max()
-    back = idct2(fh)
+    back = idct2(fh.copy())  # the inverse may consume its argument
     ref_back = sfft.idctn(fh, type=2, norm="ortho")
     assert np.abs(back - ref_back).max() <= 1e-13 * np.abs(ref_back).max()
     assert np.abs(back - f).max() <= 1e-13 * np.abs(f).max()
@@ -630,3 +632,65 @@ def test_ch_block_interleaved_parameters_use_their_own_factors():
     for _ in range(2):
         with pytest.raises(SolverError):
             ch_block_solve(grid, rhs_phi, rhs_mu, 1e15, 0.5)
+
+
+def test_spectral_solves_leave_their_arguments_unchanged():
+    # The inverse transform consumes the spectrum it is given, in place at
+    # FFT sizes; the forward transform reads the callers' fields and must
+    # leave them as they were. 96 x 80 takes the FFT path on both sides.
+    grid = Grid(96, 80, 1.0, 0.8)
+    rng = np.random.default_rng(31)
+    b, rhs_mu, x0 = (rng.standard_normal(grid.shape) for _ in range(3))
+    alpha = 2.0 + rng.random(grid.shape)
+    args = {"b": b, "rhs_mu": rhs_mu, "x0": x0, "alpha": alpha}
+    before = {name: arr.tobytes() for name, arr in args.items()}
+
+    def unchanged():
+        for name, arr in args.items():
+            assert arr.tobytes() == before[name], name
+
+    dct2, _ = grid_mod._dct_pair(grid.shape)
+    dct2(b)
+    unchanged()
+    helmholtz_direct(grid, b, 3.0)
+    unchanged()
+    for guess in (None, x0):
+        helmholtz_cg(grid, b, alpha, guess)
+        unchanged()
+    for mu in (rhs_mu, None):
+        for transpose in (False, True):
+            ch_block_solve(grid, b, mu, 0.01, 1.5, transpose)
+            unchanged()
+
+
+def traced_fields(call, field_bytes):
+    """Peak tracemalloc bytes of one call above its entry, in fields, after a
+    first call has filled the grid's caches."""
+    call()
+    tracemalloc.start()
+    try:
+        entry = tracemalloc.get_traced_memory()[0]
+        call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return (peak - entry) / field_bytes
+
+
+def test_spectral_solves_hold_one_spectrum_per_output():
+    # tracemalloc sees numpy's buffers, not scipy.fft's internal ones. At
+    # 128^2 each spectrum is transformed back in place, so a direct solve
+    # holds one field above its entry, the transposed block without rhs_mu
+    # two, and the CG eight, where new inverse outputs and a kept z held
+    # 2.01, 4.01 and 10.02.
+    grid = Grid(128, 128)
+    rng = np.random.default_rng(37)
+    b = rng.standard_normal(grid.shape)
+    alpha = 2.0 + rng.random(grid.shape)
+    field = b.nbytes
+    cg = traced_fields(lambda: helmholtz_cg(grid, b, alpha), field)
+    direct = traced_fields(lambda: helmholtz_direct(grid, b, 3.0), field)
+    block = traced_fields(lambda: ch_block_solve(grid, b, None, 0.01, 1.5, transpose=True), field)
+    assert cg <= 9, cg
+    assert direct <= 1.5, direct
+    assert block <= 3, block
